@@ -17,21 +17,13 @@ from .errors import CapacityError, DomainError, DsnkitError, InputError, Precond
 from .formats import emit_dsn, parse_dsn, parse_psi
 from .generators import gen_grid, gen_ladder, gen_random
 from .reduction import decide_psi_via_dsn, generate_hardness_instance, solve_psi_bruteforce
-from .solvers import (
-    SolveResult,
-    solve_bnb,
-    solve_dst,
-    solve_exhaustive,
-    solve_with_certificate,
-)
+from .solvers import ENGINES, SolveResult, solve_bnb, solve_exhaustive, solve_with_certificate
 
 EXIT_OK = 0
 EXIT_DISAGREE = 1
 EXIT_INFEASIBLE = 2
 EXIT_CAPACITY = 3
 EXIT_DOMAIN = 4
-
-ENGINES = {"exhaustive": solve_exhaustive, "bnb": solve_bnb, "dst": solve_dst}
 
 
 def _read(path: str) -> str:

@@ -100,10 +100,18 @@ class SolutionSubgraph:
 # graph-level predicates
 
 
-def violated_request(graph: WeightedDigraph, requests: Iterable[Request]) -> Optional[Request]:
-    """Lexicographically first request with no s-t path, or None if valid."""
+def violated_request(
+    graph: WeightedDigraph, requests: Iterable[Request], skip_arc: Optional[Arc] = None
+) -> Optional[Request]:
+    """Lexicographically first request with no s-t path, or None if valid.
+
+    `skip_arc`, if given, is treated as absent from the graph."""
     for s, t in sorted(_normalize_requests_arg(requests)):
-        if not graph.has_vertex(s) or not graph.has_vertex(t) or not reaches(graph, s, t):
+        if (
+            not graph.has_vertex(s)
+            or not graph.has_vertex(t)
+            or not reaches(graph, s, t, skip_arc=skip_arc)
+        ):
             return (s, t)
     return None
 
@@ -118,7 +126,7 @@ def is_inclusion_minimal_graph(graph: WeightedDigraph, requests: Iterable[Reques
     if violated_request(graph, reqs) is not None:
         raise PreconditionError("graph is not a valid solution")
     for a in graph.arc_set():
-        if violated_request(graph.without_arc(*a), reqs) is None:
+        if violated_request(graph, reqs, skip_arc=a) is None:
             return False
     return True
 
@@ -134,11 +142,8 @@ def minimize_graph(graph: WeightedDigraph, requests: Iterable[Request]) -> Weigh
     terminals = {v for r in reqs for v in r}
     current = graph
     for arc in sorted(graph.arc_set(), key=lambda a: (-graph.weight(*a), a)):
-        if not current.has_arc(*arc):
-            continue
-        candidate = current.without_arc(*arc)
-        if violated_request(candidate, reqs) is None:
-            current = candidate
+        if violated_request(current, reqs, skip_arc=arc) is None:
+            current = current.without_arc(*arc)
     used = {v for a in current.arc_set() for v in a} | terminals
     return current.induced(used & set(current.vertices))
 

@@ -317,19 +317,32 @@ class UndirectedGraph:
 # reachability
 
 
-def reaches(g: WeightedDigraph, s: int, t: int, forbidden_internal: Iterable[int] = ()) -> bool:
+def reaches(
+    g: WeightedDigraph,
+    s: int,
+    t: int,
+    forbidden_internal: Iterable[int] = (),
+    skip_arc: Optional[Arc] = None,
+) -> bool:
     """True iff a directed s-t path exists whose internal vertices avoid the
-    forbidden set.  Endpoints are exempt from the forbidden set."""
+    forbidden set.  Endpoints are exempt from the forbidden set.
+
+    `skip_arc`, if given, is treated as absent, so the answer equals the one
+    for `g.without_arc(*skip_arc)` without copying the graph."""
     g._check_vertex(s)
     g._check_vertex(t)
     if s == t:
         return True
+    skip_u, skip_v = skip_arc if skip_arc is not None else (None, None)
     forb = set(forbidden_internal)
     seen = {s}
     stack = [s]
     while stack:
         u = stack.pop()
+        skip = skip_v if u == skip_u else None
         for v in g.out_neighbors(u):
+            if v == skip:
+                continue
             if v == t:
                 return True
             if v in seen or v in forb:

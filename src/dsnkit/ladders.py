@@ -184,8 +184,7 @@ def _hypotheses_failure(K: WeightedDigraph, a: int, b: int, c: int, d: int) -> O
     for arc in sorted(K.arc_set()):
         if arc in {(a, b), (c, d)}:
             continue
-        rest = K.without_arc(*arc)
-        if reaches(rest, a, d) and reaches(rest, c, b):
+        if reaches(K, a, d, skip_arc=arc) and reaches(K, c, b, skip_arc=arc):
             return f"not inclusion-minimal: arc {arc} is removable"
     iso = [v for v in K.vertices if K.total_degree(v) == 0 and v not in {a, b, c, d}]
     if iso:
@@ -225,46 +224,52 @@ def _suppress_outside(K: WeightedDigraph, keep: Set[int]) -> Optional[WeightedDi
 
 def is_ladder_subdivision(K: WeightedDigraph, a: int, b: int, c: int, d: int) -> LadderVerdict:
     """Decide whether K with boundary roles (a, b, c, d) is a subdivision of
-    a ladder, by the recursive suppress-and-peel procedure.
+    a ladder, by the suppress-and-peel procedure.
 
-    The reported length is the length of the suppressed core ladder."""
-    fail = _hypotheses_failure(K, a, b, c, d)
-    if fail is not None:
-        return LadderVerdict(False, 0, fail)
-    g = _suppress_outside(K, {a, b, c, d})
-    if g is None:
-        return LadderVerdict(False, 0, "degree-2 vertex is not a pass-through")
-    fail = _hypotheses_failure(g, a, b, c, d)
-    if fail is not None:
-        return LadderVerdict(False, 0, f"after suppression: {fail}")
-    if g.n <= 4:
-        return LadderVerdict(True, 1 if g.n == 1 else 2)
-    if {a, b} & {c, d}:
-        return LadderVerdict(False, 0, "boundary pairs overlap in a large graph")
-    # Peel the (a, b) column and recurse on the rest.
-    if a != b:
-        a_in = set(g.in_neighbors(a)) - {b}
-        a_out = set(g.out_neighbors(a)) - {b}
-        b_in = set(g.in_neighbors(b)) - {a}
-        b_out = set(g.out_neighbors(b)) - {a}
-        if a_out or b_in:
-            return LadderVerdict(False, 0, "corner has an extra arc")
-        if len(a_in) != 1 or len(b_out) != 1:
-            return LadderVerdict(False, 0, "corner column is not attached by two rails")
-        abar, bbar = next(iter(a_in)), next(iter(b_out))
-    else:
-        a_in = set(g.in_neighbors(a))
-        a_out = set(g.out_neighbors(a))
-        if len(a_in) != 1 or len(a_out) != 1:
-            return LadderVerdict(False, 0, "identified corner is not attached by two rails")
-        abar, bbar = next(iter(a_in)), next(iter(a_out))
-        if abar == bbar:
-            return LadderVerdict(False, 0, "identified corner attached to a single vertex")
-    rest = g.without_vertices({a, b})
-    sub = is_ladder_subdivision(rest, bbar, abar, c, d)
-    if not sub.ok:
-        return LadderVerdict(False, 0, f"peel: {sub.reason}")
-    return LadderVerdict(True, sub.length + 1)
+    Each level checks the hypotheses, suppresses, and peels the (a, b)
+    column; the rest becomes the next level with roles (b', a', c, d).  A
+    rejection at peel level k carries k "peel: " prefixes.  The reported
+    length is the length of the suppressed core ladder."""
+    peeled = 0
+
+    def reject(reason: str) -> LadderVerdict:
+        return LadderVerdict(False, 0, "peel: " * peeled + reason)
+
+    while True:
+        fail = _hypotheses_failure(K, a, b, c, d)
+        if fail is not None:
+            return reject(fail)
+        g = _suppress_outside(K, {a, b, c, d})
+        if g is None:
+            return reject("degree-2 vertex is not a pass-through")
+        fail = _hypotheses_failure(g, a, b, c, d)
+        if fail is not None:
+            return reject(f"after suppression: {fail}")
+        if g.n <= 4:
+            return LadderVerdict(True, (1 if g.n == 1 else 2) + peeled)
+        if {a, b} & {c, d}:
+            return reject("boundary pairs overlap in a large graph")
+        # Peel the (a, b) column; the rest is the next level.
+        if a != b:
+            a_in = set(g.in_neighbors(a)) - {b}
+            a_out = set(g.out_neighbors(a)) - {b}
+            b_in = set(g.in_neighbors(b)) - {a}
+            b_out = set(g.out_neighbors(b)) - {a}
+            if a_out or b_in:
+                return reject("corner has an extra arc")
+            if len(a_in) != 1 or len(b_out) != 1:
+                return reject("corner column is not attached by two rails")
+            abar, bbar = next(iter(a_in)), next(iter(b_out))
+        else:
+            a_in = set(g.in_neighbors(a))
+            a_out = set(g.out_neighbors(a))
+            if len(a_in) != 1 or len(a_out) != 1:
+                return reject("identified corner is not attached by two rails")
+            abar, bbar = next(iter(a_in)), next(iter(a_out))
+            if abar == bbar:
+                return reject("identified corner attached to a single vertex")
+        K, a, b = g.without_vertices({a, b}), bbar, abar
+        peeled += 1
 
 
 def is_outerplanar(u: UndirectedGraph) -> bool:

@@ -24,7 +24,7 @@ from .dsn import (
     minimize_graph,
     validate,
 )
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, InvariantError
 from .graphs import Arc, DirectedPath, WeightedDigraph, reaches, shortest_path
 from .structure import TreewidthCertificate, certify_treewidth_bound
 
@@ -59,7 +59,9 @@ def _infeasible(method: str, nodes: int = 0) -> SolveResult:
 
 def _finish(inst: DsnInstance, arcs: Set[Arc], nodes: int, method: str) -> SolveResult:
     sol = minimize(inst, SolutionSubgraph(inst.host, frozenset(arcs)))
-    assert validate(inst, sol) is None
+    violated = validate(inst, sol)
+    if violated is not None:
+        raise InvariantError(f"{method} solution violates request {violated[0]}->{violated[1]}")
     return SolveResult(True, sol, sol.cost(), nodes, True, method)
 
 
@@ -369,12 +371,16 @@ def solve_dst(inst: DsnInstance) -> SolveResult:
 
     build(full, r)
     result = _finish(inst, arcs, nodes, "dst")
-    assert result.cost == f[full][r], "witness cost disagrees with the table"
+    if result.cost != f[full][r]:
+        raise InvariantError("witness cost disagrees with the table")
     return result
 
 
 # ---------------------------------------------------------------------------
 # wrapper
+
+
+ENGINES = {"exhaustive": solve_exhaustive, "bnb": solve_bnb, "dst": solve_dst}
 
 
 def _is_out_star(inst: DsnInstance) -> bool:
@@ -396,10 +402,9 @@ def solve_with_certificate(
             engine = "exhaustive"
         else:
             engine = "bnb"
-    solver = {"exhaustive": solve_exhaustive, "bnb": solve_bnb, "dst": solve_dst}
-    if engine not in solver:
+    if engine not in ENGINES:
         raise DomainError(f"unknown engine {engine!r}")
-    result = solver[engine](inst)
+    result = ENGINES[engine](inst)
     if not result.feasible or result.optimum is None or not inst.requests:
         return result, None
     cert = certify_treewidth_bound(inst, result.optimum, declared_genus)

@@ -405,7 +405,12 @@ def detect_ladder_segments(
             verdict = is_ladder_subdivision(K, a, pv[i + 2], pv[j - 2], d)
             out.append(LadderSegment(i, j, boundary, component, verdict, None))
         else:
-            out.append(LadderSegment(i, j, boundary, component, best[0], best[1]))
+            roles = best[1]
+            if roles[1] == a or roles[2] == d:
+                # Collapsed roles leave a boundary vertex inside the ladder,
+                # so it belongs to the component that gets replaced.
+                component = frozenset(K.vertices) - set(roles)
+            out.append(LadderSegment(i, j, boundary, component, best[0], roles))
     return out
 
 

@@ -1,10 +1,12 @@
-"""Shared corpus builders: seeded random instances, ladder hosts with
-terminals attached, and the small 3-regular pattern corpus."""
+"""Shared test corpora: seeded random instances, a Hypothesis strategy
+for small digraphs, ladder hosts with terminals attached, and the small
+3-regular pattern corpus."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from dsnkit.dsn import DsnInstance
 from dsnkit.graphs import UndirectedGraph, WeightedDigraph
@@ -41,6 +43,21 @@ def random_instances(count, base_seed=0, **kw):
         if inst is not None:
             out.append(inst)
     return out
+
+
+def digraphs(max_n=7, density=0.4):
+    """Hypothesis strategy for small random digraphs on vertices 0..n-1."""
+    @st.composite
+    def build(draw):
+        n = draw(st.integers(2, max_n))
+        arcs = {}
+        for u in range(n):
+            for v in range(n):
+                if u != v and draw(st.booleans() if density >= 0.5 else st.sampled_from([True, False, False])):
+                    arcs[(u, v)] = Fraction(draw(st.integers(1, 9)))
+        return WeightedDigraph(range(n), arcs)
+
+    return build()
 
 
 def ladder_with_terminals(n, identified=()):

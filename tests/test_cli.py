@@ -3,10 +3,10 @@ import json
 import pytest
 
 from dsnkit.cli import main
-from dsnkit.formats import emit_psi
+from dsnkit.formats import emit_dsn, emit_psi
 from dsnkit.reduction import PsiInstance
 
-from conftest import K4
+from conftest import K4, ladder_with_terminals
 
 INFEASIBLE = "p dsn 3 1 2 1\na 1 2 1\nr 1 3\n"
 LOOP = "p dsn 2 1 2 1\na 1 1 1\nr 1 2\n"
@@ -72,6 +72,13 @@ class TestAnalyze:
         cert = payload["certificate"]
         assert cert["flagged"] is False
         assert cert["treewidth_solution"] <= 4 * cert["q"]
+
+    def test_analyze_identified_first_rung(self, tmp_path, capsys):
+        path = tmp_path / "ladder8_ident1.dsn"
+        path.write_text(emit_dsn(ladder_with_terminals(8, {1})))
+        assert main(["analyze", str(path), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["certificate"]["report"]["replacements"] >= 1
 
 
 class TestReduce:

@@ -1,22 +1,54 @@
 import pytest
 from fractions import Fraction
 
+from hypothesis import assume, given, settings, strategies as st
+
 from dsnkit.dsn import (
     DsnInstance,
     SolutionSubgraph,
     cost,
     is_inclusion_minimal,
+    is_inclusion_minimal_graph,
     minimize,
+    minimize_graph,
     normalize_requests,
     normalize_requests_graph,
     reverse_instance,
     reverse_solution,
     validate,
+    violated_request,
 )
 from dsnkit.errors import InputError
-from dsnkit.graphs import WeightedDigraph
+from dsnkit.graphs import WeightedDigraph, reaches
 
-from conftest import random_instances
+from conftest import digraphs, random_instances
+
+
+def is_inclusion_minimal_by_copies(graph, requests):
+    """Reference: one copied graph per arc instead of a masked arc."""
+    return all(violated_request(graph.without_arc(*a), requests) is not None for a in graph.arc_set())
+
+
+def minimize_graph_by_copies(graph, requests):
+    """Reference: one copied graph per attempted arc, same removal order."""
+    terminals = {v for r in requests for v in r}
+    current = graph
+    for arc in sorted(graph.arc_set(), key=lambda a: (-graph.weight(*a), a)):
+        candidate = current.without_arc(*arc)
+        if violated_request(candidate, requests) is None:
+            current = candidate
+    used = {v for a in current.arc_set() for v in a} | terminals
+    return current.induced(used & set(current.vertices))
+
+
+@st.composite
+def solved_graphs(draw):
+    """A small digraph plus 1-4 requests it satisfies."""
+    g = draw(digraphs())
+    pairs = [(s, t) for s in g.vertices for t in g.vertices if s != t and reaches(g, s, t)]
+    assume(pairs)
+    requests = draw(st.sets(st.sampled_from(pairs), min_size=1, max_size=4))
+    return g, frozenset(requests)
 
 
 def chain(n):
@@ -71,6 +103,23 @@ class TestValidateAndMinimize:
             once = minimize(inst, result.optimum)
             twice = minimize(inst, once)
             assert once.arcs == twice.arcs
+
+    @settings(max_examples=80, deadline=None)
+    @given(solved_graphs())
+    def test_minimize_graph_matches_copy_per_arc(self, case):
+        """[DERIVED: copy-per-arc reference loop]"""
+        g, reqs = case
+        small = minimize_graph(g, reqs)
+        assert small == minimize_graph_by_copies(g, reqs)
+
+    @settings(max_examples=80, deadline=None)
+    @given(solved_graphs())
+    def test_inclusion_minimality_matches_copy_per_arc(self, case):
+        """[DERIVED: copy-per-arc reference loop]"""
+        g, reqs = case
+        assert is_inclusion_minimal_graph(g, reqs) == is_inclusion_minimal_by_copies(g, reqs)
+        small = minimize_graph(g, reqs)
+        assert is_inclusion_minimal_by_copies(small, reqs)
 
 
 class TestNormalizeRequests:

@@ -1,7 +1,7 @@
 import pytest
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from dsnkit.errors import DomainError, InputError, CapacityError
 from dsnkit.graphs import (
@@ -19,19 +19,7 @@ from dsnkit.graphs import (
     treewidth_upper_bound,
 )
 
-
-def digraphs(max_n=7, density=0.4):
-    @st.composite
-    def build(draw):
-        n = draw(st.integers(2, max_n))
-        arcs = {}
-        for u in range(n):
-            for v in range(n):
-                if u != v and draw(st.booleans() if density >= 0.5 else st.sampled_from([True, False, False])):
-                    arcs[(u, v)] = Fraction(draw(st.integers(1, 9)))
-        return WeightedDigraph(range(n), arcs)
-
-    return build()
+from conftest import digraphs
 
 
 class TestWeightedDigraph:
@@ -74,6 +62,16 @@ class TestReachability:
     def test_reachable_set(self):
         g = WeightedDigraph(range(4), {(0, 1): 1, (1, 2): 1, (3, 0): 1})
         assert reachable_set(g, 0) == {0, 1, 2}
+
+    @settings(max_examples=60, deadline=None)
+    @given(digraphs())
+    def test_skip_arc_matches_copied_graph(self, g):
+        """[DERIVED: reachability in g.without_arc(*a)]"""
+        for a in sorted(g.arc_set()):
+            rest = g.without_arc(*a)
+            for s in g.vertices:
+                for t in g.vertices:
+                    assert reaches(g, s, t, skip_arc=a) == reaches(rest, s, t)
 
 
 class TestShortestPath:

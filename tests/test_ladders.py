@@ -2,12 +2,16 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dsnkit.dsn import DsnInstance, SolutionSubgraph, is_inclusion_minimal, validate
 from dsnkit.errors import InputError
-from dsnkit.graphs import UndirectedGraph, treewidth_exact
+from dsnkit.graphs import UndirectedGraph, WeightedDigraph, reaches, treewidth_exact
+from dsnkit import ladders
 from dsnkit.ladders import (
     LadderSpec,
+    LadderVerdict,
+    _hypotheses_failure,
     is_ladder_subdivision,
     is_ladder_undirected,
     is_outerplanar,
@@ -117,6 +121,47 @@ class TestRecognizer:
                 continue
             assert not is_ladder_subdivision(g.without_arc(u, v), *roles).ok
             break
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_names_first_removable_arc(self, data):
+        """[DERIVED: copy-per-arc search for the first removable arc]"""
+        spec = LadderSpec(data.draw(st.integers(3, 9)))
+        g = make_ladder(spec)
+        a, b, c, d = corner_roles(spec)
+        # Extra arcs keep the corner bullets: nothing leaves a or c, nothing
+        # enters b or d.  The ladder stays a solution, so K is not minimal.
+        candidates = [
+            (u, v) for u in g.vertices for v in g.vertices
+            if u != v and not g.has_arc(u, v) and u not in {a, c} and v not in {b, d}
+        ]
+        extra = data.draw(st.sets(st.sampled_from(candidates), min_size=1, max_size=3))
+        arcs = dict(g.arcs())
+        arcs.update({arc: 1 for arc in extra})
+        K = WeightedDigraph(g.vertices, arcs)
+        first = next(
+            arc for arc in sorted(K.arc_set())
+            if arc not in {(a, b), (c, d)}
+            and reaches(K.without_arc(*arc), a, d)
+            and reaches(K.without_arc(*arc), c, b)
+        )
+        assert _hypotheses_failure(K, a, b, c, d) == f"not inclusion-minimal: arc {first} is removable"
+
+    @pytest.mark.parametrize("level", [0, 1, 5, 17])
+    def test_rejection_at_peel_level_k_has_k_prefixes(self, level, monkeypatch):
+        # Each peel level removes one column (two vertices) of the ladder.
+        spec = LadderSpec(20, frozenset())
+        original = ladders._hypotheses_failure
+
+        def fail_from_level(K, a, b, c, d):
+            if K.n <= 2 * (spec.n - level):
+                return "stop"
+            return original(K, a, b, c, d)
+
+        monkeypatch.setattr(ladders, "_hypotheses_failure", fail_from_level)
+        verdict = is_ladder_subdivision(make_ladder(spec), *corner_roles(spec))
+        assert verdict == LadderVerdict(False, 0, "peel: " * level + "stop")
 
 
 class TestUndirectedView:

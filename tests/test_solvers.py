@@ -1,8 +1,11 @@
+import dataclasses
+
 import pytest
 from fractions import Fraction
 
 from dsnkit.dsn import DsnInstance, is_inclusion_minimal, validate
-from dsnkit.errors import CapacityError, DomainError
+from dsnkit import solvers
+from dsnkit.errors import CapacityError, DomainError, InvariantError
 from dsnkit.graphs import WeightedDigraph
 from dsnkit.solvers import (
     _solve_subset_scan,
@@ -166,3 +169,29 @@ class TestCertificateWrapper:
         g = WeightedDigraph(range(3), {(0, 1): 1})
         result, cert = solve_with_certificate(DsnInstance(g, {(0, 2)}))
         assert not result.feasible and cert is None
+
+
+class TestSelfChecks:
+    """These are `InvariantError`s, not asserts, so they also run under -O."""
+
+    def test_invalid_witness_raises(self, triangle_scss, monkeypatch):
+        monkeypatch.setattr(solvers, "validate", lambda inst, sol: (0, 1))
+        with pytest.raises(InvariantError):
+            solve_exhaustive(triangle_scss)
+
+    def test_dst_cost_disagreement_raises(self, monkeypatch):
+        g = WeightedDigraph(range(3), {(0, 1): 1, (0, 2): 1})
+        finish = solvers._finish
+
+        def off_by_one(inst, arcs, nodes, method):
+            result = finish(inst, arcs, nodes, method)
+            return dataclasses.replace(result, cost=result.cost + 1)
+
+        monkeypatch.setattr(solvers, "_finish", off_by_one)
+        with pytest.raises(InvariantError, match="witness cost"):
+            solve_dst(DsnInstance(g, {(0, 1), (0, 2)}))
+
+    def test_one_engine_registry(self):
+        from dsnkit import cli
+
+        assert cli.ENGINES is solvers.ENGINES

@@ -192,6 +192,15 @@ class TestReduceLength:
             for seg in rec.segments:
                 assert not seg.verdict.ok or seg.verdict.length <= 7
 
+    @pytest.mark.parametrize("n", [8, 9, 13])
+    @pytest.mark.parametrize("end_rungs", ["first", "last", "both"])
+    def test_identified_end_rungs_shrink(self, n, end_rungs):
+        identified = {"first": {1}, "last": {n}, "both": {1, n}}[end_rungs]
+        inst = ladder_with_terminals(n, identified)
+        reduced, report = reduce_length_graph(inst.host, inst.requests)
+        assert report.replacements >= 1
+        assert reduced.n < inst.host.n
+
     def test_rejects_non_minimal_input(self):
         g = WeightedDigraph(range(3), {(0, 1): 1, (0, 2): 1, (2, 1): 1})
         with pytest.raises(PreconditionError):
