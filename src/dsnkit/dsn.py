@@ -58,9 +58,6 @@ class DsnInstance:
     def sorted_requests(self) -> List[Request]:
         return sorted(self.requests)
 
-    def reverse(self) -> "DsnInstance":
-        return DsnInstance(self.host.reverse(), {(t, s) for s, t in self.requests})
-
 
 @dataclass(frozen=True)
 class SolutionSubgraph:
@@ -89,11 +86,6 @@ class SolutionSubgraph:
 
     def cost(self) -> Fraction:
         return sum((self.host.weight(*a) for a in self.arcs), Fraction(0))
-
-    def reverse(self) -> "SolutionSubgraph":
-        return SolutionSubgraph(
-            self.host.reverse(), {(v, u) for u, v in self.arcs}, self.pinned
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +164,6 @@ def validate(inst: DsnInstance, sol: SolutionSubgraph) -> Optional[Request]:
     return violated_request(sol.as_graph(), inst.requests)
 
 
-def cost(sol: SolutionSubgraph) -> Fraction:
-    return sol.cost()
-
-
 def is_inclusion_minimal(inst: DsnInstance, sol: SolutionSubgraph) -> bool:
     if validate(inst, sol) is not None:
         raise PreconditionError("solution is not valid")
@@ -194,8 +182,8 @@ def normalize_requests(sol: SolutionSubgraph, terminals: Iterable[int]) -> Froze
 
 
 def reverse_instance(inst: DsnInstance) -> DsnInstance:
-    return inst.reverse()
+    return DsnInstance(inst.host.reverse(), {(t, s) for s, t in inst.requests})
 
 
 def reverse_solution(sol: SolutionSubgraph) -> SolutionSubgraph:
-    return sol.reverse()
+    return SolutionSubgraph(sol.host.reverse(), {(v, u) for u, v in sol.arcs}, sol.pinned)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Container, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .errors import CapacityError, DomainError, InputError
 
@@ -317,6 +317,40 @@ class UndirectedGraph:
 # reachability
 
 
+def search(
+    g: WeightedDigraph,
+    s: int,
+    stop: Container[int] = (),
+    target: Optional[int] = None,
+    skip_arc: Optional[Arc] = None,
+) -> Dict[int, Optional[int]]:
+    """Breadth-first parent map of the vertices reached from s.
+
+    A vertex in `stop` is recorded when first reached but never expanded;
+    s itself is always expanded.  The search returns as soon as `target` is
+    recorded.  `skip_arc`, if given, is treated as absent.  Out-neighbours
+    are scanned in ascending order, so each parent chain is the
+    lexicographically first of the fewest-arc paths whose internal vertices
+    avoid `stop`."""
+    g._check_vertex(s)
+    out = g._out
+    skip_u, skip_v = skip_arc if skip_arc is not None else (None, None)
+    parent: Dict[int, Optional[int]] = {s: None}
+    queue = [s]
+    # The list grows while it is walked, which makes it the FIFO queue.
+    for u in queue:
+        skip = skip_v if u == skip_u else None
+        for v in out[u]:
+            if v in parent or v == skip:
+                continue
+            parent[v] = u
+            if v == target:
+                return parent
+            if v not in stop:
+                queue.append(v)
+    return parent
+
+
 def reaches(
     g: WeightedDigraph,
     s: int,
@@ -331,42 +365,7 @@ def reaches(
     for `g.without_arc(*skip_arc)` without copying the graph."""
     g._check_vertex(s)
     g._check_vertex(t)
-    if s == t:
-        return True
-    skip_u, skip_v = skip_arc if skip_arc is not None else (None, None)
-    forb = set(forbidden_internal)
-    seen = {s}
-    stack = [s]
-    while stack:
-        u = stack.pop()
-        skip = skip_v if u == skip_u else None
-        for v in g.out_neighbors(u):
-            if v == skip:
-                continue
-            if v == t:
-                return True
-            if v in seen or v in forb:
-                continue
-            seen.add(v)
-            stack.append(v)
-    return False
-
-
-def reachable_set(g: WeightedDigraph, s: int, forbidden: Iterable[int] = ()) -> Set[int]:
-    """All vertices reachable from s along vertices outside `forbidden`.
-
-    s itself is always included; forbidden vertices are never entered."""
-    g._check_vertex(s)
-    forb = set(forbidden)
-    seen = {s}
-    stack = [s]
-    while stack:
-        u = stack.pop()
-        for v in g.out_neighbors(u):
-            if v not in seen and v not in forb:
-                seen.add(v)
-                stack.append(v)
-    return seen
+    return s == t or t in search(g, s, set(forbidden_internal), t, skip_arc)
 
 
 def shortest_path(g: WeightedDigraph, s: int, t: int) -> Optional[Tuple[DirectedPath, Fraction]]:
@@ -393,6 +392,20 @@ def shortest_path(g: WeightedDigraph, s: int, t: int) -> Optional[Tuple[Directed
             if v not in done:
                 heapq.heappush(heap, (cost + g.weight(u, v), seq + (v,)))
     return None
+
+
+def avoiding_path(g: WeightedDigraph, s: int, t: int, avoid: Iterable[int]) -> Optional[DirectedPath]:
+    """Shortest (fewest arcs) s-t path whose internal vertices avoid `avoid`;
+    endpoints are exempt.  Nontrivial: s == t yields None."""
+    if s == t:
+        return None
+    parent = search(g, s, set(avoid), t)
+    if t not in parent:
+        return None
+    seq = [t]
+    while parent[seq[-1]] is not None:
+        seq.append(parent[seq[-1]])
+    return DirectedPath(tuple(reversed(seq)))
 
 
 def all_simple_paths(g: WeightedDigraph, s: int, t: int) -> List[DirectedPath]:
@@ -472,10 +485,6 @@ def strongly_connected_components(g: WeightedDigraph) -> List[List[int]]:
     return comps
 
 
-def underlying_undirected(g: WeightedDigraph) -> UndirectedGraph:
-    return g.sym()
-
-
 # ---------------------------------------------------------------------------
 # treewidth and diameter
 
@@ -507,6 +516,18 @@ def diameter(g: UndirectedGraph) -> int:
     return best
 
 
+def _eliminate(adj: Dict[int, Set[int]], v: int) -> int:
+    """Eliminate v from `adj` in place: make its neighbours a clique, drop v,
+    and return its degree at elimination."""
+    ns = sorted(adj.pop(v))
+    for i, a in enumerate(ns):
+        adj[a].discard(v)
+        for b in ns[i + 1 :]:
+            adj[a].add(b)
+            adj[b].add(a)
+    return len(ns)
+
+
 def _greedy_min_fill_order(g: UndirectedGraph) -> Tuple[int, List[int]]:
     """Min-fill greedy elimination; returns (width, order)."""
     adj: Dict[int, Set[int]] = {v: set(g.adjacent(v)) for v in g.vertices}
@@ -527,15 +548,7 @@ def _greedy_min_fill_order(g: UndirectedGraph) -> Tuple[int, List[int]]:
             if best is None or key < best[0]:
                 best = (key, v)
         v = best[1]
-        ns = sorted(adj[v])
-        width = max(width, len(ns))
-        for i, a in enumerate(ns):
-            for b in ns[i + 1 :]:
-                adj[a].add(b)
-                adj[b].add(a)
-        for a in ns:
-            adj[a].discard(v)
-        del adj[v]
+        width = max(width, _eliminate(adj, v))
         remaining.remove(v)
         order.append(v)
     return width, order
@@ -636,35 +649,16 @@ def treewidth_exact(g: UndirectedGraph) -> Tuple[int, List[int]]:
     order: List[int] = []
     width = 0
 
-    def eliminate(v: int) -> None:
-        ns = sorted(adj[v])
-        for i, a in enumerate(ns):
-            for b in ns[i + 1 :]:
-                adj[a].add(b)
-                adj[b].add(a)
-        for a in ns:
-            adj[a].discard(v)
-        del adj[v]
+    # Safe reductions: a simplicial vertex if there is one, else a degree-2 vertex.
+    while adj:
+        ordered = sorted(adj)
+        v = next((u for u in ordered if all(b in adj[a] for a in adj[u] for b in adj[u] if a < b)), None)
+        if v is None:
+            v = next((u for u in ordered if len(adj[u]) == 2), None)
+        if v is None:
+            break
+        width = max(width, _eliminate(adj, v))
         order.append(v)
-
-    changed = True
-    while changed and adj:
-        changed = False
-        for v in sorted(adj):
-            ns = adj[v]
-            is_clique = all(b in adj[a] for a in ns for b in ns if a < b)
-            if is_clique:
-                width = max(width, len(ns))
-                eliminate(v)
-                changed = True
-                break
-        else:
-            for v in sorted(adj):
-                if len(adj[v]) == 2:
-                    width = max(width, 2)
-                    eliminate(v)
-                    changed = True
-                    break
 
     if adj:
         remaining = sorted(adj)

@@ -23,9 +23,10 @@ from .dsn import (
     minimize,
     minimize_graph,
     validate,
+    violated_request,
 )
 from .errors import CapacityError, DomainError, InvariantError
-from .graphs import Arc, DirectedPath, WeightedDigraph, reaches, shortest_path
+from .graphs import Arc, DirectedPath, WeightedDigraph, shortest_path
 from .structure import TreewidthCertificate, certify_treewidth_bound
 
 EXHAUSTIVE_MAX_ARCS = 24
@@ -65,15 +66,6 @@ def _finish(inst: DsnInstance, arcs: Set[Arc], nodes: int, method: str) -> Solve
     return SolveResult(True, sol, sol.cost(), nodes, True, method)
 
 
-def _unreachable_request(inst: DsnInstance) -> Optional[Request]:
-    for s, t in inst.sorted_requests():
-        if not inst.host.has_vertex(s) or not inst.host.has_vertex(t):
-            return (s, t)
-        if not reaches(inst.host, s, t):
-            return (s, t)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # exhaustive oracle
 
@@ -108,7 +100,7 @@ def _solve_path_union(inst: DsnInstance) -> SolveResult:
     request stay few (e.g. stratified generated instances)."""
     if not inst.requests:
         return _finish(inst, set(), 1, "exhaustive")
-    if _unreachable_request(inst) is not None:
+    if violated_request(inst.host, inst.requests) is not None:
         return _infeasible("exhaustive")
     per_request = _request_paths(inst)
     weights = inst.host.arcs()
@@ -178,7 +170,7 @@ def solve_bnb(inst: DsnInstance) -> SolveResult:
     the inner Dijkstra cheap; reported costs are exact rationals."""
     if not inst.requests:
         return _finish(inst, set(), 1, "bnb")
-    if _unreachable_request(inst) is not None:
+    if violated_request(inst.host, inst.requests) is not None:
         return _infeasible("bnb")
     host = inst.host
     arcs = sorted(host.arcs())
@@ -294,7 +286,7 @@ def solve_dst(inst: DsnInstance) -> SolveResult:
     leaves = sorted(t for _, t in inst.requests)
     if len(leaves) > DST_MAX_LEAVES:
         raise CapacityError(f"{len(leaves)} leaves; out-star cap is {DST_MAX_LEAVES}")
-    if _unreachable_request(inst) is not None:
+    if violated_request(inst.host, inst.requests) is not None:
         return _infeasible("dst")
     host = inst.host
     verts = list(host.vertices)

@@ -32,8 +32,10 @@ from .graphs import (
     Arc,
     DirectedPath,
     WeightedDigraph,
+    avoiding_path,
     diameter,
     reaches,
+    search,
     shortest_path,
     treewidth_exact,
     treewidth_upper_bound,
@@ -111,54 +113,13 @@ def suppress_degree_two(
 
 
 # ---------------------------------------------------------------------------
-# path-avoiding searches
-
-
-def avoiding_path(
-    graph: WeightedDigraph, s: int, t: int, avoid: Iterable[int]
-) -> Optional[DirectedPath]:
-    """Shortest (fewest arcs) s-t path whose internal vertices avoid `avoid`;
-    endpoints are exempt.  Nontrivial: s == t yields None."""
-    if s == t:
-        return None
-    forb = set(avoid)
-    parent = {s: None}
-    frontier = [s]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in graph.out_neighbors(u):
-                if v in parent:
-                    continue
-                parent[v] = u
-                if v == t:
-                    seq = [v]
-                    while parent[seq[-1]] is not None:
-                        seq.append(parent[seq[-1]])
-                    return DirectedPath(tuple(reversed(seq)))
-                if v not in forb:
-                    nxt.append(v)
-        frontier = nxt
-    return None
+# request paths
 
 
 def _onto_path_reach(graph: WeightedDigraph, src: int, pset: Set[int]) -> Set[int]:
     """Vertices of `pset` hit by nontrivial paths from src with all internal
     vertices off `pset`."""
-    hits: Set[int] = set()
-    seen = {src}
-    stack = [src]
-    while stack:
-        u = stack.pop()
-        for v in graph.out_neighbors(u):
-            if v in pset:
-                if v != src:
-                    hits.add(v)
-                continue
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return hits
+    return {v for v in search(graph, src, pset) if v in pset and v != src}
 
 
 def realize_request_path(
@@ -625,6 +586,20 @@ def _tw_maybe_exact(g: WeightedDigraph) -> Tuple[Optional[int], bool]:
         return treewidth_upper_bound(u), False
 
 
+def _analyze_path(
+    graph: WeightedDigraph, T: Sequence[int], s: int, t: int
+) -> Tuple[DirectedPath, ImportantSet, MarkedSet, List[LadderSegment]]:
+    """Realize the s-t request path and run the per-path analysis on it:
+    important and marked vertices, then ladder segments between markers."""
+    P = realize_request_path(graph, T, s, t)
+    if P is None:
+        raise InvariantError(f"normalized request {s}->{t} has no T-avoiding path")
+    imp = important_vertices(graph, T, P)
+    mk = marked_vertices(graph, P, imp)
+    segs = detect_ladder_segments(graph, T, P, segment_markers(P, imp, mk))
+    return P, imp, mk, segs
+
+
 def reduce_length_graph(
     graph: WeightedDigraph, requests: Iterable[Request]
 ) -> Tuple[WeightedDigraph, StructureReport]:
@@ -646,13 +621,8 @@ def reduce_length_graph(
         norm = normalize_requests_graph(current, T)
         replaced = False
         for s, t in sorted(norm):
-            P = realize_request_path(current, T, s, t)
-            if P is None:
-                raise InvariantError(f"normalized request {s}->{t} has no T-avoiding path")
-            imp = important_vertices(current, T, P)
-            mk = marked_vertices(current, P, imp)
-            markers = segment_markers(P, imp, mk)
-            for seg in detect_ladder_segments(current, T, P, markers):
+            _, _, _, segs = _analyze_path(current, T, s, t)
+            for seg in segs:
                 if not seg.verdict.ok or seg.roles is None:
                     continue
                 if seg.verdict.length <= _replacement_length(seg.verdict.length):
@@ -678,13 +648,7 @@ def reduce_length_graph(
     marked_ok = True
     max_ratio = 0.0
     for s, t in sorted(norm):
-        P = realize_request_path(current, T, s, t)
-        if P is None:
-            raise InvariantError(f"normalized request {s}->{t} has no T-avoiding path")
-        imp = important_vertices(current, T, P)
-        mk = marked_vertices(current, P, imp)
-        markers = segment_markers(P, imp, mk)
-        segs = detect_ladder_segments(current, T, P, markers)
+        P, imp, mk, segs = _analyze_path(current, T, s, t)
         ratio = P.length / max(1, len(imp.important))
         max_ratio = max(max_ratio, ratio)
         if len(imp.important) > 2 * q - 2:

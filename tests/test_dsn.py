@@ -6,7 +6,6 @@ from hypothesis import assume, given, settings, strategies as st
 from dsnkit.dsn import (
     DsnInstance,
     SolutionSubgraph,
-    cost,
     is_inclusion_minimal,
     is_inclusion_minimal_graph,
     minimize,
@@ -83,7 +82,7 @@ class TestValidateAndMinimize:
         small = minimize(inst, sol)
         assert small.arcs == frozenset({(0, 1)})
         assert is_inclusion_minimal(inst, small)
-        assert cost(small) == 1
+        assert small.cost() == 1
 
     def test_minimize_removal_order_descending_weight(self):
         # both unit arcs are redundant given the cheap pair; the heaviest

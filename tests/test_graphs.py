@@ -1,7 +1,7 @@
 import pytest
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from dsnkit.errors import DomainError, InputError, CapacityError
 from dsnkit.graphs import (
@@ -9,10 +9,11 @@ from dsnkit.graphs import (
     UndirectedGraph,
     WeightedDigraph,
     all_simple_paths,
+    avoiding_path,
     diameter,
     elimination_width,
-    reachable_set,
     reaches,
+    search,
     shortest_path,
     strongly_connected_components,
     treewidth_exact,
@@ -20,6 +21,60 @@ from dsnkit.graphs import (
 )
 
 from conftest import digraphs
+
+
+def reaches_by_dfs(g, s, t, forbidden=(), skip_arc=None):
+    """Reference: depth-first reachability, written independently of `search`."""
+    if s == t:
+        return True
+    seen = {s}
+    stack = [s]
+    while stack:
+        u = stack.pop()
+        for v in g.out_neighbors(u):
+            if (u, v) == skip_arc:
+                continue
+            if v == t:
+                return True
+            if v in seen or v in forbidden:
+                continue
+            seen.add(v)
+            stack.append(v)
+    return False
+
+
+def avoiding_path_by_levels(g, s, t, avoid):
+    """Reference: level-by-level breadth-first avoiding path, written
+    independently of `search`."""
+    if s == t:
+        return None
+    parent = {s: None}
+    frontier = [s]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in g.out_neighbors(u):
+                if v in parent:
+                    continue
+                parent[v] = u
+                if v == t:
+                    seq = [v]
+                    while parent[seq[-1]] is not None:
+                        seq.append(parent[seq[-1]])
+                    return DirectedPath(tuple(reversed(seq)))
+                if v not in avoid:
+                    nxt.append(v)
+        frontier = nxt
+    return None
+
+
+def vertex_sets(g):
+    return st.sets(st.sampled_from(g.vertices))
+
+
+def optional_arcs(g):
+    arcs = sorted(g.arc_set())
+    return st.none() | st.sampled_from(arcs) if arcs else st.none()
 
 
 class TestWeightedDigraph:
@@ -61,7 +116,17 @@ class TestReachability:
 
     def test_reachable_set(self):
         g = WeightedDigraph(range(4), {(0, 1): 1, (1, 2): 1, (3, 0): 1})
-        assert reachable_set(g, 0) == {0, 1, 2}
+        assert set(search(g, 0)) == {0, 1, 2}
+
+    @settings(max_examples=80, deadline=None)
+    @given(digraphs(), st.data())
+    def test_reaches_matches_dfs_reference(self, g, data):
+        """[DERIVED: depth-first reference reachability]"""
+        forbidden = data.draw(vertex_sets(g))
+        skip = data.draw(optional_arcs(g))
+        for s in g.vertices:
+            for t in g.vertices:
+                assert reaches(g, s, t, forbidden, skip) == reaches_by_dfs(g, s, t, forbidden, skip)
 
     @settings(max_examples=60, deadline=None)
     @given(digraphs())
@@ -72,6 +137,60 @@ class TestReachability:
             for s in g.vertices:
                 for t in g.vertices:
                     assert reaches(g, s, t, skip_arc=a) == reaches(rest, s, t)
+
+
+class TestSearch:
+    def test_stop_vertices_recorded_not_expanded(self):
+        g = WeightedDigraph(range(4), {(0, 1): 1, (1, 2): 1, (0, 3): 1})
+        assert search(g, 0, stop={1}) == {0: None, 1: 0, 3: 0}
+
+    def test_source_expanded_even_if_stopped(self):
+        g = WeightedDigraph(range(3), {(0, 1): 1, (1, 2): 1})
+        assert search(g, 0, stop={0, 1}) == {0: None, 1: 0}
+
+    def test_returns_once_target_recorded(self):
+        g = WeightedDigraph(range(4), {(0, 1): 1, (0, 2): 1, (1, 3): 1})
+        assert search(g, 0, target=1) == {0: None, 1: 0}
+
+    def test_skip_arc_is_absent(self):
+        g = WeightedDigraph(range(3), {(0, 1): 1, (1, 2): 1, (0, 2): 1})
+        assert search(g, 0, skip_arc=(0, 2)) == {0: None, 1: 0, 2: 1}
+
+    def test_unknown_source_rejected(self):
+        with pytest.raises(InputError):
+            search(WeightedDigraph(range(2), {}), 5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(digraphs(), st.data())
+    def test_parent_chains_are_shortest(self, g, data):
+        """[DERIVED: hop distances from a level-by-level scan]"""
+        s = data.draw(st.sampled_from(g.vertices))
+        parent = search(g, s)
+        dist = {s: 0}
+        frontier = [s]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in g.out_neighbors(u):
+                    if v not in dist:
+                        dist[v] = dist[u] + 1
+                        nxt.append(v)
+            frontier = nxt
+        assert set(parent) == set(dist)
+        for v, u in parent.items():
+            if u is not None:
+                assert g.has_arc(u, v) and dist[v] == dist[u] + 1
+
+
+class TestAvoidingPath:
+    @settings(max_examples=80, deadline=None)
+    @given(digraphs(), st.data())
+    def test_matches_level_bfs_reference(self, g, data):
+        """[DERIVED: level-by-level reference avoiding path]"""
+        avoid = data.draw(vertex_sets(g))
+        for s in g.vertices:
+            for t in g.vertices:
+                assert avoiding_path(g, s, t, avoid) == avoiding_path_by_levels(g, s, t, avoid)
 
 
 class TestShortestPath:

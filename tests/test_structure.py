@@ -3,11 +3,14 @@ import json
 import pytest
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 from dsnkit.dsn import DsnInstance, SolutionSubgraph, is_inclusion_minimal_graph
 from dsnkit.errors import InconsistencyError, InvariantError, PreconditionError
 from dsnkit.graphs import DirectedPath, WeightedDigraph
 from dsnkit.ladders import LadderSpec, ladder_corners, make_ladder
 from dsnkit.structure import (
+    _onto_path_reach,
     avoiding_path,
     certify_treewidth_bound,
     detect_ladder_segments,
@@ -21,7 +24,26 @@ from dsnkit.structure import (
     suppress_degree_two,
 )
 
-from conftest import ladder_with_terminals
+from conftest import digraphs, ladder_with_terminals
+
+
+def onto_path_reach_by_dfs(graph, src, pset):
+    """Reference: depth-first onto-path hits, written independently of
+    `search`."""
+    hits = set()
+    seen = {src}
+    stack = [src]
+    while stack:
+        u = stack.pop()
+        for v in graph.out_neighbors(u):
+            if v in pset:
+                if v != src:
+                    hits.add(v)
+                continue
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return hits
 
 
 class TestSuppression:
@@ -242,3 +264,13 @@ class TestAvoidingPath:
         p = avoiding_path(g, 0, 3, avoid={1})
         assert p is not None and p.vertices == (0, 2, 3)
         assert avoiding_path(g, 0, 3, avoid={1, 2}) is None
+
+
+class TestOntoPathReach:
+    @settings(max_examples=80, deadline=None)
+    @given(digraphs(), st.data())
+    def test_matches_dfs_reference(self, g, data):
+        """[DERIVED: depth-first reference onto-path hits]"""
+        pset = data.draw(st.sets(st.sampled_from(g.vertices)))
+        for src in g.vertices:
+            assert _onto_path_reach(g, src, pset) == onto_path_reach_by_dfs(g, src, pset)
