@@ -12,7 +12,6 @@ import sys
 import time
 from typing import List, Optional
 
-from .dsn import DsnInstance
 from .errors import CapacityError, DomainError, DsnkitError, InputError, PreconditionError
 from .formats import emit_dsn, parse_dsn, parse_psi
 from .generators import gen_grid, gen_ladder, gen_random

@@ -11,11 +11,14 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .dsn import DsnInstance
-from .errors import ParseError
+from .errors import CapacityError, ParseError
 from .graphs import UndirectedGraph, WeightedDigraph
 from .reduction import PsiInstance
 
 Metadata = Dict[str, str]
+
+# Checked on the header, before any per-vertex structure is allocated.
+DSN_MAX_VERTICES = 100_000
 
 
 def _tokenized(text: str):
@@ -65,6 +68,10 @@ def parse_dsn(text: str) -> Tuple[DsnInstance, Metadata]:
             if len(toks) != 6 or toks[1] != "dsn":
                 raise ParseError("header must be `p dsn n m q p`", lineno)
             header = tuple(_int_field(t, lineno, i + 3, lo=0) for i, t in enumerate(toks[2:]))
+            if header[0] > DSN_MAX_VERTICES:
+                raise CapacityError(
+                    f"header declares {header[0]} vertices; the cap is {DSN_MAX_VERTICES}"
+                )
             continue
         if header is None:
             raise ParseError(f"record {kind!r} before the header", lineno)
@@ -135,6 +142,9 @@ def parse_psi(text: str) -> Tuple[PsiInstance, Metadata]:
             if len(toks) != 6 or toks[1] != "psi":
                 raise ParseError("header must be `p psi nG mG kH mH`", lineno)
             header = tuple(_int_field(t, lineno, i + 3, lo=0) for i, t in enumerate(toks[2:]))
+            # nG is bounded by the file, which must hold nG `map` records.
+            if header[2] > header[0]:
+                raise ParseError("pattern graph is larger than the host graph", lineno, 5)
             continue
         if header is None:
             raise ParseError(f"record {kind!r} before the header", lineno)

@@ -664,21 +664,8 @@ def treewidth_exact(g: UndirectedGraph) -> Tuple[int, List[int]]:
         remaining = sorted(adj)
         bit = {v: 1 << i for i, v in enumerate(remaining)}
         adj_mask = {v: sum(bit[w] for w in adj[v]) for v in remaining}
-        seen: Set[int] = set()
-        for v in remaining:
-            if v in seen:
-                continue
-            comp = []
-            stack = [v]
-            seen.add(v)
-            while stack:
-                u = stack.pop()
-                comp.append(u)
-                for w in adj[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            comp.sort()
+        rest = UndirectedGraph(remaining, [(u, w) for u in remaining for w in adj[u]])
+        for comp in rest.components():
             if len(comp) > TREEWIDTH_EXACT_CAP:
                 raise CapacityError(
                     f"irreducible component of {len(comp)} vertices exceeds the "

@@ -8,12 +8,12 @@ structural pipeline is allowed to shrink.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
-from .errors import InputError
+from .errors import InputError, InvariantError
 from .graphs import Arc, DirectedPath, UndirectedGraph, WeightedDigraph, reaches
 
 
@@ -192,33 +192,23 @@ def _hypotheses_failure(K: WeightedDigraph, a: int, b: int, c: int, d: int) -> O
     return None
 
 
-def _suppress_outside(K: WeightedDigraph, keep: Set[int]) -> Optional[WeightedDigraph]:
+def _suppress_outside(K: WeightedDigraph, keep: Set[int]) -> WeightedDigraph:
     """Suppress total-degree-2 pass-through vertices outside `keep`.
 
-    Returns None if a vertex cannot be suppressed cleanly (rejection)."""
+    K must pass `_hypotheses_failure` with roles in `keep`: minimality then
+    makes every such vertex a pass-through u -> v -> w with u != w and no
+    arc uw, and each contraction keeps the hypotheses."""
     g = K
     while True:
-        target = None
-        for v in g.vertices:
-            if v in keep:
-                continue
-            if g.total_degree(v) == 2:
-                target = v
-                break
-        if target is None:
+        v = next((v for v in g.vertices if v not in keep and g.total_degree(v) == 2), None)
+        if v is None:
             return g
-        v = target
         ins, outs = g.in_neighbors(v), g.out_neighbors(v)
-        if len(ins) != 1 or len(outs) != 1:
-            return None  # source or sink of degree 2
+        if len(ins) != 1 or len(outs) != 1 or ins == outs or g.has_arc(ins[0], outs[0]):
+            raise InvariantError(f"degree-2 vertex {v} of a minimal graph is not a pass-through")
         u, w = ins[0], outs[0]
-        if u == w:
-            return None  # dead-end two-cycle
         arcs = g.arcs()
-        wt = arcs.pop((u, v)) + arcs.pop((v, w))
-        if (u, w) in arcs:
-            return None  # suppression would create a parallel arc
-        arcs[(u, w)] = wt
+        arcs[(u, w)] = arcs.pop((u, v)) + arcs.pop((v, w))
         g = WeightedDigraph(set(g.vertices) - {v}, arcs)
 
 
@@ -226,37 +216,30 @@ def is_ladder_subdivision(K: WeightedDigraph, a: int, b: int, c: int, d: int) ->
     """Decide whether K with boundary roles (a, b, c, d) is a subdivision of
     a ladder, by the suppress-and-peel procedure.
 
-    Each level checks the hypotheses, suppresses, and peels the (a, b)
-    column; the rest becomes the next level with roles (b', a', c, d).  A
-    rejection at peel level k carries k "peel: " prefixes.  The reported
-    length is the length of the suppressed core ladder."""
+    K is checked against the hypotheses and suppressed once.  Each peel
+    level then removes the (a, b) column and checks the hypotheses on the
+    rest with roles (b', a', c, d).  Suppression keeps the hypotheses, and
+    peeling changes degrees only at the new corners, so no later level has
+    anything left to suppress.  A rejection at peel level k carries k
+    "peel: " prefixes.  The reported length is the length of the suppressed
+    core ladder."""
     peeled = 0
 
     def reject(reason: str) -> LadderVerdict:
         return LadderVerdict(False, 0, "peel: " * peeled + reason)
 
-    while True:
-        fail = _hypotheses_failure(K, a, b, c, d)
-        if fail is not None:
-            return reject(fail)
-        g = _suppress_outside(K, {a, b, c, d})
-        if g is None:
-            return reject("degree-2 vertex is not a pass-through")
-        fail = _hypotheses_failure(g, a, b, c, d)
-        if fail is not None:
-            return reject(f"after suppression: {fail}")
-        if g.n <= 4:
-            return LadderVerdict(True, (1 if g.n == 1 else 2) + peeled)
+    fail = _hypotheses_failure(K, a, b, c, d)
+    if fail is not None:
+        return reject(fail)
+    g = _suppress_outside(K, {a, b, c, d})
+    while g.n > 4:
         if {a, b} & {c, d}:
             return reject("boundary pairs overlap in a large graph")
-        # Peel the (a, b) column; the rest is the next level.
+        # Peel the (a, b) column; the hypotheses leave a and b no arcs into
+        # the rest except a's in-arc and b's out-arc.
         if a != b:
             a_in = set(g.in_neighbors(a)) - {b}
-            a_out = set(g.out_neighbors(a)) - {b}
-            b_in = set(g.in_neighbors(b)) - {a}
             b_out = set(g.out_neighbors(b)) - {a}
-            if a_out or b_in:
-                return reject("corner has an extra arc")
             if len(a_in) != 1 or len(b_out) != 1:
                 return reject("corner column is not attached by two rails")
             abar, bbar = next(iter(a_in)), next(iter(b_out))
@@ -268,8 +251,12 @@ def is_ladder_subdivision(K: WeightedDigraph, a: int, b: int, c: int, d: int) ->
             abar, bbar = next(iter(a_in)), next(iter(a_out))
             if abar == bbar:
                 return reject("identified corner attached to a single vertex")
-        K, a, b = g.without_vertices({a, b}), bbar, abar
+        g, a, b = g.without_vertices({a, b}), bbar, abar
         peeled += 1
+        fail = _hypotheses_failure(g, a, b, c, d)
+        if fail is not None:
+            return reject(fail)
+    return LadderVerdict(True, (1 if g.n == 1 else 2) + peeled)
 
 
 def is_outerplanar(u: UndirectedGraph) -> bool:

@@ -10,9 +10,9 @@ embedding back out of a tight solution.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, isqrt
+from math import isqrt
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .dsn import DsnInstance, Request, SolutionSubgraph, validate

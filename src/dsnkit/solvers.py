@@ -12,25 +12,21 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .dsn import (
     DsnInstance,
     Request,
     SolutionSubgraph,
-    is_solution_graph,
     minimize,
-    minimize_graph,
     validate,
     violated_request,
 )
 from .errors import CapacityError, DomainError, InvariantError
-from .graphs import Arc, DirectedPath, WeightedDigraph, shortest_path
+from .graphs import Arc, DirectedPath, shortest_path
 from .structure import TreewidthCertificate, certify_treewidth_bound
 
 EXHAUSTIVE_MAX_ARCS = 24
-SUBSET_SCAN_MAX_ARCS = 20
 DST_MAX_LEAVES = 12
 
 
@@ -130,30 +126,6 @@ def _solve_path_union(inst: DsnInstance) -> SolveResult:
     if best_arcs is None:
         return _infeasible("exhaustive", nodes)
     return _finish(inst, best_arcs, nodes, "exhaustive")
-
-
-def _solve_subset_scan(inst: DsnInstance) -> SolveResult:
-    """Literal scan of all arc subsets; cross-check oracle for tiny hosts."""
-    if inst.host.m > SUBSET_SCAN_MAX_ARCS:
-        raise CapacityError(
-            f"host has {inst.host.m} arcs; subset-scan cap is {SUBSET_SCAN_MAX_ARCS}"
-        )
-    arcs = sorted(inst.host.arcs())
-    weights = inst.host.arcs()
-    best: Optional[Tuple[Fraction, List[Arc]]] = None
-    nodes = 0
-    for k in range(len(arcs) + 1):
-        for combo in combinations(arcs, k):
-            nodes += 1
-            cost = sum((weights[a] for a in combo), Fraction(0))
-            if best is not None and cost >= best[0]:
-                continue
-            g = inst.host.subgraph(combo, extra_vertices=inst.terminals)
-            if is_solution_graph(g, inst.requests):
-                best = (cost, list(combo))
-    if best is None:
-        return _infeasible("subset-scan", nodes)
-    return _finish(inst, set(best[1]), nodes, "subset-scan")
 
 
 # ---------------------------------------------------------------------------

@@ -353,18 +353,21 @@ def detect_ladder_segments(
             continue
         K = graph.induced(component | set(boundary))
         a, d = pv[i + 1], pv[j - 1]
+        first: Optional[LadderVerdict] = None
         best: Optional[Tuple[LadderVerdict, Tuple[int, int, int, int]]] = None
         for b in (pv[i + 2], pv[i + 1]):
             for c in (pv[j - 2], pv[j - 1]):
                 verdict = is_ladder_subdivision(K, a, b, c, d)
+                if first is None:
+                    first = verdict
                 if verdict.ok:
                     best = (verdict, (a, b, c, d))
                     break
             if best:
                 break
         if best is None:
-            verdict = is_ladder_subdivision(K, a, pv[i + 2], pv[j - 2], d)
-            out.append(LadderSegment(i, j, boundary, component, verdict, None))
+            # Reported: the verdict for the uncollapsed roles (p_{i+2}, p_{j-2}).
+            out.append(LadderSegment(i, j, boundary, component, first, None))
         else:
             roles = best[1]
             if roles[1] == a or roles[2] == d:
@@ -619,36 +622,31 @@ def reduce_length_graph(
     while True:
         rounds += 1
         norm = normalize_requests_graph(current, T)
-        replaced = False
+        analyses = []
         for s, t in sorted(norm):
-            _, _, _, segs = _analyze_path(current, T, s, t)
-            for seg in segs:
-                if not seg.verdict.ok or seg.roles is None:
-                    continue
-                if seg.verdict.length <= _replacement_length(seg.verdict.length):
-                    continue
-                before = current.n
-                a, b, c, d = seg.roles
-                candidate = protrusion_replace(current, norm, seg.component, a, b, c, d)
-                if candidate.n >= before:
-                    continue
-                current = candidate
-                replacements += 1
-                replaced = True
+            P, imp, mk, segs = _analyze_path(current, T, s, t)
+            analyses.append(((s, t), P, imp, mk, segs))
+            candidates = (
+                protrusion_replace(current, norm, seg.component, *seg.roles)
+                for seg in segs
+                if seg.verdict.ok and seg.roles is not None
+                and seg.verdict.length > _replacement_length(seg.verdict.length)
+            )
+            smaller = next((g for g in candidates if g.n < current.n), None)
+            if smaller is not None:
                 break
-            if replaced:
-                break
-        if not replaced:
+        else:
+            # Nothing was replaced, so this round's analyses describe `current`.
             break
+        current = smaller
+        replacements += 1
 
-    norm = normalize_requests_graph(current, T)
     q = len(T)
     records: List[PathRecord] = []
     important_ok = True
     marked_ok = True
     max_ratio = 0.0
-    for s, t in sorted(norm):
-        P, imp, mk, segs = _analyze_path(current, T, s, t)
+    for (s, t), P, imp, mk, segs in analyses:
         ratio = P.length / max(1, len(imp.important))
         max_ratio = max(max_ratio, ratio)
         if len(imp.important) > 2 * q - 2:

@@ -34,6 +34,11 @@ class TestGen:
 
 
 class TestSolve:
+    def test_oversized_header_is_capacity_exit(self, tmp_path):
+        path = tmp_path / "huge.dsn"
+        path.write_text("p dsn 1000000000 0 0 0\n")
+        assert main(["solve", str(path)]) == 3
+
     def test_solve_ladder(self, ladder_file, capsys):
         assert main(["solve", str(ladder_file), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)

@@ -1,8 +1,10 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from dsnkit.errors import ParseError
+from dsnkit import formats
+from dsnkit.errors import CapacityError, ParseError
 from dsnkit.formats import emit_dsn, emit_psi, parse_dsn, parse_psi
 from dsnkit.reduction import PsiInstance
 
@@ -99,3 +101,39 @@ class TestPsiFormat:
         text = "p psi 2 1 2 1\neg 1 2\neh 1 3\nmap 1 1\nmap 2 2\n"
         with pytest.raises(ParseError, match="above maximum"):
             parse_psi(text)
+
+
+def peak_bytes_of_failed_parse(parse, text, error, match):
+    """Peak traced allocation while `parse(text)` raises `error`."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(error, match=match):
+            parse(text)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestHeaderBounds:
+    """Headers that claim 10^9 vertices are refused before any per-vertex
+    structure exists."""
+
+    def test_dsn_vertex_cap(self):
+        text = "p dsn 1000000000 0 0 0\n"
+        assert peak_bytes_of_failed_parse(parse_dsn, text, CapacityError, "cap") < 1 << 20
+
+    def test_dsn_vertex_cap_boundary(self, monkeypatch):
+        monkeypatch.setattr(formats, "DSN_MAX_VERTICES", 3)
+        assert parse_dsn(MINIMAL)[0].host.n == 3
+        with pytest.raises(CapacityError):
+            parse_dsn(MINIMAL.replace("p dsn 3", "p dsn 4"))
+
+    def test_psi_pattern_larger_than_host(self):
+        text = "p psi 1 0 1000000000 0\nmap 1 1\n"
+        peak = peak_bytes_of_failed_parse(parse_psi, text, ParseError, "larger than the host")
+        assert peak < 1 << 20
+
+    def test_psi_host_bounded_by_map_records(self):
+        text = "p psi 1000000000 0 1000000000 0\nmap 1 1\n"
+        peak = peak_bytes_of_failed_parse(parse_psi, text, ParseError, "lack a class")
+        assert peak < 1 << 20

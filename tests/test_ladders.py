@@ -12,6 +12,7 @@ from dsnkit.ladders import (
     LadderSpec,
     LadderVerdict,
     _hypotheses_failure,
+    _suppress_outside,
     is_ladder_subdivision,
     is_ladder_undirected,
     is_outerplanar,
@@ -38,6 +39,129 @@ def sampled_specs(count=120, max_n=12, seed=5):
             for ident in itertools.combinations(range(1, n + 1), size):
                 pool.append(LadderSpec(n, frozenset(ident)))
     return rng.sample(pool, count)
+
+
+def reference_suppress_outside(K, keep):
+    """Suppression that rejects (None) any degree-2 vertex that is not a
+    clean pass-through, instead of assuming the hypotheses hold."""
+    g = K
+    while True:
+        target = None
+        for v in g.vertices:
+            if v not in keep and g.total_degree(v) == 2:
+                target = v
+                break
+        if target is None:
+            return g
+        v = target
+        ins, outs = g.in_neighbors(v), g.out_neighbors(v)
+        if len(ins) != 1 or len(outs) != 1:
+            return None
+        u, w = ins[0], outs[0]
+        if u == w:
+            return None
+        arcs = g.arcs()
+        wt = arcs.pop((u, v)) + arcs.pop((v, w))
+        if (u, w) in arcs:
+            return None
+        arcs[(u, w)] = wt
+        g = WeightedDigraph(set(g.vertices) - {v}, arcs)
+
+
+def reference_is_ladder_subdivision(K, a, b, c, d):
+    """Reference recognizer: checks the hypotheses before and after
+    suppressing at every peel level, and tests every corner arc."""
+    peeled = 0
+
+    def reject(reason):
+        return LadderVerdict(False, 0, "peel: " * peeled + reason)
+
+    while True:
+        fail = _hypotheses_failure(K, a, b, c, d)
+        if fail is not None:
+            return reject(fail)
+        g = reference_suppress_outside(K, {a, b, c, d})
+        if g is None:
+            return reject("degree-2 vertex is not a pass-through")
+        fail = _hypotheses_failure(g, a, b, c, d)
+        if fail is not None:
+            return reject(f"after suppression: {fail}")
+        if g.n <= 4:
+            return LadderVerdict(True, (1 if g.n == 1 else 2) + peeled)
+        if {a, b} & {c, d}:
+            return reject("boundary pairs overlap in a large graph")
+        if a != b:
+            a_in = set(g.in_neighbors(a)) - {b}
+            a_out = set(g.out_neighbors(a)) - {b}
+            b_in = set(g.in_neighbors(b)) - {a}
+            b_out = set(g.out_neighbors(b)) - {a}
+            if a_out or b_in:
+                return reject("corner has an extra arc")
+            if len(a_in) != 1 or len(b_out) != 1:
+                return reject("corner column is not attached by two rails")
+            abar, bbar = next(iter(a_in)), next(iter(b_out))
+        else:
+            a_in = set(g.in_neighbors(a))
+            a_out = set(g.out_neighbors(a))
+            if len(a_in) != 1 or len(a_out) != 1:
+                return reject("identified corner is not attached by two rails")
+            abar, bbar = next(iter(a_in)), next(iter(a_out))
+            if abar == bbar:
+                return reject("identified corner attached to a single vertex")
+        K, a, b = g.without_vertices({a, b}), bbar, abar
+        peeled += 1
+
+
+PERTURBATIONS = ("subdivide", "delete", "add", "bidirectional", "two-cycle")
+
+
+@st.composite
+def perturbed_ladders(draw):
+    """(K, roles): a ladder, any identified rungs (consecutive ones too),
+    up to three perturbations, and roles that are mostly the corners, with
+    a == b and c == d forced now and then."""
+    n = draw(st.integers(1, 9))
+    spec = LadderSpec(n, draw(st.sets(st.integers(1, n), max_size=n)))
+    g = make_ladder(spec)
+    vertices = set(g.vertices)
+    arcs = g.arcs()
+    fresh = 2 * n
+    for op in draw(st.lists(st.sampled_from(PERTURBATIONS), max_size=3)):
+        if op == "add":
+            free = [(u, v) for u in sorted(vertices) for v in sorted(vertices)
+                    if u != v and (u, v) not in arcs]
+            if free:
+                arcs[draw(st.sampled_from(free))] = 1
+            continue
+        if not arcs:
+            continue
+        u, v = draw(st.sampled_from(sorted(arcs)))
+        if op == "delete":
+            del arcs[(u, v)]
+            continue
+        x = fresh
+        fresh += 1
+        vertices.add(x)
+        if op == "subdivide":
+            del arcs[(u, v)]
+            arcs[(u, x)] = arcs[(x, v)] = draw(st.integers(1, 3))
+        elif op == "bidirectional":
+            # x has two neighbours and four arcs: u -> x -> v and v -> x -> u.
+            del arcs[(u, v)]
+            arcs.pop((v, u), None)
+            arcs[(u, x)] = arcs[(x, v)] = arcs[(v, x)] = arcs[(x, u)] = 1
+        else:
+            arcs[(u, x)] = arcs[(x, u)] = 1
+    K = WeightedDigraph(vertices, arcs)
+    roles = list(corner_roles(spec))
+    for i in range(4):
+        if draw(st.integers(0, 3)) == 0:
+            roles[i] = draw(st.sampled_from(sorted(vertices)))
+    if draw(st.integers(0, 5)) == 0:
+        roles[1] = roles[0]
+    if draw(st.integers(0, 5)) == 0:
+        roles[2] = roles[3]
+    return K, tuple(roles)
 
 
 class TestConstruction:
@@ -162,6 +286,21 @@ class TestRecognizer:
         monkeypatch.setattr(ladders, "_hypotheses_failure", fail_from_level)
         verdict = is_ladder_subdivision(make_ladder(spec), *corner_roles(spec))
         assert verdict == LadderVerdict(False, 0, "peel: " * level + "stop")
+
+
+    @settings(max_examples=400, deadline=None)
+    @given(perturbed_ladders())
+    def test_matches_reference_recognizer(self, case):
+        """[DERIVED: reference recognizer that checks twice per peel level]"""
+        K, roles = case
+        assert is_ladder_subdivision(K, *roles) == reference_is_ladder_subdivision(K, *roles)
+
+    @settings(max_examples=300, deadline=None)
+    @given(perturbed_ladders())
+    def test_suppression_keeps_hypotheses(self, case):
+        K, roles = case
+        if _hypotheses_failure(K, *roles) is None:
+            assert _hypotheses_failure(_suppress_outside(K, set(roles)), *roles) is None
 
 
 class TestUndirectedView:

@@ -1,14 +1,16 @@
 import dataclasses
+from itertools import combinations
 
 import pytest
 from fractions import Fraction
 
-from dsnkit.dsn import DsnInstance, is_inclusion_minimal, validate
+from dsnkit.dsn import DsnInstance, is_inclusion_minimal, is_solution_graph, validate
 from dsnkit import solvers
 from dsnkit.errors import CapacityError, DomainError, InvariantError
 from dsnkit.graphs import WeightedDigraph
 from dsnkit.solvers import (
-    _solve_subset_scan,
+    _finish,
+    _infeasible,
     dst_root,
     solve_bnb,
     solve_dst,
@@ -17,6 +19,32 @@ from dsnkit.solvers import (
 )
 
 from conftest import random_instance, random_instances
+
+SUBSET_SCAN_MAX_ARCS = 20
+
+
+def _solve_subset_scan(inst):
+    """Literal scan of all arc subsets; cross-check oracle for tiny hosts."""
+    if inst.host.m > SUBSET_SCAN_MAX_ARCS:
+        raise CapacityError(
+            f"host has {inst.host.m} arcs; subset-scan cap is {SUBSET_SCAN_MAX_ARCS}"
+        )
+    arcs = sorted(inst.host.arcs())
+    weights = inst.host.arcs()
+    best = None
+    nodes = 0
+    for k in range(len(arcs) + 1):
+        for combo in combinations(arcs, k):
+            nodes += 1
+            cost = sum((weights[a] for a in combo), Fraction(0))
+            if best is not None and cost >= best[0]:
+                continue
+            g = inst.host.subgraph(combo, extra_vertices=inst.terminals)
+            if is_solution_graph(g, inst.requests):
+                best = (cost, list(combo))
+    if best is None:
+        return _infeasible("subset-scan", nodes)
+    return _finish(inst, set(best[1]), nodes, "subset-scan")
 
 
 class TestExhaustive:

@@ -5,11 +5,18 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from dsnkit.dsn import DsnInstance, SolutionSubgraph, is_inclusion_minimal_graph
+from dsnkit.dsn import (
+    DsnInstance,
+    SolutionSubgraph,
+    is_inclusion_minimal_graph,
+    normalize_requests_graph,
+)
 from dsnkit.errors import InconsistencyError, InvariantError, PreconditionError
 from dsnkit.graphs import DirectedPath, WeightedDigraph
 from dsnkit.ladders import LadderSpec, ladder_corners, make_ladder
 from dsnkit.structure import (
+    PathRecord,
+    _analyze_path,
     _onto_path_reach,
     avoiding_path,
     certify_treewidth_bound,
@@ -222,6 +229,23 @@ class TestReduceLength:
         reduced, report = reduce_length_graph(inst.host, inst.requests)
         assert report.replacements >= 1
         assert reduced.n < inst.host.n
+
+    @pytest.mark.parametrize(
+        "n,identified", [(4, ()), (10, ()), (13, ()), (9, (1,)), (12, (3, 4)), (16, (2, 9, 15))]
+    )
+    def test_report_describes_the_returned_graph(self, n, identified):
+        """Each path record equals a fresh analysis of the reduced graph."""
+        inst = ladder_with_terminals(n, identified)
+        reduced, report = reduce_length_graph(inst.host, inst.requests)
+        T = report.terminals
+        assert report.normalized_requests == tuple(sorted(normalize_requests_graph(reduced, T)))
+        assert [rec.request for rec in report.paths] == list(report.normalized_requests)
+        for rec in report.paths:
+            P, imp, mk, segs = _analyze_path(reduced, T, *rec.request)
+            ratio = P.length / max(1, len(imp.important))
+            assert rec == PathRecord(
+                rec.request, P.vertices, P.length, len(imp.important), len(mk.marked), ratio, segs
+            )
 
     def test_rejects_non_minimal_input(self):
         g = WeightedDigraph(range(3), {(0, 1): 1, (0, 2): 1, (2, 1): 1})
