@@ -15,7 +15,13 @@ from typing import List, Optional
 from .errors import CapacityError, DomainError, DsnkitError, InputError, PreconditionError
 from .formats import emit_dsn, parse_dsn, parse_psi
 from .generators import gen_grid, gen_ladder, gen_random
-from .reduction import decide_psi_via_dsn, generate_hardness_instance, solve_psi_bruteforce
+from .graphs import UndirectedGraph
+from .reduction import (
+    PsiInstance,
+    decide_psi_via_dsn,
+    generate_hardness_instance,
+    solve_psi_bruteforce,
+)
 from .solvers import ENGINES, SolveResult, solve_bnb, solve_exhaustive, solve_with_certificate
 
 EXIT_OK = 0
@@ -104,7 +110,7 @@ def cmd_reduce(args) -> int:
         _write(args.output, text)
     decision = None
     if args.decide:
-        decision = decide_psi_via_dsn(psi)
+        decision = decide_psi_via_dsn(out)
     if args.json:
         payload = {
             "n": out.dsn.host.n,
@@ -151,9 +157,6 @@ def _bench_corpus():
 
 
 def cmd_bench(args) -> int:
-    from .graphs import UndirectedGraph
-    from .reduction import PsiInstance
-
     disagreements = 0
     table = []
     for name, inst in _bench_corpus():
@@ -178,7 +181,7 @@ def cmd_bench(args) -> int:
     for name, host in (("psi-k4", k4), ("psi-c4", c4)):
         psi = PsiInstance(host, k4, {i: i for i in range(4)})
         t0 = time.monotonic()
-        via_dsn = decide_psi_via_dsn(psi)
+        via_dsn = decide_psi_via_dsn(generate_hardness_instance(psi))
         direct = solve_psi_bruteforce(psi) is not None
         elapsed = time.monotonic() - t0
         agree = via_dsn == direct

@@ -11,16 +11,24 @@ from fractions import Fraction
 from typing import Dict, Iterable, Optional, Tuple
 
 from .dsn import DsnInstance
-from .errors import InputError
+from .errors import CapacityError, InputError
+from .formats import DSN_MAX_VERTICES
 from .graphs import WeightedDigraph
 from .ladders import LadderSpec, ladder_corner_requests, make_ladder
 
 Metadata = Dict[str, str]
 
 
+def _check_capacity(n: int) -> None:
+    """Refuse what `parse_dsn` would refuse to read back."""
+    if n > DSN_MAX_VERTICES:
+        raise CapacityError(f"{n} vertices requested; the cap is {DSN_MAX_VERTICES}")
+
+
 def gen_ladder(n: int, identified: Iterable[int] = ()) -> Tuple[DsnInstance, Metadata]:
     """Ladder host with the four-corner strongly-connected request set."""
     spec = LadderSpec(n, frozenset(identified))
+    _check_capacity(2 * n - len(spec.identified))
     inst = DsnInstance(make_ladder(spec), ladder_corner_requests(spec))
     meta = {
         "generator": f"ladder n={n} I={sorted(spec.identified) or '[]'}",
@@ -37,6 +45,7 @@ def gen_grid(
     if width < 1 or height < 1:
         raise InputError("grid dimensions must be positive")
     n = width * height
+    _check_capacity(n)
     if not 2 <= q <= n:
         raise InputError(f"need 2 <= q <= {n} terminals")
     arcs = {}
@@ -76,6 +85,7 @@ def gen_random(
     """Random simple digraph with integer weights in [1, max_weight]."""
     if n < 2:
         raise InputError("need at least 2 vertices")
+    _check_capacity(n)
     if not 0 <= m <= n * (n - 1):
         raise InputError(f"need 0 <= m <= {n * (n - 1)} arcs")
     if not 2 <= q <= n:
@@ -83,8 +93,12 @@ def gen_random(
     if not 1 <= p <= q * (q - 1):
         raise InputError(f"need 1 <= p <= {q * (q - 1)} requests")
     rng = random.Random(seed)
-    all_arcs = [(u, v) for u in range(n) for v in range(n) if u != v]
-    chosen = rng.sample(all_arcs, m)
+    # Index i is the i-th of the n(n-1) arcs (u, v), u != v, in row-major
+    # order, so sampling indices draws what sampling that list would.
+    chosen = []
+    for i in rng.sample(range(n * (n - 1)), m):
+        u, r = divmod(i, n - 1)
+        chosen.append((u, r + (r >= u)))
     arcs = {a: Fraction(rng.randint(1, max_weight)) for a in sorted(chosen)}
     terminals = sorted(rng.sample(range(n), q))
     pairs = [(s, t) for s in terminals for t in terminals if s != t]

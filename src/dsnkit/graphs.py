@@ -95,6 +95,7 @@ class WeightedDigraph:
         return self._in[v]
 
     def neighbors(self, v: int) -> Tuple[int, ...]:
+        self._check_vertex(v)
         return tuple(sorted(set(self._out[v]) | set(self._in[v])))
 
     def out_degree(self, v: int) -> int:

@@ -28,7 +28,7 @@ class LadderSpec:
         if n < 1:
             raise InputError("ladder length must be positive")
         ident = frozenset(identified)
-        if not ident <= set(range(1, n + 1)):
+        if not all(1 <= i <= n for i in ident):
             raise InputError(f"identified positions must lie in 1..{n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "identified", ident)

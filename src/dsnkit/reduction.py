@@ -19,6 +19,7 @@ from .dsn import DsnInstance, Request, SolutionSubgraph, validate
 from .errors import CapacityError, InputError, InvariantError, PreconditionError
 from .graphs import UndirectedGraph
 from .graphs import WeightedDigraph
+from .solvers import _solve_path_union
 
 Edge = Tuple[int, int]
 PSI_BRUTEFORCE_MAX_K = 10
@@ -312,18 +313,14 @@ def generate_hardness_instance(psi: PsiInstance) -> ReductionOutput:
 # deciding and extracting
 
 
-def decide_psi_via_dsn(psi: PsiInstance, solver=None) -> bool:
-    """Generate, solve exactly, and compare the optimum to the threshold.
+def decide_psi_via_dsn(out: ReductionOutput) -> bool:
+    """Solve a generated hardness instance exactly and compare the optimum
+    to its threshold.
 
-    The default engine exhausts per-request path combinations, which is fast
-    on generated instances because their stratified shape leaves each
-    request only a handful of simple paths."""
-    if solver is None:
-        from .solvers import _solve_path_union
-
-        solver = _solve_path_union
-    out = generate_hardness_instance(psi)
-    result = solver(out.dsn)
+    The engine exhausts per-request path combinations, which is fast on
+    generated instances because their stratified shape leaves each request
+    only a handful of simple paths."""
+    result = _solve_path_union(out.dsn)
     if not result.feasible:
         return False
     return result.cost <= out.threshold

@@ -23,7 +23,7 @@ from .dsn import (
     violated_request,
 )
 from .errors import CapacityError, DomainError, InvariantError
-from .graphs import Arc, DirectedPath, shortest_path
+from .graphs import Arc, DirectedPath, all_simple_paths, shortest_path
 from .structure import TreewidthCertificate, certify_treewidth_bound
 
 EXHAUSTIVE_MAX_ARCS = 24
@@ -68,8 +68,6 @@ def _finish(inst: DsnInstance, arcs: Set[Arc], nodes: int, method: str) -> Solve
 
 def _request_paths(inst: DsnInstance) -> List[List[DirectedPath]]:
     """All simple paths per request, cheapest first, requests sorted."""
-    from .graphs import all_simple_paths
-
     out = []
     for s, t in inst.sorted_requests():
         paths = all_simple_paths(inst.host, s, t)

@@ -34,7 +34,6 @@ from .graphs import (
     WeightedDigraph,
     avoiding_path,
     diameter,
-    reaches,
     search,
     shortest_path,
     treewidth_exact,
@@ -335,14 +334,9 @@ def detect_ladder_segments(
         pv = P.vertices
         boundary = (pv[i + 1], pv[i + 2], pv[j - 2], pv[j - 1])
         rest = graph.without_vertices(set(boundary))
-        comp_of: Optional[List[int]] = None
-        for comp in rest.sym().components():
-            if pv[i + 3] in comp:
-                comp_of = comp
-                break
-        if comp_of is None:
+        component = next((frozenset(c) for c in rest.sym().components() if pv[i + 3] in c), None)
+        if component is None:
             continue
-        component = frozenset(comp_of)
         if component & T:
             out.append(
                 LadderSegment(
@@ -353,28 +347,21 @@ def detect_ladder_segments(
             continue
         K = graph.induced(component | set(boundary))
         a, d = pv[i + 1], pv[j - 1]
-        first: Optional[LadderVerdict] = None
-        best: Optional[Tuple[LadderVerdict, Tuple[int, int, int, int]]] = None
-        for b in (pv[i + 2], pv[i + 1]):
-            for c in (pv[j - 2], pv[j - 1]):
-                verdict = is_ladder_subdivision(K, a, b, c, d)
-                if first is None:
-                    first = verdict
-                if verdict.ok:
-                    best = (verdict, (a, b, c, d))
-                    break
-            if best:
+        tried = []
+        for roles in ((a, b, c, d) for b in (pv[i + 2], a) for c in (pv[j - 2], d)):
+            tried.append((roles, is_ladder_subdivision(K, *roles)))
+            if tried[-1][1].ok:
                 break
-        if best is None:
+        roles, verdict = tried[-1]
+        if not verdict.ok:
             # Reported: the verdict for the uncollapsed roles (p_{i+2}, p_{j-2}).
-            out.append(LadderSegment(i, j, boundary, component, first, None))
-        else:
-            roles = best[1]
-            if roles[1] == a or roles[2] == d:
-                # Collapsed roles leave a boundary vertex inside the ladder,
-                # so it belongs to the component that gets replaced.
-                component = frozenset(K.vertices) - set(roles)
-            out.append(LadderSegment(i, j, boundary, component, best[0], roles))
+            out.append(LadderSegment(i, j, boundary, component, tried[0][1], None))
+            continue
+        if roles[1] == a or roles[2] == d:
+            # Collapsed roles leave a boundary vertex inside the ladder,
+            # so it belongs to the component that gets replaced.
+            component = frozenset(K.vertices) - set(roles)
+        out.append(LadderSegment(i, j, boundary, component, verdict, roles))
     return out
 
 
@@ -387,22 +374,23 @@ def _replacement_length(n: int) -> int:
 
 
 def protrusion_replace(
-    graph: WeightedDigraph,
-    requests: Iterable[Request],
-    F: Iterable[int],
-    a: int,
-    b: int,
-    c: int,
-    d: int,
+    graph: WeightedDigraph, requests: Iterable[Request], seg: LadderSegment
 ) -> WeightedDigraph:
-    """Swap a ladder-shaped component for a constant-length fresh ladder.
+    """Swap a recognized ladder-shaped component for a constant-length fresh
+    ladder.
 
-    Verified at runtime: the graph outside F is untouched, the fresh interior
-    neighbors exactly {a, b, c, d}, and the result is a valid inclusion-
-    minimal solution preserving the terminal reachability matrix."""
+    `seg` must come from `detect_ladder_segments` on this graph: its verdict
+    length and roles (a, b, c, d) are used as recognized, not recomputed.
+    The result is still fully verified at runtime: the graph outside the
+    component is untouched, the fresh interior neighbors exactly
+    {a, b, c, d}, and the result is a valid inclusion-minimal solution
+    preserving the terminal reachability matrix."""
+    if not seg.verdict.ok:
+        raise PreconditionError(f"component is not a ladder: {seg.verdict.reason}")
     reqs = frozenset(requests)
     T = {v for r in reqs for v in r}
-    Fset = set(F)
+    Fset = set(seg.component)
+    a, b, c, d = seg.roles
     if Fset & T:
         raise PreconditionError("component contains a terminal")
     if Fset & {a, b, c, d}:
@@ -414,11 +402,7 @@ def protrusion_replace(
         raise PreconditionError("a != b but arc ab is missing")
     if c != d and not graph.has_arc(c, d):
         raise PreconditionError("c != d but arc cd is missing")
-    K = graph.induced(Fset | {a, b, c, d})
-    verdict = is_ladder_subdivision(K, a, b, c, d)
-    if not verdict.ok:
-        raise PreconditionError(f"component is not a ladder: {verdict.reason}")
-    n = verdict.length
+    n = seg.verdict.length
     n_new = _replacement_length(n)
     if n <= n_new:
         return graph
@@ -486,14 +470,10 @@ def _verify_replacement(
         raise InvariantError("replacement broke a request")
     if not is_inclusion_minimal_graph(new, reqs):
         raise InvariantError("replacement is not inclusion-minimal")
-    for s in sorted(T):
-        for t in sorted(T):
-            if s == t:
-                continue
-            before = reaches(old, s, t, T - {s, t})
-            after = reaches(new, s, t, T - {s, t})
-            if before != after:
-                raise InvariantError(f"terminal reachability changed for {s}->{t}")
+    changed = normalize_requests_graph(old, T) ^ normalize_requests_graph(new, T)
+    if changed:
+        s, t = min(changed)
+        raise InvariantError(f"terminal reachability changed for {s}->{t}")
 
 
 # ---------------------------------------------------------------------------
@@ -617,20 +597,21 @@ def reduce_length_graph(
 
     tw_before, tw_before_exact = _tw_maybe_exact(graph)
     current, _ = suppress_degree_two(graph, T)
+    # A verified replacement keeps T-avoiding reachability, so this holds
+    # for every round.
+    norm = normalize_requests_graph(current, T)
     rounds = 0
     replacements = 0
     while True:
         rounds += 1
-        norm = normalize_requests_graph(current, T)
         analyses = []
         for s, t in sorted(norm):
             P, imp, mk, segs = _analyze_path(current, T, s, t)
             analyses.append(((s, t), P, imp, mk, segs))
             candidates = (
-                protrusion_replace(current, norm, seg.component, *seg.roles)
+                protrusion_replace(current, norm, seg)
                 for seg in segs
-                if seg.verdict.ok and seg.roles is not None
-                and seg.verdict.length > _replacement_length(seg.verdict.length)
+                if seg.verdict.ok and seg.verdict.length > _replacement_length(seg.verdict.length)
             )
             smaller = next((g for g in candidates if g.n < current.n), None)
             if smaller is not None:

@@ -104,9 +104,9 @@ def test_criterion_3_hardness_reduction_is_sound_and_tight():
         for seed in range(30):
             psi = random_psi_host(pattern, seed)
             phi = solve_psi_bruteforce(psi)
-            decided = decide_psi_via_dsn(psi)
-            assert decided == (phi is not None)
             out = generate_hardness_instance(psi)
+            decided = decide_psi_via_dsn(out)
+            assert decided == (phi is not None)
             result = _solve_path_union(out.dsn)
             if phi is not None:
                 yes += 1

@@ -32,6 +32,12 @@ class TestGen:
         payload = json.loads(capsys.readouterr().out)
         assert payload["n"] == 9 and payload["q"] == 3
 
+    def test_oversized_generator_is_capacity_exit(self, tmp_path, capsys):
+        path = tmp_path / "huge.dsn"
+        assert main(["gen", "ladder", "1000000000", "-o", str(path)]) == 3
+        assert "cap" in capsys.readouterr().err
+        assert not path.exists()
+
 
 class TestSolve:
     def test_oversized_header_is_capacity_exit(self, tmp_path):

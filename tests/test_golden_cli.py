@@ -1,0 +1,95 @@
+"""Golden CLI outputs on a fixed corpus.
+
+Each case stores the sha256 of its input text, the exit code and the JSON
+stdout without `wall_time_s` and without the search statistics `nodes` and
+`rounds` (as `perfbench/workloads.analyze_digest` leaves them out).  The
+corpus: `analyze --json` on ladders with two terminals attached, including
+identified end and consecutive rungs; `analyze --json` and `solve --json`
+with both exact engines on seeded random instances; and `reduce --json
+--decide` on the two PSI instances of `dsnkit bench`.
+
+Record again with `PYTHONPATH=src:tests python tests/test_golden_cli.py`
+only when an output is meant to change."""
+
+import hashlib
+import io
+import json
+import tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from dsnkit.cli import main
+from dsnkit.formats import emit_dsn, emit_psi
+from dsnkit.generators import gen_random
+from dsnkit.graphs import UndirectedGraph
+from dsnkit.reduction import PsiInstance
+
+from conftest import K4, ladder_with_terminals
+
+GOLDEN_PATH = Path(__file__).with_name("golden_cli.json")
+UNSTABLE_KEYS = ("wall_time_s", "nodes", "rounds")
+
+LADDERS = (
+    [(n, ()) for n in range(8, 14)]
+    + [(n, (n // 2,)) for n in range(8, 14)]
+    + [(n, ident) for n in (8, 13) for ident in ((1,), (n,), (1, n), (2, 3))]
+)
+RANDOM_SEEDS = range(6)
+C4 = UndirectedGraph(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)])
+
+
+def cases():
+    """name -> (suffix, input text, argv with FILE standing for the input)."""
+    out = {}
+    for n, ident in LADDERS:
+        text = emit_dsn(ladder_with_terminals(n, ident), {"generator": f"ladder n={n} I={list(ident)}"})
+        out[f"analyze-ladder-{n}-I{'-'.join(map(str, ident))}"] = (".dsn", text, ["analyze", "FILE", "--json"])
+    for seed in RANDOM_SEEDS:
+        text = emit_dsn(*gen_random(8, 20, 4, 3, seed))
+        out[f"analyze-random-{seed}"] = (".dsn", text, ["analyze", "FILE", "--json"])
+        for engine in ("bnb", "exhaustive"):
+            out[f"solve-{engine}-random-{seed}"] = (".dsn", text, ["solve", "FILE", "--engine", engine, "--json"])
+    for name, host in (("k4", K4), ("c4", C4)):
+        text = emit_psi(PsiInstance(host, K4, {i: i for i in range(4)}))
+        out[f"reduce-decide-psi-{name}"] = (".psi", text, ["reduce", "FILE", "--json", "--decide"])
+    return out
+
+
+def strip_unstable(value):
+    if isinstance(value, dict):
+        return {k: strip_unstable(v) for k, v in value.items() if k not in UNSTABLE_KEYS}
+    if isinstance(value, list):
+        return [strip_unstable(v) for v in value]
+    return value
+
+
+def run_case(case, directory):
+    suffix, text, argv = case
+    path = Path(directory) / f"input{suffix}"
+    path.write_text(text)
+    with redirect_stdout(io.StringIO()) as out:
+        code = main([str(path) if a == "FILE" else a for a in argv])
+    stdout = strip_unstable(json.loads(out.getvalue()))
+    return {"input_sha256": hashlib.sha256(text.encode()).hexdigest(), "exit": code, "stdout": stdout}
+
+
+CASES = cases()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_cli(name, tmp_path):
+    expected = json.loads(GOLDEN_PATH.read_text())[name]
+    assert run_case(CASES[name], tmp_path) == expected
+
+
+def test_golden_covers_every_case():
+    assert sorted(json.loads(GOLDEN_PATH.read_text())) == sorted(CASES)
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        recorded = {name: run_case(CASES[name], tmp) for name in sorted(CASES)}
+    GOLDEN_PATH.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(recorded)} cases to {GOLDEN_PATH}")

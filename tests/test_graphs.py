@@ -95,6 +95,12 @@ class TestWeightedDigraph:
         assert g.out_neighbors(0) == (1, 2, 3)
         assert g.neighbors(0) == (1, 2, 3)
 
+    def test_unknown_vertex_rejected_by_every_accessor(self):
+        g = WeightedDigraph(range(2), {(0, 1): 1})
+        for accessor in (g.out_neighbors, g.in_neighbors, g.neighbors):
+            with pytest.raises(InputError, match="unknown vertex id 7"):
+                accessor(7)
+
     def test_reverse_involution(self):
         g = WeightedDigraph(range(3), {(0, 1): 2, (1, 2): Fraction(1, 3)})
         assert g.reverse().reverse() == g

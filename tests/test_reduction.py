@@ -110,23 +110,24 @@ class TestBuildDsn:
 
 class TestDecide:
     def test_k4_in_k4(self):
-        assert decide_psi_via_dsn(identity_psi(K4)) is True
+        assert decide_psi_via_dsn(generate_hardness_instance(identity_psi(K4))) is True
 
     def test_k4_not_in_c4(self):
         c4 = UndirectedGraph(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)])
         psi = PsiInstance(c4, K4, {i: i for i in range(4)})
-        assert decide_psi_via_dsn(psi) is False
+        assert decide_psi_via_dsn(generate_hardness_instance(psi)) is False
 
     def test_empty_class_means_no(self):
         host = UndirectedGraph(range(4), [(0, 1)])
         psi = PsiInstance(host, K4, {0: 0, 1: 1, 2: 0, 3: 1})
         assert solve_psi_bruteforce(psi) is None
-        assert decide_psi_via_dsn(psi) is False
+        assert decide_psi_via_dsn(generate_hardness_instance(psi)) is False
 
     def test_agrees_with_bruteforce_sample(self):
         for seed in range(8):
             psi = random_psi_host(K33, seed)
-            assert decide_psi_via_dsn(psi) == (solve_psi_bruteforce(psi) is not None)
+            decided = decide_psi_via_dsn(generate_hardness_instance(psi))
+            assert decided == (solve_psi_bruteforce(psi) is not None)
 
 
 class TestEmbeddings:

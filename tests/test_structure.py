@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 from fractions import Fraction
@@ -13,11 +14,14 @@ from dsnkit.dsn import (
 )
 from dsnkit.errors import InconsistencyError, InvariantError, PreconditionError
 from dsnkit.graphs import DirectedPath, WeightedDigraph
-from dsnkit.ladders import LadderSpec, ladder_corners, make_ladder
+from dsnkit import structure
+from dsnkit.ladders import LadderSpec, LadderVerdict, ladder_corners, make_ladder
 from dsnkit.structure import (
+    LadderSegment,
     PathRecord,
     _analyze_path,
     _onto_path_reach,
+    _verify_replacement,
     avoiding_path,
     certify_treewidth_bound,
     detect_ladder_segments,
@@ -157,6 +161,11 @@ class TestMarkedVertices:
         assert len(mk.marked) <= 4 * len(imp.important)
 
 
+def recognized(component, roles):
+    """A segment that claims `component` is a 10-rung ladder under `roles`."""
+    return LadderSegment(0, 0, roles, frozenset(component), LadderVerdict(True, 10), roles)
+
+
 class TestSegmentsAndReplacement:
     def test_ladder_segment_detected(self):
         inst = ladder_with_terminals(10)
@@ -176,8 +185,7 @@ class TestSegmentsAndReplacement:
         imp = important_vertices(inst.host, T, P)
         mk = marked_vertices(inst.host, P, imp)
         (seg,) = detect_ladder_segments(inst.host, T, P, segment_markers(P, imp, mk))
-        a, b, c, d = seg.roles
-        new = protrusion_replace(inst.host, inst.requests, seg.component, a, b, c, d)
+        new = protrusion_replace(inst.host, inst.requests, seg)
         assert new.n < inst.host.n
         outside = set(inst.host.vertices) - set(seg.component)
         assert new.induced(outside) == inst.host.induced(outside)
@@ -190,19 +198,32 @@ class TestSegmentsAndReplacement:
         imp = important_vertices(inst.host, T, P)
         mk = marked_vertices(inst.host, P, imp)
         (seg,) = detect_ladder_segments(inst.host, T, P, segment_markers(P, imp, mk))
-        new = protrusion_replace(inst.host, inst.requests, seg.component, *seg.roles)
+        new = protrusion_replace(inst.host, inst.requests, seg)
         assert new == inst.host
 
     def test_replace_rejects_terminal_component(self):
         inst = ladder_with_terminals(10)
         s = sorted(inst.requests)[0][1]
         with pytest.raises(PreconditionError):
-            protrusion_replace(inst.host, inst.requests, {s}, 0, 1, 2, 3)
+            protrusion_replace(inst.host, inst.requests, recognized({s}, (0, 1, 2, 3)))
 
     def test_replace_rejects_non_component(self):
         inst = ladder_with_terminals(10)
         with pytest.raises(PreconditionError):
-            protrusion_replace(inst.host, inst.requests, {4, 5}, 0, 1, 18, 19)
+            protrusion_replace(inst.host, inst.requests, recognized({4, 5}, (0, 1, 18, 19)))
+
+    def test_verification_names_first_changed_reachability(self):
+        old = WeightedDigraph({0, 1, 2, 9}, {(2, 9): 1, (9, 1): 1, (1, 9): 1, (9, 0): 1})
+        new = WeightedDigraph({0, 1, 2}, {})
+        with pytest.raises(InvariantError, match="reachability changed for 1->0"):
+            _verify_replacement(old, new, frozenset(), {0, 1, 2}, {9}, set(), ())
+
+    def test_replace_rejects_unrecognized_segment(self):
+        inst = ladder_with_terminals(10)
+        verdict = LadderVerdict(False, 0, "component touches a terminal")
+        seg = LadderSegment(0, 6, (0, 1, 18, 19), frozenset(range(2, 18)), verdict, None)
+        with pytest.raises(PreconditionError, match="component is not a ladder: component touches a terminal"):
+            protrusion_replace(inst.host, inst.requests, seg)
 
 
 class TestReduceLength:
@@ -246,6 +267,22 @@ class TestReduceLength:
             assert rec == PathRecord(
                 rec.request, P.vertices, P.length, len(imp.important), len(mk.marked), ratio, segs
             )
+
+    @pytest.mark.parametrize("n,identified", [(10, ()), (13, (1,)), (9, (9,)), (12, (1, 12))])
+    def test_each_ladder_is_recognized_once(self, n, identified, monkeypatch):
+        """Replacement uses the segment's verdict; only detection recognizes."""
+        callers = []
+        recognize = structure.is_ladder_subdivision
+
+        def traced(*args):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return recognize(*args)
+
+        monkeypatch.setattr(structure, "is_ladder_subdivision", traced)
+        inst = ladder_with_terminals(n, identified)
+        _, report = reduce_length_graph(inst.host, inst.requests)
+        assert report.replacements >= 1
+        assert set(callers) == {"detect_ladder_segments"}
 
     def test_rejects_non_minimal_input(self):
         g = WeightedDigraph(range(3), {(0, 1): 1, (0, 2): 1, (2, 1): 1})
