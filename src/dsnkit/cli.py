@@ -1,12 +1,14 @@
 """Command-line surface: solve, analyze, reduce, gen, bench.
 
 Exit codes: 0 solved/ok, 1 bench disagreement, 2 infeasible, 3 capacity cap
-exceeded, 4 domain/input error.  Every command takes `--json`.
+exceeded, 4 domain/input error, 5 toolkit bug (a failed runtime self-check).
+Every command takes `--json`.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -29,6 +31,7 @@ EXIT_DISAGREE = 1
 EXIT_INFEASIBLE = 2
 EXIT_CAPACITY = 3
 EXIT_DOMAIN = 4
+EXIT_BUG = 5
 
 
 def _read(path: str) -> str:
@@ -207,7 +210,9 @@ def cmd_bench(args) -> int:
     return EXIT_OK if disagreements == 0 else EXIT_DISAGREE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="dsnkit",
         description="Directed Steiner network toolkit: exact solving, "
@@ -275,8 +280,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except DsnkitError as exc:
+        # What is left, InvariantError and InconsistencyError, is a failed
+        # self-check: a bug in the toolkit, not in the input.
         print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return EXIT_BUG
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .dsn import DsnInstance
 from .errors import CapacityError, InputError
@@ -23,6 +23,17 @@ def _check_capacity(n: int) -> None:
     """Refuse what `parse_dsn` would refuse to read back."""
     if n > DSN_MAX_VERTICES:
         raise CapacityError(f"{n} vertices requested; the cap is {DSN_MAX_VERTICES}")
+
+
+def _sample_pairs(rng: random.Random, k: int, count: int) -> List[Tuple[int, int]]:
+    """`count` distinct ordered pairs (a, b) of range(k), a != b.  Index i is
+    the i-th such pair in row-major order, so sampling indices draws what
+    sampling the list of all k(k-1) pairs would, without building it."""
+    pairs = []
+    for i in rng.sample(range(k * (k - 1)), count):
+        a, r = divmod(i, k - 1)
+        pairs.append((a, r + (r >= a)))
+    return pairs
 
 
 def gen_ladder(n: int, identified: Iterable[int] = ()) -> Tuple[DsnInstance, Metadata]:
@@ -66,10 +77,9 @@ def gen_grid(
             (terminals[i], terminals[(i + 1) % q]) for i in range(q)
         }
     else:
-        pairs = [(s, t) for s in terminals for t in terminals if s != t]
-        if p > len(pairs):
-            raise InputError(f"at most {len(pairs)} distinct requests exist")
-        requests = set(rng.sample(pairs, p))
+        if p > q * (q - 1):
+            raise InputError(f"at most {q * (q - 1)} distinct requests exist")
+        requests = {(terminals[a], terminals[b]) for a, b in _sample_pairs(rng, q, p)}
     inst = DsnInstance(WeightedDigraph(range(n), arcs), requests)
     meta = {
         "generator": f"grid {width}x{height} q={q} seed={seed}",
@@ -93,16 +103,10 @@ def gen_random(
     if not 1 <= p <= q * (q - 1):
         raise InputError(f"need 1 <= p <= {q * (q - 1)} requests")
     rng = random.Random(seed)
-    # Index i is the i-th of the n(n-1) arcs (u, v), u != v, in row-major
-    # order, so sampling indices draws what sampling that list would.
-    chosen = []
-    for i in rng.sample(range(n * (n - 1)), m):
-        u, r = divmod(i, n - 1)
-        chosen.append((u, r + (r >= u)))
+    chosen = _sample_pairs(rng, n, m)
     arcs = {a: Fraction(rng.randint(1, max_weight)) for a in sorted(chosen)}
     terminals = sorted(rng.sample(range(n), q))
-    pairs = [(s, t) for s in terminals for t in terminals if s != t]
-    requests = set(rng.sample(pairs, p))
+    requests = {(terminals[a], terminals[b]) for a, b in _sample_pairs(rng, q, p)}
     inst = DsnInstance(WeightedDigraph(range(n), arcs), requests)
     meta = {
         "generator": f"random n={n} m={m} q={q} p={p} seed={seed}",

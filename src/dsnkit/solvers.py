@@ -12,11 +12,10 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .dsn import (
     DsnInstance,
-    Request,
     SolutionSubgraph,
     minimize,
     validate,
@@ -28,6 +27,10 @@ from .structure import TreewidthCertificate, certify_treewidth_bound
 
 EXHAUSTIVE_MAX_ARCS = 24
 DST_MAX_LEAVES = 12
+
+# A request's bound in `solve_bnb`: (s, t, distance, arcs of the path as a
+# bitmask, vertices settled before t).
+Bound = Tuple[int, int, int, int, Set[int]]
 
 
 @dataclass(frozen=True)
@@ -137,7 +140,21 @@ def solve_bnb(inst: DsnInstance) -> SolveResult:
     shortest-path cost over unsatisfied requests, with included arcs free and
     excluded arcs removed.  The bound ignores sharing between requests, so it
     never overestimates.  Internally weights are scaled to integers to keep
-    the inner Dijkstra cheap; reported costs are exact rationals."""
+    the inner Dijkstra cheap; reported costs are exact rationals.
+
+    The search runs on an explicit stack, and each node derives its state
+    from its parent's.  Arc sets are bitmasks over arc ids.  Every unsatisfied
+    request keeps its bound d, the arcs of the path that attains it and the
+    vertices Dijkstra settled before reaching t (a superset of those closer
+    than d).  A child reruns Dijkstra only where these exact rules fail:
+
+    - excluding an arc off the recorded path leaves d unchanged;
+    - including an arc of weight w on the recorded path makes it d - w;
+    - including an arc whose tail was not settled before t leaves d
+      unchanged, since any path through it already costs at least d.
+
+    Weights are positive, so a request is satisfied by the included arcs
+    exactly when its bound is 0."""
     if not inst.requests:
         return _finish(inst, set(), 1, "bnb")
     if violated_request(inst.host, inst.requests) is not None:
@@ -145,87 +162,102 @@ def solve_bnb(inst: DsnInstance) -> SolveResult:
     host = inst.host
     arcs = sorted(host.arcs())
     weights = host.arcs()
-    requests = inst.sorted_requests()
 
     scale = 1
     for w in weights.values():
         scale = scale * w.denominator // math.gcd(scale, w.denominator)
-    iw = {a: int(w * scale) for a, w in weights.items()}
-    adj: Dict[int, List[Tuple[int, int]]] = {v: [] for v in host.vertices}
-    for (u, v), w in iw.items():
-        adj[u].append((v, w))
+    iw = [int(weights[a] * scale) for a in arcs]
+    adj: Dict[int, List[Tuple[int, int, int]]] = {v: [] for v in host.vertices}
+    for i, (u, v) in enumerate(arcs):
+        adj[u].append((v, iw[i], 1 << i))
 
-    best_cost: Optional[int] = None
-    best_arcs: Optional[FrozenSet[Arc]] = None
-    nodes = 0
-
-    def unsatisfied(included: FrozenSet[Arc]) -> List[Request]:
-        out_map: Dict[int, List[int]] = {}
-        for u, v in included:
-            out_map.setdefault(u, []).append(v)
-        missing = []
-        for s, t in requests:
-            seen = {s}
-            stack = [s]
-            hit = False
-            while stack:
-                u = stack.pop()
-                if u == t:
-                    hit = True
-                    break
-                for v in out_map.get(u, ()):
-                    if v not in seen:
-                        seen.add(v)
-                        stack.append(v)
-            if not hit:
-                missing.append((s, t))
-        return missing
-
-    def path_bound(s: int, t: int, included: FrozenSet[Arc], excluded: FrozenSet[Arc]) -> Optional[int]:
+    def bound(s: int, t: int, included: int, excluded: int) -> Optional[Bound]:
+        """Dijkstra from s to t with included arcs free and excluded arcs
+        removed; None when t is unreachable."""
         dist = {s: 0}
+        pred: Dict[int, Tuple[int, int]] = {}
+        near: Set[int] = set()
         heap = [(0, s)]
         while heap:
             d, u = heapq.heappop(heap)
             if u == t:
-                return d
-            if d > dist.get(u, d):
+                path = 0
+                while u != s:
+                    u, bit = pred[u]
+                    path |= bit
+                return s, t, d, path, near
+            if d > dist[u]:
                 continue
-            for v, w in adj[u]:
-                if (u, v) in excluded:
+            near.add(u)
+            for v, w, bit in adj[u]:
+                if excluded & bit:
                     continue
-                nd = d if (u, v) in included else d + w
+                nd = d if included & bit else d + w
                 if v not in dist or nd < dist[v]:
                     dist[v] = nd
+                    pred[v] = (u, bit)
                     heapq.heappush(heap, (nd, v))
         return None
 
-    def go(idx: int, included: FrozenSet[Arc], excluded: FrozenSet[Arc], inc_cost: int) -> None:
-        nonlocal best_cost, best_arcs, nodes
+    def derive(parent: List[Bound], idx: int, included: int, excluded: int) -> Optional[List[Bound]]:
+        """The unsatisfied requests, with bounds, of the child that decided
+        arc idx - 1; None when one of them became unreachable."""
+        if idx == 0:
+            return parent
+        i = idx - 1
+        bit = 1 << i
+        missing = []
+        if included & bit:
+            tail = arcs[i][0]
+            for b in parent:
+                s, t, d, path, near = b
+                if path & bit:
+                    b = s, t, d - iw[i], path, near
+                elif tail in near:
+                    b = bound(s, t, included, excluded)  # not None: the old path survives
+                if b[2]:
+                    missing.append(b)
+        else:
+            for b in parent:
+                if b[3] & bit:
+                    b = bound(b[0], b[1], included, excluded)
+                    if b is None:
+                        return None
+                missing.append(b)
+        return missing
+
+    # Every request is reachable in the host (checked above), so no root
+    # bound is None.
+    root = [bound(s, t, 0, 0) for s, t in inst.sorted_requests()]
+    best_cost: Optional[int] = None
+    best_arcs = 0
+    nodes = 0
+    # Entries: (arcs decided, included, excluded, included cost, the parent's
+    # unsatisfied requests with their bounds).
+    stack: List[Tuple[int, int, int, int, List[Bound]]] = [(0, 0, 0, 0, root)]
+    while stack:
+        idx, included, excluded, inc_cost, parent = stack.pop()
         nodes += 1
-        missing = unsatisfied(included)
+        missing = derive(parent, idx, included, excluded)
+        if missing is None:
+            continue  # request unsatisfiable in this subtree
         if not missing:
             if best_cost is None or inc_cost < best_cost:
                 best_cost = inc_cost
                 best_arcs = included
-            return
-        worst = 0
-        for s, t in missing:
-            d = path_bound(s, t, included, excluded)
-            if d is None:
-                return  # request unsatisfiable in this subtree
-            worst = max(worst, d)
+            continue
+        worst = max(b[2] for b in missing)
         if best_cost is not None and inc_cost + worst >= best_cost:
-            return
+            continue
         if idx == len(arcs):
-            return
-        arc = arcs[idx]
-        go(idx + 1, included | {arc}, excluded, inc_cost + iw[arc])
-        go(idx + 1, included, excluded | {arc}, inc_cost)
+            continue
+        bit = 1 << idx
+        stack.append((idx + 1, included, excluded | bit, inc_cost, missing))
+        stack.append((idx + 1, included | bit, excluded, inc_cost + iw[idx], missing))
 
-    go(0, frozenset(), frozenset(), 0)
-    if best_arcs is None:
+    if best_cost is None:
         return _infeasible("bnb", nodes)
-    return _finish(inst, set(best_arcs), nodes, "bnb")
+    return _finish(inst, {a for i, a in enumerate(arcs) if best_arcs >> i & 1}, nodes, "bnb")
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
 import json
+import sys
 
 import pytest
 
+from dsnkit import cli
 from dsnkit.cli import main
+from dsnkit.dsn import DsnInstance
+from dsnkit.errors import InconsistencyError, InvariantError, ParseError
 from dsnkit.formats import emit_dsn, emit_psi
+from dsnkit.graphs import WeightedDigraph
 from dsnkit.reduction import PsiInstance
 
 from conftest import K4, ladder_with_terminals
@@ -73,6 +78,35 @@ class TestSolve:
     def test_dst_on_cycle_request_is_domain_error(self, ladder_file, capsys):
         assert main(["solve", str(ladder_file), "--engine", "dst"]) == 4
         assert "solve_bnb" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "error,code",
+        [
+            (InvariantError("self-check failed"), 5),
+            (InconsistencyError("self-check failed"), 5),
+            (ParseError("bad token", 1), 4),
+        ],
+        ids=["invariant", "inconsistency", "parse"],
+    )
+    def test_toolkit_bug_exit_code(self, ladder_file, monkeypatch, capsys, error, code):
+        def broken(inst):
+            raise error
+
+        monkeypatch.setitem(cli.ENGINES, "bnb", broken)
+        assert main(["solve", str(ladder_file)]) == code
+        assert str(error) in capsys.readouterr().err
+
+    def test_bnb_on_path_longer_than_the_recursion_limit(self, tmp_path, capsys):
+        m = sys.getrecursionlimit() + 1
+        g = WeightedDigraph(range(m + 1), {(i, i + 1): 1 for i in range(m)})
+        path = tmp_path / "long.dsn"
+        path.write_text(emit_dsn(DsnInstance(g, {(0, m)})))
+        assert main(["solve", str(path), "--engine", "bnb", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["cost"] == [m, 1] and len(payload["arcs"]) == m
+
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
 
 
 class TestAnalyze:

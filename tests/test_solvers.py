@@ -1,12 +1,19 @@
 import dataclasses
+import heapq
+import math
+import random
+import sys
 from itertools import combinations
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dsnkit.dsn import DsnInstance, is_inclusion_minimal, is_solution_graph, validate
+from dsnkit.dsn import DsnInstance, is_inclusion_minimal, is_solution_graph, validate, violated_request
 from dsnkit import solvers
 from dsnkit.errors import CapacityError, DomainError, InvariantError
+from dsnkit.generators import gen_grid, gen_random
 from dsnkit.graphs import WeightedDigraph
 from dsnkit.solvers import (
     _finish,
@@ -18,7 +25,7 @@ from dsnkit.solvers import (
     solve_with_certificate,
 )
 
-from conftest import random_instance, random_instances
+from conftest import digraphs, random_instance, random_instances
 
 SUBSET_SCAN_MAX_ARCS = 20
 
@@ -45,6 +52,132 @@ def _solve_subset_scan(inst):
     if best is None:
         return _infeasible("subset-scan", nodes)
     return _finish(inst, set(best[1]), nodes, "subset-scan")
+
+
+def solve_bnb_recursive(inst):
+    """The recursive branch and bound that `solve_bnb` replaced: one call per
+    node, each rebuilding its unsatisfied requests and rerunning Dijkstra
+    for every one of them.  Reference for the search tree and its result."""
+    if not inst.requests:
+        return _finish(inst, set(), 1, "bnb")
+    if violated_request(inst.host, inst.requests) is not None:
+        return _infeasible("bnb")
+    host = inst.host
+    arcs = sorted(host.arcs())
+    weights = host.arcs()
+    requests = inst.sorted_requests()
+    scale = 1
+    for w in weights.values():
+        scale = scale * w.denominator // math.gcd(scale, w.denominator)
+    iw = {a: int(w * scale) for a, w in weights.items()}
+    adj = {v: [] for v in host.vertices}
+    for (u, v), w in iw.items():
+        adj[u].append((v, w))
+    best_cost = None
+    best_arcs = None
+    nodes = 0
+
+    def unsatisfied(included):
+        out_map = {}
+        for u, v in included:
+            out_map.setdefault(u, []).append(v)
+        missing = []
+        for s, t in requests:
+            seen = {s}
+            stack = [s]
+            hit = False
+            while stack:
+                u = stack.pop()
+                if u == t:
+                    hit = True
+                    break
+                for v in out_map.get(u, ()):
+                    if v not in seen:
+                        seen.add(v)
+                        stack.append(v)
+            if not hit:
+                missing.append((s, t))
+        return missing
+
+    def path_bound(s, t, included, excluded):
+        dist = {s: 0}
+        heap = [(0, s)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if u == t:
+                return d
+            if d > dist.get(u, d):
+                continue
+            for v, w in adj[u]:
+                if (u, v) in excluded:
+                    continue
+                nd = d if (u, v) in included else d + w
+                if v not in dist or nd < dist[v]:
+                    dist[v] = nd
+                    heapq.heappush(heap, (nd, v))
+        return None
+
+    def go(idx, included, excluded, inc_cost):
+        nonlocal best_cost, best_arcs, nodes
+        nodes += 1
+        missing = unsatisfied(included)
+        if not missing:
+            if best_cost is None or inc_cost < best_cost:
+                best_cost = inc_cost
+                best_arcs = included
+            return
+        worst = 0
+        for s, t in missing:
+            d = path_bound(s, t, included, excluded)
+            if d is None:
+                return
+            worst = max(worst, d)
+        if best_cost is not None and inc_cost + worst >= best_cost:
+            return
+        if idx == len(arcs):
+            return
+        arc = arcs[idx]
+        go(idx + 1, included | {arc}, excluded, inc_cost + iw[arc])
+        go(idx + 1, included, excluded | {arc}, inc_cost)
+
+    go(0, frozenset(), frozenset(), 0)
+    if best_arcs is None:
+        return _infeasible("bnb", nodes)
+    return _finish(inst, set(best_arcs), nodes, "bnb")
+
+
+def outcome(result):
+    arcs = sorted(result.optimum.arcs) if result.optimum else None
+    return arcs, result.cost, result.node_count, result.feasible
+
+
+def with_fractional_weights(inst, seed):
+    rng = random.Random(seed)
+    arcs = {a: Fraction(rng.randint(1, 9), rng.randint(1, 4)) for a in sorted(inst.host.arcs())}
+    return DsnInstance(WeightedDigraph(inst.host.vertices, arcs), inst.requests)
+
+
+def reference_corpus():
+    out = []
+    for seed in range(12):
+        rng = random.Random(seed)
+        n = rng.randint(3, 8)
+        m = rng.randint(1, min(16, n * (n - 1)))
+        q = rng.randint(2, n)
+        inst, _ = gen_random(n, m, q, rng.randint(1, min(4, q * (q - 1))), seed)
+        out += [inst, with_fractional_weights(inst, seed)]
+    for seed in range(3):
+        out.append(gen_grid(2, 4, q=3, seed=seed)[0])
+        out.append(gen_grid(3, 3, q=3, seed=seed)[0])
+    # infeasible: nothing reaches 2
+    out.append(DsnInstance(WeightedDigraph(range(3), {(0, 1): 1, (2, 0): 1}), {(0, 2)}))
+    # excluding the bridge 0->1 or 1->2 leaves a request unreachable
+    bridges = {(0, 1): 2, (1, 2): 1, (1, 3): 1, (3, 2): 1, (2, 4): 3, (3, 4): 5}
+    out.append(DsnInstance(WeightedDigraph(range(5), bridges), {(0, 2), (0, 4), (1, 4)}))
+    return out
+
+
+REFERENCE_CORPUS = reference_corpus()
 
 
 class TestExhaustive:
@@ -110,6 +243,25 @@ class TestBranchAndBound:
             if r.feasible:
                 assert validate(inst, r.optimum) is None
                 assert is_inclusion_minimal(inst, r.optimum)
+
+
+    @pytest.mark.parametrize("inst", REFERENCE_CORPUS)
+    def test_matches_recursive_reference(self, inst):
+        assert outcome(solve_bnb(inst)) == outcome(solve_bnb_recursive(inst))
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=digraphs(max_n=6), data=st.data())
+    def test_matches_recursive_reference_on_random_digraphs(self, g, data):
+        pairs = [(s, t) for s in range(g.n) for t in range(g.n) if s != t]
+        requests = data.draw(st.sets(st.sampled_from(pairs), min_size=1, max_size=4))
+        inst = DsnInstance(g, requests)
+        assert outcome(solve_bnb(inst)) == outcome(solve_bnb_recursive(inst))
+
+    def test_path_longer_than_the_recursion_limit(self):
+        m = sys.getrecursionlimit() + 1
+        g = WeightedDigraph(range(m + 1), {(i, i + 1): 1 for i in range(m)})
+        r = solve_bnb(DsnInstance(g, {(0, m)}))
+        assert r.feasible and r.cost == m and len(r.optimum.arcs) == m
 
 
 class TestDst:
