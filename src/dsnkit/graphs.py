@@ -107,9 +107,6 @@ class WeightedDigraph:
     def total_degree(self, v: int) -> int:
         return self.in_degree(v) + self.out_degree(v)
 
-    def total_weight(self) -> Fraction:
-        return sum(self._arcs.values(), Fraction(0))
-
     def _check_vertex(self, v: int) -> None:
         if v not in self._vset:
             raise InputError(f"unknown vertex id {v}")
@@ -197,20 +194,6 @@ class DirectedPath:
 
     def arcs(self) -> List[Arc]:
         return list(zip(self.vertices, self.vertices[1:]))
-
-    def index(self, v: int) -> int:
-        return self.vertices.index(v)
-
-    def subpath(self, u: int, v: int) -> "DirectedPath":
-        i, j = self.vertices.index(u), self.vertices.index(v)
-        if i > j:
-            raise InputError(f"{u} is not before {v} on the path")
-        return DirectedPath(self.vertices[i : j + 1])
-
-    def concat(self, other: "DirectedPath") -> "DirectedPath":
-        if self.end != other.start:
-            raise InputError("paths do not share an endpoint")
-        return DirectedPath(self.vertices + other.vertices[1:])
 
     def check_in(self, g: WeightedDigraph) -> None:
         for u, v in self.arcs():
@@ -432,58 +415,6 @@ def all_simple_paths(g: WeightedDigraph, s: int, t: int) -> List[DirectedPath]:
 
     walk(s)
     return out
-
-
-def strongly_connected_components(g: WeightedDigraph) -> List[List[int]]:
-    """SCC partition, components in topological order of the condensation.
-
-    Iterative Tarjan with ascending-id scan order; fully deterministic."""
-    index: Dict[int, int] = {}
-    low: Dict[int, int] = {}
-    on_stack: Set[int] = set()
-    stack: List[int] = []
-    comps: List[List[int]] = []
-    counter = [0]
-
-    for root in g.vertices:
-        if root in index:
-            continue
-        work = [(root, iter(g.out_neighbors(root)))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(g.out_neighbors(w))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                low[work[-1][0]] = min(low[work[-1][0]], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(sorted(comp))
-    # Tarjan emits components in reverse topological order of the condensation.
-    comps.reverse()
-    return comps
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .dsn import (
     violated_request,
 )
 from .errors import CapacityError, DomainError, InvariantError
-from .graphs import Arc, DirectedPath, all_simple_paths, shortest_path
+from .graphs import Arc, DirectedPath, all_simple_paths
 from .structure import TreewidthCertificate, certify_treewidth_bound
 
 EXHAUSTIVE_MAX_ARCS = 24
@@ -63,6 +63,12 @@ def _finish(inst: DsnInstance, arcs: Set[Arc], nodes: int, method: str) -> Solve
     if violated is not None:
         raise InvariantError(f"{method} solution violates request {violated[0]}->{violated[1]}")
     return SolveResult(True, sol, sol.cost(), nodes, True, method)
+
+
+def _weight_scale(weights: Dict[Arc, Fraction]) -> int:
+    """The least common denominator of the weights.  Scaled by it every
+    weight is an integer, so the exact engines search on ints."""
+    return math.lcm(*(w.denominator for w in weights.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +169,7 @@ def solve_bnb(inst: DsnInstance) -> SolveResult:
     arcs = sorted(host.arcs())
     weights = host.arcs()
 
-    scale = 1
-    for w in weights.values():
-        scale = scale * w.denominator // math.gcd(scale, w.denominator)
+    scale = _weight_scale(weights)
     iw = [int(weights[a] * scale) for a in arcs]
     adj: Dict[int, List[Tuple[int, int, int]]] = {v: [] for v in host.vertices}
     for i, (u, v) in enumerate(arcs):
@@ -281,9 +285,14 @@ def dst_root(inst: DsnInstance) -> int:
 
 
 def solve_dst(inst: DsnInstance) -> SolveResult:
-    """Dynamic program over (terminal subset, vertex) states: a cheapest tree
-    from v covering S either walks a shortest path to a vertex u and splits S
-    there, or S is a single terminal reached by a shortest path."""
+    """Dreyfus-Wagner over (terminal subset S, vertex v) states in the
+    Erickson-Monma-Veinott form.  A single terminal seeds itself at cost 0;
+    for larger S every vertex u is seeded with its best split
+    f[S1][u] + f[S - S1][u].  One Dijkstra over in-arcs then gives f[S][v],
+    the cost of a cheapest tree from v covering S, with the seed it walks to.
+
+    Ties go to the smallest seed, then to the lexicographically smallest
+    cheapest path to it, then to the first best split."""
     r = dst_root(inst)
     leaves = sorted(t for _, t in inst.requests)
     if len(leaves) > DST_MAX_LEAVES:
@@ -291,81 +300,65 @@ def solve_dst(inst: DsnInstance) -> SolveResult:
     if violated_request(inst.host, inst.requests) is not None:
         return _infeasible("dst")
     host = inst.host
-    verts = list(host.vertices)
-    sp: Dict[Tuple[int, int], Tuple[DirectedPath, Fraction]] = {}
-    for v in verts:
-        for u in verts:
-            found = shortest_path(host, v, u)
-            if found is not None:
-                sp[(v, u)] = found
-
-    bit = {t: 1 << i for i, t in enumerate(leaves)}
+    weights = host.arcs()
+    scale = _weight_scale(weights)
+    iw = {a: int(w * scale) for a, w in weights.items()}
     full = (1 << len(leaves)) - 1
-    INF = None
-    f: List[Dict[int, Fraction]] = [dict() for _ in range(full + 1)]
-    choice: List[Dict[int, Tuple]] = [dict() for _ in range(full + 1)]
+    f: List[Dict[int, Tuple[int, int]]] = [{} for _ in range(full + 1)]
+    split: List[Dict[int, int]] = [{} for _ in range(full + 1)]
     nodes = 0
 
-    for t in leaves:
-        S = bit[t]
-        for v in verts:
-            if (v, t) in sp:
-                f[S][v] = sp[(v, t)][1]
-                choice[S][v] = ("leaf", t)
-
-    masks = sorted(range(1, full + 1), key=lambda m: (bin(m).count("1"), m))
-    for S in masks:
-        if bin(S).count("1") < 2:
-            continue
-        low = S & (-S)
-        local: Dict[int, Tuple[Fraction, Tuple]] = {}
-        for u in verts:
-            best = None
-            S1 = (S - 1) & S
-            while S1 > 0:
-                if S1 & low:
-                    S2 = S ^ S1
-                    if u in f[S1] and u in f[S2]:
-                        val = f[S1][u] + f[S2][u]
-                        if best is None or val < best[0]:
-                            best = (val, ("split", u, S1, S2))
-                S1 = (S1 - 1) & S
-            if best is not None:
-                local[u] = best
-        for v in verts:
-            best = None
-            for u in verts:
-                nodes += 1
-                if u not in local or (v, u) not in sp:
-                    continue
-                val = sp[(v, u)][1] + local[u][0]
-                if best is None or val < best[0]:
-                    best = (val, ("walk", u, local[u][1]))
-            if best is not None:
-                f[S][v] = best[0]
-                choice[S][v] = best[1]
-
-    if r not in f[full]:
-        return _infeasible("dst", nodes)
-
-    arcs: Set[Arc] = set()
-
-    def build(S: int, v: int) -> None:
-        ch = choice[S][v]
-        if ch[0] == "leaf":
-            arcs.update(sp[(v, ch[1])][0].arcs())
-        elif ch[0] == "walk":
-            _, u, inner = ch
-            arcs.update(sp[(v, u)][0].arcs())
-            _, _, S1, S2 = inner
-            build(S1, u)
-            build(S2, u)
+    # Every proper subset of S is a smaller number than S.
+    for S in range(1, full + 1):
+        if not S & (S - 1):
+            t = leaves[S.bit_length() - 1]
+            heap = [(0, t, t)]
         else:
-            raise AssertionError(ch)
+            low = S & -S
+            heap = []
+            for u in host.vertices:
+                best = None
+                S1 = (S - 1) & S
+                while S1:
+                    if S1 & low and u in f[S1] and u in f[S ^ S1]:
+                        val = f[S1][u][0] + f[S ^ S1][u][0]
+                        if best is None or val < best:
+                            best = val
+                            split[S][u] = S1
+                    S1 = (S1 - 1) & S
+                if best is not None:
+                    heap.append((best, u, u))
+            heapq.heapify(heap)
+        fS = f[S]
+        while heap:
+            cost, seed, v = heapq.heappop(heap)
+            if v in fS:
+                continue
+            fS[v] = (cost, seed)
+            nodes += 1
+            for p in host.in_neighbors(v):
+                if p not in fS:
+                    heapq.heappush(heap, (cost + iw[(p, v)], seed, p))
 
-    build(full, r)
+    # r reaches every leaf (checked above), so every f[S] holds r, if only
+    # through a split at r itself.
+    arcs: Set[Arc] = set()
+    stack = [(full, r)]
+    while stack:
+        S, v = stack.pop()
+        fS = f[S]
+        seed = fS[v][1]
+        while v != seed:
+            # the smallest next vertex on a cheapest path to the seed
+            x = next(x for x in host.out_neighbors(v) if fS.get(x) == (fS[v][0] - iw[(v, x)], seed))
+            arcs.add((v, x))
+            v = x
+        if S & (S - 1):
+            S1 = split[S][v]
+            stack += [(S1, v), (S ^ S1, v)]
+
     result = _finish(inst, arcs, nodes, "dst")
-    if result.cost != f[full][r]:
+    if result.cost != Fraction(f[full][r][0], scale):
         raise InvariantError("witness cost disagrees with the table")
     return result
 

@@ -48,22 +48,12 @@ PROTRUSION_MAX_INTERIOR = 14
 # degree-2 suppression
 
 
-def suppress_degree_two(
-    graph: WeightedDigraph, terminals: Iterable[int]
-) -> Tuple[WeightedDigraph, Dict[Arc, Tuple[int, ...]]]:
+def suppress_degree_two(graph: WeightedDigraph, terminals: Iterable[int]) -> WeightedDigraph:
     """Exhaustively remove non-terminal pass-through vertices with exactly
-    two neighbors, merging their arcs.
-
-    Returns the suppressed graph and a map from created arcs to the vertex
-    sequence of the subpath they replace, so results lift back.  Created
-    arcs carry the summed weight of the replaced arcs."""
+    two neighbors, merging their arcs.  Created arcs carry the summed weight
+    of the replaced arcs."""
     T = set(terminals)
     g = graph
-    expansion: Dict[Arc, Tuple[int, ...]] = {}
-
-    def path_of(u: int, v: int) -> Tuple[int, ...]:
-        return expansion.get((u, v), (u, v))
-
     while True:
         victim = None
         for v in g.vertices:
@@ -78,36 +68,25 @@ def suppress_degree_two(
                 victim = v
                 break
         if victim is None:
-            return g, expansion
+            return g
         v = victim
         u, w = g.neighbors(v)
         arcs = g.arcs()
-        created: List[Tuple[Arc, Fraction, Tuple[int, ...]]] = []
+        created: List[Tuple[Arc, Fraction]] = []
         for x, y in ((u, w), (w, u)):
             if (x, v) in arcs and (v, y) in arcs:
-                weight = arcs[(x, v)] + arcs[(v, y)]
-                seq = path_of(x, v)[:-1] + path_of(v, y)
-                created.append(((x, y), weight, seq))
+                created.append(((x, y), arcs[(x, v)] + arcs[(v, y)]))
         if not created:
             raise InconsistencyError(
                 f"non-terminal {v} with two neighbors is a source/sink; input is not inclusion-minimal"
             )
         for key in ((u, v), (v, u), (v, w), (w, v)):
             arcs.pop(key, None)
-        expansion.pop((u, v), None)
-        expansion.pop((v, u), None)
-        expansion.pop((v, w), None)
-        expansion.pop((w, v), None)
-        for arc, weight, seq in created:
-            if arc in arcs:
-                # A parallel arc cannot occur in a minimal solution; keep the
-                # cheaper route so cost comparisons stay meaningful.
-                if weight < arcs[arc]:
-                    arcs[arc] = weight
-                    expansion[arc] = seq
-            else:
+        for arc, weight in created:
+            # A parallel arc cannot occur in a minimal solution; keep the
+            # cheaper route so cost comparisons stay meaningful.
+            if arc not in arcs or weight < arcs[arc]:
                 arcs[arc] = weight
-                expansion[arc] = seq
         g = WeightedDigraph(set(g.vertices) - {v}, arcs)
 
 
@@ -596,7 +575,7 @@ def reduce_length_graph(
         raise PreconditionError("input graph is not inclusion-minimal")
 
     tw_before, tw_before_exact = _tw_maybe_exact(graph)
-    current, _ = suppress_degree_two(graph, T)
+    current = suppress_degree_two(graph, T)
     # A verified replacement keeps T-avoiding reachability, so this holds
     # for every round.
     norm = normalize_requests_graph(current, T)

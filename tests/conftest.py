@@ -9,6 +9,7 @@ import pytest
 from hypothesis import strategies as st
 
 from dsnkit.dsn import DsnInstance
+from dsnkit.generators import gen_grid
 from dsnkit.graphs import UndirectedGraph, WeightedDigraph
 from dsnkit.ladders import LadderSpec, ladder_corners, make_ladder
 from dsnkit.reduction import PsiInstance
@@ -58,6 +59,33 @@ def digraphs(max_n=7, density=0.4):
         return WeightedDigraph(range(n), arcs)
 
     return build()
+
+
+OUT_STAR_KINDS = ("int", "frac", "unit", "grid")
+
+
+def out_star(seed, kind, leaves):
+    """Seeded out-star instance: one root and `leaves` targets on a random
+    digraph with integer, fractional or unit weights, or on a bidirected
+    unit-weight grid.  Unit weights make many cheapest paths tie."""
+    rng = random.Random(seed)
+    if kind == "grid":
+        host = gen_grid(rng.randint(3, 5), rng.randint(3, 4), q=2, seed=seed)[0].host
+    else:
+        n = rng.randint(max(4, leaves + 1), 10)
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        arcs = {}
+        for a in rng.sample(pairs, rng.randint(n, min(3 * n, len(pairs)))):
+            if kind == "int":
+                arcs[a] = Fraction(rng.randint(1, 9))
+            elif kind == "frac":
+                arcs[a] = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+            else:
+                arcs[a] = Fraction(1)
+        host = WeightedDigraph(range(n), arcs)
+    root = rng.randrange(host.n)
+    targets = rng.sample([v for v in host.vertices if v != root], leaves)
+    return DsnInstance(host, {(root, t) for t in targets})
 
 
 def ladder_with_terminals(n, identified=()):

@@ -125,6 +125,15 @@ class TestAnalyze:
         payload = json.loads(capsys.readouterr().out)
         assert payload["certificate"]["report"]["replacements"] >= 1
 
+    def test_analyze_long_out_star_path(self, tmp_path, capsys):
+        m = 400
+        g = WeightedDigraph(range(m + 1), {(i, i + 1): 1 for i in range(m)})
+        path = tmp_path / "long.dsn"
+        path.write_text(emit_dsn(DsnInstance(g, {(0, m)})))
+        assert main(["analyze", str(path), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["solve"]["method"] == "dst" and payload["solve"]["cost"] == [m, 1]
+
 
 class TestReduce:
     def test_reduce_decides_and_writes(self, tmp_path, capsys):

@@ -5,8 +5,10 @@ stdout without `wall_time_s` and without the search statistics `nodes` and
 `rounds` (as `perfbench/workloads.analyze_digest` leaves them out).  The
 corpus: `analyze --json` on ladders with two terminals attached, including
 identified end and consecutive rungs; `analyze --json` and `solve --json`
-with both exact engines on seeded random instances; and `reduce --json
---decide` on the two PSI instances of `dsnkit bench`.
+with both exact engines on seeded random instances; `analyze --json` and
+`solve --engine dst --json` on seeded out-stars with 1 to 6 leaves
+(fractional weights and unit-weight grids) and on an infeasible one; and
+`reduce --json --decide` on the two PSI instances of `dsnkit bench`.
 
 Record again with `PYTHONPATH=src:tests python tests/test_golden_cli.py`
 only when an output is meant to change."""
@@ -21,12 +23,13 @@ from pathlib import Path
 import pytest
 
 from dsnkit.cli import main
+from dsnkit.dsn import DsnInstance
 from dsnkit.formats import emit_dsn, emit_psi
 from dsnkit.generators import gen_random
-from dsnkit.graphs import UndirectedGraph
+from dsnkit.graphs import UndirectedGraph, WeightedDigraph
 from dsnkit.reduction import PsiInstance
 
-from conftest import K4, ladder_with_terminals
+from conftest import K4, ladder_with_terminals, out_star
 
 GOLDEN_PATH = Path(__file__).with_name("golden_cli.json")
 UNSTABLE_KEYS = ("wall_time_s", "nodes", "rounds")
@@ -38,6 +41,11 @@ LADDERS = (
 )
 RANDOM_SEEDS = range(6)
 C4 = UndirectedGraph(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)])
+# (kind, leaves, seed); every one of them is feasible
+OUT_STARS = [("frac", k, seed) for k, seed in zip(range(1, 7), (1, 1, 1, 1, 3, 5))]
+OUT_STARS += [("grid", k, k) for k in range(1, 7)]
+# nothing reaches leaf 3
+INFEASIBLE_OUT_STAR = DsnInstance(WeightedDigraph(range(4), {(0, 1): 1, (1, 2): 1, (3, 0): 1}), {(0, 2), (0, 3)})
 
 
 def cases():
@@ -51,6 +59,14 @@ def cases():
         out[f"analyze-random-{seed}"] = (".dsn", text, ["analyze", "FILE", "--json"])
         for engine in ("bnb", "exhaustive"):
             out[f"solve-{engine}-random-{seed}"] = (".dsn", text, ["solve", "FILE", "--engine", engine, "--json"])
+    out_stars = {
+        f"{kind}-{leaves}": emit_dsn(out_star(seed, kind, leaves), {"generator": f"out-star {kind} leaves={leaves} seed={seed}"})
+        for kind, leaves, seed in OUT_STARS
+    }
+    out_stars["infeasible"] = emit_dsn(INFEASIBLE_OUT_STAR)
+    for name, text in out_stars.items():
+        out[f"analyze-outstar-{name}"] = (".dsn", text, ["analyze", "FILE", "--json"])
+        out[f"solve-dst-outstar-{name}"] = (".dsn", text, ["solve", "FILE", "--engine", "dst", "--json"])
     for name, host in (("k4", K4), ("c4", C4)):
         text = emit_psi(PsiInstance(host, K4, {i: i for i in range(4)}))
         out[f"reduce-decide-psi-{name}"] = (".psi", text, ["reduce", "FILE", "--json", "--decide"])

@@ -15,7 +15,6 @@ from dsnkit.graphs import (
     reaches,
     search,
     shortest_path,
-    strongly_connected_components,
     treewidth_exact,
     treewidth_upper_bound,
 )
@@ -104,10 +103,6 @@ class TestWeightedDigraph:
     def test_reverse_involution(self):
         g = WeightedDigraph(range(3), {(0, 1): 2, (1, 2): Fraction(1, 3)})
         assert g.reverse().reverse() == g
-
-    def test_total_weight(self):
-        g = WeightedDigraph(range(3), {(0, 1): Fraction(1, 2), (1, 2): Fraction(1, 2)})
-        assert g.total_weight() == 1
 
 
 class TestReachability:
@@ -233,19 +228,6 @@ class TestPaths:
     def test_rejects_repeats(self):
         with pytest.raises(InputError):
             DirectedPath((0, 1, 0))
-
-    def test_subpath_and_concat(self):
-        p = DirectedPath((0, 1, 2, 3))
-        assert p.subpath(1, 3).vertices == (1, 2, 3)
-        q = DirectedPath((3, 4))
-        assert p.concat(q).vertices == (0, 1, 2, 3, 4)
-
-
-class TestScc:
-    def test_known_components(self):
-        g = WeightedDigraph(range(5), {(0, 1): 1, (1, 0): 1, (1, 2): 1, (2, 3): 1, (3, 2): 1})
-        comps = strongly_connected_components(g)
-        assert sorted(map(sorted, comps)) == [[0, 1], [2, 3], [4]]
 
 
 class TestDiameter:

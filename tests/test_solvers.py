@@ -14,7 +14,7 @@ from dsnkit.dsn import DsnInstance, is_inclusion_minimal, is_solution_graph, val
 from dsnkit import solvers
 from dsnkit.errors import CapacityError, DomainError, InvariantError
 from dsnkit.generators import gen_grid, gen_random
-from dsnkit.graphs import WeightedDigraph
+from dsnkit.graphs import WeightedDigraph, shortest_path
 from dsnkit.solvers import (
     _finish,
     _infeasible,
@@ -25,7 +25,7 @@ from dsnkit.solvers import (
     solve_with_certificate,
 )
 
-from conftest import digraphs, random_instance, random_instances
+from conftest import OUT_STAR_KINDS, digraphs, out_star, random_instance, random_instances
 
 SUBSET_SCAN_MAX_ARCS = 20
 
@@ -144,6 +144,97 @@ def solve_bnb_recursive(inst):
     if best_arcs is None:
         return _infeasible("bnb", nodes)
     return _finish(inst, set(best_arcs), nodes, "bnb")
+
+
+def solve_dst_all_pairs(inst):
+    """The all-pairs dynamic program that `solve_dst` replaced: shortest
+    paths between every vertex pair, a walk-then-split choice per (subset,
+    vertex) state and a recursive witness.  Reference for the optimum and for
+    its tie-breaking: the smallest split vertex, the cheapest path to it with
+    the lexicographically smallest vertex sequence, the first best split."""
+    r = dst_root(inst)
+    leaves = sorted(t for _, t in inst.requests)
+    if len(leaves) > solvers.DST_MAX_LEAVES:
+        raise CapacityError(f"{len(leaves)} leaves; out-star cap is {solvers.DST_MAX_LEAVES}")
+    if violated_request(inst.host, inst.requests) is not None:
+        return _infeasible("dst")
+    host = inst.host
+    verts = list(host.vertices)
+    sp = {}
+    for v in verts:
+        for u in verts:
+            found = shortest_path(host, v, u)
+            if found is not None:
+                sp[(v, u)] = found
+
+    bit = {t: 1 << i for i, t in enumerate(leaves)}
+    full = (1 << len(leaves)) - 1
+    f = [dict() for _ in range(full + 1)]
+    choice = [dict() for _ in range(full + 1)]
+    nodes = 0
+
+    for t in leaves:
+        S = bit[t]
+        for v in verts:
+            if (v, t) in sp:
+                f[S][v] = sp[(v, t)][1]
+                choice[S][v] = ("leaf", t)
+
+    masks = sorted(range(1, full + 1), key=lambda m: (bin(m).count("1"), m))
+    for S in masks:
+        if bin(S).count("1") < 2:
+            continue
+        low = S & (-S)
+        local = {}
+        for u in verts:
+            best = None
+            S1 = (S - 1) & S
+            while S1 > 0:
+                if S1 & low:
+                    S2 = S ^ S1
+                    if u in f[S1] and u in f[S2]:
+                        val = f[S1][u] + f[S2][u]
+                        if best is None or val < best[0]:
+                            best = (val, ("split", u, S1, S2))
+                S1 = (S1 - 1) & S
+            if best is not None:
+                local[u] = best
+        for v in verts:
+            best = None
+            for u in verts:
+                nodes += 1
+                if u not in local or (v, u) not in sp:
+                    continue
+                val = sp[(v, u)][1] + local[u][0]
+                if best is None or val < best[0]:
+                    best = (val, ("walk", u, local[u][1]))
+            if best is not None:
+                f[S][v] = best[0]
+                choice[S][v] = best[1]
+
+    if r not in f[full]:
+        return _infeasible("dst", nodes)
+
+    arcs = set()
+
+    def build(S, v):
+        ch = choice[S][v]
+        if ch[0] == "leaf":
+            arcs.update(sp[(v, ch[1])][0].arcs())
+        else:
+            _, u, (_, _, S1, S2) = ch
+            arcs.update(sp[(v, u)][0].arcs())
+            build(S1, u)
+            build(S2, u)
+
+    build(full, r)
+    result = _finish(inst, arcs, nodes, "dst")
+    assert result.cost == f[full][r]
+    return result
+
+
+def dst_outcome(result):
+    return result.feasible, result.cost, sorted(result.optimum.arcs) if result.optimum else None
 
 
 def outcome(result):
@@ -292,6 +383,32 @@ class TestDst:
         g = WeightedDigraph(range(3), {(0, 1): 1})
         r = solve_dst(DsnInstance(g, {(0, 1), (0, 2)}))
         assert not r.feasible
+
+    def test_matches_all_pairs_reference(self):
+        """630 seeded out-stars: integer, fractional and unit weights on
+        random digraphs and unit-weight grids, 1 to 6 leaves each."""
+        feasible = 0
+        for seed in range(630):
+            inst = out_star(seed, OUT_STAR_KINDS[seed % 4], 1 + seed // 4 % 6)
+            got = solve_dst(inst)
+            assert dst_outcome(got) == dst_outcome(solve_dst_all_pairs(inst)), seed
+            feasible += got.feasible
+        assert feasible >= 400
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=digraphs(max_n=7), data=st.data())
+    def test_matches_all_pairs_reference_on_random_digraphs(self, g, data):
+        root = data.draw(st.sampled_from(g.vertices))
+        others = [v for v in g.vertices if v != root]
+        leaves = data.draw(st.sets(st.sampled_from(others), min_size=1, max_size=4))
+        inst = DsnInstance(g, {(root, t) for t in leaves})
+        assert dst_outcome(solve_dst(inst)) == dst_outcome(solve_dst_all_pairs(inst))
+
+    def test_path_longer_than_the_recursion_limit(self):
+        m = sys.getrecursionlimit() + 1
+        g = WeightedDigraph(range(m + 1), {(i, i + 1): 1 for i in range(m)})
+        r = solve_dst(DsnInstance(g, {(0, m)}))
+        assert r.feasible and r.cost == m and len(r.optimum.arcs) == m
 
 
 class TestProperties:

@@ -60,27 +60,24 @@ def onto_path_reach_by_dfs(graph, src, pset):
 class TestSuppression:
     def test_subdivision_round_trips(self):
         g = WeightedDigraph(range(3), {(0, 1): Fraction(1, 2), (1, 2): Fraction(1, 2)})
-        out, expansion = suppress_degree_two(g, {0, 2})
+        out = suppress_degree_two(g, {0, 2})
         assert out.arcs() == {(0, 2): Fraction(1)}
-        assert expansion[(0, 2)] == (0, 1, 2)
 
     def test_long_chain_expansion_map(self):
         g = WeightedDigraph(range(5), {(i, i + 1): 1 for i in range(4)})
-        out, expansion = suppress_degree_two(g, {0, 4})
+        out = suppress_degree_two(g, {0, 4})
         assert out.arcs() == {(0, 4): Fraction(4)}
-        assert expansion[(0, 4)] == (0, 1, 2, 3, 4)
 
     def test_bidirected_passthrough(self):
         g = WeightedDigraph(
             range(3), {(0, 1): 1, (1, 0): 1, (1, 2): 1, (2, 1): 1}
         )
-        out, expansion = suppress_degree_two(g, {0, 2})
-        assert set(out.arcs()) == {(0, 2), (2, 0)}
-        assert expansion[(2, 0)] == (2, 1, 0)
+        out = suppress_degree_two(g, {0, 2})
+        assert out.arcs() == {(0, 2): Fraction(2), (2, 0): Fraction(2)}
 
     def test_terminals_protected(self):
         g = WeightedDigraph(range(3), {(0, 1): 1, (1, 2): 1})
-        out, _ = suppress_degree_two(g, {0, 1, 2})
+        out = suppress_degree_two(g, {0, 1, 2})
         assert out == g
 
     def test_dangling_nonterminal_rejected(self):
