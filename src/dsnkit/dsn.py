@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import FrozenSet, Iterable, List, Optional, Tuple
 
 from .errors import InputError, PreconditionError
-from .graphs import Arc, WeightedDigraph, reaches
+from .graphs import Arc, WeightedDigraph, reaches, search
 
 Request = Tuple[int, int]
 
@@ -108,10 +108,6 @@ def violated_request(
     return None
 
 
-def is_solution_graph(graph: WeightedDigraph, requests: Iterable[Request]) -> bool:
-    return violated_request(graph, requests) is None
-
-
 def is_inclusion_minimal_graph(graph: WeightedDigraph, requests: Iterable[Request]) -> bool:
     """True iff removing any single arc violates some request."""
     reqs = _normalize_requests_arg(requests)
@@ -142,15 +138,8 @@ def minimize_graph(graph: WeightedDigraph, requests: Iterable[Request]) -> Weigh
 
 def normalize_requests_graph(graph: WeightedDigraph, terminals: Iterable[int]) -> FrozenSet[Request]:
     """R' on the terminal set: st in R' iff a T-avoiding s-t path exists."""
-    ts = sorted(set(terminals))
-    out = set()
-    for s in ts:
-        for t in ts:
-            if s == t or not graph.has_vertex(s) or not graph.has_vertex(t):
-                continue
-            if reaches(graph, s, t, set(ts) - {s, t}):
-                out.add((s, t))
-    return frozenset(out)
+    ts = set(terminals) & set(graph.vertices)
+    return frozenset((s, t) for s in ts for t in search(graph, s, ts) if t in ts and t != s)
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +164,6 @@ def minimize(inst: DsnInstance, sol: SolutionSubgraph) -> SolutionSubgraph:
         raise PreconditionError("solution is not valid")
     reduced = minimize_graph(sol.as_graph(), inst.requests)
     return SolutionSubgraph(inst.host, reduced.arc_set(), pinned=inst.terminals)
-
-
-def normalize_requests(sol: SolutionSubgraph, terminals: Iterable[int]) -> FrozenSet[Request]:
-    return normalize_requests_graph(sol.as_graph(), terminals)
 
 
 def reverse_instance(inst: DsnInstance) -> DsnInstance:

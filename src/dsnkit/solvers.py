@@ -14,13 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Set, Tuple
 
-from .dsn import (
-    DsnInstance,
-    SolutionSubgraph,
-    minimize,
-    validate,
-    violated_request,
-)
+from .dsn import DsnInstance, SolutionSubgraph, validate, violated_request
 from .errors import CapacityError, DomainError, InvariantError
 from .graphs import Arc, DirectedPath, all_simple_paths
 from .structure import TreewidthCertificate, certify_treewidth_bound
@@ -58,7 +52,13 @@ def _infeasible(method: str, nodes: int = 0) -> SolveResult:
 
 
 def _finish(inst: DsnInstance, arcs: Set[Arc], nodes: int, method: str) -> SolveResult:
-    sol = minimize(inst, SolutionSubgraph(inst.host, frozenset(arcs)))
+    """The engine's optimum as found, pinned to the terminals.
+
+    It is not minimized: weights are positive, so an arc that could be
+    removed from an optimum would leave a cheaper solution, and every
+    optimum is already inclusion-minimal.  `validate` is the self-check; a
+    violated request is a bug in the engine."""
+    sol = SolutionSubgraph(inst.host, frozenset(arcs), pinned=inst.terminals)
     violated = validate(inst, sol)
     if violated is not None:
         raise InvariantError(f"{method} solution violates request {violated[0]}->{violated[1]}")
@@ -381,7 +381,7 @@ def _is_out_star(inst: DsnInstance) -> bool:
 def solve_with_certificate(
     inst: DsnInstance, declared_genus: int = 0, engine: str = "auto"
 ) -> Tuple[SolveResult, Optional[TreewidthCertificate]]:
-    """Solve exactly, minimize, then certify the solution's structure."""
+    """Solve exactly, then certify the solution's structure."""
     if engine == "auto":
         if _is_out_star(inst) and len(inst.terminals) - 1 <= DST_MAX_LEAVES:
             engine = "dst"

@@ -10,6 +10,7 @@ from dsnkit.errors import InconsistencyError, InvariantError, ParseError
 from dsnkit.formats import emit_dsn, emit_psi
 from dsnkit.graphs import WeightedDigraph
 from dsnkit.reduction import PsiInstance
+from dsnkit.solvers import _finish
 
 from conftest import K4, ladder_with_terminals
 
@@ -95,6 +96,11 @@ class TestSolve:
         monkeypatch.setitem(cli.ENGINES, "bnb", broken)
         assert main(["solve", str(ladder_file)]) == code
         assert str(error) in capsys.readouterr().err
+
+    def test_engine_result_violating_a_request_is_a_bug(self, ladder_file, monkeypatch, capsys):
+        monkeypatch.setitem(cli.ENGINES, "bnb", lambda inst: _finish(inst, set(), 0, "bnb"))
+        assert main(["solve", str(ladder_file), "--engine", "bnb"]) == 5
+        assert "bnb solution violates request" in capsys.readouterr().err
 
     def test_bnb_on_path_longer_than_the_recursion_limit(self, tmp_path, capsys):
         m = sys.getrecursionlimit() + 1

@@ -10,7 +10,6 @@ from dsnkit.dsn import (
     is_inclusion_minimal_graph,
     minimize,
     minimize_graph,
-    normalize_requests,
     normalize_requests_graph,
     reverse_instance,
     reverse_solution,
@@ -38,6 +37,19 @@ def minimize_graph_by_copies(graph, requests):
             current = candidate
     used = {v for a in current.arc_set() for v in a} | terminals
     return current.induced(used & set(current.vertices))
+
+
+def normalize_requests_by_pairs(graph, terminals):
+    """Reference: one terminal-avoiding reachability query per ordered pair."""
+    ts = sorted(set(terminals))
+    out = set()
+    for s in ts:
+        for t in ts:
+            if s == t or not graph.has_vertex(s) or not graph.has_vertex(t):
+                continue
+            if reaches(graph, s, t, set(ts) - {s, t}):
+                out.add((s, t))
+    return frozenset(out)
 
 
 @st.composite
@@ -130,6 +142,14 @@ class TestNormalizeRequests:
     def test_keeps_direct_connections(self):
         g = WeightedDigraph(range(4), {(0, 3): 1, (3, 1): 1})
         assert normalize_requests_graph(g, {0, 1}) == frozenset({(0, 1)})
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=st.one_of(digraphs(), digraphs(density=0.5)), data=st.data())
+    def test_matches_pair_by_pair_reference(self, g, data):
+        """[DERIVED: one reaches call per terminal pair]"""
+        # ids outside 0..n-1 are not in the graph and must be ignored
+        terminals = data.draw(st.sets(st.integers(-2, g.n + 2), max_size=g.n + 2))
+        assert normalize_requests_graph(g, terminals) == normalize_requests_by_pairs(g, terminals)
 
     def test_stable_under_repetition(self):
         for inst in random_instances(20, base_seed=600):

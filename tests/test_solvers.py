@@ -10,14 +10,16 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsnkit.dsn import DsnInstance, is_inclusion_minimal, is_solution_graph, validate, violated_request
-from dsnkit import solvers
+from dsnkit.dsn import DsnInstance, is_inclusion_minimal, validate, violated_request
+from dsnkit import dsn, solvers
 from dsnkit.errors import CapacityError, DomainError, InvariantError
 from dsnkit.generators import gen_grid, gen_random
 from dsnkit.graphs import WeightedDigraph, shortest_path
+from dsnkit.reduction import decide_psi_via_dsn, generate_hardness_instance
 from dsnkit.solvers import (
     _finish,
     _infeasible,
+    _solve_path_union,
     dst_root,
     solve_bnb,
     solve_dst,
@@ -25,7 +27,7 @@ from dsnkit.solvers import (
     solve_with_certificate,
 )
 
-from conftest import OUT_STAR_KINDS, digraphs, out_star, random_instance, random_instances
+from conftest import K33, K4, OUT_STAR_KINDS, digraphs, out_star, random_instance, random_instances, random_psi_host
 
 SUBSET_SCAN_MAX_ARCS = 20
 
@@ -47,7 +49,7 @@ def _solve_subset_scan(inst):
             if best is not None and cost >= best[0]:
                 continue
             g = inst.host.subgraph(combo, extra_vertices=inst.terminals)
-            if is_solution_graph(g, inst.requests):
+            if violated_request(g, inst.requests) is None:
                 best = (cost, list(combo))
     if best is None:
         return _infeasible("subset-scan", nodes)
@@ -329,8 +331,17 @@ class TestBranchAndBound:
         assert r.cost < sp_sum
 
     def test_result_minimal_and_valid(self):
-        for inst in random_instances(20, base_seed=50):
-            r = solve_bnb(inst)
+        """Every engine's optimum as returned; `_finish` does not minimize it."""
+        corpus = random_instances(20, base_seed=50)
+        cases = [(solve_bnb, inst) for inst in corpus] + [(solve_exhaustive, inst) for inst in corpus]
+        cases += [(solve_dst, out_star(seed, kind, 1 + seed % 4)) for seed in range(10) for kind in OUT_STAR_KINDS]
+        cases += [
+            (_solve_path_union, generate_hardness_instance(random_psi_host(pattern, seed)).dsn)
+            for pattern in (K4, K33)
+            for seed in (1, 2, 3)
+        ]
+        for solve, inst in cases:
+            r = solve(inst)
             if r.feasible:
                 assert validate(inst, r.optimum) is None
                 assert is_inclusion_minimal(inst, r.optimum)
@@ -487,6 +498,38 @@ class TestSelfChecks:
         monkeypatch.setattr(solvers, "_finish", off_by_one)
         with pytest.raises(InvariantError, match="witness cost"):
             solve_dst(DsnInstance(g, {(0, 1), (0, 2)}))
+
+    def test_result_violating_a_request_raises(self):
+        g = WeightedDigraph(range(3), {(0, 1): 1, (1, 2): 1})
+        with pytest.raises(InvariantError, match="x solution violates request 0->2"):
+            _finish(DsnInstance(g, {(0, 2)}), set(), 0, "x")
+
+    def test_finish_returns_the_arcs_it_was_given(self):
+        # (0, 2) and (2, 1) are redundant next to (0, 1); minimizing would drop them
+        g = WeightedDigraph(range(4), {(0, 1): 1, (0, 2): 3, (2, 1): 3, (1, 3): 1})
+        inst = DsnInstance(g, {(0, 1)})
+        r = _finish(inst, set(g.arcs()) - {(1, 3)}, 5, "x")
+        assert r.optimum.arcs == frozenset({(0, 1), (0, 2), (2, 1)})
+        assert r.optimum.pinned == frozenset(inst.terminals)
+        assert r.cost == 7 and r.node_count == 5 and r.method == "x"
+
+    def test_no_solve_path_minimizes(self, monkeypatch):
+        calls = []
+        minimize_graph = dsn.minimize_graph
+
+        def counted(graph, requests):
+            calls.append(graph)
+            return minimize_graph(graph, requests)
+
+        monkeypatch.setattr(dsn, "minimize_graph", counted)
+        for inst in random_instances(5, base_seed=50):
+            solve_exhaustive(inst)
+            solve_bnb(inst)
+            solve_with_certificate(inst)
+        solve_dst(out_star(0, "int", 3))
+        for seed in (1, 2):
+            decide_psi_via_dsn(generate_hardness_instance(random_psi_host(K4, seed)))
+        assert calls == []
 
     def test_one_engine_registry(self):
         from dsnkit import cli
