@@ -394,26 +394,27 @@ def avoiding_path(g: WeightedDigraph, s: int, t: int, avoid: Iterable[int]) -> O
 
 def all_simple_paths(g: WeightedDigraph, s: int, t: int) -> List[DirectedPath]:
     """Every simple directed s-t path, in DFS order with ascending neighbor
-    ids.  Desk-scale oracle helper."""
+    ids, on an explicit stack.  Desk-scale oracle helper."""
     g._check_vertex(s)
     g._check_vertex(t)
+    if s == t:
+        return [DirectedPath((s,))]
     out: List[DirectedPath] = []
     seq = [s]
     on_path = {s}
-
-    def walk(u: int) -> None:
-        if u == t:
-            out.append(DirectedPath(tuple(seq)))
-            return
-        for v in g.out_neighbors(u):
-            if v not in on_path:
-                seq.append(v)
-                on_path.add(v)
-                walk(v)
-                on_path.discard(v)
-                seq.pop()
-
-    walk(s)
+    # One iterator over the out-neighbors of each vertex on seq.
+    frames = [iter(g.out_neighbors(s))]
+    while frames:
+        v = next(frames[-1], None)
+        if v is None:
+            frames.pop()
+            on_path.discard(seq.pop())
+        elif v == t:
+            out.append(DirectedPath((*seq, t)))
+        elif v not in on_path:
+            seq.append(v)
+            on_path.add(v)
+            frames.append(iter(g.out_neighbors(v)))
     return out
 
 

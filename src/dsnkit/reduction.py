@@ -317,9 +317,10 @@ def decide_psi_via_dsn(out: ReductionOutput) -> bool:
     """Solve a generated hardness instance exactly and compare the optimum
     to its threshold.
 
-    The engine exhausts per-request path combinations, which is fast on
-    generated instances because their stratified shape leaves each request
-    only a handful of simple paths."""
+    The engine exhausts per-request path combinations under the shared-arc
+    lower bound of `solvers._solve_path_union` (its `nodes` count the stack
+    entries popped), which is fast on generated instances because their
+    stratified shape leaves each request only a handful of simple paths."""
     result = _solve_path_union(out.dsn)
     if not result.feasible:
         return False

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Set, Tuple
 
 from .dsn import DsnInstance, SolutionSubgraph, validate, violated_request
 from .errors import CapacityError, DomainError, InvariantError
-from .graphs import Arc, DirectedPath, all_simple_paths
+from .graphs import Arc, all_simple_paths
 from .structure import TreewidthCertificate, certify_treewidth_bound
 
 EXHAUSTIVE_MAX_ARCS = 24
@@ -25,6 +26,8 @@ DST_MAX_LEAVES = 12
 # A request's bound in `solve_bnb`: (s, t, distance, arcs of the path as a
 # bitmask, vertices settled before t).
 Bound = Tuple[int, int, int, int, Set[int]]
+# A simple path in `_solve_path_union`: (arc bit, scaled weight) per arc.
+PathArcs = Tuple[Tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -75,22 +78,29 @@ def _weight_scale(weights: Dict[Arc, Fraction]) -> int:
 # exhaustive oracle
 
 
-def _request_paths(inst: DsnInstance) -> List[List[DirectedPath]]:
-    """All simple paths per request, cheapest first, requests sorted."""
+def _request_paths(inst: DsnInstance, arcs: List[Arc], iw: List[int]) -> List[List[PathArcs]]:
+    """All simple paths per request as (arc bit, scaled weight) tuples over
+    the sorted `arcs`, cheapest first then by vertices, requests sorted."""
+    ids = {a: i for i, a in enumerate(arcs)}
     out = []
     for s, t in inst.sorted_requests():
-        paths = all_simple_paths(inst.host, s, t)
-        paths.sort(key=lambda p: (sum(inst.host.weight(u, v) for u, v in p.arcs()), p.vertices))
-        out.append(paths)
+        keyed = []
+        for p in all_simple_paths(inst.host, s, t):
+            path = tuple((1 << ids[a], iw[ids[a]]) for a in p.arcs())
+            keyed.append((sum(w for _, w in path), p.vertices, path))
+        keyed.sort(key=lambda k: k[:2])
+        out.append([path for _, _, path in keyed])
     return out
 
 
 def solve_exhaustive(inst: DsnInstance) -> SolveResult:
     """Exact optimum by exhausting combinations of one simple path per
-    request (every minimal solution is such a union), with cost pruning.
+    request (every minimal solution is such a union), pruned by the
+    shared-arc lower bound of `_solve_path_union`.
 
     Agrees with the plain subset scan everywhere both run; this form stays
-    inside the arc cap without visiting all 2^m subsets."""
+    inside the arc cap without visiting all 2^m subsets.  `nodes` counts
+    the search's stack entries popped, pruned ones included."""
     if inst.host.m > EXHAUSTIVE_MAX_ARCS:
         raise CapacityError(
             f"host has {inst.host.m} arcs; exhaustive cap is {EXHAUSTIVE_MAX_ARCS}"
@@ -100,39 +110,55 @@ def solve_exhaustive(inst: DsnInstance) -> SolveResult:
 
 def _solve_path_union(inst: DsnInstance) -> SolveResult:
     """Uncapped path-union search; suitable whenever simple paths per
-    request stay few (e.g. stratified generated instances)."""
+    request stay few (e.g. stratified generated instances).
+
+    A depth-first search over the requests in sorted order picks one path
+    per request, cheapest first, on an explicit stack; `nodes` counts the
+    entries popped.  Arc sets are bitmasks over arc ids and weights are
+    scaled to integers.  Shared-arc lower bound: each arc's weight is split
+    evenly among the `users` requests having some path through it, so the
+    requests still to route cost at least the sum, over each, of its
+    cheapest path in split weights with the chosen arcs free.  A node whose
+    cost plus that bound reaches the incumbent is pruned.  The bound never
+    overestimates, so the result is the first optimal leaf in DFS order."""
     if not inst.requests:
         return _finish(inst, set(), 1, "exhaustive")
     if violated_request(inst.host, inst.requests) is not None:
         return _infeasible("exhaustive")
-    per_request = _request_paths(inst)
     weights = inst.host.arcs()
-    best_cost: Optional[Fraction] = None
-    best_arcs: Optional[Set[Arc]] = None
+    arcs = sorted(weights)
+    scale = _weight_scale(weights)
+    per_request = _request_paths(inst, arcs, [int(weights[a] * scale) for a in arcs])
+    users = Counter(bit for paths in per_request for bit in {bit for path in paths for bit, _ in path})
+    # Costs are scaled once more by L, the lcm of the user counts, so every
+    # split weight w * L / users is an integer.
+    L = math.lcm(*users.values())
+    split = [[tuple((bit, w * L // users[bit]) for bit, w in path) for path in paths] for paths in per_request]
+    # Each request's paths with their arc masks, in push order.
+    pushes = [[(sum(bit for bit, _ in path), path) for path in reversed(paths)] for paths in per_request]
+
+    def rest(i: int, chosen: int) -> int:
+        return sum(min(sum(w for bit, w in path if not chosen & bit) for path in paths) for paths in split[i:])
+
+    # Every request has a path (checked above) and nothing is pruned before
+    # the first leaf, so best is set once the search ends.
+    best: Optional[int] = None
+    best_arcs = 0
     nodes = 0
-
-    def go(i: int, chosen: Set[Arc], cost: Fraction) -> None:
-        nonlocal best_cost, best_arcs, nodes
+    # Entries: (requests routed, chosen arcs, their cost times L).
+    stack = [(0, 0, 0)]
+    while stack:
+        i, chosen, cost = stack.pop()
         nodes += 1
-        if best_cost is not None and cost >= best_cost:
-            return
+        if best is not None and cost + rest(i, chosen) >= best:
+            continue
         if i == len(per_request):
-            best_cost = cost
-            best_arcs = set(chosen)
-            return
-        for path in per_request[i]:
-            extra = [a for a in path.arcs() if a not in chosen]
-            add = sum((weights[a] for a in extra), Fraction(0))
-            if best_cost is not None and cost + add >= best_cost:
-                continue
-            chosen.update(extra)
-            go(i + 1, chosen, cost + add)
-            chosen.difference_update(extra)
-
-    go(0, set(), Fraction(0))
-    if best_arcs is None:
-        return _infeasible("exhaustive", nodes)
-    return _finish(inst, best_arcs, nodes, "exhaustive")
+            best, best_arcs = cost, chosen
+            continue
+        for mask, path in pushes[i]:
+            add = sum(w for bit, w in path if not chosen & bit)
+            stack.append((i + 1, chosen | mask, cost + add * L))
+    return _finish(inst, {a for i, a in enumerate(arcs) if best_arcs >> i & 1}, nodes, "exhaustive")
 
 
 # ---------------------------------------------------------------------------

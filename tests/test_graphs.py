@@ -229,6 +229,25 @@ class TestPaths:
         with pytest.raises(InputError):
             DirectedPath((0, 1, 0))
 
+    @settings(max_examples=40, deadline=None)
+    @given(digraphs())
+    def test_all_simple_paths_matches_recursive_dfs(self, g):
+        """[DERIVED: the recursive walk the explicit stack replaced]"""
+
+        def walk(seq, t, out):
+            if seq[-1] == t:
+                out.append(tuple(seq))
+                return
+            for v in g.out_neighbors(seq[-1]):
+                if v not in seq:
+                    walk(seq + [v], t, out)
+
+        for s in g.vertices:
+            for t in g.vertices:
+                expected = []
+                walk([s], t, expected)
+                assert [p.vertices for p in all_simple_paths(g, s, t)] == expected
+
 
 class TestDiameter:
     def test_path_graph(self):

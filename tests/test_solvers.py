@@ -14,7 +14,7 @@ from dsnkit.dsn import DsnInstance, is_inclusion_minimal, validate, violated_req
 from dsnkit import dsn, solvers
 from dsnkit.errors import CapacityError, DomainError, InvariantError
 from dsnkit.generators import gen_grid, gen_random
-from dsnkit.graphs import WeightedDigraph, shortest_path
+from dsnkit.graphs import WeightedDigraph, all_simple_paths, shortest_path
 from dsnkit.reduction import decide_psi_via_dsn, generate_hardness_instance
 from dsnkit.solvers import (
     _finish,
@@ -27,7 +27,7 @@ from dsnkit.solvers import (
     solve_with_certificate,
 )
 
-from conftest import K33, K4, OUT_STAR_KINDS, digraphs, out_star, random_instance, random_instances, random_psi_host
+from conftest import CUBE, K33, K4, OUT_STAR_KINDS, digraphs, out_star, random_instance, random_instances, random_psi_host
 
 SUBSET_SCAN_MAX_ARCS = 20
 
@@ -235,7 +235,50 @@ def solve_dst_all_pairs(inst):
     return result
 
 
-def dst_outcome(result):
+def solve_path_union_recursive(inst):
+    """The recursive path-union search that `_solve_path_union` replaced: one
+    call per request level, Fraction costs and pruning on the cost chosen so
+    far only.  Reference for the optimum and for its tie-breaking: the first
+    optimal leaf in DFS order, paths cheapest first, then by vertices."""
+    if not inst.requests:
+        return _finish(inst, set(), 1, "exhaustive")
+    if violated_request(inst.host, inst.requests) is not None:
+        return _infeasible("exhaustive")
+    weights = inst.host.arcs()
+    per_request = []
+    for s, t in inst.sorted_requests():
+        paths = all_simple_paths(inst.host, s, t)
+        paths.sort(key=lambda p: (sum(weights[a] for a in p.arcs()), p.vertices))
+        per_request.append(paths)
+    best_cost = None
+    best_arcs = None
+    nodes = 0
+
+    def go(i, chosen, cost):
+        nonlocal best_cost, best_arcs, nodes
+        nodes += 1
+        if best_cost is not None and cost >= best_cost:
+            return
+        if i == len(per_request):
+            best_cost = cost
+            best_arcs = set(chosen)
+            return
+        for path in per_request[i]:
+            extra = [a for a in path.arcs() if a not in chosen]
+            add = sum((weights[a] for a in extra), Fraction(0))
+            if best_cost is not None and cost + add >= best_cost:
+                continue
+            chosen.update(extra)
+            go(i + 1, chosen, cost + add)
+            chosen.difference_update(extra)
+
+    go(0, set(), Fraction(0))
+    if best_arcs is None:
+        return _infeasible("exhaustive", nodes)
+    return _finish(inst, best_arcs, nodes, "exhaustive")
+
+
+def optimum_outcome(result):
     return result.feasible, result.cost, sorted(result.optimum.arcs) if result.optimum else None
 
 
@@ -310,6 +353,44 @@ class TestExhaustive:
             if a.feasible:
                 assert a.cost == b.cost
             checked += 1
+
+
+HARDNESS_CORPUS = [
+    generate_hardness_instance(random_psi_host(pattern, seed)).dsn
+    for pattern in (K4, K33, CUBE)
+    for seed in range(8)
+]
+
+
+class TestPathUnion:
+    @pytest.mark.parametrize(
+        "inst",
+        REFERENCE_CORPUS
+        + [with_fractional_weights(inst, seed) for seed, inst in enumerate(REFERENCE_CORPUS)]
+        + HARDNESS_CORPUS,
+    )
+    def test_matches_recursive_reference(self, inst):
+        assert optimum_outcome(_solve_path_union(inst)) == optimum_outcome(solve_path_union_recursive(inst))
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=digraphs(max_n=6), data=st.data())
+    def test_matches_recursive_reference_on_random_digraphs(self, g, data):
+        pairs = [(s, t) for s in range(g.n) for t in range(g.n) if s != t]
+        requests = data.draw(st.sets(st.sampled_from(pairs), min_size=1, max_size=4))
+        inst = DsnInstance(g, requests)
+        assert optimum_outcome(_solve_path_union(inst)) == optimum_outcome(solve_path_union_recursive(inst))
+
+    def test_shared_arc_bound_cuts_the_tail(self):
+        # The reference visits 23,538 nodes; the optimum equals the threshold.
+        out = generate_hardness_instance(random_psi_host(K4, 0))
+        r = _solve_path_union(out.dsn)
+        assert r.cost == out.threshold and r.node_count <= 500
+
+    def test_path_longer_than_the_recursion_limit(self):
+        m = sys.getrecursionlimit() + 1
+        g = WeightedDigraph(range(m + 1), {(i, i + 1): 1 for i in range(m)})
+        r = _solve_path_union(DsnInstance(g, {(0, m)}))
+        assert r.feasible and r.cost == m and len(r.optimum.arcs) == m
 
 
 class TestBranchAndBound:
@@ -402,7 +483,7 @@ class TestDst:
         for seed in range(630):
             inst = out_star(seed, OUT_STAR_KINDS[seed % 4], 1 + seed // 4 % 6)
             got = solve_dst(inst)
-            assert dst_outcome(got) == dst_outcome(solve_dst_all_pairs(inst)), seed
+            assert optimum_outcome(got) == optimum_outcome(solve_dst_all_pairs(inst)), seed
             feasible += got.feasible
         assert feasible >= 400
 
@@ -413,7 +494,7 @@ class TestDst:
         others = [v for v in g.vertices if v != root]
         leaves = data.draw(st.sets(st.sampled_from(others), min_size=1, max_size=4))
         inst = DsnInstance(g, {(root, t) for t in leaves})
-        assert dst_outcome(solve_dst(inst)) == dst_outcome(solve_dst_all_pairs(inst))
+        assert optimum_outcome(solve_dst(inst)) == optimum_outcome(solve_dst_all_pairs(inst))
 
     def test_path_longer_than_the_recursion_limit(self):
         m = sys.getrecursionlimit() + 1
