@@ -1,8 +1,8 @@
 """Command-line surface: solve, analyze, reduce, gen, bench.
 
 Exit codes: 0 solved/ok, 1 bench disagreement, 2 infeasible, 3 capacity cap
-exceeded, 4 domain/input error, 5 toolkit bug (a failed runtime self-check).
-Every command takes `--json`.
+exceeded, 4 domain/input error (unreadable files too), 5 toolkit bug (a failed
+runtime self-check).  Every command takes `--json`.
 """
 
 from __future__ import annotations
@@ -35,10 +35,14 @@ EXIT_BUG = 5
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path) as fh:
-        return fh.read()
+    """Read `path` as UTF-8 ("-" reads stdin); unreadable input is an InputError."""
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
 
 
 def _write(path: Optional[str], text: str) -> None:
@@ -72,7 +76,11 @@ def cmd_solve(args) -> int:
 
 def cmd_analyze(args) -> int:
     inst, meta = parse_dsn(_read(args.file))
-    genus = int(meta.get("genus", args.genus))
+    genus = meta.get("genus", args.genus)
+    try:
+        genus = int(genus)
+    except ValueError:
+        raise InputError(f"genus must be an integer, got {genus!r}") from None
     t0 = time.perf_counter()
     result, cert = solve_with_certificate(inst, declared_genus=genus, engine=args.engine)
     elapsed = time.perf_counter() - t0

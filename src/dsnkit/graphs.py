@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Container, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Container, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from .errors import CapacityError, DomainError, InputError
 
@@ -492,25 +492,6 @@ def treewidth_upper_bound(g: UndirectedGraph) -> int:
     if g.n == 0:
         return 0
     return _greedy_min_fill_order(g)[0]
-
-
-def elimination_width(g: UndirectedGraph, order: Sequence[int]) -> int:
-    """Width of a given elimination order (with fill-in); independent checker."""
-    if sorted(order) != sorted(g.vertices):
-        raise InputError("order must be a permutation of the vertices")
-    adj: Dict[int, Set[int]] = {v: set(g.adjacent(v)) for v in g.vertices}
-    width = 0
-    for v in order:
-        ns = sorted(adj[v])
-        width = max(width, len(ns))
-        for i, a in enumerate(ns):
-            for b in ns[i + 1 :]:
-                adj[a].add(b)
-                adj[b].add(a)
-        for a in ns:
-            adj[a].discard(v)
-        del adj[v]
-    return width
 
 
 def _component_tw_dp(vertices: List[int], adj_mask: Dict[int, int], bit: Dict[int, int]) -> Tuple[int, List[int]]:

@@ -158,25 +158,28 @@ class LadderVerdict:
     reason: str = ""
 
 
+def _corner_failure(K: WeightedDigraph, x: int, y: int, names: str) -> Optional[str]:
+    """The bullets of boundary pair `names` ("ab" or "cd") with roles (x, y)."""
+    if x == y:
+        return None
+    p, q = names
+    if not K.has_arc(x, y):
+        return f"arc {names} missing"
+    if K.in_neighbors(y) != (x,):
+        return f"{p} is not the only in-neighbor of {q}"
+    if K.out_neighbors(x) != (y,):
+        return f"{q} is not the only out-neighbor of {p}"
+    return None
+
+
 def _hypotheses_failure(K: WeightedDigraph, a: int, b: int, c: int, d: int) -> Optional[str]:
     """Check the four hypothesis bullets; returns the failing one or None."""
     for v in (a, b, c, d):
         if not K.has_vertex(v):
             return f"boundary vertex {v} missing"
-    if a != b:
-        if not K.has_arc(a, b):
-            return "arc ab missing"
-        if K.in_neighbors(b) != (a,):
-            return "a is not the only in-neighbor of b"
-        if K.out_neighbors(a) != (b,):
-            return "b is not the only out-neighbor of a"
-    if c != d:
-        if not K.has_arc(c, d):
-            return "arc cd missing"
-        if K.in_neighbors(d) != (c,):
-            return "c is not the only in-neighbor of d"
-        if K.out_neighbors(c) != (d,):
-            return "d is not the only out-neighbor of c"
+    fail = _corner_failure(K, a, b, "ab") or _corner_failure(K, c, d, "cd")
+    if fail:
+        return fail
     if not reaches(K, a, d):
         return "no directed path from a to d"
     if not reaches(K, c, b):
@@ -216,13 +219,19 @@ def is_ladder_subdivision(K: WeightedDigraph, a: int, b: int, c: int, d: int) ->
     """Decide whether K with boundary roles (a, b, c, d) is a subdivision of
     a ladder, by the suppress-and-peel procedure.
 
-    K is checked against the hypotheses and suppressed once.  Each peel
-    level then removes the (a, b) column and checks the hypotheses on the
-    rest with roles (b', a', c, d).  Suppression keeps the hypotheses, and
-    peeling changes degrees only at the new corners, so no later level has
-    anything left to suppress.  A rejection at peel level k carries k
-    "peel: " prefixes.  The reported length is the length of the suppressed
-    core ladder."""
+    K is checked against the hypotheses and suppressed once.  The hypotheses
+    join the (a, b) column to the rest only by the rails abar -> a and
+    b -> bbar, so peeling it leaves roles (bbar, abar, c, d): every a->d
+    path becomes a bbar->d path and every c->b path a c->abar path, both
+    avoiding the column.  So reachability, inclusion-minimality and "no
+    isolated vertex" carry over, the (c, d) bullets are untouched while the
+    pairs do not overlap, and degrees change only at the new corner, so
+    nothing needs suppressing again.  Only the last peeled column touches
+    the new corner, by rails that neither enter abar nor leave bbar.  So
+    each level walks the suppressed graph in place: it finds the rails in
+    neighbour sets minus the column just peeled and checks only the new
+    (a, b) pair.  A rejection at peel level k carries k "peel: " prefixes;
+    the length is that of the suppressed core ladder."""
     peeled = 0
 
     def reject(reason: str) -> LadderVerdict:
@@ -232,31 +241,24 @@ def is_ladder_subdivision(K: WeightedDigraph, a: int, b: int, c: int, d: int) ->
     if fail is not None:
         return reject(fail)
     g = _suppress_outside(K, {a, b, c, d})
-    while g.n > 4:
+    n, column = g.n, set()
+    while n > 4:
         if {a, b} & {c, d}:
             return reject("boundary pairs overlap in a large graph")
-        # Peel the (a, b) column; the hypotheses leave a and b no arcs into
-        # the rest except a's in-arc and b's out-arc.
-        if a != b:
-            a_in = set(g.in_neighbors(a)) - {b}
-            b_out = set(g.out_neighbors(b)) - {a}
-            if len(a_in) != 1 or len(b_out) != 1:
-                return reject("corner column is not attached by two rails")
-            abar, bbar = next(iter(a_in)), next(iter(b_out))
-        else:
-            a_in = set(g.in_neighbors(a))
-            a_out = set(g.out_neighbors(a))
-            if len(a_in) != 1 or len(a_out) != 1:
-                return reject("identified corner is not attached by two rails")
-            abar, bbar = next(iter(a_in)), next(iter(a_out))
-            if abar == bbar:
-                return reject("identified corner attached to a single vertex")
-        g, a, b = g.without_vertices({a, b}), bbar, abar
+        a_in = set(g.in_neighbors(a)) - column - {b}
+        b_out = set(g.out_neighbors(b)) - column - {a}
+        if len(a_in) != 1 or len(b_out) != 1:
+            return reject(("identified corner" if a == b else "corner column") + " is not attached by two rails")
+        (abar,), (bbar,) = a_in, b_out
+        if a == b and abar == bbar:
+            return reject("identified corner attached to a single vertex")
+        column, a, b = {a, b}, bbar, abar
+        n -= len(column)
         peeled += 1
-        fail = _hypotheses_failure(g, a, b, c, d)
+        fail = _corner_failure(g, a, b, "ab")
         if fail is not None:
             return reject(fail)
-    return LadderVerdict(True, (1 if g.n == 1 else 2) + peeled)
+    return LadderVerdict(True, (1 if n == 1 else 2) + peeled)
 
 
 def is_outerplanar(u: UndirectedGraph) -> bool:

@@ -131,6 +131,12 @@ class TestAnalyze:
         payload = json.loads(capsys.readouterr().out)
         assert payload["certificate"]["report"]["replacements"] >= 1
 
+    def test_non_integer_genus_is_input_error(self, ladder_file, tmp_path, capsys):
+        path = tmp_path / "genus.dsn"
+        path.write_text(ladder_file.read_text() + "c genus abc\n")
+        assert main(["analyze", str(path)]) == 4
+        assert capsys.readouterr().err == "error: genus must be an integer, got 'abc'\n"
+
     def test_analyze_long_out_star_path(self, tmp_path, capsys):
         m = 400
         g = WeightedDigraph(range(m + 1), {(i, i + 1): 1 for i in range(m)})
@@ -158,6 +164,18 @@ class TestReduce:
         assert main(["solve", str(out_path), "--engine", "bnb", "--json"]) == 0
         solved = json.loads(capsys.readouterr().out)
         assert solved["cost"] == [26, 1]
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "non-utf8"])
+def test_unreadable_input_is_input_error(tmp_path, capsys, kind):
+    path = tmp_path / "input"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "non-utf8":
+        path.write_bytes(b"c name \xff\xfe\np dsn 1 0 0 0\n")
+    for command in ("solve", "analyze", "reduce"):
+        assert main([command, str(path)]) == 4
+        assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
 
 
 class TestBench:

@@ -11,7 +11,6 @@ from dsnkit.graphs import (
     all_simple_paths,
     avoiding_path,
     diameter,
-    elimination_width,
     reaches,
     search,
     shortest_path,
@@ -20,6 +19,25 @@ from dsnkit.graphs import (
 )
 
 from conftest import digraphs
+
+
+def elimination_width(g, order):
+    """Width of a given elimination order (with fill-in); an independent
+    checker for the witness orders of `treewidth_exact`."""
+    assert sorted(order) == sorted(g.vertices), "order must be a permutation of the vertices"
+    adj = {v: set(g.adjacent(v)) for v in g.vertices}
+    width = 0
+    for v in order:
+        ns = sorted(adj[v])
+        width = max(width, len(ns))
+        for i, a in enumerate(ns):
+            for b in ns[i + 1 :]:
+                adj[a].add(b)
+                adj[b].add(a)
+        for a in ns:
+            adj[a].discard(v)
+        del adj[v]
+    return width
 
 
 def reaches_by_dfs(g, s, t, forbidden=(), skip_arc=None):

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -274,19 +275,52 @@ class TestRecognizer:
 
     @pytest.mark.parametrize("level", [0, 1, 5, 17])
     def test_rejection_at_peel_level_k_has_k_prefixes(self, level, monkeypatch):
-        # Each peel level removes one column (two vertices) of the ladder.
+        # Peel level k checks the corner of column k + 1.
         spec = LadderSpec(20, frozenset())
-        original = ladders._hypotheses_failure
+        column = {spec.a(level + 1), spec.b(level + 1)}
+        original = ladders._corner_failure
 
-        def fail_from_level(K, a, b, c, d):
-            if K.n <= 2 * (spec.n - level):
+        def fail_at_column(K, x, y, names):
+            if {x, y} == column:
                 return "stop"
-            return original(K, a, b, c, d)
+            return original(K, x, y, names)
 
-        monkeypatch.setattr(ladders, "_hypotheses_failure", fail_from_level)
+        monkeypatch.setattr(ladders, "_corner_failure", fail_at_column)
         verdict = is_ladder_subdivision(make_ladder(spec), *corner_roles(spec))
         assert verdict == LadderVerdict(False, 0, "peel: " * level + "stop")
 
+    def test_checks_hypotheses_once_and_rebuilds_no_graph(self, monkeypatch):
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(ladders, "_hypotheses_failure", counted("hypotheses", ladders._hypotheses_failure))
+        monkeypatch.setattr(
+            WeightedDigraph, "without_vertices", counted("without_vertices", WeightedDigraph.without_vertices)
+        )
+        spec = LadderSpec(20)
+        assert is_ladder_subdivision(make_ladder(spec), *corner_roles(spec)) == LadderVerdict(True, 20)
+        assert calls["hypotheses"] == 1
+        assert calls["without_vertices"] == 0
+
+    def test_matches_reference_on_every_small_ladder(self):
+        """[DERIVED: reference recognizer on every ladder with n <= 8, under
+        every order of its four corners]"""
+        cases = 0
+        for n in range(1, 9):
+            for size in range(n + 1):
+                for ident in itertools.combinations(range(1, n + 1), size):
+                    spec = LadderSpec(n, ident)
+                    g = make_ladder(spec)
+                    for roles in sorted(set(itertools.permutations(ladder_corners(spec)))):
+                        got = is_ladder_subdivision(g, *roles)
+                        assert got == reference_is_ladder_subdivision(g, *roles), (spec, roles)
+                        cases += 1
+        assert cases == 6865
 
     @settings(max_examples=400, deadline=None)
     @given(perturbed_ladders())
