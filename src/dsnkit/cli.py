@@ -46,11 +46,16 @@ def _read(path: str) -> str:
 
 
 def _write(path: Optional[str], text: str) -> None:
+    """Write `text` to `path` (None or "-" writes stdout); an unwritable
+    path is an InputError."""
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
 
 
 def _print_result(result: SolveResult, elapsed: float, as_json: bool) -> None:

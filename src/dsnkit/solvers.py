@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,9 +24,9 @@ from .structure import TreewidthCertificate, certify_treewidth_bound
 EXHAUSTIVE_MAX_ARCS = 24
 DST_MAX_LEAVES = 12
 
-# A request's bound in `solve_bnb`: (s, t, distance, arcs of the path as a
-# bitmask, vertices settled before t).
-Bound = Tuple[int, int, int, int, Set[int]]
+# A request's bound in `solve_bnb`: (s, t, distance, the path attaining it).
+Bound = Tuple[int, int, int, "_BoundPath"]
+_distance = operator.itemgetter(2)
 # A simple path in `_solve_path_union`: (arc bit, scaled weight) per arc.
 PathArcs = Tuple[Tuple[int, int], ...]
 
@@ -165,22 +166,64 @@ def _solve_path_union(inst: DsnInstance) -> SolveResult:
 # branch and bound
 
 
+class _BoundPath:
+    """The path attaining a request's bound in `solve_bnb`: its arcs as a
+    bitmask, the vertices Dijkstra settled before reaching t (a superset of
+    those closer than the bound) and the excluded arcs it was found under.
+    `bridges` holds the arcs of the path known to lie on every s-t path
+    avoiding those excluded arcs.  It stays 0 until `failures`, the
+    exclusions of path arcs that left t unreachable, reaches
+    BRIDGE_AFTER_FAILURES."""
+
+    __slots__ = ("path", "near", "excluded", "bridges", "failures")
+
+    def __init__(self, path: int, near: Set[int], excluded: int) -> None:
+        self.path = path
+        self.near = near
+        self.excluded = excluded
+        self.bridges = 0
+        self.failures = 0
+
+
+# Exclusions of a recorded path's arcs that must fail before its bridges are
+# computed.  The search costs about one Dijkstra, won back only if later
+# exclusions on the path fail too.  A long path's arcs all fail; the paths of
+# small random hosts rarely fail twice, and a ladder's never fail a fourth
+# time (at 3, 845 searches on the analyze corpus saved no Dijkstra).
+BRIDGE_AFTER_FAILURES = 4
+
+
 def solve_bnb(inst: DsnInstance) -> SolveResult:
-    """Branch on arcs by ascending id (include branch first).
+    """Branch and bound on the arcs of the bound path.
 
     Lower bound at a node: cost of included arcs plus the largest
-    shortest-path cost over unsatisfied requests, with included arcs free and
-    excluded arcs removed.  The bound ignores sharing between requests, so it
-    never overestimates.  Internally weights are scaled to integers to keep
-    the inner Dijkstra cheap; reported costs are exact rationals.
+    shortest-path cost d over unsatisfied requests, with included arcs free
+    and excluded arcs removed.  The bound ignores sharing between requests,
+    so it never overestimates.  Internally weights are scaled to integers to
+    keep the inner Dijkstra cheap; reported costs are exact rationals.
+
+    Branching: take the unsatisfied request with the largest d (the first in
+    sorted order on ties) and the smallest-id arc of its recorded path that
+    is not yet included; the include child comes first, then the exclude
+    child.  The search stays complete: the path avoids the excluded arcs and
+    included arcs on it are free, so d > 0 means it has an undecided arc.
+    A leaf is reached once every d is 0, and its arcs are the included ones.
+
+    Tie-break: a node is pruned only when its bound exceeds the incumbent,
+    so every optimal arc set is reached as a leaf (weights are positive, so
+    an optimum is inclusion-minimal).  An equal-cost leaf replaces the
+    incumbent when the lowest arc id on which the two differ is its own.
+    The result is the optimum whose indicator vector over ascending arc ids
+    is lexicographically greatest, in whatever order the leaves come.
 
     The search runs on an explicit stack, and each node derives its state
-    from its parent's.  Arc sets are bitmasks over arc ids.  Every unsatisfied
-    request keeps its bound d, the arcs of the path that attains it and the
-    vertices Dijkstra settled before reaching t (a superset of those closer
-    than d).  A child reruns Dijkstra only where these exact rules fail:
+    from its parent's.  Arc sets are bitmasks over arc ids.  Every
+    unsatisfied request keeps its bound d and the `_BoundPath` that attains
+    it.  A child reruns Dijkstra only where these exact rules fail:
 
     - excluding an arc off the recorded path leaves d unchanged;
+    - excluding a known bridge of the recorded path makes the child
+      infeasible, since more excluded arcs leave a bridge a bridge;
     - including an arc of weight w on the recorded path makes it d - w;
     - including an arc whose tail was not settled before t leaves d
       unchanged, since any path through it already costs at least d.
@@ -191,13 +234,12 @@ def solve_bnb(inst: DsnInstance) -> SolveResult:
         return _finish(inst, set(), 1, "bnb")
     if violated_request(inst.host, inst.requests) is not None:
         return _infeasible("bnb")
-    host = inst.host
-    arcs = sorted(host.arcs())
-    weights = host.arcs()
+    weights = inst.host.arcs()
+    arcs = sorted(weights)
 
     scale = _weight_scale(weights)
     iw = [int(weights[a] * scale) for a in arcs]
-    adj: Dict[int, List[Tuple[int, int, int]]] = {v: [] for v in host.vertices}
+    adj: Dict[int, List[Tuple[int, int, int]]] = {v: [] for v in inst.host.vertices}
     for i, (u, v) in enumerate(arcs):
         adj[u].append((v, iw[i], 1 << i))
 
@@ -215,7 +257,7 @@ def solve_bnb(inst: DsnInstance) -> SolveResult:
                 while u != s:
                     u, bit = pred[u]
                     path |= bit
-                return s, t, d, path, near
+                return s, t, d, _BoundPath(path, near, excluded)
             if d > dist[u]:
                 continue
             near.add(u)
@@ -229,29 +271,65 @@ def solve_bnb(inst: DsnInstance) -> SolveResult:
                     heapq.heappush(heap, (nd, v))
         return None
 
-    def derive(parent: List[Bound], idx: int, included: int, excluded: int) -> Optional[List[Bound]]:
+    def bridges(s: int, t: int, rec: _BoundPath) -> int:
+        """The arcs of rec's path that every s-t path avoiding rec.excluded
+        uses.  With e_0 .. e_k the path's arcs from s, e_i is one exactly
+        when s reaches no vertex after it on the path without e_i .. e_k.
+        Those reachable sets grow with i, so one search, extended arc by arc
+        and only as far as each answer needs, finds them all."""
+        steps = []  # (arc bit, head) along the path from s
+        u = s
+        while u != t:
+            u, bit = next((v, bit) for v, _, bit in adj[u] if rec.path & bit)
+            steps.append((bit, u))
+        pos = {v: i for i, (_, v) in enumerate(steps, 1)}
+        blocked = rec.excluded | rec.path
+        seen = {s}
+        stack = [s]
+        far = 0  # the furthest path position among the vertices seen
+        out = 0
+        for i, (bit, head) in enumerate(steps):
+            while stack and far <= i:
+                for v, _, b in adj[stack.pop()]:
+                    if not blocked & b and v not in seen:
+                        seen.add(v)
+                        stack.append(v)
+                        far = max(far, pos.get(v, 0))
+            if far <= i:
+                out |= bit
+            if head not in seen:
+                seen.add(head)
+                stack.append(head)
+        return out
+
+    def derive(parent: List[Bound], i: int, included: int, excluded: int) -> Optional[List[Bound]]:
         """The unsatisfied requests, with bounds, of the child that decided
-        arc idx - 1; None when one of them became unreachable."""
-        if idx == 0:
+        arc i (-1 at the root); None when one of them became unreachable."""
+        if i < 0:
             return parent
-        i = idx - 1
         bit = 1 << i
         missing = []
         if included & bit:
             tail = arcs[i][0]
             for b in parent:
-                s, t, d, path, near = b
-                if path & bit:
-                    b = s, t, d - iw[i], path, near
-                elif tail in near:
+                s, t, d, rec = b
+                if rec.path & bit:
+                    b = s, t, d - iw[i], rec
+                elif tail in rec.near:
                     b = bound(s, t, included, excluded)  # not None: the old path survives
                 if b[2]:
                     missing.append(b)
         else:
             for b in parent:
-                if b[3] & bit:
-                    b = bound(b[0], b[1], included, excluded)
+                s, t, _, rec = b
+                if rec.path & bit:
+                    if rec.bridges & bit:
+                        return None
+                    b = bound(s, t, included, excluded)
                     if b is None:
+                        rec.failures += 1
+                        if rec.failures == BRIDGE_AFTER_FAILURES:
+                            rec.bridges = bridges(s, t, rec)
                         return None
                 missing.append(b)
         return missing
@@ -262,28 +340,30 @@ def solve_bnb(inst: DsnInstance) -> SolveResult:
     best_cost: Optional[int] = None
     best_arcs = 0
     nodes = 0
-    # Entries: (arcs decided, included, excluded, included cost, the parent's
+    # Entries: (arc decided, included, excluded, included cost, the parent's
     # unsatisfied requests with their bounds).
-    stack: List[Tuple[int, int, int, int, List[Bound]]] = [(0, 0, 0, 0, root)]
+    stack: List[Tuple[int, int, int, int, List[Bound]]] = [(-1, 0, 0, 0, root)]
     while stack:
-        idx, included, excluded, inc_cost, parent = stack.pop()
+        i, included, excluded, inc_cost, parent = stack.pop()
         nodes += 1
-        missing = derive(parent, idx, included, excluded)
+        missing = derive(parent, i, included, excluded)
         if missing is None:
             continue  # request unsatisfiable in this subtree
         if not missing:
-            if best_cost is None or inc_cost < best_cost:
+            differ = included ^ best_arcs
+            if best_cost is None or inc_cost < best_cost or inc_cost == best_cost and included & differ & -differ:
                 best_cost = inc_cost
                 best_arcs = included
             continue
-        worst = max(b[2] for b in missing)
-        if best_cost is not None and inc_cost + worst >= best_cost:
+        # max keeps the first of equal bounds, so ties go by sorted request.
+        _, _, worst, rec = max(missing, key=_distance)
+        if best_cost is not None and inc_cost + worst > best_cost:
             continue
-        if idx == len(arcs):
-            continue
-        bit = 1 << idx
-        stack.append((idx + 1, included, excluded | bit, inc_cost, missing))
-        stack.append((idx + 1, included | bit, excluded, inc_cost + iw[idx], missing))
+        free = rec.path & ~included
+        bit = free & -free
+        i = bit.bit_length() - 1
+        stack.append((i, included, excluded | bit, inc_cost, missing))
+        stack.append((i, included | bit, excluded, inc_cost + iw[i], missing))
 
     if best_cost is None:
         return _infeasible("bnb", nodes)

@@ -178,6 +178,20 @@ def test_unreadable_input_is_input_error(tmp_path, capsys, kind):
         assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
 
 
+@pytest.mark.parametrize("command", ["gen", "reduce"])
+def test_unwritable_output_is_input_error(tmp_path, capsys, command):
+    out = tmp_path / "missing" / "x.dsn"
+    if command == "gen":
+        argv = ["gen", "ladder", "6", "-o", str(out)]
+    else:
+        psi_path = tmp_path / "k4.psi"
+        psi_path.write_text(emit_psi(PsiInstance(K4, K4, {i: i for i in range(4)})))
+        argv = ["reduce", str(psi_path), "-o", str(out)]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+
+
 class TestBench:
     def test_bench_all_agree(self, capsys):
         assert main(["bench", "--json"]) == 0

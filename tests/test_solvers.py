@@ -3,6 +3,7 @@ import heapq
 import math
 import random
 import sys
+import time
 from itertools import combinations
 
 import pytest
@@ -59,7 +60,8 @@ def _solve_subset_scan(inst):
 def solve_bnb_recursive(inst):
     """The recursive branch and bound that `solve_bnb` replaced: one call per
     node, each rebuilding its unsatisfied requests and rerunning Dijkstra
-    for every one of them.  Reference for the search tree and its result."""
+    for every one of them.  It branches on arcs by ascending id; reference
+    for the optimum `solve_bnb` returns, not for its search tree."""
     if not inst.requests:
         return _finish(inst, set(), 1, "bnb")
     if violated_request(inst.host, inst.requests) is not None:
@@ -282,11 +284,6 @@ def optimum_outcome(result):
     return result.feasible, result.cost, sorted(result.optimum.arcs) if result.optimum else None
 
 
-def outcome(result):
-    arcs = sorted(result.optimum.arcs) if result.optimum else None
-    return arcs, result.cost, result.node_count, result.feasible
-
-
 def with_fractional_weights(inst, seed):
     rng = random.Random(seed)
     arcs = {a: Fraction(rng.randint(1, 9), rng.randint(1, 4)) for a in sorted(inst.host.arcs())}
@@ -428,9 +425,11 @@ class TestBranchAndBound:
                 assert is_inclusion_minimal(inst, r.optimum)
 
 
+    # The reference branches on arcs by ascending id, so its node counts
+    # differ by design; the optimum it returns must not.
     @pytest.mark.parametrize("inst", REFERENCE_CORPUS)
     def test_matches_recursive_reference(self, inst):
-        assert outcome(solve_bnb(inst)) == outcome(solve_bnb_recursive(inst))
+        assert optimum_outcome(solve_bnb(inst)) == optimum_outcome(solve_bnb_recursive(inst))
 
     @settings(max_examples=60, deadline=None)
     @given(g=digraphs(max_n=6), data=st.data())
@@ -438,13 +437,56 @@ class TestBranchAndBound:
         pairs = [(s, t) for s in range(g.n) for t in range(g.n) if s != t]
         requests = data.draw(st.sets(st.sampled_from(pairs), min_size=1, max_size=4))
         inst = DsnInstance(g, requests)
-        assert outcome(solve_bnb(inst)) == outcome(solve_bnb_recursive(inst))
+        assert optimum_outcome(solve_bnb(inst)) == optimum_outcome(solve_bnb_recursive(inst))
+
+    def test_matches_recursive_reference_on_generated_instances(self):
+        for seed in range(100):
+            inst, _ = gen_random(8, 20, 4, 3, seed=seed)
+            assert optimum_outcome(solve_bnb(inst)) == optimum_outcome(solve_bnb_recursive(inst)), seed
+
+    @pytest.mark.parametrize("q, cost, max_nodes", [(2, 6, 100), (3, 10, 15_000)])
+    def test_grid_node_bounds(self, q, cost, max_nodes):
+        r = solve_bnb(gen_grid(4, 4, q=q, seed=0)[0])
+        assert r.cost == cost and r.node_count <= max_nodes
+
+    def test_equal_cost_optima_keep_the_lexicographically_greatest(self):
+        # 0->2 and 0->1->2 both cost 2.  Over the sorted arcs (0,1), (0,2),
+        # (1,2) their indicator vectors are 010 and 101; Dijkstra records the
+        # direct arc first, so the tie-break has to replace that leaf.
+        g = WeightedDigraph(range(3), {(0, 1): 1, (0, 2): 2, (1, 2): 1})
+        inst = DsnInstance(g, {(0, 2)})
+        r = solve_bnb(inst)
+        assert r.cost == 2 and sorted(r.optimum.arcs) == [(0, 1), (1, 2)]
+        assert optimum_outcome(r) == optimum_outcome(solve_bnb_recursive(inst))
+
+    def test_excluded_arc_that_is_not_a_bridge(self):
+        # Request 0->t records the path 0->1->3->4->...->t.  Excluding its
+        # chain arcs fails often enough for the path's bridges to be computed
+        # before the root's exclude child drops 0->1, which has a detour
+        # through 2.  The optimum takes it, sharing 2->1 with request 2->1.
+        t = solvers.BRIDGE_AFTER_FAILURES + 4
+        arcs = {(0, 1): 2, (0, 2): 1, (2, 1): 2, (1, 3): 1}
+        arcs.update({(v, v + 1): 1 for v in range(3, t)})
+        inst = DsnInstance(WeightedDigraph(range(t + 1), arcs), {(0, t), (2, 1)})
+        r = solve_bnb(inst)
+        assert r.cost == t + 1 and (0, 1) not in r.optimum.arcs
+        assert optimum_outcome(r) == optimum_outcome(solve_bnb_recursive(inst))
 
     def test_path_longer_than_the_recursion_limit(self):
         m = sys.getrecursionlimit() + 1
         g = WeightedDigraph(range(m + 1), {(i, i + 1): 1 for i in range(m)})
         r = solve_bnb(DsnInstance(g, {(0, m)}))
         assert r.feasible and r.cost == m and len(r.optimum.arcs) == m
+
+    def test_long_path_is_linear(self):
+        # Each exclude child fails on a bridge without a Dijkstra; rerunning
+        # one per child made this path take seconds.
+        m = 4_800
+        g = WeightedDigraph(range(m + 1), {(i, i + 1): 1 for i in range(m)})
+        start = time.perf_counter()
+        r = solve_bnb(DsnInstance(g, {(0, m)}))
+        assert r.cost == m and r.node_count == 2 * m + 1
+        assert time.perf_counter() - start < 1.0
 
 
 class TestDst:
