@@ -2,7 +2,8 @@
 
 Exit codes: 0 solved/ok, 1 bench disagreement, 2 infeasible, 3 capacity cap
 exceeded, 4 domain/input error (unreadable files too), 5 toolkit bug (a failed
-runtime self-check).  Every command takes `--json`.
+runtime self-check; `solve`, `analyze` and `reduce` then print the DSN instance
+to stderr as a reproducer).  Every command takes `--json`.
 """
 
 from __future__ import annotations
@@ -73,6 +74,7 @@ def _print_result(result: SolveResult, elapsed: float, as_json: bool) -> None:
 
 def cmd_solve(args) -> int:
     inst, _ = parse_dsn(_read(args.file))
+    args.instance = inst
     t0 = time.perf_counter()
     result = ENGINES[args.engine](inst)
     _print_result(result, time.perf_counter() - t0, args.json)
@@ -81,6 +83,7 @@ def cmd_solve(args) -> int:
 
 def cmd_analyze(args) -> int:
     inst, meta = parse_dsn(_read(args.file))
+    args.instance = inst
     genus = meta.get("genus", args.genus)
     try:
         genus = int(genus)
@@ -116,6 +119,7 @@ def cmd_analyze(args) -> int:
 def cmd_reduce(args) -> int:
     psi, _ = parse_psi(_read(args.file))
     out = generate_hardness_instance(psi)
+    args.instance = out.dsn
     meta = {
         "generator": "hardness-reduction",
         "threshold": str(out.threshold),
@@ -296,6 +300,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         # What is left, InvariantError and InconsistencyError, is a failed
         # self-check: a bug in the toolkit, not in the input.
         print(f"internal error: {exc}", file=sys.stderr)
+        inst = getattr(args, "instance", None)
+        if inst is not None:
+            sys.stderr.write(emit_dsn(inst))
         return EXIT_BUG
 
 

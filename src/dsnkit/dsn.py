@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import FrozenSet, Iterable, List, Optional, Tuple
 
 from .errors import InputError, PreconditionError
-from .graphs import Arc, WeightedDigraph, reaches, search
+from .graphs import Arc, WeightedDigraph, necessary_arcs, reaches, search
 
 Request = Tuple[int, int]
 
@@ -109,14 +109,12 @@ def violated_request(
 
 
 def is_inclusion_minimal_graph(graph: WeightedDigraph, requests: Iterable[Request]) -> bool:
-    """True iff removing any single arc violates some request."""
-    reqs = _normalize_requests_arg(requests)
-    if violated_request(graph, reqs) is not None:
+    """True iff removing any single arc violates some request, that is, iff
+    every arc lies on every s-t path of some request."""
+    necessary = necessary_arcs(graph, _normalize_requests_arg(requests))
+    if necessary is None:
         raise PreconditionError("graph is not a valid solution")
-    for a in graph.arc_set():
-        if violated_request(graph, reqs, skip_arc=a) is None:
-            return False
-    return True
+    return len(necessary) == graph.m
 
 
 def minimize_graph(graph: WeightedDigraph, requests: Iterable[Request]) -> WeightedDigraph:

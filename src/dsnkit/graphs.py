@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Container, Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Callable, Container, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .errors import CapacityError, DomainError, InputError
 
@@ -21,8 +21,9 @@ TREEWIDTH_EXACT_CAP = 22
 
 
 def _as_weight(w) -> Fraction:
-    f = Fraction(w)
-    if f <= 0:
+    f = w if isinstance(w, Fraction) else Fraction(w)
+    # A Fraction's denominator is positive, so its sign is the numerator's.
+    if f.numerator <= 0:
         raise InputError(f"arc weight must be positive, got {w}")
     return f
 
@@ -257,12 +258,6 @@ class UndirectedGraph:
     def degree(self, v: int) -> int:
         return len(self.adjacent(v))
 
-    def without_vertices(self, vertices: Iterable[int]) -> "UndirectedGraph":
-        drop = set(vertices)
-        keep = [v for v in self._vertices if v not in drop]
-        edges = [e for e in self._edges if e[0] not in drop and e[1] not in drop]
-        return UndirectedGraph(keep, edges)
-
     def components(self) -> List[List[int]]:
         """Connected components, each sorted, ordered by smallest member."""
         seen: Set[int] = set()
@@ -352,8 +347,11 @@ def reaches(
     return s == t or t in search(g, s, set(forbidden_internal), t, skip_arc)
 
 
-def shortest_path(g: WeightedDigraph, s: int, t: int) -> Optional[Tuple[DirectedPath, Fraction]]:
-    """Minimum-weight directed s-t path, or None if t is unreachable.
+def shortest_path(
+    g: WeightedDigraph, s: int, t: int, avoid: Container[int] = ()
+) -> Optional[Tuple[DirectedPath, Fraction]]:
+    """Minimum-weight directed s-t path whose internal vertices avoid
+    `avoid`, or None if there is none.
 
     Ties are broken by the lexicographically smallest vertex sequence, which
     makes the result deterministic."""
@@ -373,7 +371,7 @@ def shortest_path(g: WeightedDigraph, s: int, t: int) -> Optional[Tuple[Directed
         if u == t:
             return DirectedPath(seq), cost
         for v in g.out_neighbors(u):
-            if v not in done:
+            if v not in done and (v == t or v not in avoid):
                 heapq.heappush(heap, (cost + g.weight(u, v), seq + (v,)))
     return None
 
@@ -390,6 +388,67 @@ def avoiding_path(g: WeightedDigraph, s: int, t: int, avoid: Iterable[int]) -> O
     while parent[seq[-1]] is not None:
         seq.append(parent[seq[-1]])
     return DirectedPath(tuple(reversed(seq)))
+
+
+def path_bridges(path: Sequence[int], out: Callable[[int], Iterable[int]]) -> List[int]:
+    """The positions i >= 1 whose path arc (path[i-1], path[i]) lies on every
+    directed path from s = path[0] to t = path[-1].
+
+    `out(u)` gives the out-neighbours of u without the arcs of `path`.  With
+    e_1 .. e_k the path's arcs from s, e_i is on every s-t path exactly when
+    s reaches none of path[i:] without e_i .. e_k.  If s reaches path[j],
+    j >= i, so, then e_{j+1} .. e_k finish an s-t path avoiding e_i.
+    Conversely, on an s-t path avoiding e_i, the first vertex of path[i:] is
+    reached without e_i .. e_k, since the tails of e_{i+1} .. e_k lie in
+    path[i:].  Those reachable sets grow with i: s reaches path[:i] along
+    e_1 .. e_{i-1}.  So one search, seeded with each path vertex in turn and
+    extended only as far as each answer needs, finds them all in time
+    linear in the graph."""
+    pos = {v: i for i, v in enumerate(path)}
+    seen = {path[0]}
+    stack = [path[0]]
+    far = 0  # the furthest path position among the vertices seen
+    found = []
+    for i in range(1, len(path)):
+        while stack and far < i:
+            for v in out(stack.pop()):
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+                    far = max(far, pos.get(v, 0))
+        if far < i:
+            found.append(i)
+        if path[i] not in seen:
+            seen.add(path[i])
+            stack.append(path[i])
+    return found
+
+
+def necessary_arcs(g: WeightedDigraph, requests: Iterable[Tuple[int, int]]) -> Optional[Set[Arc]]:
+    """The arcs that lie on every s-t path of some request (s, t), or None
+    when some request has an endpoint outside g or t unreachable from s.
+
+    These are the strong bridges that separate a request (Italiano, Laura &
+    Santaroni, TCS 2012).  Each request costs one breadth-first search for
+    an s-t path and one `path_bridges` walk along it; s == t needs no arc."""
+    out = g._out
+    found: Set[Arc] = set()
+    for s, t in requests:
+        if not g.has_vertex(s) or not g.has_vertex(t):
+            return None
+        if s == t:
+            continue
+        parent = search(g, s, target=t)
+        if t not in parent:
+            return None
+        path = [t]
+        while path[-1] != s:
+            path.append(parent[path[-1]])
+        path.reverse()
+        succ = dict(zip(path, path[1:]))
+        for i in path_bridges(path, lambda u: [v for v in out[u] if v != succ.get(u)]):
+            found.add((path[i - 1], path[i]))
+    return found
 
 
 def all_simple_paths(g: WeightedDigraph, s: int, t: int) -> List[DirectedPath]:

@@ -14,7 +14,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 import networkx as nx
 
 from .errors import InputError, InvariantError
-from .graphs import Arc, DirectedPath, UndirectedGraph, WeightedDigraph, reaches
+from .graphs import Arc, DirectedPath, UndirectedGraph, WeightedDigraph, necessary_arcs, reaches
 
 
 @dataclass(frozen=True)
@@ -184,11 +184,9 @@ def _hypotheses_failure(K: WeightedDigraph, a: int, b: int, c: int, d: int) -> O
         return "no directed path from a to d"
     if not reaches(K, c, b):
         return "no directed path from c to b"
-    for arc in sorted(K.arc_set()):
-        if arc in {(a, b), (c, d)}:
-            continue
-        if reaches(K, a, d, skip_arc=arc) and reaches(K, c, b, skip_arc=arc):
-            return f"not inclusion-minimal: arc {arc} is removable"
+    removable = K.arc_set() - necessary_arcs(K, [(a, d), (c, b)]) - {(a, b), (c, d)}
+    if removable:
+        return f"not inclusion-minimal: arc {min(removable)} is removable"
     iso = [v for v in K.vertices if K.total_degree(v) == 0 and v not in {a, b, c, d}]
     if iso:
         return f"isolated vertex {iso[0]}"

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from .dsn import DsnInstance, SolutionSubgraph, validate, violated_request
 from .errors import CapacityError, DomainError, InvariantError
-from .graphs import Arc, all_simple_paths
+from .graphs import Arc, all_simple_paths, necessary_arcs, path_bridges
 from .structure import TreewidthCertificate, certify_treewidth_bound
 
 EXHAUSTIVE_MAX_ARCS = 24
@@ -187,14 +187,21 @@ class _BoundPath:
 
 # Exclusions of a recorded path's arcs that must fail before its bridges are
 # computed.  The search costs about one Dijkstra, won back only if later
-# exclusions on the path fail too.  A long path's arcs all fail; the paths of
-# small random hosts rarely fail twice, and a ladder's never fail a fourth
-# time (at 3, 845 searches on the analyze corpus saved no Dijkstra).
+# exclusions on the path fail too.  The host's own bridges are forced at the
+# root; the paths of small random hosts rarely fail twice, and a ladder's
+# never fail a fourth time (at 3, 845 searches on the analyze corpus saved no
+# Dijkstra, before its arcs were forced).
 BRIDGE_AFTER_FAILURES = 4
 
 
 def solve_bnb(inst: DsnInstance) -> SolveResult:
     """Branch and bound on the arcs of the bound path.
+
+    Forced arcs: the root includes `necessary_arcs` of the host, the arcs on
+    every s-t path of some request.  Every feasible solution contains them,
+    so the optima, and with them the tie-break's result, are those of a root
+    with nothing included.  On a ladder every arc is forced and the search
+    ends at the root.
 
     Lower bound at a node: cost of included arcs plus the largest
     shortest-path cost d over unsatisfied requests, with included arcs free
@@ -232,7 +239,8 @@ def solve_bnb(inst: DsnInstance) -> SolveResult:
     exactly when its bound is 0."""
     if not inst.requests:
         return _finish(inst, set(), 1, "bnb")
-    if violated_request(inst.host, inst.requests) is not None:
+    forced = necessary_arcs(inst.host, inst.requests)
+    if forced is None:
         return _infeasible("bnb")
     weights = inst.host.arcs()
     arcs = sorted(weights)
@@ -273,34 +281,15 @@ def solve_bnb(inst: DsnInstance) -> SolveResult:
 
     def bridges(s: int, t: int, rec: _BoundPath) -> int:
         """The arcs of rec's path that every s-t path avoiding rec.excluded
-        uses.  With e_0 .. e_k the path's arcs from s, e_i is one exactly
-        when s reaches no vertex after it on the path without e_i .. e_k.
-        Those reachable sets grow with i, so one search, extended arc by arc
-        and only as far as each answer needs, finds them all."""
-        steps = []  # (arc bit, head) along the path from s
-        u = s
-        while u != t:
-            u, bit = next((v, bit) for v, _, bit in adj[u] if rec.path & bit)
-            steps.append((bit, u))
-        pos = {v: i for i, (_, v) in enumerate(steps, 1)}
+        uses, by one `path_bridges` walk along it."""
+        path, bits = [s], []
+        while path[-1] != t:
+            v, bit = next((v, bit) for v, _, bit in adj[path[-1]] if rec.path & bit)
+            path.append(v)
+            bits.append(bit)
         blocked = rec.excluded | rec.path
-        seen = {s}
-        stack = [s]
-        far = 0  # the furthest path position among the vertices seen
-        out = 0
-        for i, (bit, head) in enumerate(steps):
-            while stack and far <= i:
-                for v, _, b in adj[stack.pop()]:
-                    if not blocked & b and v not in seen:
-                        seen.add(v)
-                        stack.append(v)
-                        far = max(far, pos.get(v, 0))
-            if far <= i:
-                out |= bit
-            if head not in seen:
-                seen.add(head)
-                stack.append(head)
-        return out
+        found = path_bridges(path, lambda u: [v for v, _, b in adj[u] if not blocked & b])
+        return sum(bits[i - 1] for i in found)
 
     def derive(parent: List[Bound], i: int, included: int, excluded: int) -> Optional[List[Bound]]:
         """The unsatisfied requests, with bounds, of the child that decided
@@ -334,15 +323,20 @@ def solve_bnb(inst: DsnInstance) -> SolveResult:
                 missing.append(b)
         return missing
 
-    # Every request is reachable in the host (checked above), so no root
-    # bound is None.
-    root = [bound(s, t, 0, 0) for s, t in inst.sorted_requests()]
+    # Every feasible solution contains the forced arcs, so the root includes
+    # them.  Every request is reachable in the host (checked above), so no
+    # root bound is None.
+    forced_ids = [i for i, a in enumerate(arcs) if a in forced]
+    included = sum(1 << i for i in forced_ids)
+    root = [b for b in (bound(s, t, included, 0) for s, t in inst.sorted_requests()) if b[2]]
     best_cost: Optional[int] = None
     best_arcs = 0
     nodes = 0
     # Entries: (arc decided, included, excluded, included cost, the parent's
     # unsatisfied requests with their bounds).
-    stack: List[Tuple[int, int, int, int, List[Bound]]] = [(-1, 0, 0, 0, root)]
+    stack: List[Tuple[int, int, int, int, List[Bound]]] = [
+        (-1, included, 0, sum(iw[i] for i in forced_ids), root)
+    ]
     while stack:
         i, included, excluded, inc_cost, parent = stack.pop()
         nodes += 1

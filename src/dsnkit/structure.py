@@ -9,6 +9,7 @@ part of any host graph.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
@@ -51,27 +52,31 @@ PROTRUSION_MAX_INTERIOR = 14
 def suppress_degree_two(graph: WeightedDigraph, terminals: Iterable[int]) -> WeightedDigraph:
     """Exhaustively remove non-terminal pass-through vertices with exactly
     two neighbors, merging their arcs.  Created arcs carry the summed weight
-    of the replaced arcs."""
+    of the replaced arcs.
+
+    The victim is always the smallest-id non-terminal with one or two
+    neighbors, and one neighbor is an error.  Removing a vertex changes the
+    neighbor sets of its two neighbors only, so a min-heap of candidates,
+    re-checked when popped, yields the victims in that order while the
+    neighbor sets and arcs are edited in place; the graph is built once."""
     T = set(terminals)
-    g = graph
-    while True:
-        victim = None
-        for v in g.vertices:
-            if v in T:
-                continue
-            ns = g.neighbors(v)
-            if len(ns) == 1:
-                raise InconsistencyError(
-                    f"non-terminal {v} has a single neighbor; input is not inclusion-minimal"
-                )
-            if len(ns) == 2:
-                victim = v
-                break
-        if victim is None:
-            return g
-        v = victim
-        u, w = g.neighbors(v)
-        arcs = g.arcs()
+    arcs = graph.arcs()
+    nbrs: Dict[int, Set[int]] = {v: set(graph.neighbors(v)) for v in graph.vertices}
+
+    def candidate(v: int) -> bool:
+        return v not in T and 1 <= len(nbrs[v]) <= 2
+
+    # Ascending ids already form a heap.
+    heap = [v for v in graph.vertices if candidate(v)]
+    while heap:
+        v = heapq.heappop(heap)
+        if v not in nbrs or not candidate(v):
+            continue
+        if len(nbrs[v]) == 1:
+            raise InconsistencyError(
+                f"non-terminal {v} has a single neighbor; input is not inclusion-minimal"
+            )
+        u, w = sorted(nbrs.pop(v))
         created: List[Tuple[Arc, Fraction]] = []
         for x, y in ((u, w), (w, u)):
             if (x, v) in arcs and (v, y) in arcs:
@@ -87,7 +92,12 @@ def suppress_degree_two(graph: WeightedDigraph, terminals: Iterable[int]) -> Wei
             # cheaper route so cost comparisons stay meaningful.
             if arc not in arcs or weight < arcs[arc]:
                 arcs[arc] = weight
-        g = WeightedDigraph(set(g.vertices) - {v}, arcs)
+        for x, y in ((u, w), (w, u)):
+            nbrs[x].discard(v)
+            nbrs[x].add(y)
+            if candidate(x):
+                heapq.heappush(heap, x)
+    return WeightedDigraph(nbrs, arcs)
 
 
 # ---------------------------------------------------------------------------
@@ -104,9 +114,7 @@ def realize_request_path(
     graph: WeightedDigraph, terminals: Iterable[int], s: int, t: int
 ) -> Optional[DirectedPath]:
     """Minimum-weight T-avoiding s-t path (ties lexicographic)."""
-    T = set(terminals)
-    restricted = graph.without_vertices((T - {s, t}) & set(graph.vertices))
-    found = shortest_path(restricted, s, t)
+    found = shortest_path(graph, s, t, avoid=set(terminals))
     return found[0] if found else None
 
 
@@ -279,6 +287,20 @@ def marked_vertices(graph: WeightedDigraph, P: DirectedPath, imp: ImportantSet) 
 # ladder segments
 
 
+def _component_avoiding(graph: WeightedDigraph, v: int, boundary: Set[int]) -> FrozenSet[int]:
+    """The vertex set of v's connected component in the underlying
+    undirected graph of `graph` minus `boundary` (v not in `boundary`)."""
+    seen = {v}
+    stack = [v]
+    while stack:
+        u = stack.pop()
+        for w in (*graph.out_neighbors(u), *graph.in_neighbors(u)):
+            if w not in seen and w not in boundary:
+                seen.add(w)
+                stack.append(w)
+    return frozenset(seen)
+
+
 @dataclass(frozen=True)
 class LadderSegment:
     start_index: int  # index of p_i on P
@@ -312,10 +334,9 @@ def detect_ladder_segments(
             continue
         pv = P.vertices
         boundary = (pv[i + 1], pv[i + 2], pv[j - 2], pv[j - 1])
-        rest = graph.without_vertices(set(boundary))
-        component = next((frozenset(c) for c in rest.sym().components() if pv[i + 3] in c), None)
-        if component is None:
+        if pv[i + 3] in boundary:
             continue
+        component = _component_avoiding(graph, pv[i + 3], set(boundary))
         if component & T:
             out.append(
                 LadderSegment(
@@ -374,8 +395,8 @@ def protrusion_replace(
         raise PreconditionError("component contains a terminal")
     if Fset & {a, b, c, d}:
         raise PreconditionError("component overlaps its boundary")
-    rest = graph.without_vertices({a, b, c, d})
-    if sorted(Fset) not in rest.sym().components():
+    v = min(Fset, default=None)
+    if v is None or not graph.has_vertex(v) or _component_avoiding(graph, v, {a, b, c, d}) != Fset:
         raise PreconditionError("F is not a connected component of graph - {a,b,c,d}")
     if a != b and not graph.has_arc(a, b):
         raise PreconditionError("a != b but arc ab is missing")

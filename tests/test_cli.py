@@ -1,15 +1,16 @@
 import json
 import sys
+import time
 
 import pytest
 
-from dsnkit import cli
+from dsnkit import cli, reduction
 from dsnkit.cli import main
 from dsnkit.dsn import DsnInstance
 from dsnkit.errors import InconsistencyError, InvariantError, ParseError
-from dsnkit.formats import emit_dsn, emit_psi
+from dsnkit.formats import emit_dsn, emit_psi, parse_dsn
 from dsnkit.graphs import WeightedDigraph
-from dsnkit.reduction import PsiInstance
+from dsnkit.reduction import PsiInstance, generate_hardness_instance
 from dsnkit.solvers import _finish
 
 from conftest import K4, ladder_with_terminals
@@ -102,6 +103,25 @@ class TestSolve:
         assert main(["solve", str(ladder_file), "--engine", "bnb"]) == 5
         assert "bnb solution violates request" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "analyze", "reduce"])
+    def test_toolkit_bug_prints_the_instance(self, ladder_file, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.setitem(cli.ENGINES, "bnb", lambda inst: _finish(inst, set(), 0, "bnb"))
+        if command == "reduce":
+            psi = PsiInstance(K4, K4, {i: i for i in range(4)})
+            path = tmp_path / "k4.psi"
+            path.write_text(emit_psi(psi))
+            broken = lambda inst: _finish(inst, set(), 0, "exhaustive")  # noqa: E731
+            monkeypatch.setattr(reduction, "_solve_path_union", broken)
+            argv, expected = ["reduce", str(path), "--decide"], generate_hardness_instance(psi).dsn
+        else:
+            argv = [command, str(ladder_file), "--engine", "bnb"]
+            expected = parse_dsn(ladder_file.read_text())[0]
+        assert main(argv) == 5
+        first, text = capsys.readouterr().err.split("\n", 1)
+        assert first.startswith("internal error: ") and "solution violates request" in first
+        assert text == emit_dsn(expected)
+        assert parse_dsn(text)[0] == expected
+
     def test_bnb_on_path_longer_than_the_recursion_limit(self, tmp_path, capsys):
         m = sys.getrecursionlimit() + 1
         g = WeightedDigraph(range(m + 1), {(i, i + 1): 1 for i in range(m)})
@@ -145,6 +165,19 @@ class TestAnalyze:
         assert main(["analyze", str(path), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["solve"]["method"] == "dst" and payload["solve"]["cost"] == [m, 1]
+
+
+    def test_analyze_long_path_is_fast(self, tmp_path, capsys):
+        # Suppression and the minimality check are linear in the path.
+        m = 2_400
+        g = WeightedDigraph(range(m + 1), {(i, i + 1): 1 for i in range(m)})
+        path = tmp_path / "long.dsn"
+        path.write_text(emit_dsn(DsnInstance(g, {(0, m)})))
+        start = time.perf_counter()
+        assert main(["analyze", str(path), "--json"]) == 0
+        assert time.perf_counter() - start < 1.0
+        report = json.loads(capsys.readouterr().out)["certificate"]["report"]
+        assert report["vertices_after"] == 2
 
 
 class TestReduce:

@@ -16,7 +16,7 @@ from dsnkit.dsn import (
     validate,
     violated_request,
 )
-from dsnkit.errors import InputError
+from dsnkit.errors import InputError, PreconditionError
 from dsnkit.graphs import WeightedDigraph, reaches
 
 from conftest import digraphs, random_instances
@@ -25,6 +25,11 @@ from conftest import digraphs, random_instances
 def is_inclusion_minimal_by_copies(graph, requests):
     """Reference: one copied graph per arc instead of a masked arc."""
     return all(violated_request(graph.without_arc(*a), requests) is not None for a in graph.arc_set())
+
+
+def is_inclusion_minimal_by_skip_arc(graph, requests):
+    """Reference: one masked-arc validity check per arc."""
+    return all(violated_request(graph, requests, skip_arc=a) is not None for a in graph.arc_set())
 
 
 def minimize_graph_by_copies(graph, requests):
@@ -128,9 +133,15 @@ class TestValidateAndMinimize:
     def test_inclusion_minimality_matches_copy_per_arc(self, case):
         """[DERIVED: copy-per-arc reference loop]"""
         g, reqs = case
-        assert is_inclusion_minimal_graph(g, reqs) == is_inclusion_minimal_by_copies(g, reqs)
+        expected = is_inclusion_minimal_by_copies(g, reqs)
+        assert is_inclusion_minimal_graph(g, reqs) == is_inclusion_minimal_by_skip_arc(g, reqs) == expected
         small = minimize_graph(g, reqs)
         assert is_inclusion_minimal_by_copies(small, reqs)
+        assert is_inclusion_minimal_graph(small, reqs)
+
+    def test_inclusion_minimality_refuses_an_invalid_graph(self):
+        with pytest.raises(PreconditionError):
+            is_inclusion_minimal_graph(chain(3), {(2, 0)})
 
 
 class TestNormalizeRequests:

@@ -11,12 +11,15 @@ from dsnkit.graphs import (
     all_simple_paths,
     avoiding_path,
     diameter,
+    necessary_arcs,
     reaches,
     search,
     shortest_path,
     treewidth_exact,
     treewidth_upper_bound,
 )
+
+from dsnkit.dsn import violated_request
 
 from conftest import digraphs
 
@@ -85,6 +88,14 @@ def avoiding_path_by_levels(g, s, t, avoid):
     return None
 
 
+def necessary_arcs_by_removal(g, requests):
+    """Reference: one masked-arc validity check per arc."""
+    proper = [(s, t) for s, t in requests if s != t]
+    if any(not g.has_vertex(v) for r in requests for v in r) or violated_request(g, proper) is not None:
+        return None
+    return {a for a in g.arc_set() if violated_request(g, proper, skip_arc=a) is not None}
+
+
 def vertex_sets(g):
     return st.sets(st.sampled_from(g.vertices))
 
@@ -96,10 +107,9 @@ def optional_arcs(g):
 
 class TestWeightedDigraph:
     def test_rejects_nonpositive_weight(self):
-        with pytest.raises(InputError):
-            WeightedDigraph({0, 1}, {(0, 1): 0})
-        with pytest.raises(InputError):
-            WeightedDigraph({0, 1}, {(0, 1): -2})
+        for w in (0, -2, Fraction(0), Fraction(-1, 3)):
+            with pytest.raises(InputError):
+                WeightedDigraph({0, 1}, {(0, 1): w})
 
     def test_rejects_loop_and_unknown_endpoint(self):
         with pytest.raises(InputError):
@@ -240,6 +250,42 @@ class TestShortestPath:
                     continue
                 best = min(sum(g.weight(u, v) for u, v in p.arcs()) for p in paths)
                 assert found is not None and found[1] == best
+
+
+    @settings(max_examples=80, deadline=None)
+    @given(digraphs(), st.data())
+    def test_avoid_matches_removed_vertices(self, g, data):
+        """[DERIVED: shortest path in a copy without the avoided vertices]"""
+        avoid = data.draw(vertex_sets(g))
+        for s in g.vertices:
+            for t in g.vertices:
+                if s != t:
+                    restricted = g.without_vertices(avoid - {s, t})
+                    assert shortest_path(g, s, t, avoid) == shortest_path(restricted, s, t)
+
+
+class TestNecessaryArcs:
+    def test_path_arcs_all_necessary(self):
+        g = WeightedDigraph(range(4), {(0, 1): 1, (1, 2): 1, (2, 3): 1, (0, 2): 5})
+        assert necessary_arcs(g, [(0, 3)]) == {(2, 3)}
+        assert necessary_arcs(g, [(0, 1), (1, 3)]) == {(0, 1), (1, 2), (2, 3)}
+
+    def test_unreachable_or_unknown_endpoint_is_none(self):
+        g = WeightedDigraph(range(3), {(0, 1): 1})
+        assert necessary_arcs(g, [(0, 1), (1, 0)]) is None
+        assert necessary_arcs(g, [(0, 7)]) is None
+        assert necessary_arcs(g, [(7, 0)]) is None
+        assert necessary_arcs(g, [(2, 2), (0, 0)]) == set()
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=st.one_of(digraphs(), digraphs(density=0.5)), data=st.data())
+    def test_matches_per_arc_removal(self, g, data):
+        """[DERIVED: per-arc violated_request(skip_arc=...) reference]"""
+        # Pairs are drawn freely, so requests with s == t and unreachable
+        # requests both occur.
+        pairs = st.tuples(st.sampled_from(g.vertices), st.sampled_from(g.vertices))
+        requests = data.draw(st.lists(pairs, max_size=4))
+        assert necessary_arcs(g, requests) == necessary_arcs_by_removal(g, requests)
 
 
 class TestPaths:

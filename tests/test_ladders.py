@@ -12,6 +12,7 @@ from dsnkit import ladders
 from dsnkit.ladders import (
     LadderSpec,
     LadderVerdict,
+    _corner_failure,
     _hypotheses_failure,
     _suppress_outside,
     is_ladder_subdivision,
@@ -22,6 +23,8 @@ from dsnkit.ladders import (
     ladder_two_path_decomposition,
     make_ladder,
 )
+
+from conftest import digraphs
 
 
 def corner_roles(spec):
@@ -69,6 +72,30 @@ def reference_suppress_outside(K, keep):
         g = WeightedDigraph(set(g.vertices) - {v}, arcs)
 
 
+def reference_hypotheses_failure(K, a, b, c, d):
+    """Reference: the hypothesis bullets, with one pair of masked-arc
+    reachability checks per arc for minimality."""
+    for v in (a, b, c, d):
+        if not K.has_vertex(v):
+            return f"boundary vertex {v} missing"
+    fail = _corner_failure(K, a, b, "ab") or _corner_failure(K, c, d, "cd")
+    if fail:
+        return fail
+    if not reaches(K, a, d):
+        return "no directed path from a to d"
+    if not reaches(K, c, b):
+        return "no directed path from c to b"
+    for arc in sorted(K.arc_set()):
+        if arc in {(a, b), (c, d)}:
+            continue
+        if reaches(K, a, d, skip_arc=arc) and reaches(K, c, b, skip_arc=arc):
+            return f"not inclusion-minimal: arc {arc} is removable"
+    iso = [v for v in K.vertices if K.total_degree(v) == 0 and v not in {a, b, c, d}]
+    if iso:
+        return f"isolated vertex {iso[0]}"
+    return None
+
+
 def reference_is_ladder_subdivision(K, a, b, c, d):
     """Reference recognizer: checks the hypotheses before and after
     suppressing at every peel level, and tests every corner arc."""
@@ -78,13 +105,13 @@ def reference_is_ladder_subdivision(K, a, b, c, d):
         return LadderVerdict(False, 0, "peel: " * peeled + reason)
 
     while True:
-        fail = _hypotheses_failure(K, a, b, c, d)
+        fail = reference_hypotheses_failure(K, a, b, c, d)
         if fail is not None:
             return reject(fail)
         g = reference_suppress_outside(K, {a, b, c, d})
         if g is None:
             return reject("degree-2 vertex is not a pass-through")
-        fail = _hypotheses_failure(g, a, b, c, d)
+        fail = reference_hypotheses_failure(g, a, b, c, d)
         if fail is not None:
             return reject(f"after suppression: {fail}")
         if g.n <= 4:
@@ -111,6 +138,13 @@ def reference_is_ladder_subdivision(K, a, b, c, d):
                 return reject("identified corner attached to a single vertex")
         K, a, b = g.without_vertices({a, b}), bbar, abar
         peeled += 1
+
+
+@st.composite
+def random_roles(draw):
+    """(K, roles): a small random digraph with roles drawn from its vertices."""
+    K = draw(digraphs(density=0.5))
+    return K, tuple(draw(st.sampled_from(K.vertices)) for _ in range(4))
 
 
 PERTURBATIONS = ("subdivide", "delete", "add", "bidirectional", "two-cycle")
@@ -328,6 +362,13 @@ class TestRecognizer:
         """[DERIVED: reference recognizer that checks twice per peel level]"""
         K, roles = case
         assert is_ladder_subdivision(K, *roles) == reference_is_ladder_subdivision(K, *roles)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(perturbed_ladders(), random_roles()))
+    def test_hypotheses_match_per_arc_reference(self, case):
+        """[DERIVED: masked-arc reachability pair per arc]"""
+        K, roles = case
+        assert _hypotheses_failure(K, *roles) == reference_hypotheses_failure(K, *roles)
 
     @settings(max_examples=300, deadline=None)
     @given(perturbed_ladders())

@@ -28,7 +28,18 @@ from dsnkit.solvers import (
     solve_with_certificate,
 )
 
-from conftest import CUBE, K33, K4, OUT_STAR_KINDS, digraphs, out_star, random_instance, random_instances, random_psi_host
+from conftest import (
+    CUBE,
+    K33,
+    K4,
+    OUT_STAR_KINDS,
+    digraphs,
+    ladder_with_terminals,
+    out_star,
+    random_instance,
+    random_instances,
+    random_psi_host,
+)
 
 SUBSET_SCAN_MAX_ARCS = 20
 
@@ -478,14 +489,22 @@ class TestBranchAndBound:
         r = solve_bnb(DsnInstance(g, {(0, m)}))
         assert r.feasible and r.cost == m and len(r.optimum.arcs) == m
 
+    @pytest.mark.parametrize("n,identified", [(6, ()), (9, ()), (10, {1, 5}), (13, {13})])
+    def test_ladder_is_solved_at_the_root(self, n, identified):
+        # Every arc of a ladder with terminals lies on every path of a request.
+        inst = ladder_with_terminals(n, identified)
+        r = solve_bnb(inst)
+        assert r.node_count == 1 and r.optimum.arcs == frozenset(inst.host.arcs())
+        assert optimum_outcome(r) == optimum_outcome(solve_bnb_recursive(inst))
+
     def test_long_path_is_linear(self):
-        # Each exclude child fails on a bridge without a Dijkstra; rerunning
-        # one per child made this path take seconds.
+        # Every arc of a path is forced at the root, so the search ends there;
+        # branching on its arcs one by one made this path take seconds.
         m = 4_800
         g = WeightedDigraph(range(m + 1), {(i, i + 1): 1 for i in range(m)})
         start = time.perf_counter()
         r = solve_bnb(DsnInstance(g, {(0, m)}))
-        assert r.cost == m and r.node_count == 2 * m + 1
+        assert r.cost == m and r.node_count == 1
         assert time.perf_counter() - start < 1.0
 
 

@@ -4,22 +4,24 @@ import sys
 import pytest
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dsnkit.dsn import (
     DsnInstance,
     SolutionSubgraph,
     is_inclusion_minimal_graph,
+    minimize_graph,
     normalize_requests_graph,
 )
 from dsnkit.errors import InconsistencyError, InvariantError, PreconditionError
-from dsnkit.graphs import DirectedPath, WeightedDigraph
+from dsnkit.graphs import DirectedPath, WeightedDigraph, reaches
 from dsnkit import structure
 from dsnkit.ladders import LadderSpec, LadderVerdict, ladder_corners, make_ladder
 from dsnkit.structure import (
     LadderSegment,
     PathRecord,
     _analyze_path,
+    _component_avoiding,
     _onto_path_reach,
     _verify_replacement,
     avoiding_path,
@@ -57,7 +59,86 @@ def onto_path_reach_by_dfs(graph, src, pset):
     return hits
 
 
+def suppress_degree_two_by_rescans(graph, terminals):
+    """Reference: rescan the vertices and rebuild the graph once per
+    suppressed vertex."""
+    T = set(terminals)
+    g = graph
+    while True:
+        victim = None
+        for v in g.vertices:
+            if v in T:
+                continue
+            ns = g.neighbors(v)
+            if len(ns) == 1:
+                raise InconsistencyError(
+                    f"non-terminal {v} has a single neighbor; input is not inclusion-minimal"
+                )
+            if len(ns) == 2:
+                victim = v
+                break
+        if victim is None:
+            return g
+        v = victim
+        u, w = g.neighbors(v)
+        arcs = g.arcs()
+        created = []
+        for x, y in ((u, w), (w, u)):
+            if (x, v) in arcs and (v, y) in arcs:
+                created.append(((x, y), arcs[(x, v)] + arcs[(v, y)]))
+        if not created:
+            raise InconsistencyError(
+                f"non-terminal {v} with two neighbors is a source/sink; input is not inclusion-minimal"
+            )
+        for key in ((u, v), (v, u), (v, w), (w, v)):
+            arcs.pop(key, None)
+        for arc, weight in created:
+            if arc not in arcs or weight < arcs[arc]:
+                arcs[arc] = weight
+        g = WeightedDigraph(set(g.vertices) - {v}, arcs)
+
+
+def suppression_outcome(suppress, graph, terminals):
+    """Vertices and arcs in insertion order, or the error message."""
+    try:
+        g = suppress(graph, terminals)
+    except InconsistencyError as exc:
+        return str(exc)
+    return g.vertices, list(g.arcs().items())
+
+
+@st.composite
+def minimal_solutions(draw):
+    """(graph, terminals): a minimized solution of 1-4 requests on a small
+    digraph, sometimes with a subdivided arc or an extra terminal."""
+    g = draw(digraphs(max_n=8, density=0.5))
+    pairs = [(s, t) for s in g.vertices for t in g.vertices if s != t and reaches(g, s, t)]
+    assume(pairs)
+    requests = draw(st.sets(st.sampled_from(pairs), min_size=1, max_size=4))
+    small = minimize_graph(g, requests)
+    terminals = {v for r in requests for v in r}
+    arcs = small.arcs()
+    if arcs and draw(st.booleans()):
+        # Subdivide one arc into a chain of fresh pass-through vertices.
+        (u, v), w = draw(st.sampled_from(sorted(arcs.items())))
+        del arcs[(u, v)]
+        chain = [u, *range(g.n, g.n + draw(st.integers(1, 3))), v]
+        arcs.update({(x, y): w for x, y in zip(chain, chain[1:])})
+        small = WeightedDigraph(set(small.vertices) | set(chain), arcs)
+    extra = draw(st.sets(st.sampled_from(small.vertices), max_size=2))
+    return small, terminals | extra
+
+
 class TestSuppression:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(minimal_solutions(), st.tuples(digraphs(), st.sets(st.integers(0, 6), max_size=3))))
+    def test_matches_rescanning_reference(self, case):
+        """[DERIVED: rescan-and-rebuild suppression loop]"""
+        g, terminals = case
+        assert suppression_outcome(suppress_degree_two, g, terminals) == suppression_outcome(
+            suppress_degree_two_by_rescans, g, terminals
+        )
+
     def test_subdivision_round_trips(self):
         g = WeightedDigraph(range(3), {(0, 1): Fraction(1, 2), (1, 2): Fraction(1, 2)})
         out = suppress_degree_two(g, {0, 2})
@@ -332,3 +413,21 @@ class TestOntoPathReach:
         pset = data.draw(st.sets(st.sampled_from(g.vertices)))
         for src in g.vertices:
             assert _onto_path_reach(g, src, pset) == onto_path_reach_by_dfs(g, src, pset)
+
+
+class TestComponentAvoiding:
+    @settings(max_examples=80, deadline=None)
+    @given(digraphs(), st.data())
+    def test_matches_components_of_a_copy(self, g, data):
+        """[DERIVED: components of the underlying graph without the boundary]"""
+        boundary = data.draw(st.sets(st.sampled_from(g.vertices)))
+        components = g.without_vertices(boundary).sym().components()
+        for v in set(g.vertices) - boundary:
+            expected = next(frozenset(c) for c in components if v in c)
+            assert _component_avoiding(g, v, boundary) == expected
+
+    @pytest.mark.parametrize("F", [set(), {4, 99}], ids=["empty", "unknown-vertex"])
+    def test_replace_rejects_empty_or_foreign_component(self, F):
+        inst = ladder_with_terminals(10)
+        with pytest.raises(PreconditionError, match="not a connected component"):
+            protrusion_replace(inst.host, inst.requests, recognized(F, (0, 1, 18, 19)))
