@@ -15,7 +15,6 @@ from typing import Callable, Container, Dict, Iterable, List, Mapping, Optional,
 from .errors import CapacityError, DomainError, InputError
 
 Arc = Tuple[int, int]
-Weight = Fraction
 
 TREEWIDTH_EXACT_CAP = 22
 
@@ -99,14 +98,8 @@ class WeightedDigraph:
         self._check_vertex(v)
         return tuple(sorted(set(self._out[v]) | set(self._in[v])))
 
-    def out_degree(self, v: int) -> int:
-        return len(self.out_neighbors(v))
-
-    def in_degree(self, v: int) -> int:
-        return len(self.in_neighbors(v))
-
     def total_degree(self, v: int) -> int:
-        return self.in_degree(v) + self.out_degree(v)
+        return len(self.in_neighbors(v)) + len(self.out_neighbors(v))
 
     def _check_vertex(self, v: int) -> None:
         if v not in self._vset:
@@ -438,13 +431,10 @@ def necessary_arcs(g: WeightedDigraph, requests: Iterable[Tuple[int, int]]) -> O
             return None
         if s == t:
             continue
-        parent = search(g, s, target=t)
-        if t not in parent:
+        p = avoiding_path(g, s, t, ())
+        if p is None:
             return None
-        path = [t]
-        while path[-1] != s:
-            path.append(parent[path[-1]])
-        path.reverse()
+        path = p.vertices
         succ = dict(zip(path, path[1:]))
         for i in path_bridges(path, lambda u: [v for v in out[u] if v != succ.get(u)]):
             found.add((path[i - 1], path[i]))
@@ -520,16 +510,15 @@ def _eliminate(adj: Dict[int, Set[int]], v: int) -> int:
     return len(ns)
 
 
-def _greedy_min_fill_order(g: UndirectedGraph) -> Tuple[int, List[int]]:
-    """Min-fill greedy elimination; returns (width, order)."""
+def treewidth_upper_bound(g: UndirectedGraph) -> int:
+    """Width of greedy min-fill elimination; an upper bound on treewidth.
+    Each step eliminates the vertex with the least fill, then the least
+    degree, then the smallest id."""
     adj: Dict[int, Set[int]] = {v: set(g.adjacent(v)) for v in g.vertices}
-    order: List[int] = []
     width = 0
-    remaining = list(g.vertices)
-    while remaining:
+    while adj:
         best = None
-        for v in remaining:
-            ns = adj[v]
+        for v, ns in adj.items():
             fill = 0
             nl = sorted(ns)
             for i, a in enumerate(nl):
@@ -537,20 +526,10 @@ def _greedy_min_fill_order(g: UndirectedGraph) -> Tuple[int, List[int]]:
                     if b not in adj[a]:
                         fill += 1
             key = (fill, len(ns), v)
-            if best is None or key < best[0]:
-                best = (key, v)
-        v = best[1]
-        width = max(width, _eliminate(adj, v))
-        remaining.remove(v)
-        order.append(v)
-    return width, order
-
-
-def treewidth_upper_bound(g: UndirectedGraph) -> int:
-    """Width of greedy min-fill elimination; an upper bound on treewidth."""
-    if g.n == 0:
-        return 0
-    return _greedy_min_fill_order(g)[0]
+            if best is None or key < best:
+                best = key
+        width = max(width, _eliminate(adj, best[2]))
+    return width
 
 
 def _component_tw_dp(vertices: List[int], adj_mask: Dict[int, int], bit: Dict[int, int]) -> Tuple[int, List[int]]:

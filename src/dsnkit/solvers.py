@@ -18,14 +18,15 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from .dsn import DsnInstance, SolutionSubgraph, validate, violated_request
 from .errors import CapacityError, DomainError, InvariantError
-from .graphs import Arc, all_simple_paths, necessary_arcs, path_bridges
+from .graphs import Arc, WeightedDigraph, all_simple_paths, necessary_arcs
 from .structure import TreewidthCertificate, certify_treewidth_bound
 
 EXHAUSTIVE_MAX_ARCS = 24
 DST_MAX_LEAVES = 12
 
-# A request's bound in `solve_bnb`: (s, t, distance, the path attaining it).
-Bound = Tuple[int, int, int, "_BoundPath"]
+# A request's bound in `solve_bnb`: (s, t, distance, the arcs of the path
+# attaining it as a bitmask, the vertices Dijkstra settled before reaching t).
+Bound = Tuple[int, int, int, int, Set[int]]
 _distance = operator.itemgetter(2)
 # A simple path in `_solve_path_union`: (arc bit, scaled weight) per arc.
 PathArcs = Tuple[Tuple[int, int], ...]
@@ -69,25 +70,46 @@ def _finish(inst: DsnInstance, arcs: Set[Arc], nodes: int, method: str) -> Solve
     return SolveResult(True, sol, sol.cost(), nodes, True, method)
 
 
-def _weight_scale(weights: Dict[Arc, Fraction]) -> int:
-    """The least common denominator of the weights.  Scaled by it every
-    weight is an integer, so the exact engines search on ints."""
-    return math.lcm(*(w.denominator for w in weights.values()))
+class _IntHost:
+    """The host as the exact engines search it, built once per solve.
+
+    Arc i of the sorted arcs is bit 1 << i of an arc-set mask.  Weights are
+    scaled by `scale`, the least common denominator, so every weight is an
+    integer.  `out[u]` and `inn[v]` list (other end, weight, bit) per arc,
+    in ascending order of the other end."""
+
+    __slots__ = ("arcs", "weights", "scale", "out", "inn")
+
+    def __init__(self, host: WeightedDigraph) -> None:
+        weights = host.arcs()
+        self.arcs = sorted(weights)
+        self.scale = math.lcm(*(w.denominator for w in weights.values()))
+        self.weights = [int(weights[a] * self.scale) for a in self.arcs]
+        self.out: Dict[int, List[Tuple[int, int, int]]] = {v: [] for v in host.vertices}
+        self.inn: Dict[int, List[Tuple[int, int, int]]] = {v: [] for v in host.vertices}
+        # Sorted arcs come in ascending order of head within a tail, and of
+        # tail overall, so both lists are ascending in the other end.
+        for i, (u, v) in enumerate(self.arcs):
+            self.out[u].append((v, self.weights[i], 1 << i))
+            self.inn[v].append((u, self.weights[i], 1 << i))
+
+    def decode(self, mask: int) -> Set[Arc]:
+        return {a for i, a in enumerate(self.arcs) if mask >> i & 1}
 
 
 # ---------------------------------------------------------------------------
 # exhaustive oracle
 
 
-def _request_paths(inst: DsnInstance, arcs: List[Arc], iw: List[int]) -> List[List[PathArcs]]:
-    """All simple paths per request as (arc bit, scaled weight) tuples over
-    the sorted `arcs`, cheapest first then by vertices, requests sorted."""
-    ids = {a: i for i, a in enumerate(arcs)}
+def _request_paths(inst: DsnInstance, host: _IntHost) -> List[List[PathArcs]]:
+    """All simple paths per request as (arc bit, scaled weight) tuples,
+    cheapest first then by vertices, requests sorted."""
+    ids = {a: i for i, a in enumerate(host.arcs)}
     out = []
     for s, t in inst.sorted_requests():
         keyed = []
         for p in all_simple_paths(inst.host, s, t):
-            path = tuple((1 << ids[a], iw[ids[a]]) for a in p.arcs())
+            path = tuple((1 << ids[a], host.weights[ids[a]]) for a in p.arcs())
             keyed.append((sum(w for _, w in path), p.vertices, path))
         keyed.sort(key=lambda k: k[:2])
         out.append([path for _, _, path in keyed])
@@ -126,10 +148,8 @@ def _solve_path_union(inst: DsnInstance) -> SolveResult:
         return _finish(inst, set(), 1, "exhaustive")
     if violated_request(inst.host, inst.requests) is not None:
         return _infeasible("exhaustive")
-    weights = inst.host.arcs()
-    arcs = sorted(weights)
-    scale = _weight_scale(weights)
-    per_request = _request_paths(inst, arcs, [int(weights[a] * scale) for a in arcs])
+    host = _IntHost(inst.host)
+    per_request = _request_paths(inst, host)
     users = Counter(bit for paths in per_request for bit in {bit for path in paths for bit, _ in path})
     # Costs are scaled once more by L, the lcm of the user counts, so every
     # split weight w * L / users is an integer.
@@ -159,39 +179,11 @@ def _solve_path_union(inst: DsnInstance) -> SolveResult:
         for mask, path in pushes[i]:
             add = sum(w for bit, w in path if not chosen & bit)
             stack.append((i + 1, chosen | mask, cost + add * L))
-    return _finish(inst, {a for i, a in enumerate(arcs) if best_arcs >> i & 1}, nodes, "exhaustive")
+    return _finish(inst, host.decode(best_arcs), nodes, "exhaustive")
 
 
 # ---------------------------------------------------------------------------
 # branch and bound
-
-
-class _BoundPath:
-    """The path attaining a request's bound in `solve_bnb`: its arcs as a
-    bitmask, the vertices Dijkstra settled before reaching t (a superset of
-    those closer than the bound) and the excluded arcs it was found under.
-    `bridges` holds the arcs of the path known to lie on every s-t path
-    avoiding those excluded arcs.  It stays 0 until `failures`, the
-    exclusions of path arcs that left t unreachable, reaches
-    BRIDGE_AFTER_FAILURES."""
-
-    __slots__ = ("path", "near", "excluded", "bridges", "failures")
-
-    def __init__(self, path: int, near: Set[int], excluded: int) -> None:
-        self.path = path
-        self.near = near
-        self.excluded = excluded
-        self.bridges = 0
-        self.failures = 0
-
-
-# Exclusions of a recorded path's arcs that must fail before its bridges are
-# computed.  The search costs about one Dijkstra, won back only if later
-# exclusions on the path fail too.  The host's own bridges are forced at the
-# root; the paths of small random hosts rarely fail twice, and a ladder's
-# never fail a fourth time (at 3, 845 searches on the analyze corpus saved no
-# Dijkstra, before its arcs were forced).
-BRIDGE_AFTER_FAILURES = 4
 
 
 def solve_bnb(inst: DsnInstance) -> SolveResult:
@@ -225,12 +217,12 @@ def solve_bnb(inst: DsnInstance) -> SolveResult:
 
     The search runs on an explicit stack, and each node derives its state
     from its parent's.  Arc sets are bitmasks over arc ids.  Every
-    unsatisfied request keeps its bound d and the `_BoundPath` that attains
-    it.  A child reruns Dijkstra only where these exact rules fail:
+    unsatisfied request keeps its bound d, the path that attains it and
+    `near`, the vertices Dijkstra settled before reaching t (a superset of
+    those closer than d).  A child reruns Dijkstra only where these exact
+    rules fail:
 
     - excluding an arc off the recorded path leaves d unchanged;
-    - excluding a known bridge of the recorded path makes the child
-      infeasible, since more excluded arcs leave a bridge a bridge;
     - including an arc of weight w on the recorded path makes it d - w;
     - including an arc whose tail was not settled before t leaves d
       unchanged, since any path through it already costs at least d.
@@ -242,14 +234,8 @@ def solve_bnb(inst: DsnInstance) -> SolveResult:
     forced = necessary_arcs(inst.host, inst.requests)
     if forced is None:
         return _infeasible("bnb")
-    weights = inst.host.arcs()
-    arcs = sorted(weights)
-
-    scale = _weight_scale(weights)
-    iw = [int(weights[a] * scale) for a in arcs]
-    adj: Dict[int, List[Tuple[int, int, int]]] = {v: [] for v in inst.host.vertices}
-    for i, (u, v) in enumerate(arcs):
-        adj[u].append((v, iw[i], 1 << i))
+    host = _IntHost(inst.host)
+    adj, iw = host.out, host.weights
 
     def bound(s: int, t: int, included: int, excluded: int) -> Optional[Bound]:
         """Dijkstra from s to t with included arcs free and excluded arcs
@@ -265,7 +251,7 @@ def solve_bnb(inst: DsnInstance) -> SolveResult:
                 while u != s:
                     u, bit = pred[u]
                     path |= bit
-                return s, t, d, _BoundPath(path, near, excluded)
+                return s, t, d, path, near
             if d > dist[u]:
                 continue
             near.add(u)
@@ -279,18 +265,6 @@ def solve_bnb(inst: DsnInstance) -> SolveResult:
                     heapq.heappush(heap, (nd, v))
         return None
 
-    def bridges(s: int, t: int, rec: _BoundPath) -> int:
-        """The arcs of rec's path that every s-t path avoiding rec.excluded
-        uses, by one `path_bridges` walk along it."""
-        path, bits = [s], []
-        while path[-1] != t:
-            v, bit = next((v, bit) for v, _, bit in adj[path[-1]] if rec.path & bit)
-            path.append(v)
-            bits.append(bit)
-        blocked = rec.excluded | rec.path
-        found = path_bridges(path, lambda u: [v for v, _, b in adj[u] if not blocked & b])
-        return sum(bits[i - 1] for i in found)
-
     def derive(parent: List[Bound], i: int, included: int, excluded: int) -> Optional[List[Bound]]:
         """The unsatisfied requests, with bounds, of the child that decided
         arc i (-1 at the root); None when one of them became unreachable."""
@@ -299,26 +273,20 @@ def solve_bnb(inst: DsnInstance) -> SolveResult:
         bit = 1 << i
         missing = []
         if included & bit:
-            tail = arcs[i][0]
+            tail = host.arcs[i][0]
             for b in parent:
-                s, t, d, rec = b
-                if rec.path & bit:
-                    b = s, t, d - iw[i], rec
-                elif tail in rec.near:
+                s, t, d, path, near = b
+                if path & bit:
+                    b = s, t, d - iw[i], path, near
+                elif tail in near:
                     b = bound(s, t, included, excluded)  # not None: the old path survives
                 if b[2]:
                     missing.append(b)
         else:
             for b in parent:
-                s, t, _, rec = b
-                if rec.path & bit:
-                    if rec.bridges & bit:
-                        return None
-                    b = bound(s, t, included, excluded)
+                if b[3] & bit:
+                    b = bound(b[0], b[1], included, excluded)
                     if b is None:
-                        rec.failures += 1
-                        if rec.failures == BRIDGE_AFTER_FAILURES:
-                            rec.bridges = bridges(s, t, rec)
                         return None
                 missing.append(b)
         return missing
@@ -326,7 +294,7 @@ def solve_bnb(inst: DsnInstance) -> SolveResult:
     # Every feasible solution contains the forced arcs, so the root includes
     # them.  Every request is reachable in the host (checked above), so no
     # root bound is None.
-    forced_ids = [i for i, a in enumerate(arcs) if a in forced]
+    forced_ids = [i for i, a in enumerate(host.arcs) if a in forced]
     included = sum(1 << i for i in forced_ids)
     root = [b for b in (bound(s, t, included, 0) for s, t in inst.sorted_requests()) if b[2]]
     best_cost: Optional[int] = None
@@ -350,10 +318,10 @@ def solve_bnb(inst: DsnInstance) -> SolveResult:
                 best_arcs = included
             continue
         # max keeps the first of equal bounds, so ties go by sorted request.
-        _, _, worst, rec = max(missing, key=_distance)
+        _, _, worst, path, _ = max(missing, key=_distance)
         if best_cost is not None and inc_cost + worst > best_cost:
             continue
-        free = rec.path & ~included
+        free = path & ~included
         bit = free & -free
         i = bit.bit_length() - 1
         stack.append((i, included, excluded | bit, inc_cost, missing))
@@ -361,7 +329,7 @@ def solve_bnb(inst: DsnInstance) -> SolveResult:
 
     if best_cost is None:
         return _infeasible("bnb", nodes)
-    return _finish(inst, {a for i, a in enumerate(arcs) if best_arcs >> i & 1}, nodes, "bnb")
+    return _finish(inst, host.decode(best_arcs), nodes, "bnb")
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +367,7 @@ def solve_dst(inst: DsnInstance) -> SolveResult:
         raise CapacityError(f"{len(leaves)} leaves; out-star cap is {DST_MAX_LEAVES}")
     if violated_request(inst.host, inst.requests) is not None:
         return _infeasible("dst")
-    host = inst.host
-    weights = host.arcs()
-    scale = _weight_scale(weights)
-    iw = {a: int(w * scale) for a, w in weights.items()}
+    host = _IntHost(inst.host)
     full = (1 << len(leaves)) - 1
     f: List[Dict[int, Tuple[int, int]]] = [{} for _ in range(full + 1)]
     split: List[Dict[int, int]] = [{} for _ in range(full + 1)]
@@ -416,7 +381,7 @@ def solve_dst(inst: DsnInstance) -> SolveResult:
         else:
             low = S & -S
             heap = []
-            for u in host.vertices:
+            for u in inst.host.vertices:
                 best = None
                 S1 = (S - 1) & S
                 while S1:
@@ -436,13 +401,13 @@ def solve_dst(inst: DsnInstance) -> SolveResult:
                 continue
             fS[v] = (cost, seed)
             nodes += 1
-            for p in host.in_neighbors(v):
+            for p, w, _ in host.inn[v]:
                 if p not in fS:
-                    heapq.heappush(heap, (cost + iw[(p, v)], seed, p))
+                    heapq.heappush(heap, (cost + w, seed, p))
 
     # r reaches every leaf (checked above), so every f[S] holds r, if only
     # through a split at r itself.
-    arcs: Set[Arc] = set()
+    arcs = 0
     stack = [(full, r)]
     while stack:
         S, v = stack.pop()
@@ -450,15 +415,15 @@ def solve_dst(inst: DsnInstance) -> SolveResult:
         seed = fS[v][1]
         while v != seed:
             # the smallest next vertex on a cheapest path to the seed
-            x = next(x for x in host.out_neighbors(v) if fS.get(x) == (fS[v][0] - iw[(v, x)], seed))
-            arcs.add((v, x))
+            x, bit = next((x, bit) for x, w, bit in host.out[v] if fS.get(x) == (fS[v][0] - w, seed))
+            arcs |= bit
             v = x
         if S & (S - 1):
             S1 = split[S][v]
             stack += [(S1, v), (S ^ S1, v)]
 
-    result = _finish(inst, arcs, nodes, "dst")
-    if result.cost != Fraction(f[full][r][0], scale):
+    result = _finish(inst, host.decode(arcs), nodes, "dst")
+    if result.cost != Fraction(f[full][r][0], host.scale):
         raise InvariantError("witness cost disagrees with the table")
     return result
 

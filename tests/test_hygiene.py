@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module imports is used in that module, and
-every import sits at module level, not inside a function body.
+"""Source hygiene: every name a module imports is used in that module,
+every import sits at module level, not inside a function body, and every
+private module-level name is used somewhere in the package.
 
 `__init__.py` is exempt from the unused-import scan because it imports names
 only to re-export them through `__all__`."""
@@ -61,3 +62,56 @@ def test_scan_finds_a_function_body_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_imports_at_module_level(path):
     assert function_body_imports(path.read_text()) == []
+
+
+def private_definitions(tree):
+    """(name, statement) for each underscore-prefixed, non-dunder name that
+    a module-level statement defines."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.endswith("__"):
+                yield name, node
+
+
+def referenced_names(node):
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.alias):
+            names.add(n.name)
+    return names
+
+
+def unreferenced_private_names(sources):
+    """(module, name) for each private module-level name that no statement
+    of any module references outside the statement defining it."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    statements = [node for tree in trees.values() for node in tree.body]
+    found = []
+    for module, tree in trees.items():
+        for name, definition in private_definitions(tree):
+            if not any(name in referenced_names(node) for node in statements if node is not definition):
+                found.append((module, name))
+    return found
+
+
+def test_scan_finds_an_unreferenced_private_name():
+    sources = {
+        "a.py": "_used = 1\n_alone = 2\n\ndef _recursive():\n    return _recursive()\n",
+        "b.py": "from .a import _used\n\nclass _Kept:\n    pass\n\nx = _Kept()\n__all__ = []\n",
+    }
+    assert unreferenced_private_names(sources) == [("a.py", "_alone"), ("a.py", "_recursive")]
+
+
+def test_private_names_are_referenced():
+    assert unreferenced_private_names({p.name: p.read_text() for p in SOURCES}) == []

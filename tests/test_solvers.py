@@ -471,11 +471,11 @@ class TestBranchAndBound:
         assert optimum_outcome(r) == optimum_outcome(solve_bnb_recursive(inst))
 
     def test_excluded_arc_that_is_not_a_bridge(self):
-        # Request 0->t records the path 0->1->3->4->...->t.  Excluding its
-        # chain arcs fails often enough for the path's bridges to be computed
-        # before the root's exclude child drops 0->1, which has a detour
-        # through 2.  The optimum takes it, sharing 2->1 with request 2->1.
-        t = solvers.BRIDGE_AFTER_FAILURES + 4
+        # Request 0->t records the path 0->1->3->4->...->t, whose chain arcs
+        # are forced at the root.  The root's exclude child drops 0->1, which
+        # has a detour through 2.  The optimum takes it, sharing 2->1 with
+        # request 2->1.
+        t = 8
         arcs = {(0, 1): 2, (0, 2): 1, (2, 1): 2, (1, 3): 1}
         arcs.update({(v, v + 1): 1 for v in range(3, t)})
         inst = DsnInstance(WeightedDigraph(range(t + 1), arcs), {(0, t), (2, 1)})
@@ -506,6 +506,17 @@ class TestBranchAndBound:
         r = solve_bnb(DsnInstance(g, {(0, m)}))
         assert r.cost == m and r.node_count == 1
         assert time.perf_counter() - start < 1.0
+
+
+class TestIntHost:
+    def test_arcs_bits_lists_and_scaled_weights(self):
+        g = WeightedDigraph(range(4), {(2, 0): Fraction(1, 2), (0, 3): 2, (0, 1): Fraction(1, 3), (1, 0): 2})
+        host = solvers._IntHost(g)
+        assert host.arcs == [(0, 1), (0, 3), (1, 0), (2, 0)]
+        assert host.scale == 6 and host.weights == [2, 12, 12, 3]
+        assert host.out == {0: [(1, 2, 1), (3, 12, 2)], 1: [(0, 12, 4)], 2: [(0, 3, 8)], 3: []}
+        assert host.inn == {0: [(1, 12, 4), (2, 3, 8)], 1: [(0, 2, 1)], 2: [], 3: [(0, 12, 2)]}
+        assert host.decode(0b1010) == {(0, 3), (2, 0)} and host.decode(0) == set()
 
 
 class TestDst:
