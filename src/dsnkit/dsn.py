@@ -92,18 +92,10 @@ class SolutionSubgraph:
 # graph-level predicates
 
 
-def violated_request(
-    graph: WeightedDigraph, requests: Iterable[Request], skip_arc: Optional[Arc] = None
-) -> Optional[Request]:
-    """Lexicographically first request with no s-t path, or None if valid.
-
-    `skip_arc`, if given, is treated as absent from the graph."""
+def violated_request(graph: WeightedDigraph, requests: Iterable[Request]) -> Optional[Request]:
+    """Lexicographically first request with no s-t path, or None if valid."""
     for s, t in sorted(_normalize_requests_arg(requests)):
-        if (
-            not graph.has_vertex(s)
-            or not graph.has_vertex(t)
-            or not reaches(graph, s, t, skip_arc=skip_arc)
-        ):
+        if not graph.has_vertex(s) or not graph.has_vertex(t) or not reaches(graph, s, t):
             return (s, t)
     return None
 
@@ -121,15 +113,19 @@ def minimize_graph(graph: WeightedDigraph, requests: Iterable[Request]) -> Weigh
     """Remove arcs while the graph stays a valid solution.
 
     Arcs are attempted in descending weight, ties by ascending arc id, so the
-    result is deterministic.  Isolated non-terminals are dropped."""
+    result is deterministic.  The graph stays valid, so an arc can be
+    removed exactly when it is not necessary, and the necessary arcs are
+    recomputed only after a removal.  Isolated non-terminals are dropped."""
     reqs = _normalize_requests_arg(requests)
-    if violated_request(graph, reqs) is not None:
+    necessary = necessary_arcs(graph, reqs)
+    if necessary is None:
         raise PreconditionError("graph is not a valid solution")
     terminals = {v for r in reqs for v in r}
     current = graph
     for arc in sorted(graph.arc_set(), key=lambda a: (-graph.weight(*a), a)):
-        if violated_request(current, reqs, skip_arc=arc) is None:
+        if arc not in necessary:
             current = current.without_arc(*arc)
+            necessary = necessary_arcs(current, reqs)
     used = {v for a in current.arc_set() for v in a} | terminals
     return current.induced(used & set(current.vertices))
 

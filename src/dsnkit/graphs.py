@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Container, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Container, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from .errors import CapacityError, DomainError, InputError
 
@@ -294,26 +294,22 @@ def search(
     s: int,
     stop: Container[int] = (),
     target: Optional[int] = None,
-    skip_arc: Optional[Arc] = None,
 ) -> Dict[int, Optional[int]]:
     """Breadth-first parent map of the vertices reached from s.
 
     A vertex in `stop` is recorded when first reached but never expanded;
     s itself is always expanded.  The search returns as soon as `target` is
-    recorded.  `skip_arc`, if given, is treated as absent.  Out-neighbours
-    are scanned in ascending order, so each parent chain is the
-    lexicographically first of the fewest-arc paths whose internal vertices
-    avoid `stop`."""
+    recorded.  Out-neighbours are scanned in ascending order, so each parent
+    chain is the lexicographically first of the fewest-arc paths whose
+    internal vertices avoid `stop`."""
     g._check_vertex(s)
     out = g._out
-    skip_u, skip_v = skip_arc if skip_arc is not None else (None, None)
     parent: Dict[int, Optional[int]] = {s: None}
     queue = [s]
     # The list grows while it is walked, which makes it the FIFO queue.
     for u in queue:
-        skip = skip_v if u == skip_u else None
         for v in out[u]:
-            if v in parent or v == skip:
+            if v in parent:
                 continue
             parent[v] = u
             if v == target:
@@ -323,21 +319,12 @@ def search(
     return parent
 
 
-def reaches(
-    g: WeightedDigraph,
-    s: int,
-    t: int,
-    forbidden_internal: Iterable[int] = (),
-    skip_arc: Optional[Arc] = None,
-) -> bool:
+def reaches(g: WeightedDigraph, s: int, t: int, forbidden_internal: Iterable[int] = ()) -> bool:
     """True iff a directed s-t path exists whose internal vertices avoid the
-    forbidden set.  Endpoints are exempt from the forbidden set.
-
-    `skip_arc`, if given, is treated as absent, so the answer equals the one
-    for `g.without_arc(*skip_arc)` without copying the graph."""
+    forbidden set.  Endpoints are exempt from the forbidden set."""
     g._check_vertex(s)
     g._check_vertex(t)
-    return s == t or t in search(g, s, set(forbidden_internal), t, skip_arc)
+    return s == t or t in search(g, s, set(forbidden_internal), t)
 
 
 def shortest_path(
@@ -383,47 +370,21 @@ def avoiding_path(g: WeightedDigraph, s: int, t: int, avoid: Iterable[int]) -> O
     return DirectedPath(tuple(reversed(seq)))
 
 
-def path_bridges(path: Sequence[int], out: Callable[[int], Iterable[int]]) -> List[int]:
-    """The positions i >= 1 whose path arc (path[i-1], path[i]) lies on every
-    directed path from s = path[0] to t = path[-1].
-
-    `out(u)` gives the out-neighbours of u without the arcs of `path`.  With
-    e_1 .. e_k the path's arcs from s, e_i is on every s-t path exactly when
-    s reaches none of path[i:] without e_i .. e_k.  If s reaches path[j],
-    j >= i, so, then e_{j+1} .. e_k finish an s-t path avoiding e_i.
-    Conversely, on an s-t path avoiding e_i, the first vertex of path[i:] is
-    reached without e_i .. e_k, since the tails of e_{i+1} .. e_k lie in
-    path[i:].  Those reachable sets grow with i: s reaches path[:i] along
-    e_1 .. e_{i-1}.  So one search, seeded with each path vertex in turn and
-    extended only as far as each answer needs, finds them all in time
-    linear in the graph."""
-    pos = {v: i for i, v in enumerate(path)}
-    seen = {path[0]}
-    stack = [path[0]]
-    far = 0  # the furthest path position among the vertices seen
-    found = []
-    for i in range(1, len(path)):
-        while stack and far < i:
-            for v in out(stack.pop()):
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-                    far = max(far, pos.get(v, 0))
-        if far < i:
-            found.append(i)
-        if path[i] not in seen:
-            seen.add(path[i])
-            stack.append(path[i])
-    return found
-
-
 def necessary_arcs(g: WeightedDigraph, requests: Iterable[Tuple[int, int]]) -> Optional[Set[Arc]]:
     """The arcs that lie on every s-t path of some request (s, t), or None
     when some request has an endpoint outside g or t unreachable from s.
 
     These are the strong bridges that separate a request (Italiano, Laura &
-    Santaroni, TCS 2012).  Each request costs one breadth-first search for
-    an s-t path and one `path_bridges` walk along it; s == t needs no arc."""
+    Santaroni, TCS 2012); s == t needs none.  Per request, a breadth-first
+    search finds an s-t path with arcs e_1 .. e_k, and e_i is on every s-t
+    path exactly when s reaches none of path[i:] without e_i .. e_k.  If s
+    reaches path[j], j >= i, so, then e_{j+1} .. e_k finish an s-t path
+    avoiding e_i.  Conversely, on an s-t path avoiding e_i, the first vertex
+    of path[i:] is reached without e_i .. e_k, since their tails lie in
+    path[i:].  These reachable sets grow with i, as s reaches path[:i] along
+    e_1 .. e_{i-1}.  So one walk that leaves out the path's arcs, seeded
+    with each path vertex in turn and extended only as far as each answer
+    needs, finds them all in time linear in the graph."""
     out = g._out
     found: Set[Arc] = set()
     for s, t in requests:
@@ -435,36 +396,25 @@ def necessary_arcs(g: WeightedDigraph, requests: Iterable[Tuple[int, int]]) -> O
         if p is None:
             return None
         path = p.vertices
+        pos = {v: i for i, v in enumerate(path)}
         succ = dict(zip(path, path[1:]))
-        for i in path_bridges(path, lambda u: [v for v in out[u] if v != succ.get(u)]):
-            found.add((path[i - 1], path[i]))
+        seen = {s}
+        stack = [s]
+        far = 0  # the furthest path position among the vertices seen
+        for i in range(1, len(path)):
+            while stack and far < i:
+                u = stack.pop()
+                for v in out[u]:
+                    if v not in seen and v != succ.get(u):
+                        seen.add(v)
+                        stack.append(v)
+                        far = max(far, pos.get(v, 0))
+            if far < i:
+                found.add((path[i - 1], path[i]))
+            if path[i] not in seen:
+                seen.add(path[i])
+                stack.append(path[i])
     return found
-
-
-def all_simple_paths(g: WeightedDigraph, s: int, t: int) -> List[DirectedPath]:
-    """Every simple directed s-t path, in DFS order with ascending neighbor
-    ids, on an explicit stack.  Desk-scale oracle helper."""
-    g._check_vertex(s)
-    g._check_vertex(t)
-    if s == t:
-        return [DirectedPath((s,))]
-    out: List[DirectedPath] = []
-    seq = [s]
-    on_path = {s}
-    # One iterator over the out-neighbors of each vertex on seq.
-    frames = [iter(g.out_neighbors(s))]
-    while frames:
-        v = next(frames[-1], None)
-        if v is None:
-            frames.pop()
-            on_path.discard(seq.pop())
-        elif v == t:
-            out.append(DirectedPath((*seq, t)))
-        elif v not in on_path:
-            seq.append(v)
-            on_path.add(v)
-            frames.append(iter(g.out_neighbors(v)))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -600,17 +550,35 @@ def treewidth_exact(g: UndirectedGraph) -> Tuple[int, List[int]]:
     adj: Dict[int, Set[int]] = {v: set(g.adjacent(v)) for v in g.vertices}
     order: List[int] = []
     width = 0
+    heap: List[Tuple[int, int]] = []
 
-    # Safe reductions: a simplicial vertex if there is one, else a degree-2 vertex.
-    while adj:
-        ordered = sorted(adj)
-        v = next((u for u in ordered if all(b in adj[a] for a in adj[u] for b in adj[u] if a < b)), None)
-        if v is None:
-            v = next((u for u in ordered if len(adj[u]) == 2), None)
-        if v is None:
-            break
+    def key(u: int) -> int:
+        ns = adj[u]
+        return 0 if all(b in adj[a] for a in ns for b in ns if a < b) else 1 if len(ns) == 2 else 2
+
+    def push(vs: Iterable[int]) -> None:
+        for u in vs:
+            k = key(u)
+            if k < 2:
+                heapq.heappush(heap, (k, u))
+
+    # Safe reductions: the smallest simplicial vertex if there is one, else
+    # the smallest of degree 2, from a lazy heap on (key, id).  Eliminating
+    # v changes only its neighbours' neighbour sets and, for a degree-2 v,
+    # adds at most the edge between them, which can change only their
+    # common neighbours' keys; those are pushed again.  Keys only fall: a
+    # simplicial vertex stays simplicial, and a degree-2 v is eliminated
+    # only when none is simplicial, which keeps its neighbours' degrees.
+    # So the first entry popped for a vertex carries its current key.
+    push(adj)
+    while heap:
+        _, v = heapq.heappop(heap)
+        if v not in adj:
+            continue
+        ns = list(adj[v])
         width = max(width, _eliminate(adj, v))
         order.append(v)
+        push(set(ns) | (adj[ns[0]] & adj[ns[1]] if len(ns) == 2 else set()))
 
     if adj:
         remaining = sorted(adj)

@@ -14,7 +14,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 import networkx as nx
 
 from .errors import InputError, InvariantError
-from .graphs import Arc, DirectedPath, UndirectedGraph, WeightedDigraph, necessary_arcs, reaches
+from .graphs import Arc, DirectedPath, UndirectedGraph, WeightedDigraph, necessary_arcs
 
 
 @dataclass(frozen=True)
@@ -180,11 +180,13 @@ def _hypotheses_failure(K: WeightedDigraph, a: int, b: int, c: int, d: int) -> O
     fail = _corner_failure(K, a, b, "ab") or _corner_failure(K, c, d, "cd")
     if fail:
         return fail
-    if not reaches(K, a, d):
+    need_ad = necessary_arcs(K, [(a, d)])
+    if need_ad is None:
         return "no directed path from a to d"
-    if not reaches(K, c, b):
+    need_cb = necessary_arcs(K, [(c, b)])
+    if need_cb is None:
         return "no directed path from c to b"
-    removable = K.arc_set() - necessary_arcs(K, [(a, d), (c, b)]) - {(a, b), (c, d)}
+    removable = K.arc_set() - need_ad - need_cb - {(a, b), (c, d)}
     if removable:
         return f"not inclusion-minimal: arc {min(removable)} is removable"
     iso = [v for v in K.vertices if K.total_degree(v) == 0 and v not in {a, b, c, d}]

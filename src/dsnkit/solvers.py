@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from .dsn import DsnInstance, SolutionSubgraph, validate, violated_request
 from .errors import CapacityError, DomainError, InvariantError
-from .graphs import Arc, WeightedDigraph, all_simple_paths, necessary_arcs
+from .graphs import Arc, WeightedDigraph, necessary_arcs
 from .structure import TreewidthCertificate, certify_treewidth_bound
 
 EXHAUSTIVE_MAX_ARCS = 24
@@ -102,18 +102,28 @@ class _IntHost:
 
 
 def _request_paths(inst: DsnInstance, host: _IntHost) -> List[List[PathArcs]]:
-    """All simple paths per request as (arc bit, scaled weight) tuples,
-    cheapest first then by vertices, requests sorted."""
-    ids = {a: i for i, a in enumerate(host.arcs)}
-    out = []
-    for s, t in inst.sorted_requests():
-        keyed = []
-        for p in all_simple_paths(inst.host, s, t):
-            path = tuple((1 << ids[a], host.weights[ids[a]]) for a in p.arcs())
-            keyed.append((sum(w for _, w in path), p.vertices, path))
-        keyed.sort(key=lambda k: k[:2])
-        out.append([path for _, _, path in keyed])
-    return out
+    """All simple paths per request as (arc bit, scaled weight) tuples, by
+    one explicit-stack depth-first search per source that stops extending a
+    path once it holds every target.  Requests come sorted, and paths
+    cheapest first, then by tuple, which orders them by vertices: two paths
+    from one source first differ at arcs with a common tail."""
+    found: Dict[Tuple[int, int], List[PathArcs]] = {r: [] for r in inst.requests}
+    for s in {s for s, _ in inst.requests}:
+        targets = {t for r, t in inst.requests if r == s}
+        # Entries: (last vertex, the path's arcs, its vertices).
+        stack: List[Tuple[int, PathArcs, Set[int]]] = [(s, (), {s})]
+        while stack:
+            u, path, on_path = stack.pop()
+            for v, w, bit in host.out[u]:
+                if v in on_path:
+                    continue
+                longer = path + ((bit, w),)
+                if v in targets:
+                    found[(s, v)].append(longer)
+                    if targets <= on_path | {v}:
+                        continue
+                stack.append((v, longer, on_path | {v}))
+    return [sorted(found[r], key=lambda p: (sum(w for _, w in p), p)) for r in inst.sorted_requests()]
 
 
 def solve_exhaustive(inst: DsnInstance) -> SolveResult:
@@ -146,10 +156,10 @@ def _solve_path_union(inst: DsnInstance) -> SolveResult:
     overestimates, so the result is the first optimal leaf in DFS order."""
     if not inst.requests:
         return _finish(inst, set(), 1, "exhaustive")
-    if violated_request(inst.host, inst.requests) is not None:
-        return _infeasible("exhaustive")
     host = _IntHost(inst.host)
     per_request = _request_paths(inst, host)
+    if not all(per_request):
+        return _infeasible("exhaustive")
     users = Counter(bit for paths in per_request for bit in {bit for path in paths for bit, _ in path})
     # Costs are scaled once more by L, the lcm of the user counts, so every
     # split weight w * L / users is an integer.

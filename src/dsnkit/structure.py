@@ -18,9 +18,8 @@ from .dsn import (
     DsnInstance,
     Request,
     SolutionSubgraph,
-    is_inclusion_minimal_graph,
+    _normalize_requests_arg,
     normalize_requests_graph,
-    violated_request,
 )
 from .errors import (
     CapacityError,
@@ -35,6 +34,7 @@ from .graphs import (
     WeightedDigraph,
     avoiding_path,
     diameter,
+    necessary_arcs,
     search,
     shortest_path,
     treewidth_exact,
@@ -466,9 +466,10 @@ def _verify_replacement(
         raise InvariantError(f"fresh component neighbors {sorted(nbrs)} != boundary")
     if len(F_new) > PROTRUSION_MAX_INTERIOR:
         raise InvariantError("fresh component exceeds the size bound")
-    if violated_request(new, reqs) is not None:
+    necessary = necessary_arcs(new, reqs)
+    if necessary is None:
         raise InvariantError("replacement broke a request")
-    if not is_inclusion_minimal_graph(new, reqs):
+    if len(necessary) < new.m:
         raise InvariantError("replacement is not inclusion-minimal")
     changed = normalize_requests_graph(old, T) ^ normalize_requests_graph(new, T)
     if changed:
@@ -590,9 +591,10 @@ def reduce_length_graph(
     is short; returns the reduced graph plus the full report."""
     reqs = frozenset(requests)
     T = tuple(sorted({v for r in reqs for v in r}))
-    if violated_request(graph, reqs) is not None:
+    necessary = necessary_arcs(graph, _normalize_requests_arg(reqs))
+    if necessary is None:
         raise PreconditionError("input graph is not a valid solution")
-    if not is_inclusion_minimal_graph(graph, reqs):
+    if len(necessary) < graph.m:
         raise PreconditionError("input graph is not inclusion-minimal")
 
     tw_before, tw_before_exact = _tw_maybe_exact(graph)

@@ -1,6 +1,7 @@
-"""Shared test corpora: seeded random instances, a Hypothesis strategy
-for small digraphs, ladder hosts with terminals attached, and the small
-3-regular pattern corpus."""
+"""Shared test corpora and references: seeded random instances, a
+Hypothesis strategy for small digraphs, every simple path between two
+vertices, ladder hosts with terminals attached, and the small 3-regular
+pattern corpus."""
 
 import random
 from fractions import Fraction
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from dsnkit.dsn import DsnInstance
 from dsnkit.generators import gen_grid
-from dsnkit.graphs import UndirectedGraph, WeightedDigraph
+from dsnkit.graphs import DirectedPath, UndirectedGraph, WeightedDigraph
 from dsnkit.ladders import LadderSpec, ladder_corners, make_ladder
 from dsnkit.reduction import PsiInstance
 
@@ -59,6 +60,30 @@ def digraphs(max_n=7, density=0.4):
         return WeightedDigraph(range(n), arcs)
 
     return build()
+
+
+def all_simple_paths(g, s, t):
+    """Reference: every simple directed s-t path, in DFS order with
+    ascending neighbor ids, on an explicit stack."""
+    if s == t:
+        return [DirectedPath((s,))]
+    out = []
+    seq = [s]
+    on_path = {s}
+    # One iterator over the out-neighbors of each vertex on seq.
+    frames = [iter(g.out_neighbors(s))]
+    while frames:
+        v = next(frames[-1], None)
+        if v is None:
+            frames.pop()
+            on_path.discard(seq.pop())
+        elif v == t:
+            out.append(DirectedPath((*seq, t)))
+        elif v not in on_path:
+            seq.append(v)
+            on_path.add(v)
+            frames.append(iter(g.out_neighbors(v)))
+    return out
 
 
 OUT_STAR_KINDS = ("int", "frac", "unit", "grid")

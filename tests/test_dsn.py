@@ -27,11 +27,6 @@ def is_inclusion_minimal_by_copies(graph, requests):
     return all(violated_request(graph.without_arc(*a), requests) is not None for a in graph.arc_set())
 
 
-def is_inclusion_minimal_by_skip_arc(graph, requests):
-    """Reference: one masked-arc validity check per arc."""
-    return all(violated_request(graph, requests, skip_arc=a) is not None for a in graph.arc_set())
-
-
 def minimize_graph_by_copies(graph, requests):
     """Reference: one copied graph per attempted arc, same removal order."""
     terminals = {v for r in requests for v in r}
@@ -134,7 +129,7 @@ class TestValidateAndMinimize:
         """[DERIVED: copy-per-arc reference loop]"""
         g, reqs = case
         expected = is_inclusion_minimal_by_copies(g, reqs)
-        assert is_inclusion_minimal_graph(g, reqs) == is_inclusion_minimal_by_skip_arc(g, reqs) == expected
+        assert is_inclusion_minimal_graph(g, reqs) == expected
         small = minimize_graph(g, reqs)
         assert is_inclusion_minimal_by_copies(small, reqs)
         assert is_inclusion_minimal_graph(small, reqs)

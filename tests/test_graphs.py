@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 from dsnkit.errors import DomainError, InputError, CapacityError
 from dsnkit.graphs import (
     DirectedPath,
+    _eliminate,
     UndirectedGraph,
     WeightedDigraph,
-    all_simple_paths,
     avoiding_path,
     diameter,
     necessary_arcs,
@@ -21,7 +21,7 @@ from dsnkit.graphs import (
 
 from dsnkit.dsn import violated_request
 
-from conftest import digraphs
+from conftest import all_simple_paths, digraphs
 
 
 def elimination_width(g, order):
@@ -43,7 +43,7 @@ def elimination_width(g, order):
     return width
 
 
-def reaches_by_dfs(g, s, t, forbidden=(), skip_arc=None):
+def reaches_by_dfs(g, s, t, forbidden=()):
     """Reference: depth-first reachability, written independently of `search`."""
     if s == t:
         return True
@@ -52,8 +52,6 @@ def reaches_by_dfs(g, s, t, forbidden=(), skip_arc=None):
     while stack:
         u = stack.pop()
         for v in g.out_neighbors(u):
-            if (u, v) == skip_arc:
-                continue
             if v == t:
                 return True
             if v in seen or v in forbidden:
@@ -89,20 +87,43 @@ def avoiding_path_by_levels(g, s, t, avoid):
 
 
 def necessary_arcs_by_removal(g, requests):
-    """Reference: one masked-arc validity check per arc."""
+    """Reference: one validity check per arc, on a copy without that arc."""
     proper = [(s, t) for s, t in requests if s != t]
     if any(not g.has_vertex(v) for r in requests for v in r) or violated_request(g, proper) is not None:
         return None
-    return {a for a in g.arc_set() if violated_request(g, proper, skip_arc=a) is not None}
+    return {a for a in g.arc_set() if violated_request(g.without_arc(*a), proper) is not None}
+
+
+def treewidth_exact_by_rescans(g):
+    """Reference: the safe reductions re-sort and rescan the remaining
+    vertices after every elimination; `treewidth_exact` then finishes the
+    graph they leave, which has no simplicial or degree-2 vertex."""
+    adj = {v: set(g.adjacent(v)) for v in g.vertices}
+    order = []
+    width = 0
+    while adj:
+        ordered = sorted(adj)
+        v = next((u for u in ordered if all(b in adj[a] for a in adj[u] for b in adj[u] if a < b)), None)
+        if v is None:
+            v = next((u for u in ordered if len(adj[u]) == 2), None)
+        if v is None:
+            break
+        width = max(width, _eliminate(adj, v))
+        order.append(v)
+    rest_width, rest_order = treewidth_exact(UndirectedGraph(adj, [(u, w) for u in adj for w in adj[u]]))
+    return max(width, rest_width), order + rest_order
+
+
+def treewidth_outcome(treewidth, g):
+    """(width, order), or the message of the capacity error."""
+    try:
+        return treewidth(g)
+    except CapacityError as exc:
+        return str(exc)
 
 
 def vertex_sets(g):
     return st.sets(st.sampled_from(g.vertices))
-
-
-def optional_arcs(g):
-    arcs = sorted(g.arc_set())
-    return st.none() | st.sampled_from(arcs) if arcs else st.none()
 
 
 class TestWeightedDigraph:
@@ -152,20 +173,9 @@ class TestReachability:
     def test_reaches_matches_dfs_reference(self, g, data):
         """[DERIVED: depth-first reference reachability]"""
         forbidden = data.draw(vertex_sets(g))
-        skip = data.draw(optional_arcs(g))
         for s in g.vertices:
             for t in g.vertices:
-                assert reaches(g, s, t, forbidden, skip) == reaches_by_dfs(g, s, t, forbidden, skip)
-
-    @settings(max_examples=60, deadline=None)
-    @given(digraphs())
-    def test_skip_arc_matches_copied_graph(self, g):
-        """[DERIVED: reachability in g.without_arc(*a)]"""
-        for a in sorted(g.arc_set()):
-            rest = g.without_arc(*a)
-            for s in g.vertices:
-                for t in g.vertices:
-                    assert reaches(g, s, t, skip_arc=a) == reaches(rest, s, t)
+                assert reaches(g, s, t, forbidden) == reaches_by_dfs(g, s, t, forbidden)
 
 
 class TestSearch:
@@ -180,10 +190,6 @@ class TestSearch:
     def test_returns_once_target_recorded(self):
         g = WeightedDigraph(range(4), {(0, 1): 1, (0, 2): 1, (1, 3): 1})
         assert search(g, 0, target=1) == {0: None, 1: 0}
-
-    def test_skip_arc_is_absent(self):
-        g = WeightedDigraph(range(3), {(0, 1): 1, (1, 2): 1, (0, 2): 1})
-        assert search(g, 0, skip_arc=(0, 2)) == {0: None, 1: 0, 2: 1}
 
     def test_unknown_source_rejected(self):
         with pytest.raises(InputError):
@@ -280,7 +286,7 @@ class TestNecessaryArcs:
     @settings(max_examples=200, deadline=None)
     @given(g=st.one_of(digraphs(), digraphs(density=0.5)), data=st.data())
     def test_matches_per_arc_removal(self, g, data):
-        """[DERIVED: per-arc violated_request(skip_arc=...) reference]"""
+        """[DERIVED: per-arc validity check on a copy without the arc]"""
         # Pairs are drawn freely, so requests with s == t and unreachable
         # requests both occur.
         pairs = st.tuples(st.sampled_from(g.vertices), st.sampled_from(g.vertices))
@@ -292,25 +298,6 @@ class TestPaths:
     def test_rejects_repeats(self):
         with pytest.raises(InputError):
             DirectedPath((0, 1, 0))
-
-    @settings(max_examples=40, deadline=None)
-    @given(digraphs())
-    def test_all_simple_paths_matches_recursive_dfs(self, g):
-        """[DERIVED: the recursive walk the explicit stack replaced]"""
-
-        def walk(seq, t, out):
-            if seq[-1] == t:
-                out.append(tuple(seq))
-                return
-            for v in g.out_neighbors(seq[-1]):
-                if v not in seq:
-                    walk(seq + [v], t, out)
-
-        for s in g.vertices:
-            for t in g.vertices:
-                expected = []
-                walk([s], t, expected)
-                assert [p.vertices for p in all_simple_paths(g, s, t)] == expected
 
 
 class TestDiameter:
@@ -370,6 +357,18 @@ class TestTreewidth:
             width, order = treewidth_exact(u)
             assert elimination_width(u, order) == width
             assert width <= treewidth_upper_bound(u)
+
+    def test_matches_rescanning_reference(self):
+        """[DERIVED: rescan-after-every-elimination reduction loop]"""
+        import random
+
+        for seed in range(400):
+            rng = random.Random(seed)
+            p = rng.choice((0.15, 0.3, 0.5, 0.8))
+            # Sparse graphs are mostly reduced; dense ones stay small for the DP.
+            n = rng.randint(1, 14 if p < 0.3 else 10)
+            u = UndirectedGraph(range(n), [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p])
+            assert treewidth_outcome(treewidth_exact, u) == treewidth_outcome(treewidth_exact_by_rescans, u)
 
     def test_capacity_cap(self):
         # 4-regular circulant: no simplicial or degree-2 reductions apply,

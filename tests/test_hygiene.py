@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports is used in that module,
-every import sits at module level, not inside a function body, and every
-private module-level name is used somewhere in the package.
+every import sits at module level, not inside a function body, every
+private module-level name is used somewhere in the package, and so is every
+public function and class, unless it is library surface.
 
 `__init__.py` is exempt from the unused-import scan because it imports names
 only to re-export them through `__all__`."""
@@ -14,6 +15,19 @@ import dsnkit
 
 SOURCES = sorted(Path(dsnkit.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+# Public functions that no code in the package calls: the API that callers
+# and the acceptance criteria use directly.
+LIBRARY_SURFACE = {
+    ("dsn.py", "is_inclusion_minimal"),
+    ("dsn.py", "minimize"),
+    ("dsn.py", "reverse_instance"),
+    ("dsn.py", "reverse_solution"),
+    ("formats.py", "emit_psi"),
+    ("ladders.py", "is_ladder_undirected"),
+    ("ladders.py", "ladder_two_path_decomposition"),
+    ("reduction.py", "embedding_solution"),
+    ("reduction.py", "extract_embedding"),
+}
 
 
 def unused_imports(source):
@@ -92,14 +106,21 @@ def referenced_names(node):
     return names
 
 
-def unreferenced_private_names(sources):
-    """(module, name) for each private module-level name that no statement
-    of any module references outside the statement defining it."""
+def public_definitions(tree):
+    """(name, statement) for each module-level public function and class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+
+
+def unreferenced_names(sources, definitions):
+    """(module, name) for each name from `definitions` that no statement of
+    any module references outside the statement defining it."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     statements = [node for tree in trees.values() for node in tree.body]
     found = []
     for module, tree in trees.items():
-        for name, definition in private_definitions(tree):
+        for name, definition in definitions(tree):
             if not any(name in referenced_names(node) for node in statements if node is not definition):
                 found.append((module, name))
     return found
@@ -110,8 +131,21 @@ def test_scan_finds_an_unreferenced_private_name():
         "a.py": "_used = 1\n_alone = 2\n\ndef _recursive():\n    return _recursive()\n",
         "b.py": "from .a import _used\n\nclass _Kept:\n    pass\n\nx = _Kept()\n__all__ = []\n",
     }
-    assert unreferenced_private_names(sources) == [("a.py", "_alone"), ("a.py", "_recursive")]
+    assert unreferenced_names(sources, private_definitions) == [("a.py", "_alone"), ("a.py", "_recursive")]
 
 
 def test_private_names_are_referenced():
-    assert unreferenced_private_names({p.name: p.read_text() for p in SOURCES}) == []
+    assert unreferenced_names({p.name: p.read_text() for p in SOURCES}, private_definitions) == []
+
+
+def test_scan_finds_a_left_behind_public_function():
+    sources = {
+        "graphs.py": "def search(g, s):\n    return {}\n\ndef all_simple_paths(g, s, t):\n    return []\n",
+        "dsn.py": "from .graphs import search\n",
+    }
+    assert unreferenced_names(sources, public_definitions) == [("graphs.py", "all_simple_paths")]
+
+
+def test_public_names_are_referenced_or_library_surface():
+    found = unreferenced_names({p.name: p.read_text() for p in SOURCES}, public_definitions)
+    assert set(found) == LIBRARY_SURFACE

@@ -15,7 +15,7 @@ from dsnkit.dsn import DsnInstance, is_inclusion_minimal, validate, violated_req
 from dsnkit import dsn, solvers
 from dsnkit.errors import CapacityError, DomainError, InvariantError
 from dsnkit.generators import gen_grid, gen_random
-from dsnkit.graphs import WeightedDigraph, all_simple_paths, shortest_path
+from dsnkit.graphs import WeightedDigraph, shortest_path
 from dsnkit.reduction import decide_psi_via_dsn, generate_hardness_instance
 from dsnkit.solvers import (
     _finish,
@@ -33,6 +33,7 @@ from conftest import (
     K33,
     K4,
     OUT_STAR_KINDS,
+    all_simple_paths,
     digraphs,
     ladder_with_terminals,
     out_star,
@@ -506,6 +507,52 @@ class TestBranchAndBound:
         r = solve_bnb(DsnInstance(g, {(0, m)}))
         assert r.cost == m and r.node_count == 1
         assert time.perf_counter() - start < 1.0
+
+
+class TestRequestPaths:
+    @settings(max_examples=60, deadline=None)
+    @given(g=digraphs(), data=st.data())
+    def test_matches_recursive_dfs(self, g, data):
+        """[DERIVED: one recursive walk per request, sorted by cost and vertices]"""
+        pairs = [(s, t) for s in range(g.n) for t in range(g.n) if s != t]
+        inst = DsnInstance(g, data.draw(st.sets(st.sampled_from(pairs), min_size=1, max_size=5)))
+        host = solvers._IntHost(g)
+        bit = {a: (1 << i, w) for i, (a, w) in enumerate(zip(host.arcs, host.weights))}
+
+        def walk(seq, t, out):
+            if seq[-1] == t:
+                out.append(tuple(seq))
+                return
+            for v in g.out_neighbors(seq[-1]):
+                if v not in seq:
+                    walk(seq + [v], t, out)
+
+        expected = []
+        for s, t in inst.sorted_requests():
+            walks = []
+            walk([s], t, walks)
+            paths = [tuple(bit[a] for a in zip(seq, seq[1:])) for seq in walks]
+            keyed = sorted(zip(walks, paths), key=lambda k: (sum(w for _, w in k[1]), k[0]))
+            expected.append([path for _, path in keyed])
+        assert solvers._request_paths(inst, host) == expected
+
+    def test_source_with_several_targets(self):
+        # Arc bits: (0, 1) 1, (0, 2) 2, (1, 2) 4, (2, 3) 8; the paths to 3
+        # pass the targets 1 and 2.
+        g = WeightedDigraph(range(4), {(0, 1): 1, (0, 2): 3, (1, 2): 1, (2, 3): 1})
+        inst = DsnInstance(g, {(0, 1), (0, 2), (0, 3)})
+        assert solvers._request_paths(inst, solvers._IntHost(g)) == [
+            [((1, 1),)],
+            [((1, 1), (4, 1)), ((2, 3),)],
+            [((1, 1), (4, 1), (8, 1)), ((2, 3), (8, 1))],
+        ]
+
+    def test_unreachable_request(self):
+        g = WeightedDigraph(range(4), {(0, 1): 1, (1, 2): 1, (3, 2): 1})
+        inst = DsnInstance(g, {(0, 2), (0, 3)})
+        assert solvers._request_paths(inst, solvers._IntHost(g)) == [[((1, 1), (2, 1))], []]
+        r = solve_exhaustive(inst)
+        assert not r.feasible and r.node_count == 0
 
 
 class TestIntHost:
