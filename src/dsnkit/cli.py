@@ -125,7 +125,8 @@ def cmd_reduce(args) -> int:
         "threshold": str(out.threshold),
         "k": str(psi.k),
     }
-    text = emit_dsn(out.dsn, meta)
+    # --json without -o never prints the instance, so it is not emitted.
+    text = emit_dsn(out.dsn, meta) if args.output or not args.json else None
     if args.output:
         _write(args.output, text)
     decision = None

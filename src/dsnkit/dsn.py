@@ -8,12 +8,13 @@ level is where the real logic lives.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import FrozenSet, Iterable, List, Optional, Tuple
 
 from .errors import InputError, PreconditionError
-from .graphs import Arc, WeightedDigraph, necessary_arcs, reaches, search
+from .graphs import Arc, WeightedDigraph, necessary_arcs, search
 
 Request = Tuple[int, int]
 
@@ -85,7 +86,11 @@ class SolutionSubgraph:
         return self.host.subgraph(self.arcs, extra_vertices=self.pinned)
 
     def cost(self) -> Fraction:
-        return sum((self.host.weight(*a) for a in self.arcs), Fraction(0))
+        """The exact sum of the arc weights, added as integers over their
+        least common denominator."""
+        weights = [self.host.weight(*a) for a in self.arcs]
+        scale = math.lcm(*(w.denominator for w in weights))
+        return Fraction(sum(w.numerator * (scale // w.denominator) for w in weights), scale)
 
 
 # ---------------------------------------------------------------------------
@@ -93,9 +98,17 @@ class SolutionSubgraph:
 
 
 def violated_request(graph: WeightedDigraph, requests: Iterable[Request]) -> Optional[Request]:
-    """Lexicographically first request with no s-t path, or None if valid."""
+    """Lexicographically first request with no s-t path, or None if valid.
+
+    Sorted requests come grouped by source, and one search per source
+    answers all of its requests."""
+    source, reached = None, {}
     for s, t in sorted(_normalize_requests_arg(requests)):
-        if not graph.has_vertex(s) or not graph.has_vertex(t) or not reaches(graph, s, t):
+        if not graph.has_vertex(s) or not graph.has_vertex(t):
+            return (s, t)
+        if s != source:
+            source, reached = s, search(graph, s)
+        if t not in reached:
             return (s, t)
     return None
 

@@ -41,12 +41,26 @@ def _int_field(tok: str, lineno: int, col: int, lo: int = None, hi: int = None) 
     return value
 
 
+def _is_ascii_int(tok: str) -> bool:
+    return tok.isascii() and tok.isdigit()
+
+
 def _weight_field(tok: str, lineno: int, col: int) -> Fraction:
+    """`Fraction(tok)`, which must be positive.  A token `n` or `n/d` of
+    ASCII digits is read with `int` (d = 0 raises ZeroDivisionError, as
+    `Fraction(tok)` does); any other token goes through `Fraction(tok)`, so
+    both accept, reject and report the same tokens."""
+    num, slash, den = tok.partition("/")
     try:
-        w = Fraction(tok)
+        if _is_ascii_int(num) and (not slash or _is_ascii_int(den)):
+            d = int(den) if slash else 1
+            w = Fraction(int(num)) if d == 1 else Fraction(int(num), d)
+        else:
+            w = Fraction(tok)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"expected a rational weight, got {tok!r}", lineno, col)
-    if w <= 0:
+    # A Fraction's denominator is positive, so its sign is the numerator's.
+    if w.numerator <= 0:
         raise ParseError(f"weight must be positive, got {tok}", lineno, col)
     return w
 

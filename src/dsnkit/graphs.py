@@ -319,14 +319,6 @@ def search(
     return parent
 
 
-def reaches(g: WeightedDigraph, s: int, t: int, forbidden_internal: Iterable[int] = ()) -> bool:
-    """True iff a directed s-t path exists whose internal vertices avoid the
-    forbidden set.  Endpoints are exempt from the forbidden set."""
-    g._check_vertex(s)
-    g._check_vertex(t)
-    return s == t or t in search(g, s, set(forbidden_internal), t)
-
-
 def shortest_path(
     g: WeightedDigraph, s: int, t: int, avoid: Container[int] = ()
 ) -> Optional[Tuple[DirectedPath, Fraction]]:

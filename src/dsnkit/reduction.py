@@ -23,6 +23,8 @@ from .solvers import _solve_path_union
 
 Edge = Tuple[int, int]
 PSI_BRUTEFORCE_MAX_K = 10
+# The weight of every arc of a hardness instance.
+_UNIT = Fraction(1)
 
 
 def _edge(u: int, v: int) -> Edge:
@@ -261,7 +263,7 @@ def build_dsn(psi: PsiInstance, lab: Labelling) -> ReductionOutput:
 
     vertices = set(g.vertices) | set(w_vertex.values())
     vertices |= set(x_vertex.values()) | set(y_vertex.values()) | set(z_vertex.values())
-    arcs = {arc: Fraction(1) for arc in a_v | a_w}
+    arcs = {arc: _UNIT for arc in a_v | a_w}
     host = WeightedDigraph(vertices, arcs)
     dsn = DsnInstance(host, a_y | a_z)
 

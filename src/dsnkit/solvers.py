@@ -84,7 +84,7 @@ class _IntHost:
         weights = host.arcs()
         self.arcs = sorted(weights)
         self.scale = math.lcm(*(w.denominator for w in weights.values()))
-        self.weights = [int(weights[a] * self.scale) for a in self.arcs]
+        self.weights = [weights[a].numerator * (self.scale // weights[a].denominator) for a in self.arcs]
         self.out: Dict[int, List[Tuple[int, int, int]]] = {v: [] for v in host.vertices}
         self.inn: Dict[int, List[Tuple[int, int, int]]] = {v: [] for v in host.vertices}
         # Sorted arcs come in ascending order of head within a tail, and of
@@ -104,18 +104,27 @@ class _IntHost:
 def _request_paths(inst: DsnInstance, host: _IntHost) -> List[List[PathArcs]]:
     """All simple paths per request as (arc bit, scaled weight) tuples, by
     one explicit-stack depth-first search per source that stops extending a
-    path once it holds every target.  Requests come sorted, and paths
-    cheapest first, then by tuple, which orders them by vertices: two paths
-    from one source first differ at arcs with a common tail."""
+    path once it holds every target, and never extends it into a vertex
+    that reaches no target (one reverse search from the targets finds the
+    others).  Requests come sorted, and paths cheapest first, then by tuple,
+    which orders them by vertices: two paths from one source first differ
+    at arcs with a common tail."""
     found: Dict[Tuple[int, int], List[PathArcs]] = {r: [] for r in inst.requests}
     for s in {s for s, _ in inst.requests}:
         targets = {t for r, t in inst.requests if r == s}
+        live = set(targets)
+        queue = list(targets)
+        for v in queue:
+            for u, _, _ in host.inn[v]:
+                if u not in live:
+                    live.add(u)
+                    queue.append(u)
         # Entries: (last vertex, the path's arcs, its vertices).
         stack: List[Tuple[int, PathArcs, Set[int]]] = [(s, (), {s})]
         while stack:
             u, path, on_path = stack.pop()
             for v, w, bit in host.out[u]:
-                if v in on_path:
+                if v in on_path or v not in live:
                     continue
                 longer = path + ((bit, w),)
                 if v in targets:
@@ -218,12 +227,15 @@ def solve_bnb(inst: DsnInstance) -> SolveResult:
     included arcs on it are free, so d > 0 means it has an undecided arc.
     A leaf is reached once every d is 0, and its arcs are the included ones.
 
-    Tie-break: a node is pruned only when its bound exceeds the incumbent,
-    so every optimal arc set is reached as a leaf (weights are positive, so
-    an optimum is inclusion-minimal).  An equal-cost leaf replaces the
-    incumbent when the lowest arc id on which the two differ is its own.
-    The result is the optimum whose indicator vector over ascending arc ids
-    is lexicographically greatest, in whatever order the leaves come.
+    Tie-break: an equal-cost leaf replaces the incumbent when the lowest arc
+    id on which the two differ is its own.  A node is pruned when its bound
+    exceeds the incumbent, or equals it while no leaf below can win that
+    tie: the incumbent has an excluded arc, and every arc with a lower id
+    is excluded or in the incumbent.  So every optimal arc set that could
+    win is reached as a leaf (weights are positive, so an optimum is
+    inclusion-minimal), and the result is the optimum whose indicator
+    vector over ascending arc ids is lexicographically greatest, in
+    whatever order the leaves come.
 
     The search runs on an explicit stack, and each node derives its state
     from its parent's.  Arc sets are bitmasks over arc ids.  Every
@@ -329,8 +341,15 @@ def solve_bnb(inst: DsnInstance) -> SolveResult:
             continue
         # max keeps the first of equal bounds, so ties go by sorted request.
         _, _, worst, path, _ = max(missing, key=_distance)
-        if best_cost is not None and inc_cost + worst > best_cost:
-            continue
+        if best_cost is not None and inc_cost + worst >= best_cost:
+            if inc_cost + worst > best_cost:
+                continue
+            # Every leaf below lacks the lowest excluded incumbent arc, so it
+            # wins the tie only with an arc below that one that is neither
+            # excluded nor in the incumbent.
+            lost = best_arcs & excluded
+            if lost and not ((lost & -lost) - 1) & ~(best_arcs | excluded):
+                continue
         free = path & ~included
         bit = free & -free
         i = bit.bit_length() - 1

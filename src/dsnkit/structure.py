@@ -43,6 +43,8 @@ from .graphs import (
 from .ladders import LadderSpec, LadderVerdict, is_ladder_subdivision, ladder_corners, make_ladder
 
 PROTRUSION_MAX_INTERIOR = 14
+# The weight of every arc a replacement ladder brings in.
+_UNIT = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +440,7 @@ def protrusion_replace(
     for (u, v), w in ladder.arcs().items():
         mu, mv = vmap[u], vmap[v]
         if (mu, mv) not in arcs:
-            arcs[(mu, mv)] = Fraction(1)
+            arcs[(mu, mv)] = _UNIT
     vertices = (set(graph.vertices) - Fset) | interior
     new_graph = WeightedDigraph(vertices, arcs)
 

@@ -1,7 +1,7 @@
 """Shared test corpora and references: seeded random instances, a
-Hypothesis strategy for small digraphs, every simple path between two
-vertices, ladder hosts with terminals attached, and the small 3-regular
-pattern corpus."""
+Hypothesis strategy for small digraphs, reachability with forbidden
+internal vertices, every simple path between two vertices, ladder hosts
+with terminals attached, and the small 3-regular pattern corpus."""
 
 import random
 from fractions import Fraction
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from dsnkit.dsn import DsnInstance
 from dsnkit.generators import gen_grid
-from dsnkit.graphs import DirectedPath, UndirectedGraph, WeightedDigraph
+from dsnkit.graphs import DirectedPath, UndirectedGraph, WeightedDigraph, search
 from dsnkit.ladders import LadderSpec, ladder_corners, make_ladder
 from dsnkit.reduction import PsiInstance
 
@@ -60,6 +60,14 @@ def digraphs(max_n=7, density=0.4):
         return WeightedDigraph(range(n), arcs)
 
     return build()
+
+
+def reaches(g, s, t, forbidden_internal=()):
+    """Reference: True iff a directed s-t path exists whose internal
+    vertices avoid the forbidden set.  Endpoints are exempt from it."""
+    g._check_vertex(s)
+    g._check_vertex(t)
+    return s == t or t in search(g, s, set(forbidden_internal), t)
 
 
 def all_simple_paths(g, s, t):

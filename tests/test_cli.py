@@ -198,6 +198,33 @@ class TestReduce:
         solved = json.loads(capsys.readouterr().out)
         assert solved["cost"] == [26, 1]
 
+    def test_output_file_equals_printed_instance(self, tmp_path, capsys):
+        psi_path = tmp_path / "k4.psi"
+        out_path = tmp_path / "k4.dsn"
+        psi_path.write_text(emit_psi(PsiInstance(K4, K4, {i: i for i in range(4)})))
+        assert main(["reduce", str(psi_path), "--decide"]) == 0
+        plain = capsys.readouterr()
+        assert plain.out.endswith("yes\n") and plain.err == "c threshold 26\n"
+        assert main(["reduce", str(psi_path), "-o", str(out_path), "--decide"]) == 0
+        written = capsys.readouterr()
+        assert written.out == "yes\n" and written.err == plain.err
+        assert out_path.read_text() + "yes\n" == plain.out
+        assert main(["reduce", str(psi_path), "-o", str(out_path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["threshold"] == 26
+        assert out_path.read_text() + "yes\n" == plain.out
+
+    def test_json_without_output_emits_no_instance(self, tmp_path, monkeypatch, capsys):
+        psi_path = tmp_path / "k4.psi"
+        psi_path.write_text(emit_psi(PsiInstance(K4, K4, {i: i for i in range(4)})))
+
+        def unused(inst, meta=None):
+            raise AssertionError("emit_dsn called")
+
+        monkeypatch.setattr(cli, "emit_dsn", unused)
+        assert main(["reduce", str(psi_path), "--decide", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["threshold"] == 26 and payload["decision"] is True
+
 
 @pytest.mark.parametrize("kind", ["missing", "directory", "non-utf8"])
 def test_unreadable_input_is_input_error(tmp_path, capsys, kind):

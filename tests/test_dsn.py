@@ -3,6 +3,7 @@ from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as st
 
+from dsnkit import dsn
 from dsnkit.dsn import (
     DsnInstance,
     SolutionSubgraph,
@@ -17,9 +18,9 @@ from dsnkit.dsn import (
     violated_request,
 )
 from dsnkit.errors import InputError, PreconditionError
-from dsnkit.graphs import WeightedDigraph, reaches
+from dsnkit.graphs import WeightedDigraph, search
 
-from conftest import digraphs, random_instances
+from conftest import digraphs, random_instances, reaches
 
 
 def is_inclusion_minimal_by_copies(graph, requests):
@@ -37,6 +38,14 @@ def minimize_graph_by_copies(graph, requests):
             current = candidate
     used = {v for a in current.arc_set() for v in a} | terminals
     return current.induced(used & set(current.vertices))
+
+
+def violated_request_by_reaches(graph, requests):
+    """Reference: one reachability query per request, in sorted order."""
+    for s, t in sorted(set(requests)):
+        if not graph.has_vertex(s) or not graph.has_vertex(t) or not reaches(graph, s, t):
+            return (s, t)
+    return None
 
 
 def normalize_requests_by_pairs(graph, terminals):
@@ -137,6 +146,35 @@ class TestValidateAndMinimize:
     def test_inclusion_minimality_refuses_an_invalid_graph(self):
         with pytest.raises(PreconditionError):
             is_inclusion_minimal_graph(chain(3), {(2, 0)})
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=digraphs(), data=st.data())
+    def test_violated_request_matches_one_query_per_request(self, g, data):
+        """[DERIVED: per-request reachability reference]"""
+        # Endpoints range two past the last vertex, so some are missing.
+        pairs = [(s, t) for s in range(g.n + 2) for t in range(g.n + 2) if s != t]
+        requests = data.draw(st.sets(st.sampled_from(pairs), max_size=6))
+        searched = []
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(dsn, "search", lambda graph, s: searched.append(s) or search(graph, s))
+            got = violated_request(g, requests)
+        assert got == violated_request_by_reaches(g, requests)
+        assert sorted(searched) == sorted(set(searched))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_cost_matches_fraction_sum(self, data):
+        """[DERIVED: Fraction sum reference]"""
+        weights = st.builds(Fraction, st.integers(1, 50), st.sampled_from([1, 2, 3, 4, 6, 7, 12, 35]))
+        arcs = {(u, v): data.draw(weights) for u in range(4) for v in range(4) if u != v}
+        g = WeightedDigraph(range(4), arcs)
+        chosen = data.draw(st.sets(st.sampled_from(sorted(arcs))))
+        cost = SolutionSubgraph(g, chosen).cost()
+        assert cost == sum((g.weight(*a) for a in chosen), Fraction(0))
+        assert type(cost) is Fraction
+
+    def test_empty_solution_costs_zero(self):
+        assert SolutionSubgraph(chain(3), ()).cost() == Fraction(0)
 
 
 class TestNormalizeRequests:

@@ -2,10 +2,12 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dsnkit import formats
 from dsnkit.errors import CapacityError, ParseError
 from dsnkit.formats import emit_dsn, emit_psi, parse_dsn, parse_psi
+from dsnkit.generators import gen_ladder
 from dsnkit.reduction import PsiInstance
 
 from conftest import K4, random_instances, random_psi_host
@@ -72,6 +74,87 @@ class TestDsnFormat:
         a = emit_dsn(inst, {"b": "2", "a": "1"})
         assert a.index("c a 1") < a.index("c b 2")
         assert a == emit_dsn(inst, {"a": "1", "b": "2"})
+
+
+def weight_by_fraction(tok):
+    """Reference: the weight parser that reads every token with
+    `Fraction(tok)`; the weight, or the ParseError message."""
+    try:
+        w = Fraction(tok)
+    except (ValueError, ZeroDivisionError):
+        return f"line 3, column 7: expected a rational weight, got {tok!r}"
+    if w <= 0:
+        return f"line 3, column 7: weight must be positive, got {tok}"
+    return w
+
+
+def weight_or_message(tok):
+    try:
+        w = formats._weight_field(tok, 3, 7)
+    except ParseError as exc:
+        return str(exc)
+    assert type(w) is Fraction
+    return w
+
+
+class TestWeightField:
+    @pytest.mark.parametrize(
+        "tok",
+        ["1", "12", "3/2", "6/4", "0", "00", "0/5", "5/0", "0/0", "5/", "/5", "5//2", "007/010",
+         "+5", "-5", "1/-2", "1_000", "1.5", "1e3", "٣", "²", "", "1" * 5000, "1/" + "2" * 5000],
+    )
+    def test_matches_fraction_reference(self, tok):
+        assert weight_or_message(tok) == weight_by_fraction(tok)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="0123456789/+-._eE٣² ", max_size=8))
+    def test_matches_fraction_reference_on_drawn_tokens(self, tok):
+        """[DERIVED: `Fraction(tok)` reference]"""
+        assert weight_or_message(tok) == weight_by_fraction(tok)
+
+
+# Emitted files that the fuzzer mutates: integer, fractional and unit weights.
+FUZZ_SEEDS = [emit_dsn(inst, {"seed": "x"}) for inst in random_instances(4, base_seed=600)]
+FUZZ_SEEDS += [MINIMAL, emit_dsn(*gen_ladder(4))]
+FUZZ_TOKENS = st.one_of(
+    st.sampled_from(["a", "r", "p", "c", "dsn", "psi", "0", "1", "2", "3", "-1", "1/2", "0/1", "1/0", "x"]),
+    st.text(alphabet="0123456789/-.e", min_size=1, max_size=4),
+)
+
+
+@st.composite
+def mutated_dsn_files(draw):
+    """An emitted `.dsn` file with a few tokens replaced, dropped or added
+    and lines dropped, duplicated or swapped."""
+    lines = [line.split() for line in draw(st.sampled_from(FUZZ_SEEDS)).splitlines()]
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["replace", "drop-token", "add-token", "drop-line", "dup-line", "swap-lines"]))
+        if op == "replace" and lines[i]:
+            lines[i][draw(st.integers(0, len(lines[i]) - 1))] = draw(FUZZ_TOKENS)
+        elif op == "drop-token" and lines[i]:
+            del lines[i][draw(st.integers(0, len(lines[i]) - 1))]
+        elif op == "add-token":
+            lines[i].insert(draw(st.integers(0, len(lines[i]))), draw(FUZZ_TOKENS))
+        elif op == "drop-line" and len(lines) > 1:
+            del lines[i]
+        elif op == "dup-line":
+            lines.insert(i, list(lines[i]))
+        elif op == "swap-lines":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+    return "".join(" ".join(line) + "\n" for line in lines)
+
+
+class TestParserFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(mutated_dsn_files())
+    def test_mutated_file_parses_or_raises_a_parse_error(self, text):
+        try:
+            inst, _ = parse_dsn(text)
+        except (ParseError, CapacityError):
+            return
+        assert parse_dsn(emit_dsn(inst))[0] == inst
 
 
 class TestPsiFormat:

@@ -12,7 +12,6 @@ from dsnkit.graphs import (
     avoiding_path,
     diameter,
     necessary_arcs,
-    reaches,
     search,
     shortest_path,
     treewidth_exact,
@@ -21,7 +20,7 @@ from dsnkit.graphs import (
 
 from dsnkit.dsn import violated_request
 
-from conftest import all_simple_paths, digraphs
+from conftest import all_simple_paths, digraphs, reaches
 
 
 def elimination_width(g, order):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from dsnkit.dsn import DsnInstance, SolutionSubgraph, is_inclusion_minimal, validate
 from dsnkit.errors import InputError
-from dsnkit.graphs import UndirectedGraph, WeightedDigraph, reaches, treewidth_exact
+from dsnkit.graphs import UndirectedGraph, WeightedDigraph, treewidth_exact
 from dsnkit import ladders
 from dsnkit.ladders import (
     LadderSpec,
@@ -24,7 +24,7 @@ from dsnkit.ladders import (
     make_ladder,
 )
 
-from conftest import digraphs
+from conftest import digraphs, reaches
 
 
 def corner_roles(spec):

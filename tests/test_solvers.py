@@ -471,6 +471,15 @@ class TestBranchAndBound:
         assert r.cost == 2 and sorted(r.optimum.arcs) == [(0, 1), (1, 2)]
         assert optimum_outcome(r) == optimum_outcome(solve_bnb_recursive(inst))
 
+    def test_equal_bound_that_cannot_win_the_tie_is_pruned(self):
+        # A bidirected 2x4 grid with many equal-cost optima: pruning only
+        # bounds above the incumbent took 141 nodes here, and 135 when arcs
+        # excluded below the lowest lost incumbent arc still kept a node.
+        inst = gen_grid(2, 4, q=4, seed=18)[0]
+        r = solve_bnb(inst)
+        assert r.cost == 6 and r.node_count == 129
+        assert optimum_outcome(r) == optimum_outcome(solve_bnb_recursive(inst))
+
     def test_excluded_arc_that_is_not_a_bridge(self):
         # Request 0->t records the path 0->1->3->4->...->t, whose chain arcs
         # are forced at the root.  The root's exclude child drops 0->1, which
@@ -546,6 +555,20 @@ class TestRequestPaths:
             [((1, 1), (4, 1)), ((2, 3),)],
             [((1, 1), (4, 1), (8, 1)), ((2, 3), (8, 1))],
         ]
+
+    def test_no_path_enters_a_region_that_reaches_no_target(self):
+        # Request 0->1 has the direct arc, and 0->2 leads into a bidirected
+        # 6x6 grid that cannot reach 1, whose simple paths are too many to
+        # walk within the time limit.
+        k = 6
+        grid = gen_grid(k, k, q=2, seed=0)[0].host
+        arcs = {(u + 2, v + 2): w for (u, v), w in grid.arcs().items()}
+        arcs.update({(0, 1): 1, (0, 2): 1})
+        inst = DsnInstance(WeightedDigraph(range(k * k + 2), arcs), {(0, 1)})
+        start = time.perf_counter()
+        r = _solve_path_union(inst)
+        assert time.perf_counter() - start < 1.0
+        assert r.cost == 1 and r.optimum.arcs == {(0, 1)}
 
     def test_unreachable_request(self):
         g = WeightedDigraph(range(4), {(0, 1): 1, (1, 2): 1, (3, 2): 1})

@@ -14,7 +14,7 @@ from dsnkit.dsn import (
     normalize_requests_graph,
 )
 from dsnkit.errors import InconsistencyError, InvariantError, PreconditionError
-from dsnkit.graphs import DirectedPath, WeightedDigraph, reaches
+from dsnkit.graphs import DirectedPath, WeightedDigraph
 from dsnkit import structure
 from dsnkit.ladders import LadderSpec, LadderVerdict, ladder_corners, make_ladder
 from dsnkit.structure import (
@@ -37,7 +37,7 @@ from dsnkit.structure import (
     suppress_degree_two,
 )
 
-from conftest import digraphs, ladder_with_terminals
+from conftest import digraphs, ladder_with_terminals, reaches
 
 
 def onto_path_reach_by_dfs(graph, src, pset):
