@@ -49,13 +49,25 @@ def _weight_field(tok: str, lineno: int, col: int) -> Fraction:
     """`Fraction(tok)`, which must be positive.  A token `n` or `n/d` of
     ASCII digits is read with `int` (d = 0 raises ZeroDivisionError, as
     `Fraction(tok)` does); any other token goes through `Fraction(tok)`, so
-    both accept, reject and report the same tokens."""
+    both accept, reject and report the same tokens.
+
+    One exception: a decimal exponent above 4300 in absolute value is
+    rejected before `Fraction` builds 10**exponent, which for a 12-byte
+    token like `1e400000000` would take hours.  4300 is Python's default
+    limit on the digits of an `int` string, so no token reaches a
+    magnitude that a digit string cannot."""
     num, slash, den = tok.partition("/")
     try:
         if _is_ascii_int(num) and (not slash or _is_ascii_int(den)):
             d = int(den) if slash else 1
             w = Fraction(int(num)) if d == 1 else Fraction(int(num), d)
         else:
+            # Fraction reads the exponent after the token's only 'e' with
+            # int, so a malformed exponent fails here as it would there.
+            head, e, exp = tok.lower().partition("e")
+            if e and abs(int(exp)) > 4300:
+                Fraction(head + "e0")  # a malformed mantissa fails as in Fraction(tok)
+                raise ParseError(f"weight exponent {exp} is beyond 4300 in absolute value", lineno, col)
             w = Fraction(tok)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"expected a rational weight, got {tok!r}", lineno, col)
@@ -69,6 +81,9 @@ def parse_dsn(text: str) -> Tuple[DsnInstance, Metadata]:
     meta: Metadata = {}
     header = None
     arcs: Dict[Tuple[int, int], Fraction] = {}
+    # Each distinct weight token is read once: its value does not depend on
+    # where it stands, and a bad one stops the parse where it first appears.
+    weights: Dict[str, Fraction] = {}
     requests = set()
     for lineno, toks in _tokenized(text):
         kind = toks[0]
@@ -97,7 +112,9 @@ def parse_dsn(text: str) -> Tuple[DsnInstance, Metadata]:
             v = _int_field(toks[2], lineno, 5, lo=1, hi=n)
             if u == v:
                 raise ParseError(f"loop arc at vertex {u}", lineno, 3)
-            w = _weight_field(toks[3], lineno, 7)
+            w = weights.get(toks[3])
+            if w is None:
+                w = weights[toks[3]] = _weight_field(toks[3], lineno, 7)
             if (u - 1, v - 1) in arcs:
                 raise ParseError(f"duplicate arc {u} {v}", lineno, 3)
             arcs[(u - 1, v - 1)] = w

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
 from .errors import InputError, InvariantError
 from .graphs import Arc, DirectedPath, UndirectedGraph, WeightedDigraph, necessary_arcs
 
@@ -264,6 +262,10 @@ def is_ladder_subdivision(K: WeightedDigraph, a: int, b: int, c: int, d: int) ->
 def is_outerplanar(u: UndirectedGraph) -> bool:
     """A graph is outerplanar iff adding an apex adjacent to everything keeps
     it planar (equivalently: no K4 or K_{2,3} minor)."""
+    # Imported here: these two functions are networkx's only users, and the
+    # import costs most of the CLI's start-up.
+    import networkx as nx
+
     G = nx.Graph()
     G.add_nodes_from(u.vertices)
     G.add_edges_from(u.edges)
@@ -292,6 +294,8 @@ def is_ladder_undirected(u: UndirectedGraph, a: int, b: int, c: int, d: int) -> 
         want = 2 if v in boundary else 3
         if u.degree(v) != want:
             return False
+    import networkx as nx
+
     G = nx.Graph()
     G.add_nodes_from(u.vertices)
     G.add_edges_from(u.edges)

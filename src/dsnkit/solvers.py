@@ -25,8 +25,9 @@ EXHAUSTIVE_MAX_ARCS = 24
 DST_MAX_LEAVES = 12
 
 # A request's bound in `solve_bnb`: (s, t, distance, the arcs of the path
-# attaining it as a bitmask, the vertices Dijkstra settled before reaching t).
-Bound = Tuple[int, int, int, int, Set[int]]
+# attaining it as a bitmask, the vertices Dijkstra settled before reaching t
+# with their distances).
+Bound = Tuple[int, int, int, int, Dict[int, int]]
 _distance = operator.itemgetter(2)
 # A simple path in `_solve_path_union`: (arc bit, scaled weight) per arc.
 PathArcs = Tuple[Tuple[int, int], ...]
@@ -239,15 +240,23 @@ def solve_bnb(inst: DsnInstance) -> SolveResult:
 
     The search runs on an explicit stack, and each node derives its state
     from its parent's.  Arc sets are bitmasks over arc ids.  Every
-    unsatisfied request keeps its bound d, the path that attains it and
-    `near`, the vertices Dijkstra settled before reaching t (a superset of
-    those closer than d).  A child reruns Dijkstra only where these exact
-    rules fail:
+    unsatisfied request keeps its bound d, the path that attains it as an
+    arc mask (each Dijkstra heap entry carries the mask of its path) and
+    `near`, the vertices Dijkstra settled before reaching t with their
+    distances (a superset of those closer than d).  A child reruns Dijkstra only where these exact rules fail:
 
     - excluding an arc off the recorded path leaves d unchanged;
     - including an arc of weight w on the recorded path makes it d - w;
     - including an arc whose tail was not settled before t leaves d
-      unchanged, since any path through it already costs at least d.
+      unchanged, since any path through it already costs at least d;
+    - including an arc (u, v) whose head was settled before t at a distance
+      no greater than its tail's leaves d unchanged: a path through the free
+      arc reaches v at no less than dist(u) >= dist(v), so no distance from
+      s changes and the recorded path stays a shortest one.
+
+    The returned optimum does not depend on which shortest path is recorded.
+    A branch on a recorded path with no undecided arc, which a wrong reuse
+    rule would cause, raises InvariantError instead of looping.
 
     Weights are positive, so a request is satisfied by the included arcs
     exactly when its bound is 0."""
@@ -258,33 +267,30 @@ def solve_bnb(inst: DsnInstance) -> SolveResult:
         return _infeasible("bnb")
     host = _IntHost(inst.host)
     adj, iw = host.out, host.weights
+    heappop, heappush = heapq.heappop, heapq.heappush
 
     def bound(s: int, t: int, included: int, excluded: int) -> Optional[Bound]:
         """Dijkstra from s to t with included arcs free and excluded arcs
-        removed; None when t is unreachable."""
+        removed; None when t is unreachable.  A heap entry carries the arc
+        mask of its path.  Every push improves a label strictly, so no two
+        entries share (distance, vertex) and masks are never compared."""
         dist = {s: 0}
-        pred: Dict[int, Tuple[int, int]] = {}
-        near: Set[int] = set()
-        heap = [(0, s)]
+        near: Dict[int, int] = {}
+        heap = [(0, s, 0)]
         while heap:
-            d, u = heapq.heappop(heap)
+            d, u, path = heappop(heap)
             if u == t:
-                path = 0
-                while u != s:
-                    u, bit = pred[u]
-                    path |= bit
                 return s, t, d, path, near
             if d > dist[u]:
                 continue
-            near.add(u)
+            near[u] = d
             for v, w, bit in adj[u]:
                 if excluded & bit:
                     continue
                 nd = d if included & bit else d + w
                 if v not in dist or nd < dist[v]:
                     dist[v] = nd
-                    pred[v] = (u, bit)
-                    heapq.heappush(heap, (nd, v))
+                    heappush(heap, (nd, v, path | bit))
         return None
 
     def derive(parent: List[Bound], i: int, included: int, excluded: int) -> Optional[List[Bound]]:
@@ -295,12 +301,12 @@ def solve_bnb(inst: DsnInstance) -> SolveResult:
         bit = 1 << i
         missing = []
         if included & bit:
-            tail = host.arcs[i][0]
+            tail, head = host.arcs[i]
             for b in parent:
                 s, t, d, path, near = b
                 if path & bit:
                     b = s, t, d - iw[i], path, near
-                elif tail in near:
+                elif tail in near and (head not in near or near[head] > near[tail]):
                     b = bound(s, t, included, excluded)  # not None: the old path survives
                 if b[2]:
                     missing.append(b)
@@ -351,6 +357,10 @@ def solve_bnb(inst: DsnInstance) -> SolveResult:
             if lost and not ((lost & -lost) - 1) & ~(best_arcs | excluded):
                 continue
         free = path & ~included
+        if not free:
+            # A positive bound on a path of included arcs: the bound is wrong,
+            # and branching on no arc would loop forever.
+            raise InvariantError("bnb bound path has no undecided arc")
         bit = free & -free
         i = bit.bit_length() - 1
         stack.append((i, included, excluded | bit, inc_cost, missing))

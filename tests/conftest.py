@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
+from dsnkit import solvers
 from dsnkit.dsn import DsnInstance
 from dsnkit.generators import gen_grid
 from dsnkit.graphs import DirectedPath, UndirectedGraph, WeightedDigraph, search
@@ -182,3 +183,19 @@ def random_psi_host(pattern, seed, max_n=12, planted=None):
 def triangle_scss():
     host = WeightedDigraph(range(3), {(u, v): 1 for u in range(3) for v in range(3) if u != v})
     return DsnInstance(host, {(0, 1), (1, 2), (2, 0)})
+
+
+@pytest.fixture
+def unsound_bnb_bound(monkeypatch):
+    """Breaks `solve_bnb`'s bound reuse: the weight list understates every
+    arc by 1, so including an arc of a recorded path lowers the bound by
+    less than Dijkstra paid for it.  Returns an instance on which the search
+    then reaches a positive bound on a path of included arcs."""
+
+    class Understated(solvers._IntHost):
+        def __init__(self, host):
+            super().__init__(host)
+            self.weights = [w - 1 for w in self.weights]
+
+    monkeypatch.setattr(solvers, "_IntHost", Understated)
+    return DsnInstance(WeightedDigraph(range(3), {(0, 1): 2, (1, 2): 2, (0, 2): 5}), {(0, 2)})

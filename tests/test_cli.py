@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import dsnkit
 from dsnkit import cli, reduction
 from dsnkit.cli import main
 from dsnkit.dsn import DsnInstance
@@ -121,6 +125,14 @@ class TestSolve:
         assert first.startswith("internal error: ") and "solution violates request" in first
         assert text == emit_dsn(expected)
         assert parse_dsn(text)[0] == expected
+
+    def test_bnb_self_check_prints_the_instance(self, tmp_path, unsound_bnb_bound, capsys):
+        path = tmp_path / "two_routes.dsn"
+        path.write_text(emit_dsn(unsound_bnb_bound))
+        assert main(["solve", str(path), "--engine", "bnb"]) == 5
+        first, text = capsys.readouterr().err.split("\n", 1)
+        assert first.startswith("internal error: ") and "no undecided arc" in first
+        assert text == emit_dsn(unsound_bnb_bound)
 
     def test_bnb_on_path_longer_than_the_recursion_limit(self, tmp_path, capsys):
         m = sys.getrecursionlimit() + 1
@@ -250,6 +262,14 @@ def test_unwritable_output_is_input_error(tmp_path, capsys, command):
     assert main(argv) == 4
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+
+
+def test_cli_import_leaves_networkx_out():
+    # networkx costs most of the CLI's start-up; only two ladder functions,
+    # which no command calls, import it.
+    code = "import sys, dsnkit.cli; sys.exit(any(m.split('.')[0] == 'networkx' for m in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(Path(dsnkit.__file__).resolve().parent.parent))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestBench:

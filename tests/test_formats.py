@@ -1,3 +1,5 @@
+import fractions
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -78,7 +80,12 @@ class TestDsnFormat:
 
 def weight_by_fraction(tok):
     """Reference: the weight parser that reads every token with
-    `Fraction(tok)`; the weight, or the ParseError message."""
+    `Fraction(tok)`, after rejecting a token of Fraction's own grammar whose
+    decimal exponent is beyond 4300 in absolute value; the weight, or the
+    ParseError message."""
+    match = fractions._RATIONAL_FORMAT.match(tok)
+    if match and match.group("exp") and abs(int(match.group("exp"))) > 4300:
+        return f"line 3, column 7: weight exponent {match.group('exp')} is beyond 4300 in absolute value"
     try:
         w = Fraction(tok)
     except (ValueError, ZeroDivisionError):
@@ -101,10 +108,32 @@ class TestWeightField:
     @pytest.mark.parametrize(
         "tok",
         ["1", "12", "3/2", "6/4", "0", "00", "0/5", "5/0", "0/0", "5/", "/5", "5//2", "007/010",
-         "+5", "-5", "1/-2", "1_000", "1.5", "1e3", "٣", "²", "", "1" * 5000, "1/" + "2" * 5000],
+         "+5", "-5", "1/-2", "1_000", "1.5", "1e3", "٣", "²", "", "1" * 5000, "1/" + "2" * 5000,
+         "1e4300", "1E+4301", "2.5e-4301", "-1e5000", "0e5000", "1e43_01", "..e5000", "1/2e5000",
+         "1e5e9999"],
     )
     def test_matches_fraction_reference(self, tok):
         assert weight_or_message(tok) == weight_by_fraction(tok)
+
+    @pytest.mark.parametrize("tok", ["1e4300", "1e-4300", "1e4301", "1e-4301", "1e400000000"])
+    def test_exponent_bound_is_quick(self, tok):
+        start = time.perf_counter()
+        result = weight_or_message(tok)
+        assert time.perf_counter() - start < 0.1
+        assert isinstance(result, Fraction) == (tok in ("1e4300", "1e-4300"))
+
+    def test_each_distinct_token_is_read_once(self, monkeypatch):
+        read = []
+        weight_field = formats._weight_field
+
+        def counted(tok, lineno, col):
+            read.append(tok)
+            return weight_field(tok, lineno, col)
+
+        monkeypatch.setattr(formats, "_weight_field", counted)
+        inst, _ = parse_dsn("p dsn 4 5 2 1\na 1 2 1/1\na 2 3 1/1\na 3 4 3/2\na 1 3 1/1\na 2 4 3/2\nr 1 4\n")
+        assert sorted(read) == ["1/1", "3/2"]
+        assert inst.host.weight(2, 3) == Fraction(3, 2)
 
     @settings(max_examples=300, deadline=None)
     @given(st.text(alphabet="0123456789/+-._eE٣² ", max_size=8))

@@ -5,6 +5,7 @@ import random
 import sys
 import time
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from fractions import Fraction
@@ -452,14 +453,45 @@ class TestBranchAndBound:
         assert optimum_outcome(solve_bnb(inst)) == optimum_outcome(solve_bnb_recursive(inst))
 
     def test_matches_recursive_reference_on_generated_instances(self):
+        nodes = 0
         for seed in range(100):
             inst, _ = gen_random(8, 20, 4, 3, seed=seed)
-            assert optimum_outcome(solve_bnb(inst)) == optimum_outcome(solve_bnb_recursive(inst)), seed
+            r = solve_bnb(inst)
+            assert optimum_outcome(r) == optimum_outcome(solve_bnb_recursive(inst)), seed
+            nodes += r.node_count
+        # Node counts here and in test_grid_node_counts were recorded before
+        # the head-distance reuse rule: it keeps every bound a Dijkstra rerun
+        # would give, and on these instances every branch as well.
+        assert nodes == 1_629
 
-    @pytest.mark.parametrize("q, cost, max_nodes", [(2, 6, 100), (3, 10, 15_000)])
-    def test_grid_node_bounds(self, q, cost, max_nodes):
+    @settings(max_examples=60, deadline=None)
+    @given(g=digraphs(max_n=6), data=st.data())
+    def test_matches_recursive_reference_with_mixed_denominators(self, g, data):
+        weights = st.builds(Fraction, st.integers(1, 9), st.sampled_from([1, 2, 3, 4, 6]))
+        host = WeightedDigraph(range(g.n), {a: data.draw(weights) for a in sorted(g.arcs())})
+        pairs = [(s, t) for s in range(g.n) for t in range(g.n) if s != t]
+        inst = DsnInstance(host, data.draw(st.sets(st.sampled_from(pairs), min_size=1, max_size=4)))
+        assert optimum_outcome(solve_bnb(inst)) == optimum_outcome(solve_bnb_recursive(inst))
+
+    def test_heap_pops_are_pinned(self, monkeypatch):
+        # The reuse rules set the Dijkstra work: rerunning at every include
+        # child whose arc's tail was settled before t pops 167,408 entries
+        # on this grid, and reusing the bound when the head was settled no
+        # farther than the tail cuts that to 109,706 (129,575 if only nearer).
+        pops = [0]
+
+        def heappop(heap):
+            pops[0] += 1
+            return heapq.heappop(heap)
+
+        monkeypatch.setattr(solvers, "heapq", SimpleNamespace(heappop=heappop, heappush=heapq.heappush))
+        assert solve_bnb(gen_grid(4, 4, q=3, seed=0)[0]).node_count == 12_201
+        assert pops == [109_706]
+
+    @pytest.mark.parametrize("q, cost, nodes", [(2, 6, 63), (3, 10, 12_201), (4, 12, 40_931)])
+    def test_grid_node_counts(self, q, cost, nodes):
         r = solve_bnb(gen_grid(4, 4, q=q, seed=0)[0])
-        assert r.cost == cost and r.node_count <= max_nodes
+        assert r.cost == cost and r.node_count == nodes
 
     def test_equal_cost_optima_keep_the_lexicographically_greatest(self):
         # 0->2 and 0->1->2 both cost 2.  Over the sorted arcs (0,1), (0,2),
@@ -709,6 +741,11 @@ class TestSelfChecks:
         monkeypatch.setattr(solvers, "validate", lambda inst, sol: (0, 1))
         with pytest.raises(InvariantError):
             solve_exhaustive(triangle_scss)
+
+    def test_bnb_branch_without_an_undecided_arc_raises(self, unsound_bnb_bound):
+        # Without the check, the search would branch on no arc forever.
+        with pytest.raises(InvariantError, match="no undecided arc"):
+            solve_bnb(unsound_bnb_bound)
 
     def test_dst_cost_disagreement_raises(self, monkeypatch):
         g = WeightedDigraph(range(3), {(0, 1): 1, (0, 2): 1})
