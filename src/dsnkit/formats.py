@@ -19,6 +19,7 @@ Metadata = Dict[str, str]
 
 # Checked on the header, before any per-vertex structure is allocated.
 DSN_MAX_VERTICES = 100_000
+DSN_MAX_ARCS = 1_000_000
 
 
 def _tokenized(text: str):
@@ -63,11 +64,12 @@ def _weight_field(tok: str, lineno: int, col: int) -> Fraction:
             w = Fraction(int(num)) if d == 1 else Fraction(int(num), d)
         else:
             # Fraction reads the exponent after the token's only 'e' with
-            # int, so a malformed exponent fails here as it would there.
+            # int, so a malformed exponent fails here as it would there; only
+            # a space after the 'e' passes int and fails Fraction.
             head, e, exp = tok.lower().partition("e")
-            if e and abs(int(exp)) > 4300:
+            if e and not exp[:1].isspace() and abs(int(exp)) > 4300:
                 Fraction(head + "e0")  # a malformed mantissa fails as in Fraction(tok)
-                raise ParseError(f"weight exponent {exp} is beyond 4300 in absolute value", lineno, col)
+                raise ParseError(f"weight exponent {exp.rstrip()} is beyond 4300 in absolute value", lineno, col)
             w = Fraction(tok)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"expected a rational weight, got {tok!r}", lineno, col)
@@ -101,6 +103,8 @@ def parse_dsn(text: str) -> Tuple[DsnInstance, Metadata]:
                 raise CapacityError(
                     f"header declares {header[0]} vertices; the cap is {DSN_MAX_VERTICES}"
                 )
+            if header[1] > DSN_MAX_ARCS:
+                raise CapacityError(f"header declares {header[1]} arcs; the cap is {DSN_MAX_ARCS}")
             continue
         if header is None:
             raise ParseError(f"record {kind!r} before the header", lineno)

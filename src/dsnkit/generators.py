@@ -12,17 +12,21 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from .dsn import DsnInstance
 from .errors import CapacityError, InputError
-from .formats import DSN_MAX_VERTICES
+from .formats import DSN_MAX_ARCS, DSN_MAX_VERTICES
 from .graphs import WeightedDigraph
 from .ladders import LadderSpec, ladder_corner_requests, make_ladder
 
 Metadata = Dict[str, str]
 
 
-def _check_capacity(n: int) -> None:
-    """Refuse what `parse_dsn` would refuse to read back."""
+def _check_capacity(n: int, m: int = 0) -> None:
+    """Refuse what `parse_dsn` would refuse to read back.  Only `gen_random`
+    passes m: under the vertex cap, a ladder or a grid has fewer arcs than
+    the arc cap."""
     if n > DSN_MAX_VERTICES:
         raise CapacityError(f"{n} vertices requested; the cap is {DSN_MAX_VERTICES}")
+    if m > DSN_MAX_ARCS:
+        raise CapacityError(f"{m} arcs requested; the cap is {DSN_MAX_ARCS}")
 
 
 def _sample_pairs(rng: random.Random, k: int, count: int) -> List[Tuple[int, int]]:
@@ -95,7 +99,7 @@ def gen_random(
     """Random simple digraph with integer weights in [1, max_weight]."""
     if n < 2:
         raise InputError("need at least 2 vertices")
-    _check_capacity(n)
+    _check_capacity(n, m)
     if not 0 <= m <= n * (n - 1):
         raise InputError(f"need 0 <= m <= {n * (n - 1)} arcs")
     if not 2 <= q <= n:

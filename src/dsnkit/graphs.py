@@ -126,10 +126,6 @@ class WeightedDigraph:
         arcs = {a: w for a, w in self._arcs.items() if a[0] in vs and a[1] in vs}
         return WeightedDigraph(vs, arcs)
 
-    def without_vertices(self, vertices: Iterable[int]) -> "WeightedDigraph":
-        drop = set(vertices)
-        return self.induced(set(self._vertices) - drop)
-
     def without_arc(self, u: int, v: int) -> "WeightedDigraph":
         arcs = dict(self._arcs)
         del arcs[(u, v)]
@@ -294,21 +290,24 @@ def search(
     s: int,
     stop: Container[int] = (),
     target: Optional[int] = None,
+    reverse: bool = False,
 ) -> Dict[int, Optional[int]]:
-    """Breadth-first parent map of the vertices reached from s.
+    """Breadth-first parent map of the vertices reached from s, or of the
+    vertices that reach s when `reverse` is set.
 
     A vertex in `stop` is recorded when first reached but never expanded;
     s itself is always expanded.  The search returns as soon as `target` is
-    recorded.  Out-neighbours are scanned in ascending order, so each parent
+    recorded.  Neighbours are scanned in ascending order, so each parent
     chain is the lexicographically first of the fewest-arc paths whose
-    internal vertices avoid `stop`."""
+    internal vertices avoid `stop`.  A reverse search walks the sorted
+    in-neighbours, so it returns what a search of the reversed graph would."""
     g._check_vertex(s)
-    out = g._out
+    adj = g._in if reverse else g._out
     parent: Dict[int, Optional[int]] = {s: None}
     queue = [s]
     # The list grows while it is walked, which makes it the FIFO queue.
     for u in queue:
-        for v in out[u]:
+        for v in adj[u]:
             if v in parent:
                 continue
             parent[v] = u
@@ -474,21 +473,14 @@ def treewidth_upper_bound(g: UndirectedGraph) -> int:
     return width
 
 
-def _component_tw_dp(vertices: List[int], adj_mask: Dict[int, int], bit: Dict[int, int]) -> Tuple[int, List[int]]:
+def _component_tw_dp(vertices: List[int], adj: Dict[int, Set[int]]) -> Tuple[int, List[int]]:
     """Exact treewidth of one connected component by the elimination-ordering
-    subset DP; returns (width, elimination order)."""
+    subset DP; returns (width, elimination order).  Vertex i of `vertices`
+    is bit i, and `adj` must not leave the component."""
     k = len(vertices)
     full = (1 << k) - 1
-    # relabel to 0..k-1
     local = {v: i for i, v in enumerate(vertices)}
-    amask = [0] * k
-    for v in vertices:
-        m = 0
-        vm = adj_mask[v]
-        for w in vertices:
-            if vm & bit[w]:
-                m |= 1 << local[w]
-        amask[local[v]] = m
+    amask = [sum(1 << local[w] for w in adj[v]) for v in vertices]
 
     INF = k + 1
     tw = [0] * (1 << k)
@@ -573,17 +565,14 @@ def treewidth_exact(g: UndirectedGraph) -> Tuple[int, List[int]]:
         push(set(ns) | (adj[ns[0]] & adj[ns[1]] if len(ns) == 2 else set()))
 
     if adj:
-        remaining = sorted(adj)
-        bit = {v: 1 << i for i, v in enumerate(remaining)}
-        adj_mask = {v: sum(bit[w] for w in adj[v]) for v in remaining}
-        rest = UndirectedGraph(remaining, [(u, w) for u in remaining for w in adj[u]])
+        rest = UndirectedGraph(adj, [(u, w) for u in adj for w in adj[u]])
         for comp in rest.components():
             if len(comp) > TREEWIDTH_EXACT_CAP:
                 raise CapacityError(
                     f"irreducible component of {len(comp)} vertices exceeds the "
                     f"exact-treewidth cap of {TREEWIDTH_EXACT_CAP}"
                 )
-            w_comp, o_comp = _component_tw_dp(comp, adj_mask, bit)
+            w_comp, o_comp = _component_tw_dp(comp, adj)
             width = max(width, w_comp)
             order.extend(o_comp)
 

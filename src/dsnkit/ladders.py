@@ -39,48 +39,22 @@ class LadderSpec:
         return self.a(i) if i in self.identified else 2 * (i - 1) + 1
 
 
-def _rung_and_rail_arcs(n: int) -> List[Tuple[str, int, str, int]]:
-    """The six arc families as (rail, index, rail, index) atoms over a/b."""
-    fams: List[Tuple[str, int, str, int]] = []
-    i = 0
-    while 2 * i + 1 <= n:  # a_{2i+1} b_{2i+1}, 0 <= i < n/2
-        fams.append(("a", 2 * i + 1, "b", 2 * i + 1))
-        i += 1
-    i = 1
-    while 2 * i <= n:  # b_{2i} a_{2i}, 1 <= i <= n/2
-        fams.append(("b", 2 * i, "a", 2 * i))
-        i += 1
-    i = 1
-    while 2 * i <= n:  # a_{2i} a_{2i-1}
-        fams.append(("a", 2 * i, "a", 2 * i - 1))
-        i += 1
-    i = 1
-    while 2 * i + 1 <= n:  # a_{2i} a_{2i+1}, 1 <= i < n/2
-        fams.append(("a", 2 * i, "a", 2 * i + 1))
-        i += 1
-    i = 1
-    while 2 * i + 1 <= n:  # b_{2i+1} b_{2i}, 1 <= i < n/2
-        fams.append(("b", 2 * i + 1, "b", 2 * i))
-        i += 1
-    i = 1
-    while 2 * i <= n:  # b_{2i-1} b_{2i}
-        fams.append(("b", 2 * i - 1, "b", 2 * i))
-        i += 1
-    return fams
-
-
 def make_ladder(spec: LadderSpec) -> WeightedDigraph:
-    """Materialize G_{n,I} with unit weights; loops suppressed, parallel arcs
-    merged."""
-    vmap = {("a", i): spec.a(i) for i in range(1, spec.n + 1)}
-    vmap.update({("b", i): spec.b(i) for i in range(1, spec.n + 1)})
-    vertices = sorted(set(vmap.values()))
+    """Materialize G_{n,I} with unit weights; loops at identified rungs are
+    dropped.
+
+    Rung i runs a_i -> b_i for odd i and b_i -> a_i for even i.  Between
+    positions i and i+1 the rails run a_{i+1} -> a_i and b_i -> b_{i+1} for
+    odd i, and a_i -> a_{i+1} and b_{i+1} -> b_i for even i."""
+    a, b = spec.a, spec.b
     arcs: Dict[Arc, int] = {}
-    for ra, ia, rb, ib in _rung_and_rail_arcs(spec.n):
-        u, v = vmap[(ra, ia)], vmap[(rb, ib)]
-        if u != v:
-            arcs[(u, v)] = 1
-    return WeightedDigraph(vertices, arcs)
+    for i in range(1, spec.n + 1):
+        if i % 2:
+            pairs = [(a(i), b(i)), (a(i + 1), a(i)), (b(i), b(i + 1))]
+        else:
+            pairs = [(b(i), a(i)), (a(i), a(i + 1)), (b(i + 1), b(i))]
+        arcs.update(((u, v), 1) for u, v in pairs[: 3 if i < spec.n else 1] if u != v)
+    return WeightedDigraph({v for i in range(1, spec.n + 1) for v in (a(i), b(i))}, arcs)
 
 
 def ladder_corners(spec: LadderSpec) -> Tuple[int, int, int, int]:
@@ -120,26 +94,12 @@ def ladder_two_path_decomposition(g: WeightedDigraph, spec: LadderSpec) -> Tuple
     endpoints swap rails at the far end."""
     if g != make_ladder(spec):
         raise InputError("graph does not match the ladder spec")
-    n = spec.n
-    # P1 alternates rung / forward-rail, P2 is its mirror; build by walking.
-    seq1 = []
-    for i in range(1, n + 1):
-        if i % 2 == 1:
-            seq1.extend([("a", i), ("b", i)])  # rung a_i -> b_i
-        else:
-            seq1.extend([("b", i), ("a", i)])  # rung b_i -> a_i
-    # seq1 rail hops: b_{2i-1} -> b_{2i} and a_{2i} -> a_{2i+1} are implied by
-    # adjacency of consecutive atoms; same construction works for P2 reversed.
-    seq2 = []
-    for i in range(n, 0, -1):
-        if i % 2 == 0:
-            seq2.extend([("b", i), ("a", i)])
-        else:
-            seq2.extend([("a", i), ("b", i)])
-    vmap = {("a", i): spec.a(i) for i in range(1, n + 1)}
-    vmap.update({("b", i): spec.b(i) for i in range(1, n + 1)})
-    p1 = _walk_to_path([vmap[x] for x in seq1])
-    p2 = _walk_to_path([vmap[x] for x in seq2])
+    a, b = spec.a, spec.b
+    # P1 takes the rungs in order and P2 in reverse, each rung in its own
+    # direction; consecutive rungs are joined by rail arcs.
+    rungs = [(a(i), b(i)) if i % 2 else (b(i), a(i)) for i in range(1, spec.n + 1)]
+    p1 = _walk_to_path([v for rung in rungs for v in rung])
+    p2 = _walk_to_path([v for rung in reversed(rungs) for v in rung])
     p1.check_in(g)
     p2.check_in(g)
     return p1, p2

@@ -17,8 +17,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .dsn import DsnInstance, Request, SolutionSubgraph, validate
 from .errors import CapacityError, InputError, InvariantError, PreconditionError
-from .graphs import UndirectedGraph
-from .graphs import WeightedDigraph
+from .graphs import UndirectedGraph, WeightedDigraph
 from .solvers import _solve_path_union
 
 Edge = Tuple[int, int]
@@ -236,16 +235,13 @@ def build_dsn(psi: PsiInstance, lab: Labelling) -> ReductionOutput:
         a_v.add((u, y_vertex[lab.beta[hu]]))
     a_w: Set[Tuple[int, int]] = set()
     for (u, v), w in w_vertex.items():
-        he = _edge(psi.classmap[u], psi.classmap[v])
-        if he[0] == he[1] or he not in lab.gamma:
-            # host edge inside a class or across non-adjacent classes: it can
-            # never realize a pattern edge, so its hub gets no outlet
-            a_w.add((u, w))
-            a_w.add((v, w))
-            continue
         a_w.add((u, w))
         a_w.add((v, w))
-        a_w.add((w, z_vertex[lab.gamma[he]]))
+        he = _edge(psi.classmap[u], psi.classmap[v])
+        # A host edge inside a class or across non-adjacent classes can never
+        # realize a pattern edge, so its hub gets no outlet.
+        if he[0] != he[1] and he in lab.gamma:
+            a_w.add((w, z_vertex[lab.gamma[he]]))
 
     a_y = frozenset(
         (x_vertex[lab.alpha[u]], y_vertex[lab.beta[u]]) for u in h.vertices

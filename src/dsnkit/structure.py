@@ -31,6 +31,7 @@ from .errors import (
 from .graphs import (
     Arc,
     DirectedPath,
+    UndirectedGraph,
     WeightedDigraph,
     avoiding_path,
     diameter,
@@ -106,10 +107,10 @@ def suppress_degree_two(graph: WeightedDigraph, terminals: Iterable[int]) -> Wei
 # request paths
 
 
-def _onto_path_reach(graph: WeightedDigraph, src: int, pset: Set[int]) -> Set[int]:
-    """Vertices of `pset` hit by nontrivial paths from src with all internal
-    vertices off `pset`."""
-    return {v for v in search(graph, src, pset) if v in pset and v != src}
+def _onto_path_reach(graph: WeightedDigraph, src: int, pset: Set[int], reverse: bool = False) -> Set[int]:
+    """Vertices of `pset` hit by nontrivial paths from src (into src when
+    `reverse` is set) with all internal vertices off `pset`."""
+    return {v for v in search(graph, src, pset, reverse=reverse) if v in pset and v != src}
 
 
 def realize_request_path(
@@ -146,7 +147,6 @@ def important_vertices(
         raise InputError("path is not T-avoiding")
     pset = set(P.vertices)
     idx = {v: i for i, v in enumerate(P.vertices)}
-    rev = graph.reverse()
 
     onto_fwd: Dict[int, Set[int]] = {}  # terminal -> P vertices reachable from it
     onto_bwd: Dict[int, Set[int]] = {}  # terminal -> P vertices that reach it
@@ -156,7 +156,7 @@ def important_vertices(
             onto_bwd[x] = set()
             continue
         onto_fwd[x] = _onto_path_reach(graph, x, pset)
-        onto_bwd[x] = _onto_path_reach(rev, x, pset)
+        onto_bwd[x] = _onto_path_reach(graph, x, pset, reverse=True)
         if x in pset:
             onto_fwd[x].add(x)
             onto_bwd[x].add(x)
@@ -457,9 +457,12 @@ def _verify_replacement(
     F_new: Set[int],
     boundary: Tuple[int, int, int, int],
 ) -> None:
-    outside_old = old.without_vertices(F)
-    outside_new = new.without_vertices(F_new)
-    if outside_old != outside_new:
+    # The vertices and the arcs, with their weights, off the component.
+    outside = [
+        (set(g.vertices) - X, {a: w for a, w in g.arcs().items() if a[0] not in X and a[1] not in X})
+        for g, X in ((old, F), (new, F_new))
+    ]
+    if outside[0] != outside[1]:
         raise InvariantError("replacement changed the graph outside the component")
     nbrs = set()
     for v in F_new:
@@ -561,8 +564,7 @@ class StructureReport:
         }
 
 
-def _tw_maybe_exact(g: WeightedDigraph) -> Tuple[Optional[int], bool]:
-    u = g.sym()
+def _tw_maybe_exact(u: UndirectedGraph) -> Tuple[Optional[int], bool]:
     if u.n == 0:
         return 0, True
     try:
@@ -599,7 +601,7 @@ def reduce_length_graph(
     if len(necessary) < graph.m:
         raise PreconditionError("input graph is not inclusion-minimal")
 
-    tw_before, tw_before_exact = _tw_maybe_exact(graph)
+    tw_before, tw_before_exact = _tw_maybe_exact(graph.sym())
     current = suppress_degree_two(graph, T)
     # A verified replacement keeps T-avoiding reachability, so this holds
     # for every round.
@@ -648,7 +650,7 @@ def reduce_length_graph(
     diam: Optional[int] = None
     if sym_after.n > 0 and len(sym_after.components()) == 1:
         diam = diameter(sym_after)
-    tw_after, tw_after_exact = _tw_maybe_exact(current)
+    tw_after, tw_after_exact = _tw_maybe_exact(sym_after)
     diam_ok = None if diam is None else diam <= 8 * max(1.0, max_ratio) * q
 
     report = StructureReport(

@@ -1,7 +1,8 @@
 """Shared test corpora and references: seeded random instances, a
 Hypothesis strategy for small digraphs, reachability with forbidden
-internal vertices, every simple path between two vertices, ladder hosts
-with terminals attached, and the small 3-regular pattern corpus."""
+internal vertices, every simple path between two vertices, a digraph minus
+a vertex set, the six-family ladder generator, ladder hosts with terminals
+attached, and the small 3-regular pattern corpus."""
 
 import random
 from fractions import Fraction
@@ -71,6 +72,11 @@ def reaches(g, s, t, forbidden_internal=()):
     return s == t or t in search(g, s, set(forbidden_internal), t)
 
 
+def without_vertices(g, vertices):
+    """Reference: the subgraph of g induced by its vertices outside the set."""
+    return g.induced(set(g.vertices) - set(vertices))
+
+
 def all_simple_paths(g, s, t):
     """Reference: every simple directed s-t path, in DFS order with
     ascending neighbor ids, on an explicit stack."""
@@ -93,6 +99,30 @@ def all_simple_paths(g, s, t):
             on_path.add(v)
             frames.append(iter(g.out_neighbors(v)))
     return out
+
+
+def six_family_ladder(spec):
+    """Reference: G_{n,I} built from its six arc families over the rails a
+    and b, with the loops at identified rungs dropped."""
+    n = spec.n
+    odd = range(1, n + 1, 2)
+    even = range(2, n + 1, 2)
+    families = [
+        [("a", i, "b", i) for i in odd],  # odd rungs a_i -> b_i
+        [("b", i, "a", i) for i in even],  # even rungs b_i -> a_i
+        [("a", i, "a", i - 1) for i in even],  # a_{2i} -> a_{2i-1}
+        [("a", i, "a", i + 1) for i in even if i < n],  # a_{2i} -> a_{2i+1}
+        [("b", i + 1, "b", i) for i in even if i < n],  # b_{2i+1} -> b_{2i}
+        [("b", i - 1, "b", i) for i in even],  # b_{2i-1} -> b_{2i}
+    ]
+    vertex = {("a", i): spec.a(i) for i in range(1, n + 1)}
+    vertex.update({("b", i): spec.b(i) for i in range(1, n + 1)})
+    arcs = {}
+    for ra, ia, rb, ib in (atom for family in families for atom in family):
+        u, v = vertex[(ra, ia)], vertex[(rb, ib)]
+        if u != v:
+            arcs[(u, v)] = 1
+    return WeightedDigraph(set(vertex.values()), arcs)
 
 
 OUT_STAR_KINDS = ("int", "frac", "unit", "grid")

@@ -49,6 +49,14 @@ class TestGen:
         assert "cap" in capsys.readouterr().err
         assert not path.exists()
 
+    def test_random_arc_count_over_cap_is_capacity_exit(self, tmp_path, capsys):
+        path = tmp_path / "dense.dsn"
+        start = time.perf_counter()
+        assert main(["gen", "random", "100000", "9999900000", "2", "1", "-o", str(path)]) == 3
+        assert time.perf_counter() - start < 1
+        assert "9999900000 arcs requested; the cap is 1000000" in capsys.readouterr().err
+        assert not path.exists()
+
 
 class TestSolve:
     def test_oversized_header_is_capacity_exit(self, tmp_path):

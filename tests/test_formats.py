@@ -110,7 +110,7 @@ class TestWeightField:
         ["1", "12", "3/2", "6/4", "0", "00", "0/5", "5/0", "0/0", "5/", "/5", "5//2", "007/010",
          "+5", "-5", "1/-2", "1_000", "1.5", "1e3", "٣", "²", "", "1" * 5000, "1/" + "2" * 5000,
          "1e4300", "1E+4301", "2.5e-4301", "-1e5000", "0e5000", "1e43_01", "..e5000", "1/2e5000",
-         "1e5e9999"],
+         "1e5e9999", "0E 5000", "1e5000 ", " 1e5000"],
     )
     def test_matches_fraction_reference(self, tok):
         assert weight_or_message(tok) == weight_by_fraction(tok)
@@ -233,6 +233,14 @@ class TestHeaderBounds:
     def test_dsn_vertex_cap(self):
         text = "p dsn 1000000000 0 0 0\n"
         assert peak_bytes_of_failed_parse(parse_dsn, text, CapacityError, "cap") < 1 << 20
+
+    def test_dsn_arc_cap(self, monkeypatch):
+        text = "p dsn 3 1000000001 0 0\n"
+        assert peak_bytes_of_failed_parse(parse_dsn, text, CapacityError, "1000000001 arcs; the cap") < 1 << 20
+        monkeypatch.setattr(formats, "DSN_MAX_ARCS", 1)
+        assert parse_dsn(MINIMAL.replace("p dsn 3 2", "p dsn 3 1").replace("a 2 3 1\n", ""))[0].host.m == 1
+        with pytest.raises(CapacityError, match="2 arcs; the cap is 1"):
+            parse_dsn(MINIMAL)
 
     def test_dsn_vertex_cap_boundary(self, monkeypatch):
         monkeypatch.setattr(formats, "DSN_MAX_VERTICES", 3)

@@ -81,8 +81,9 @@ def test_random_allocation_is_linear_in_vertices():
         lambda: gen_ladder(50_001),
         lambda: gen_grid(10**5, 10**4),
         lambda: gen_random(10**9, 1, 2, 1, seed=0),
+        lambda: gen_random(10**5, 10**10 - 10**5, 2, 1, seed=0),
     ],
-    ids=["ladder-huge", "ladder-over-cap", "grid", "random"],
+    ids=["ladder-huge", "ladder-over-cap", "grid", "random", "random-arcs"],
 )
 def test_over_cap_refused_before_allocating(generate):
     def refused():

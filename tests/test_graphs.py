@@ -20,7 +20,7 @@ from dsnkit.graphs import (
 
 from dsnkit.dsn import violated_request
 
-from conftest import all_simple_paths, digraphs, reaches
+from conftest import all_simple_paths, digraphs, reaches, without_vertices
 
 
 def elimination_width(g, order):
@@ -194,6 +194,16 @@ class TestSearch:
         with pytest.raises(InputError):
             search(WeightedDigraph(range(2), {}), 5)
 
+    @settings(max_examples=80, deadline=None)
+    @given(digraphs(), st.data())
+    def test_reverse_matches_search_of_reversed_copy(self, g, data):
+        """[DERIVED: forward search of `g.reverse()`], parent map and order"""
+        s = data.draw(st.sampled_from(g.vertices))
+        stop = data.draw(vertex_sets(g))
+        target = data.draw(st.none() | st.sampled_from(g.vertices))
+        walked = search(g, s, stop, target, reverse=True)
+        assert list(walked.items()) == list(search(g.reverse(), s, stop, target).items())
+
     @settings(max_examples=60, deadline=None)
     @given(digraphs(), st.data())
     def test_parent_chains_are_shortest(self, g, data):
@@ -265,7 +275,7 @@ class TestShortestPath:
         for s in g.vertices:
             for t in g.vertices:
                 if s != t:
-                    restricted = g.without_vertices(avoid - {s, t})
+                    restricted = without_vertices(g, avoid - {s, t})
                     assert shortest_path(g, s, t, avoid) == shortest_path(restricted, s, t)
 
 

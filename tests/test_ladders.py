@@ -24,7 +24,7 @@ from dsnkit.ladders import (
     make_ladder,
 )
 
-from conftest import digraphs, reaches
+from conftest import digraphs, reaches, six_family_ladder, without_vertices
 
 
 def corner_roles(spec):
@@ -137,7 +137,7 @@ def reference_is_ladder_subdivision(K, a, b, c, d):
             abar, bbar = next(iter(a_in)), next(iter(a_out))
             if abar == bbar:
                 return reject("identified corner attached to a single vertex")
-        K, a, b = g.without_vertices({a, b}), bbar, abar
+        K, a, b = without_vertices(g, {a, b}), bbar, abar
         peeled += 1
 
 
@@ -215,6 +215,21 @@ class TestConstruction:
             LadderSpec(0, frozenset())
         with pytest.raises(InputError):
             LadderSpec(4, frozenset({5}))
+
+    def test_matches_six_family_reference_on_every_small_spec(self):
+        """[DERIVED: the generator written as six arc families] on all 2,046
+        specs with n <= 10, with their two-path decompositions."""
+        cases = 0
+        for n in range(1, 11):
+            for size in range(n + 1):
+                for ident in itertools.combinations(range(1, n + 1), size):
+                    spec = LadderSpec(n, ident)
+                    g, ref = make_ladder(spec), six_family_ladder(spec)
+                    assert (g.vertices, g.arcs()) == (ref.vertices, ref.arcs())
+                    p1, p2 = ladder_two_path_decomposition(g, spec)
+                    assert set(p1.arcs()) | set(p2.arcs()) == g.arc_set()
+                    cases += 1
+        assert cases == 2046
 
 
 class TestTwoPathDecomposition:
@@ -333,14 +348,13 @@ class TestRecognizer:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(ladders, "_hypotheses_failure", counted("hypotheses", ladders._hypotheses_failure))
-        monkeypatch.setattr(
-            WeightedDigraph, "without_vertices", counted("without_vertices", WeightedDigraph.without_vertices)
-        )
         spec = LadderSpec(20)
-        assert is_ladder_subdivision(make_ladder(spec), *corner_roles(spec)) == LadderVerdict(True, 20)
+        g = make_ladder(spec)
+        monkeypatch.setattr(ladders, "_hypotheses_failure", counted("hypotheses", ladders._hypotheses_failure))
+        monkeypatch.setattr(WeightedDigraph, "__init__", counted("builds", WeightedDigraph.__init__))
+        assert is_ladder_subdivision(g, *corner_roles(spec)) == LadderVerdict(True, 20)
         assert calls["hypotheses"] == 1
-        assert calls["without_vertices"] == 0
+        assert calls["builds"] == 0
 
     def test_matches_reference_on_every_small_ladder(self):
         """[DERIVED: reference recognizer on every ladder with n <= 8, under

@@ -37,7 +37,7 @@ from dsnkit.structure import (
     suppress_degree_two,
 )
 
-from conftest import digraphs, ladder_with_terminals, reaches
+from conftest import digraphs, ladder_with_terminals, reaches, without_vertices
 
 
 def onto_path_reach_by_dfs(graph, src, pset):
@@ -238,6 +238,19 @@ class TestMarkedVertices:
         mk = marked_vertices(inst.host, P, imp)
         assert len(mk.marked) <= 4 * len(imp.important)
 
+    def test_important_and_marked_build_no_graph(self, monkeypatch):
+        """Both directions are searched in place, without a reversed copy."""
+        arcs = {(0, 1): 1, (1, 2): 1, (2, 3): 1, (3, 4): 1, (3, 5): 1, (5, 1): 1, (6, 2): 1, (2, 6): 1}
+        g = WeightedDigraph(range(7), arcs)
+        P = DirectedPath((0, 1, 2, 3, 4))
+        builds = []
+        init = WeightedDigraph.__init__
+        monkeypatch.setattr(WeightedDigraph, "__init__", lambda *args: builds.append(1) or init(*args))
+        imp = important_vertices(g, {0, 4, 6}, P)
+        mk = marked_vertices(g, P, imp)
+        assert imp.important == (2,) and mk.marked == {1, 3}
+        assert builds == []
+
 
 def recognized(component, roles):
     """A segment that claims `component` is a 10-rung ladder under `roles`."""
@@ -295,6 +308,70 @@ class TestSegmentsAndReplacement:
         new = WeightedDigraph({0, 1, 2}, {})
         with pytest.raises(InvariantError, match="reachability changed for 1->0"):
             _verify_replacement(old, new, frozenset(), {0, 1, 2}, {9}, set(), ())
+
+    def replaced(self):
+        """The keyword arguments of a verified replacement of a 10-rung ladder."""
+        inst = ladder_with_terminals(10)
+        T = set(inst.terminals)
+        *_, (seg,) = _analyze_path(inst.host, sorted(T), *sorted(inst.requests)[0])
+        new = protrusion_replace(inst.host, inst.requests, seg)
+        fresh = set(new.vertices) - set(inst.host.vertices)
+        return dict(
+            old=inst.host, new=new, reqs=frozenset(inst.requests), T=T,
+            F=set(seg.component), F_new=fresh, boundary=seg.roles,
+        )
+
+    def test_verification_accepts_the_replacement(self):
+        _verify_replacement(**self.replaced())
+
+    @pytest.mark.parametrize("edit", ["weight", "extra-arc", "dropped-vertex"])
+    def test_verification_names_outside_change(self, edit):
+        args = self.replaced()
+        old, new, fresh = args["old"], args["new"], args["F_new"]
+        arcs = new.arcs()
+        outside = sorted(set(new.vertices) - fresh)
+        if edit == "weight":
+            arc = min(a for a in arcs if not set(a) & fresh)
+            arcs[arc] *= 2
+        elif edit == "extra-arc":
+            arc = next((u, v) for u in outside for v in outside if u != v and (u, v) not in arcs)
+            arcs[arc] = Fraction(1)
+        else:
+            args["old"] = WeightedDigraph(set(old.vertices) | {5000}, old.arcs())
+        args["new"] = WeightedDigraph(new.vertices, arcs)
+        with pytest.raises(InvariantError, match="changed the graph outside the component"):
+            _verify_replacement(**args)
+
+    def test_verification_names_neighbors_off_the_boundary(self):
+        args = self.replaced()
+        args["boundary"] = args["boundary"][:3] + (1000,)
+        with pytest.raises(InvariantError, match=r"fresh component neighbors \[.*\] != boundary"):
+            _verify_replacement(**args)
+
+    def test_verification_names_the_size_bound(self, monkeypatch):
+        args = self.replaced()
+        monkeypatch.setattr(structure, "PROTRUSION_MAX_INTERIOR", len(args["F_new"]) - 1)
+        with pytest.raises(InvariantError, match="exceeds the size bound"):
+            _verify_replacement(**args)
+
+    def test_verification_names_a_removable_arc(self):
+        args = self.replaced()
+        new, fresh = args["new"], sorted(args["F_new"])
+        arcs = new.arcs()
+        arc = next((u, v) for u in fresh for v in fresh if u != v and (u, v) not in arcs)
+        arcs[arc] = Fraction(1)
+        args["new"] = WeightedDigraph(new.vertices, arcs)
+        with pytest.raises(InvariantError, match="is not inclusion-minimal"):
+            _verify_replacement(**args)
+
+    def test_verification_names_a_broken_request(self):
+        args = self.replaced()
+        new, fresh = args["new"], args["F_new"]
+        arcs = new.arcs()
+        del arcs[min(a for a in arcs if set(a) <= fresh)]
+        args["new"] = WeightedDigraph(new.vertices, arcs)
+        with pytest.raises(InvariantError, match="broke a request"):
+            _verify_replacement(**args)
 
     def test_replace_rejects_unrecognized_segment(self):
         inst = ladder_with_terminals(10)
@@ -413,6 +490,8 @@ class TestOntoPathReach:
         pset = data.draw(st.sets(st.sampled_from(g.vertices)))
         for src in g.vertices:
             assert _onto_path_reach(g, src, pset) == onto_path_reach_by_dfs(g, src, pset)
+            backward = onto_path_reach_by_dfs(g.reverse(), src, pset)
+            assert _onto_path_reach(g, src, pset, reverse=True) == backward
 
 
 class TestComponentAvoiding:
@@ -421,7 +500,7 @@ class TestComponentAvoiding:
     def test_matches_components_of_a_copy(self, g, data):
         """[DERIVED: components of the underlying graph without the boundary]"""
         boundary = data.draw(st.sets(st.sampled_from(g.vertices)))
-        components = g.without_vertices(boundary).sym().components()
+        components = without_vertices(g, boundary).sym().components()
         for v in set(g.vertices) - boundary:
             expected = next(frozenset(c) for c in components if v in c)
             assert _component_avoiding(g, v, boundary) == expected
