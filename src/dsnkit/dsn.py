@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import FrozenSet, Iterable, List, Optional, Tuple
+from typing import Container, FrozenSet, Iterable, List, Optional, Tuple
 
 from .errors import InputError, PreconditionError
 from .graphs import Arc, WeightedDigraph, necessary_arcs, search
@@ -97,8 +97,11 @@ class SolutionSubgraph:
 # graph-level predicates
 
 
-def violated_request(graph: WeightedDigraph, requests: Iterable[Request]) -> Optional[Request]:
-    """Lexicographically first request with no s-t path, or None if valid.
+def violated_request(
+    graph: WeightedDigraph, requests: Iterable[Request], within: Optional[Container[Arc]] = None
+) -> Optional[Request]:
+    """Lexicographically first request with no s-t path, or None if valid;
+    with `within` set, the paths use only arcs in it (see `search`).
 
     Sorted requests come grouped by source, and one search per source
     answers all of its requests."""
@@ -107,7 +110,7 @@ def violated_request(graph: WeightedDigraph, requests: Iterable[Request]) -> Opt
         if not graph.has_vertex(s) or not graph.has_vertex(t):
             return (s, t)
         if s != source:
-            source, reached = s, search(graph, s)
+            source, reached = s, search(graph, s, within=within)
         if t not in reached:
             return (s, t)
     return None
@@ -154,10 +157,14 @@ def normalize_requests_graph(graph: WeightedDigraph, terminals: Iterable[int]) -
 
 
 def validate(inst: DsnInstance, sol: SolutionSubgraph) -> Optional[Request]:
-    """None if every request is satisfied, else the first violated request."""
+    """None if every request is satisfied, else the first violated request.
+
+    The search walks the host along the solution's arcs and builds no
+    subgraph; from a request endpoint, which is a host vertex, it reaches
+    exactly what a search of `sol.as_graph()` would."""
     if sol.host is not inst.host and sol.host != inst.host:
         raise InputError("solution host differs from the instance host")
-    return violated_request(sol.as_graph(), inst.requests)
+    return violated_request(sol.host, inst.requests, within=sol.arcs)
 
 
 def is_inclusion_minimal(inst: DsnInstance, sol: SolutionSubgraph) -> bool:

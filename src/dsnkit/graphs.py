@@ -291,6 +291,7 @@ def search(
     stop: Container[int] = (),
     target: Optional[int] = None,
     reverse: bool = False,
+    within: Optional[Container[Arc]] = None,
 ) -> Dict[int, Optional[int]]:
     """Breadth-first parent map of the vertices reached from s, or of the
     vertices that reach s when `reverse` is set.
@@ -300,14 +301,22 @@ def search(
     recorded.  Neighbours are scanned in ascending order, so each parent
     chain is the lexicographically first of the fewest-arc paths whose
     internal vertices avoid `stop`.  A reverse search walks the sorted
-    in-neighbours, so it returns what a search of the reversed graph would."""
+    in-neighbours, so it returns what a search of the reversed graph would.
+
+    With `within` set, a neighbour is followed only along an arc in it (the
+    arc into u when `reverse` is set), so the search returns what a search
+    of the subgraph on those arcs and all of g's vertices would, and builds
+    no graph."""
     g._check_vertex(s)
     adj = g._in if reverse else g._out
     parent: Dict[int, Optional[int]] = {s: None}
     queue = [s]
     # The list grows while it is walked, which makes it the FIFO queue.
     for u in queue:
-        for v in adj[u]:
+        ns = adj[u]
+        if within is not None:
+            ns = [v for v in ns if ((v, u) if reverse else (u, v)) in within]
+        for v in ns:
             if v in parent:
                 continue
             parent[v] = u

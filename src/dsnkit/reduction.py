@@ -116,10 +116,8 @@ def check_labelling(h: UndirectedGraph, lab: Labelling) -> Optional[str]:
         for f in edges:
             if e >= f:
                 continue
-            shares = any(
-                lab.alpha[a] == lab.alpha[b] for a in e for b in f
-            )
-            if shares and lab.gamma[e] == lab.gamma[f]:
+            # The cheap gamma test first: most pairs differ there.
+            if lab.gamma[e] == lab.gamma[f] and any(lab.alpha[a] == lab.alpha[b] for a in e for b in f):
                 return f"edges {e},{f} with alpha-linked endpoints share gamma"
     return None
 

@@ -82,10 +82,10 @@ class _IntHost:
     __slots__ = ("arcs", "weights", "scale", "out", "inn")
 
     def __init__(self, host: WeightedDigraph) -> None:
-        weights = host.arcs()
-        self.arcs = sorted(weights)
-        self.scale = math.lcm(*(w.denominator for w in weights.values()))
-        self.weights = [weights[a].numerator * (self.scale // weights[a].denominator) for a in self.arcs]
+        items = sorted(host.arcs().items())
+        self.arcs = [a for a, _ in items]
+        self.scale = math.lcm(*(w.denominator for _, w in items))
+        self.weights = [w.numerator * (self.scale // w.denominator) for _, w in items]
         self.out: Dict[int, List[Tuple[int, int, int]]] = {v: [] for v in host.vertices}
         self.inn: Dict[int, List[Tuple[int, int, int]]] = {v: [] for v in host.vertices}
         # Sorted arcs come in ascending order of head within a tail, and of
@@ -110,7 +110,7 @@ def _request_paths(inst: DsnInstance, host: _IntHost) -> List[List[PathArcs]]:
     others).  Requests come sorted, and paths cheapest first, then by tuple,
     which orders them by vertices: two paths from one source first differ
     at arcs with a common tail."""
-    found: Dict[Tuple[int, int], List[PathArcs]] = {r: [] for r in inst.requests}
+    found: Dict[Tuple[int, int], List[Tuple[int, PathArcs]]] = {r: [] for r in inst.requests}
     for s in {s for s, _ in inst.requests}:
         targets = {t for r, t in inst.requests if r == s}
         live = set(targets)
@@ -120,20 +120,23 @@ def _request_paths(inst: DsnInstance, host: _IntHost) -> List[List[PathArcs]]:
                 if u not in live:
                     live.add(u)
                     queue.append(u)
-        # Entries: (last vertex, the path's arcs, its vertices).
-        stack: List[Tuple[int, PathArcs, Set[int]]] = [(s, (), {s})]
+        # Entries: (the path's vertices, its arcs, its cost, the number of
+        # targets on it).
+        stack: List[Tuple[Tuple[int, ...], PathArcs, int, int]] = [((s,), (), 0, 0)]
         while stack:
-            u, path, on_path = stack.pop()
-            for v, w, bit in host.out[u]:
+            on_path, path, cost, hits = stack.pop()
+            for v, w, bit in host.out[on_path[-1]]:
                 if v in on_path or v not in live:
                     continue
                 longer = path + ((bit, w),)
-                if v in targets:
-                    found[(s, v)].append(longer)
-                    if targets <= on_path | {v}:
+                hit = v in targets
+                if hit:
+                    found[(s, v)].append((cost + w, longer))
+                    if hits + 1 == len(targets):
                         continue
-                stack.append((v, longer, on_path | {v}))
-    return [sorted(found[r], key=lambda p: (sum(w for _, w in p), p)) for r in inst.sorted_requests()]
+                stack.append((on_path + (v,), longer, cost + w, hits + hit))
+    # Pairs sort by cost, then by path: no two paths of a request are equal.
+    return [[p for _, p in sorted(found[r])] for r in inst.sorted_requests()]
 
 
 def solve_exhaustive(inst: DsnInstance) -> SolveResult:
@@ -166,10 +169,12 @@ def _solve_path_union(inst: DsnInstance) -> SolveResult:
     overestimates, so the result is the first optimal leaf in DFS order."""
     if not inst.requests:
         return _finish(inst, set(), 1, "exhaustive")
+    if violated_request(inst.host, inst.requests) is not None:
+        return _infeasible("exhaustive")
     host = _IntHost(inst.host)
     per_request = _request_paths(inst, host)
     if not all(per_request):
-        return _infeasible("exhaustive")
+        raise InvariantError("a request reachable in the host has no simple path")
     users = Counter(bit for paths in per_request for bit in {bit for path in paths for bit, _ in path})
     # Costs are scaled once more by L, the lcm of the user counts, so every
     # split weight w * L / users is an integer.
@@ -252,7 +257,16 @@ def solve_bnb(inst: DsnInstance) -> SolveResult:
     - including an arc (u, v) whose head was settled before t at a distance
       no greater than its tail's leaves d unchanged: a path through the free
       arc reaches v at no less than dist(u) >= dist(v), so no distance from
-      s changes and the recorded path stays a shortest one.
+      s changes and the recorded path stays a shortest one;
+    - a rerun stops, and the child is pruned, as soon as Dijkstra pops a
+      distance above the incumbent's slack, its cost less the included
+      cost.  Dijkstra pops in distance order, so a run that reaches t within
+      the slack is exactly the full run.  A bound that an include child
+      keeps without a rerun prunes it when it exceeds the slack, as the
+      included cost rose by the arc's weight.  No other bound can exceed
+      it: the parent's bounds were within the slack when it was expanded,
+      and an incumbent found since is a leaf below the parent, so it costs
+      at least the parent's included cost plus each of those bounds.
 
     The returned optimum does not depend on which shortest path is recorded.
     A branch on a recorded path with no undecided arc, which a wrong reuse
@@ -269,16 +283,19 @@ def solve_bnb(inst: DsnInstance) -> SolveResult:
     adj, iw = host.out, host.weights
     heappop, heappush = heapq.heappop, heapq.heappush
 
-    def bound(s: int, t: int, included: int, excluded: int) -> Optional[Bound]:
+    def bound(s: int, t: int, included: int, excluded: int, limit: float) -> Optional[Bound]:
         """Dijkstra from s to t with included arcs free and excluded arcs
-        removed; None when t is unreachable.  A heap entry carries the arc
-        mask of its path.  Every push improves a label strictly, so no two
-        entries share (distance, vertex) and masks are never compared."""
+        removed; None when t is unreachable or farther than `limit`.  A heap
+        entry carries the arc mask of its path.  Every push improves a label
+        strictly, so no two entries share (distance, vertex) and masks are
+        never compared."""
         dist = {s: 0}
         near: Dict[int, int] = {}
         heap = [(0, s, 0)]
         while heap:
             d, u, path = heappop(heap)
+            if d > limit:
+                return None
             if u == t:
                 return s, t, d, path, near
             if d > dist[u]:
@@ -293,9 +310,10 @@ def solve_bnb(inst: DsnInstance) -> SolveResult:
                     heappush(heap, (nd, v, path | bit))
         return None
 
-    def derive(parent: List[Bound], i: int, included: int, excluded: int) -> Optional[List[Bound]]:
+    def derive(parent: List[Bound], i: int, included: int, excluded: int, limit: float) -> Optional[List[Bound]]:
         """The unsatisfied requests, with bounds, of the child that decided
-        arc i (-1 at the root); None when one of them became unreachable."""
+        arc i (-1 at the root); None when one of them became unreachable or
+        its bound exceeds `limit`."""
         if i < 0:
             return parent
         bit = 1 << i
@@ -307,13 +325,18 @@ def solve_bnb(inst: DsnInstance) -> SolveResult:
                 if path & bit:
                     b = s, t, d - iw[i], path, near
                 elif tail in near and (head not in near or near[head] > near[tail]):
-                    b = bound(s, t, included, excluded)  # not None: the old path survives
+                    # d may fall here, so only the rerun compares it with the limit.
+                    b = bound(s, t, included, excluded, limit)
+                    if b is None:
+                        return None
+                elif d > limit:
+                    return None
                 if b[2]:
                     missing.append(b)
         else:
             for b in parent:
                 if b[3] & bit:
-                    b = bound(b[0], b[1], included, excluded)
+                    b = bound(b[0], b[1], included, excluded, limit)
                     if b is None:
                         return None
                 missing.append(b)
@@ -324,7 +347,7 @@ def solve_bnb(inst: DsnInstance) -> SolveResult:
     # root bound is None.
     forced_ids = [i for i, a in enumerate(host.arcs) if a in forced]
     included = sum(1 << i for i in forced_ids)
-    root = [b for b in (bound(s, t, included, 0) for s, t in inst.sorted_requests()) if b[2]]
+    root = [b for b in (bound(s, t, included, 0, math.inf) for s, t in inst.sorted_requests()) if b[2]]
     best_cost: Optional[int] = None
     best_arcs = 0
     nodes = 0
@@ -336,9 +359,10 @@ def solve_bnb(inst: DsnInstance) -> SolveResult:
     while stack:
         i, included, excluded, inc_cost, parent = stack.pop()
         nodes += 1
-        missing = derive(parent, i, included, excluded)
+        slack = math.inf if best_cost is None else best_cost - inc_cost
+        missing = derive(parent, i, included, excluded, slack)
         if missing is None:
-            continue  # request unsatisfiable in this subtree
+            continue  # a request unsatisfiable, or too dear, in this subtree
         if not missing:
             differ = included ^ best_arcs
             if best_cost is None or inc_cost < best_cost or inc_cost == best_cost and included & differ & -differ:
@@ -346,10 +370,9 @@ def solve_bnb(inst: DsnInstance) -> SolveResult:
                 best_arcs = included
             continue
         # max keeps the first of equal bounds, so ties go by sorted request.
+        # derive pruned every bound above the incumbent's slack.
         _, _, worst, path, _ = max(missing, key=_distance)
-        if best_cost is not None and inc_cost + worst >= best_cost:
-            if inc_cost + worst > best_cost:
-                continue
+        if inc_cost + worst == best_cost:
             # Every leaf below lacks the lowest excluded incumbent arc, so it
             # wins the tie only with an arc below that one that is neither
             # excluded nor in the incumbent.

@@ -26,7 +26,6 @@ from dsnkit.ladders import (
     make_ladder,
 )
 from dsnkit.reduction import (
-    PsiInstance,
     build_labelling,
     check_labelling,
     decide_psi_via_dsn,
@@ -46,7 +45,7 @@ from dsnkit.structure import (
 from dsnkit.generators import gen_grid
 
 from conftest import PATTERNS, ladder_with_terminals, random_instances, random_psi_host
-from test_ladders import LadderSpec, corner_roles, ladder_corners, sampled_specs
+from test_ladders import LadderSpec, corner_roles, sampled_specs
 
 
 def out_star_instance(seed):

@@ -156,10 +156,29 @@ class TestValidateAndMinimize:
         requests = data.draw(st.sets(st.sampled_from(pairs), max_size=6))
         searched = []
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(dsn, "search", lambda graph, s: searched.append(s) or search(graph, s))
+            m.setattr(dsn, "search", lambda graph, s, **kw: searched.append(s) or search(graph, s, **kw))
             got = violated_request(g, requests)
         assert got == violated_request_by_reaches(g, requests)
         assert sorted(searched) == sorted(set(searched))
+
+    @settings(max_examples=100, deadline=None)
+    @given(g=digraphs(), data=st.data())
+    def test_validate_matches_a_check_of_the_subgraph_and_builds_none(self, g, data):
+        """[DERIVED: `violated_request` on `sol.as_graph()`]"""
+        pairs = [(s, t) for s in g.vertices for t in g.vertices if s != t]
+        assume(pairs)
+        inst = DsnInstance(g, data.draw(st.sets(st.sampled_from(pairs), min_size=1, max_size=6)))
+        arcs = data.draw(st.sets(st.sampled_from(sorted(g.arc_set()))) if g.m else st.just(set()))
+        pinned = data.draw(st.sets(st.sampled_from(g.vertices)))
+        sol = SolutionSubgraph(g, arcs, pinned)
+        expected = violated_request(sol.as_graph(), inst.requests)
+        builds = []
+        with pytest.MonkeyPatch.context() as m:
+            init = WeightedDigraph.__init__
+            m.setattr(WeightedDigraph, "__init__", lambda self, *a: builds.append(a) or init(self, *a))
+            got = validate(inst, sol)
+        assert got == expected
+        assert builds == []
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())

@@ -10,7 +10,6 @@ from dsnkit import formats
 from dsnkit.errors import CapacityError, ParseError
 from dsnkit.formats import emit_dsn, emit_psi, parse_dsn, parse_psi
 from dsnkit.generators import gen_ladder
-from dsnkit.reduction import PsiInstance
 
 from conftest import K4, random_instances, random_psi_host
 

@@ -204,6 +204,18 @@ class TestSearch:
         walked = search(g, s, stop, target, reverse=True)
         assert list(walked.items()) == list(search(g.reverse(), s, stop, target).items())
 
+    @settings(max_examples=80, deadline=None)
+    @given(digraphs(), st.data(), st.booleans())
+    def test_within_matches_search_of_subgraph(self, g, data, reverse):
+        """[DERIVED: search of `g.subgraph(within, extra_vertices=g.vertices)`], parent map and order"""
+        s = data.draw(st.sampled_from(g.vertices))
+        stop = data.draw(vertex_sets(g))
+        target = data.draw(st.none() | st.sampled_from(g.vertices))
+        within = data.draw(st.sets(st.sampled_from(sorted(g.arc_set()))) if g.m else st.just(set()))
+        walked = search(g, s, stop, target, reverse, within=within)
+        sub = g.subgraph(within, extra_vertices=g.vertices)
+        assert list(walked.items()) == list(search(sub, s, stop, target, reverse).items())
+
     @settings(max_examples=60, deadline=None)
     @given(digraphs(), st.data())
     def test_parent_chains_are_shortest(self, g, data):

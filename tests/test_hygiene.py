@@ -1,7 +1,8 @@
-"""Source hygiene: every name a module imports is used in that module,
-every import but networkx sits at module level, not inside a function body,
-every private module-level name is used somewhere in the package, and so is
-every public function and class, unless it is library surface.
+"""Source hygiene: every name a module or test file imports is used in
+that file, every import but networkx sits at module level, not inside a
+function body, every private module-level name is used somewhere in the
+package, and so is every public function and class, unless it is library
+surface.
 
 `__init__.py` is exempt from the unused-import scan because it imports names
 only to re-export them through `__all__`."""
@@ -15,6 +16,7 @@ import dsnkit
 
 SOURCES = sorted(Path(dsnkit.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 # Public functions that no code in the package calls: the API that callers
 # and the acceptance criteria use directly.
 LIBRARY_SURFACE = {
@@ -63,7 +65,11 @@ def test_modules_found():
     assert {p.name for p in MODULES} >= {"graphs.py", "ladders.py", "structure.py"}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_test_files_found():
+    assert {p.name for p in TESTS} >= {"conftest.py", "test_hygiene.py", "test_solvers.py"}
+
+
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -1,10 +1,10 @@
+import dataclasses
 import warnings
 
 import pytest
-from fractions import Fraction
 
 from dsnkit.dsn import validate
-from dsnkit.errors import InputError, InvariantError, PreconditionError
+from dsnkit.errors import InputError, PreconditionError
 from dsnkit.graphs import UndirectedGraph
 from dsnkit.reduction import (
     PsiInstance,
@@ -39,6 +39,23 @@ class TestLabelling:
         assert lab.num_x <= r + 4
         assert lab.num_y <= r + 3
         assert lab.num_z <= 6 * r - 1
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"alpha": {1: 0}, "beta": {1: 0}}, "vertices 0,1 share both alpha and beta"),
+            ({"alpha": {1: 0}}, "edge 0,1 has alpha-equal endpoints"),
+            ({"beta": {1: 0}}, "edge 0,1 has beta-equal endpoints"),
+            ({"gamma": {(0, 2): 0}}, "edges (0, 1),(0, 2) with alpha-linked endpoints share gamma"),
+        ],
+    )
+    def test_each_violation_is_reported(self, changes, message):
+        # On K4 every vertex has its own alpha and beta colour.  The edges
+        # (0, 1) and (2, 3) already share gamma 0, which is allowed because
+        # no endpoints of theirs share an alpha colour.
+        lab = build_labelling(identity_psi(K4))
+        broken = dataclasses.replace(lab, **{f: {**getattr(lab, f), **c} for f, c in changes.items()})
+        assert check_labelling(K4, broken) == message
 
     def test_k4_sizes(self):
         lab = build_labelling(identity_psi(K4))

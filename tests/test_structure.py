@@ -7,7 +7,6 @@ from fractions import Fraction
 from hypothesis import assume, given, settings, strategies as st
 
 from dsnkit.dsn import (
-    DsnInstance,
     SolutionSubgraph,
     is_inclusion_minimal_graph,
     minimize_graph,
@@ -16,7 +15,7 @@ from dsnkit.dsn import (
 from dsnkit.errors import InconsistencyError, InvariantError, PreconditionError
 from dsnkit.graphs import DirectedPath, WeightedDigraph
 from dsnkit import structure
-from dsnkit.ladders import LadderSpec, LadderVerdict, ladder_corners, make_ladder
+from dsnkit.ladders import LadderVerdict
 from dsnkit.structure import (
     LadderSegment,
     PathRecord,
