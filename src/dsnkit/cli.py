@@ -59,11 +59,50 @@ def _write(path: Optional[str], text: str) -> None:
         raise InputError(f"cannot write {path}: {exc}") from None
 
 
+_ESCAPE = json.encoder.encode_basestring_ascii
+_FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# Encoders by exact type, as the payloads hold no subclasses of these.
+_SCALARS = {
+    str: _ESCAPE,
+    int: int.__repr__,
+    float: lambda x: _FLOAT_NAMES.get(repr(x), repr(x)),
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+_scalar_encoder = _SCALARS.get
+
+
+def _indented_json(obj, newline: str = "\n") -> str:
+    """Exactly `json.dumps(obj, indent=2)` for dicts with string keys, lists,
+    tuples, str, int, float, bool and None.  With `indent` set, json
+    runs its pure-Python encoder; this one looks each scalar's encoder up by
+    type and builds each container with one join."""
+    enc = _scalar_encoder(type(obj))
+    if enc is not None:
+        return enc(obj)
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            _ESCAPE(k) + ": "
+            + (enc(v) if (enc := _scalar_encoder(type(v))) else _indented_json(v, inner))
+            for k, v in obj.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [enc(v) if (enc := _scalar_encoder(type(v))) else _indented_json(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _print_result(result: SolveResult, elapsed: float, as_json: bool) -> None:
     if as_json:
         payload = result.to_json_dict()
         payload["wall_time_s"] = round(elapsed, 6)
-        print(json.dumps(payload, indent=2))
+        print(_indented_json(payload))
     elif not result.feasible:
         print("infeasible")
     else:
@@ -104,7 +143,7 @@ def cmd_analyze(args) -> int:
             "certificate": cert.to_json_dict(),
             "wall_time_s": round(elapsed, 6),
         }
-        print(json.dumps(payload, indent=2))
+        print(_indented_json(payload))
     else:
         rep = cert.report
         print(f"cost {result.cost}; |V| {rep.vertices_before} -> {rep.vertices_after}")
@@ -141,7 +180,7 @@ def cmd_reduce(args) -> int:
             "threshold": out.threshold,
             "decision": decision,
         }
-        print(json.dumps(payload, indent=2))
+        print(_indented_json(payload))
     else:
         if not args.output:
             sys.stdout.write(text)
@@ -218,7 +257,7 @@ def cmd_bench(args) -> int:
             }
         )
     if args.json:
-        print(json.dumps({"rows": table, "disagreements": disagreements}, indent=2))
+        print(_indented_json({"rows": table, "disagreements": disagreements}))
     else:
         width = max(len(r["instance"]) for r in table)
         for r in table:

@@ -13,7 +13,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from .dsn import DsnInstance
 from .errors import CapacityError, InputError
 from .formats import DSN_MAX_ARCS, DSN_MAX_VERTICES
-from .graphs import WeightedDigraph
+from .graphs import UNIT, WeightedDigraph
 from .ladders import LadderSpec, ladder_corner_requests, make_ladder
 
 Metadata = Dict[str, str]
@@ -68,11 +68,11 @@ def gen_grid(
         for x in range(width):
             v = y * width + x
             if x + 1 < width:
-                arcs[(v, v + 1)] = Fraction(1)
-                arcs[(v + 1, v)] = Fraction(1)
+                arcs[(v, v + 1)] = UNIT
+                arcs[(v + 1, v)] = UNIT
             if y + 1 < height:
-                arcs[(v, v + width)] = Fraction(1)
-                arcs[(v + width, v)] = Fraction(1)
+                arcs[(v, v + width)] = UNIT
+                arcs[(v + width, v)] = UNIT
     rng = random.Random(seed)
     terminals = sorted(rng.sample(range(n), q))
     if p is None:

@@ -8,6 +8,7 @@ are integers and every deterministic tie-break is by ascending id.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Container, Dict, Iterable, List, Mapping, Optional, Set, Tuple
@@ -17,6 +18,9 @@ from .errors import CapacityError, DomainError, InputError
 Arc = Tuple[int, int]
 
 TREEWIDTH_EXACT_CAP = 22
+
+# The weight of a unit arc, shared so that each such arc needs no new Fraction.
+UNIT = Fraction(1)
 
 
 def _as_weight(w) -> Fraction:
@@ -99,7 +103,8 @@ class WeightedDigraph:
         return tuple(sorted(set(self._out[v]) | set(self._in[v])))
 
     def total_degree(self, v: int) -> int:
-        return len(self.in_neighbors(v)) + len(self.out_neighbors(v))
+        self._check_vertex(v)
+        return len(self._in[v]) + len(self._out[v])
 
     def _check_vertex(self, v: int) -> None:
         if v not in self._vset:
@@ -337,10 +342,14 @@ def shortest_path(
     makes the result deterministic."""
     g._check_vertex(s)
     g._check_vertex(t)
+    arcs, out = g._arcs, g._out
+    # Integer costs, scaled by the lcm of the weight denominators: a positive
+    # scale keeps every comparison, so paths and ties stay those of the exact costs.
+    scale = math.lcm(*{w.denominator for w in arcs.values()})
     # Uniform-cost search on (cost, vertex sequence).  Because all simple
     # paths to a vertex end in it, lexicographic comparison is stable under
     # extension, so the first pop per vertex is optimal.
-    heap: List[Tuple[Fraction, Tuple[int, ...]]] = [(Fraction(0), (s,))]
+    heap: List[Tuple[int, Tuple[int, ...]]] = [(0, (s,))]
     done: Set[int] = set()
     while heap:
         cost, seq = heapq.heappop(heap)
@@ -349,10 +358,11 @@ def shortest_path(
             continue
         done.add(u)
         if u == t:
-            return DirectedPath(seq), cost
-        for v in g.out_neighbors(u):
+            return DirectedPath(seq), Fraction(cost, scale)
+        for v in out[u]:
             if v not in done and (v == t or v not in avoid):
-                heapq.heappush(heap, (cost + g.weight(u, v), seq + (v,)))
+                w = arcs[(u, v)]
+                heapq.heappush(heap, (cost + w.numerator * (scale // w.denominator), seq + (v,)))
     return None
 
 
@@ -423,40 +433,43 @@ def necessary_arcs(g: WeightedDigraph, requests: Iterable[Tuple[int, int]]) -> O
 
 def diameter(g: UndirectedGraph) -> int:
     """Maximum unweighted shortest-path distance over vertex pairs."""
-    comps = g.components()
-    if len(comps) > 1:
-        raise DomainError(
-            f"graph is disconnected: components containing {comps[0][0]} and {comps[1][0]}"
-        )
-    if g.n == 0:
+    n = g.n
+    if n == 0:
         raise DomainError("graph is empty")
+    adj = g._adj
     best = 0
-    for s in g.vertices:
-        dist = {s: 0}
+    for s in g._vertices:
+        # Level-by-level search; `depth` ends at the eccentricity of s.
+        seen = {s}
         frontier = [s]
-        d = 0
+        depth = -1
         while frontier:
-            d += 1
+            depth += 1
             nxt = []
             for u in frontier:
-                for v in g.adjacent(u):
-                    if v not in dist:
-                        dist[v] = d
+                for v in adj[u]:
+                    if v not in seen:
+                        seen.add(v)
                         nxt.append(v)
             frontier = nxt
-        best = max(best, max(dist.values()))
+        if len(seen) < n:
+            # s is the smallest vertex, so it and the smallest vertex it
+            # misses are the first members of the first two components.
+            other = next(v for v in g._vertices if v not in seen)
+            raise DomainError(f"graph is disconnected: components containing {s} and {other}")
+        best = max(best, depth)
     return best
 
 
 def _eliminate(adj: Dict[int, Set[int]], v: int) -> int:
     """Eliminate v from `adj` in place: make its neighbours a clique, drop v,
     and return its degree at elimination."""
-    ns = sorted(adj.pop(v))
-    for i, a in enumerate(ns):
-        adj[a].discard(v)
-        for b in ns[i + 1 :]:
-            adj[a].add(b)
-            adj[b].add(a)
+    ns = adj.pop(v)
+    for a in ns:
+        na = adj[a]
+        na.discard(v)
+        na |= ns
+        na.discard(a)
     return len(ns)
 
 
@@ -540,14 +553,20 @@ def treewidth_exact(g: UndirectedGraph) -> Tuple[int, List[int]]:
     if g.n == 0:
         return 0, []
 
-    adj: Dict[int, Set[int]] = {v: set(g.adjacent(v)) for v in g.vertices}
+    adj: Dict[int, Set[int]] = {v: set(ns) for v, ns in g._adj.items()}
     order: List[int] = []
     width = 0
     heap: List[Tuple[int, int]] = []
 
     def key(u: int) -> int:
+        # 0 if u is simplicial (each neighbour sees the d others), else 1
+        # if it has degree 2, else 2.
         ns = adj[u]
-        return 0 if all(b in adj[a] for a in ns for b in ns if a < b) else 1 if len(ns) == 2 else 2
+        d = len(ns) - 1
+        if d == 1:
+            a, b = ns
+            return 0 if b in adj[a] else 1
+        return 0 if all(len(adj[a] & ns) == d for a in ns) else 2
 
     def push(vs: Iterable[int]) -> None:
         for u in vs:
@@ -568,10 +587,13 @@ def treewidth_exact(g: UndirectedGraph) -> Tuple[int, List[int]]:
         _, v = heapq.heappop(heap)
         if v not in adj:
             continue
-        ns = list(adj[v])
+        ns = adj[v]
         width = max(width, _eliminate(adj, v))
         order.append(v)
-        push(set(ns) | (adj[ns[0]] & adj[ns[1]] if len(ns) == 2 else set()))
+        if len(ns) == 2:
+            a, b = ns
+            ns = ns | (adj[a] & adj[b])
+        push(ns)
 
     if adj:
         rest = UndirectedGraph(adj, [(u, w) for u in adj for w in adj[u]])

@@ -9,10 +9,11 @@ structural pipeline is allowed to shrink.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .errors import InputError, InvariantError
-from .graphs import Arc, DirectedPath, UndirectedGraph, WeightedDigraph, necessary_arcs
+from .graphs import UNIT, Arc, DirectedPath, UndirectedGraph, WeightedDigraph, necessary_arcs
 
 
 @dataclass(frozen=True)
@@ -47,13 +48,13 @@ def make_ladder(spec: LadderSpec) -> WeightedDigraph:
     positions i and i+1 the rails run a_{i+1} -> a_i and b_i -> b_{i+1} for
     odd i, and a_i -> a_{i+1} and b_{i+1} -> b_i for even i."""
     a, b = spec.a, spec.b
-    arcs: Dict[Arc, int] = {}
+    arcs: Dict[Arc, Fraction] = {}
     for i in range(1, spec.n + 1):
         if i % 2:
             pairs = [(a(i), b(i)), (a(i + 1), a(i)), (b(i), b(i + 1))]
         else:
             pairs = [(b(i), a(i)), (a(i), a(i + 1)), (b(i + 1), b(i))]
-        arcs.update(((u, v), 1) for u, v in pairs[: 3 if i < spec.n else 1] if u != v)
+        arcs.update(((u, v), UNIT) for u, v in pairs[: 3 if i < spec.n else 1] if u != v)
     return WeightedDigraph({v for i in range(1, spec.n + 1) for v in (a(i), b(i))}, arcs)
 
 

@@ -11,19 +11,16 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .dsn import DsnInstance, Request, SolutionSubgraph, validate
 from .errors import CapacityError, InputError, InvariantError, PreconditionError
-from .graphs import UndirectedGraph, WeightedDigraph
+from .graphs import UNIT, UndirectedGraph, WeightedDigraph
 from .solvers import _solve_path_union
 
 Edge = Tuple[int, int]
 PSI_BRUTEFORCE_MAX_K = 10
-# The weight of every arc of a hardness instance.
-_UNIT = Fraction(1)
 
 
 def _edge(u: int, v: int) -> Edge:
@@ -257,7 +254,7 @@ def build_dsn(psi: PsiInstance, lab: Labelling) -> ReductionOutput:
 
     vertices = set(g.vertices) | set(w_vertex.values())
     vertices |= set(x_vertex.values()) | set(y_vertex.values()) | set(z_vertex.values())
-    arcs = {arc: _UNIT for arc in a_v | a_w}
+    arcs = {arc: UNIT for arc in a_v | a_w}
     host = WeightedDigraph(vertices, arcs)
     dsn = DsnInstance(host, a_y | a_z)
 

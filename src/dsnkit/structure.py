@@ -23,12 +23,14 @@ from .dsn import (
 )
 from .errors import (
     CapacityError,
+    DomainError,
     InconsistencyError,
     InputError,
     InvariantError,
     PreconditionError,
 )
 from .graphs import (
+    UNIT,
     Arc,
     DirectedPath,
     UndirectedGraph,
@@ -44,8 +46,6 @@ from .graphs import (
 from .ladders import LadderSpec, LadderVerdict, is_ladder_subdivision, ladder_corners, make_ladder
 
 PROTRUSION_MAX_INTERIOR = 14
-# The weight of every arc a replacement ladder brings in.
-_UNIT = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +440,7 @@ def protrusion_replace(
     for (u, v), w in ladder.arcs().items():
         mu, mv = vmap[u], vmap[v]
         if (mu, mv) not in arcs:
-            arcs[(mu, mv)] = _UNIT
+            arcs[(mu, mv)] = UNIT
     vertices = (set(graph.vertices) - Fset) | interior
     new_graph = WeightedDigraph(vertices, arcs)
 
@@ -647,9 +647,10 @@ def reduce_length_graph(
         )
 
     sym_after = current.sym()
-    diam: Optional[int] = None
-    if sym_after.n > 0 and len(sym_after.components()) == 1:
-        diam = diameter(sym_after)
+    try:
+        diam: Optional[int] = diameter(sym_after)
+    except DomainError:  # empty or disconnected
+        diam = None
     tw_after, tw_after_exact = _tw_maybe_exact(sym_after)
     diam_ok = None if diam is None else diam <= 8 * max(1.0, max_ratio) * q
 

@@ -1,9 +1,10 @@
 """Shared test corpora and references: seeded random instances, a
 Hypothesis strategy for small digraphs, reachability with forbidden
-internal vertices, every simple path between two vertices, a digraph minus
-a vertex set, the six-family ladder generator, ladder hosts with terminals
+internal vertices, the cheapest path by exact rational costs, every simple
+path between two vertices, a digraph minus a vertex set, the six-family ladder generator, ladder hosts with terminals
 attached, and the small 3-regular pattern corpus."""
 
+import heapq
 import random
 from fractions import Fraction
 
@@ -49,8 +50,9 @@ def random_instances(count, base_seed=0, **kw):
     return out
 
 
-def digraphs(max_n=7, density=0.4):
-    """Hypothesis strategy for small random digraphs on vertices 0..n-1."""
+def digraphs(max_n=7, density=0.4, max_den=1):
+    """Hypothesis strategy for small random digraphs on vertices 0..n-1,
+    with weights n/d for n in 1..9 and d in 1..max_den."""
     @st.composite
     def build(draw):
         n = draw(st.integers(2, max_n))
@@ -58,7 +60,8 @@ def digraphs(max_n=7, density=0.4):
         for u in range(n):
             for v in range(n):
                 if u != v and draw(st.booleans() if density >= 0.5 else st.sampled_from([True, False, False])):
-                    arcs[(u, v)] = Fraction(draw(st.integers(1, 9)))
+                    num = draw(st.integers(1, 9))
+                    arcs[(u, v)] = Fraction(num, draw(st.integers(1, max_den)) if max_den > 1 else 1)
         return WeightedDigraph(range(n), arcs)
 
     return build()
@@ -70,6 +73,27 @@ def reaches(g, s, t, forbidden_internal=()):
     g._check_vertex(s)
     g._check_vertex(t)
     return s == t or t in search(g, s, set(forbidden_internal), t)
+
+
+def rational_shortest_path(g, s, t, avoid=()):
+    """Reference: `shortest_path` by uniform-cost search on (Fraction cost,
+    vertex sequence), with no scaling to integers."""
+    g._check_vertex(s)
+    g._check_vertex(t)
+    heap = [(Fraction(0), (s,))]
+    done = set()
+    while heap:
+        cost, seq = heapq.heappop(heap)
+        u = seq[-1]
+        if u in done:
+            continue
+        done.add(u)
+        if u == t:
+            return DirectedPath(seq), cost
+        for v in g.out_neighbors(u):
+            if v not in done and (v == t or v not in avoid):
+                heapq.heappush(heap, (cost + g.weight(u, v), seq + (v,)))
+    return None
 
 
 def without_vertices(g, vertices):

@@ -6,6 +6,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dsnkit
 from dsnkit import cli, reduction
@@ -278,6 +279,37 @@ def test_cli_import_leaves_networkx_out():
     code = "import sys, dsnkit.cli; sys.exit(any(m.split('.')[0] == 'networkx' for m in sys.modules))"
     env = dict(os.environ, PYTHONPATH=str(Path(dsnkit.__file__).resolve().parent.parent))
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**63, max_value=10**60).flatmap(lambda n: st.sampled_from([n, -n]))
+    | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0])
+    | st.text()
+    | st.sampled_from(["\x00\x1f\x7f", "tab\tnew\nline", '"quoted" \\ slash', "é ü €", "\u2028\ud83d", "😀"])
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=25,
+)
+
+
+class TestIndentedJson:
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_VALUES)
+    def test_matches_json_dumps_indent_2(self, value):
+        """[DERIVED: json.dumps(value, indent=2)]"""
+        assert cli._indented_json(value) == json.dumps(value, indent=2)
+
+    def test_unknown_type_raises_like_json(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            cli._indented_json({"w": object()})
 
 
 class TestBench:

@@ -20,7 +20,7 @@ from dsnkit.graphs import (
 
 from dsnkit.dsn import violated_request
 
-from conftest import all_simple_paths, digraphs, reaches, without_vertices
+from conftest import all_simple_paths, digraphs, rational_shortest_path, reaches, without_vertices
 
 
 def elimination_width(g, order):
@@ -289,6 +289,15 @@ class TestShortestPath:
                 if s != t:
                     restricted = without_vertices(g, avoid - {s, t})
                     assert shortest_path(g, s, t, avoid) == shortest_path(restricted, s, t)
+
+    @settings(max_examples=80, deadline=None)
+    @given(digraphs(max_den=6), st.data())
+    def test_rational_weights_match_fraction_reference(self, g, data):
+        """[DERIVED: uniform-cost search on exact Fraction costs]"""
+        avoid = data.draw(vertex_sets(g))
+        for s in g.vertices:
+            for t in g.vertices:
+                assert shortest_path(g, s, t, avoid) == rational_shortest_path(g, s, t, avoid)
 
 
 class TestNecessaryArcs:
