@@ -134,16 +134,15 @@ def cmd_analyze(args) -> int:
     if not result.feasible:
         print("infeasible" if not args.json else json.dumps({"feasible": False}))
         return EXIT_INFEASIBLE
-    if cert is None:
-        print(json.dumps({"feasible": True, "certificate": None}))
-        return EXIT_OK
     if args.json:
         payload = {
             "solve": result.to_json_dict(),
-            "certificate": cert.to_json_dict(),
+            "certificate": cert.to_json_dict() if cert is not None else None,
             "wall_time_s": round(elapsed, 6),
         }
         print(_indented_json(payload))
+    elif cert is None:
+        print(f"cost {result.cost}; no requests, no certificate")
     else:
         rep = cert.report
         print(f"cost {result.cost}; |V| {rep.vertices_before} -> {rep.vertices_after}")

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .errors import InputError, InvariantError
-from .graphs import UNIT, Arc, DirectedPath, UndirectedGraph, WeightedDigraph, necessary_arcs
+from .graphs import UNIT, Arc, DirectedPath, WeightedDigraph, necessary_arcs
 
 
 @dataclass(frozen=True)
@@ -218,48 +218,3 @@ def is_ladder_subdivision(K: WeightedDigraph, a: int, b: int, c: int, d: int) ->
         if fail is not None:
             return reject(fail)
     return LadderVerdict(True, (1 if n == 1 else 2) + peeled)
-
-
-def is_outerplanar(u: UndirectedGraph) -> bool:
-    """A graph is outerplanar iff adding an apex adjacent to everything keeps
-    it planar (equivalently: no K4 or K_{2,3} minor)."""
-    # Imported here: these two functions are networkx's only users, and the
-    # import costs most of the CLI's start-up.
-    import networkx as nx
-
-    G = nx.Graph()
-    G.add_nodes_from(u.vertices)
-    G.add_edges_from(u.edges)
-    apex = (max(u.vertices) + 1) if u.vertices else 0
-    G.add_node(apex)
-    G.add_edges_from((apex, v) for v in u.vertices)
-    ok, _ = nx.check_planarity(G)
-    return bool(ok)
-
-
-def is_ladder_undirected(u: UndirectedGraph, a: int, b: int, c: int, d: int) -> bool:
-    """Underlying-undirected ladder test: 2-connected outerplanar, boundary
-    vertices of degree 2 joined by the ab and cd edges, degree 3 elsewhere."""
-    boundary = {a, b, c, d}
-    for v in boundary:
-        if not u.has_vertex(v):
-            return False
-    if u.n <= 2:
-        # Degenerate ladders: a single edge or a single vertex.
-        return boundary <= set(u.vertices)
-    if a != b and not u.has_edge(a, b):
-        return False
-    if c != d and not u.has_edge(c, d):
-        return False
-    for v in u.vertices:
-        want = 2 if v in boundary else 3
-        if u.degree(v) != want:
-            return False
-    import networkx as nx
-
-    G = nx.Graph()
-    G.add_nodes_from(u.vertices)
-    G.add_edges_from(u.edges)
-    if not nx.is_biconnected(G):
-        return False
-    return is_outerplanar(u)

@@ -14,11 +14,11 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .dsn import DsnInstance, SolutionSubgraph, validate, violated_request
 from .errors import CapacityError, DomainError, InvariantError
-from .graphs import Arc, WeightedDigraph, necessary_arcs
+from .graphs import Arc, WeightedDigraph, necessary_arcs, search
 from .structure import TreewidthCertificate, certify_treewidth_bound
 
 EXHAUSTIVE_MAX_ARCS = 24
@@ -102,24 +102,20 @@ class _IntHost:
 # exhaustive oracle
 
 
-def _request_paths(inst: DsnInstance, host: _IntHost) -> List[List[PathArcs]]:
+def _request_paths(
+    inst: DsnInstance, host: _IntHost, back: Dict[int, Iterable[int]]
+) -> List[List[PathArcs]]:
     """All simple paths per request as (arc bit, scaled weight) tuples, by
     one explicit-stack depth-first search per source that stops extending a
     path once it holds every target, and never extends it into a vertex
-    that reaches no target (one reverse search from the targets finds the
-    others).  Requests come sorted, and paths cheapest first, then by tuple,
-    which orders them by vertices: two paths from one source first differ
-    at arcs with a common tail."""
+    that reaches no target (`back[t]` holds the vertices that reach t).
+    Requests come sorted, and paths cheapest first, then by tuple, which
+    orders them by vertices: two paths from one source first differ at arcs
+    with a common tail."""
     found: Dict[Tuple[int, int], List[Tuple[int, PathArcs]]] = {r: [] for r in inst.requests}
     for s in {s for s, _ in inst.requests}:
         targets = {t for r, t in inst.requests if r == s}
-        live = set(targets)
-        queue = list(targets)
-        for v in queue:
-            for u, _, _ in host.inn[v]:
-                if u not in live:
-                    live.add(u)
-                    queue.append(u)
+        live = set().union(*(back[t] for t in targets))
         # Entries: (the path's vertices, its arcs, its cost, the number of
         # targets on it).
         stack: List[Tuple[Tuple[int, ...], PathArcs, int, int]] = [((s,), (), 0, 0)]
@@ -169,10 +165,13 @@ def _solve_path_union(inst: DsnInstance) -> SolveResult:
     overestimates, so the result is the first optimal leaf in DFS order."""
     if not inst.requests:
         return _finish(inst, set(), 1, "exhaustive")
-    if violated_request(inst.host, inst.requests) is not None:
+    # One backward search per distinct target answers reachability and
+    # bounds the path enumeration.
+    back = {t: search(inst.host, t, reverse=True) for t in {t for _, t in inst.requests}}
+    if any(s not in back[t] for s, t in inst.requests):
         return _infeasible("exhaustive")
     host = _IntHost(inst.host)
-    per_request = _request_paths(inst, host)
+    per_request = _request_paths(inst, host, back)
     if not all(per_request):
         raise InvariantError("a request reachable in the host has no simple path")
     users = Counter(bit for paths in per_request for bit in {bit for path in paths for bit, _ in path})

@@ -2,12 +2,14 @@
 Hypothesis strategy for small digraphs, reachability with forbidden
 internal vertices, the cheapest path by exact rational costs, every simple
 path between two vertices, a digraph minus a vertex set, the six-family ladder generator, ladder hosts with terminals
-attached, and the small 3-regular pattern corpus."""
+attached, the undirected ladder and outerplanarity checks (by networkx,
+which only the tests use), and the small 3-regular pattern corpus."""
 
 import heapq
 import random
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 from hypothesis import strategies as st
 
@@ -147,6 +149,45 @@ def six_family_ladder(spec):
         if u != v:
             arcs[(u, v)] = 1
     return WeightedDigraph(set(vertex.values()), arcs)
+
+
+def is_outerplanar(u: UndirectedGraph) -> bool:
+    """A graph is outerplanar iff adding an apex adjacent to everything keeps
+    it planar (equivalently: no K4 or K_{2,3} minor)."""
+    G = nx.Graph()
+    G.add_nodes_from(u.vertices)
+    G.add_edges_from(u.edges)
+    apex = (max(u.vertices) + 1) if u.vertices else 0
+    G.add_node(apex)
+    G.add_edges_from((apex, v) for v in u.vertices)
+    ok, _ = nx.check_planarity(G)
+    return bool(ok)
+
+
+def is_ladder_undirected(u: UndirectedGraph, a: int, b: int, c: int, d: int) -> bool:
+    """Underlying-undirected ladder test: 2-connected outerplanar, boundary
+    vertices of degree 2 joined by the ab and cd edges, degree 3 elsewhere."""
+    boundary = {a, b, c, d}
+    for v in boundary:
+        if not u.has_vertex(v):
+            return False
+    if u.n <= 2:
+        # Degenerate ladders: a single edge or a single vertex.
+        return boundary <= set(u.vertices)
+    if a != b and not u.has_edge(a, b):
+        return False
+    if c != d and not u.has_edge(c, d):
+        return False
+    for v in u.vertices:
+        want = 2 if v in boundary else 3
+        if u.degree(v) != want:
+            return False
+    G = nx.Graph()
+    G.add_nodes_from(u.vertices)
+    G.add_edges_from(u.edges)
+    if not nx.is_biconnected(G):
+        return False
+    return is_outerplanar(u)
 
 
 OUT_STAR_KINDS = ("int", "frac", "unit", "grid")

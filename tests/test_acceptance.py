@@ -20,7 +20,6 @@ from dsnkit.dsn import (
 from dsnkit.graphs import WeightedDigraph
 from dsnkit.ladders import (
     is_ladder_subdivision,
-    is_ladder_undirected,
     ladder_corner_requests,
     ladder_two_path_decomposition,
     make_ladder,
@@ -44,7 +43,7 @@ from dsnkit.structure import (
 )
 from dsnkit.generators import gen_grid
 
-from conftest import PATTERNS, ladder_with_terminals, random_instances, random_psi_host
+from conftest import PATTERNS, is_ladder_undirected, ladder_with_terminals, random_instances, random_psi_host
 from test_ladders import LadderSpec, corner_roles, sampled_specs
 
 

@@ -178,6 +178,25 @@ class TestAnalyze:
         assert main(["analyze", str(path)]) == 4
         assert capsys.readouterr().err == "error: genus must be an integer, got 'abc'\n"
 
+    @pytest.fixture
+    def no_requests_file(self, tmp_path):
+        path = tmp_path / "no_requests.dsn"
+        path.write_text(emit_dsn(DsnInstance(WeightedDigraph(range(2), {(0, 1): 1}), set())))
+        return path
+
+    def test_analyze_without_requests(self, no_requests_file, capsys):
+        assert main(["analyze", str(no_requests_file)]) == 0
+        assert capsys.readouterr().out == "cost 0; no requests, no certificate\n"
+
+    def test_analyze_json_without_requests(self, no_requests_file, capsys):
+        assert main(["analyze", str(no_requests_file), "--json"]) == 0
+        out = capsys.readouterr().out
+        payload = json.loads(out)
+        assert list(payload) == ["solve", "certificate", "wall_time_s"]
+        assert payload["solve"]["feasible"] is True and payload["solve"]["cost"] == [0, 1]
+        assert payload["certificate"] is None
+        assert out == cli._indented_json(payload) + "\n"
+
     def test_analyze_long_out_star_path(self, tmp_path, capsys):
         m = 400
         g = WeightedDigraph(range(m + 1), {(i, i + 1): 1 for i in range(m)})
@@ -273,12 +292,49 @@ def test_unwritable_output_is_input_error(tmp_path, capsys, command):
     assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
 
 
-def test_cli_import_leaves_networkx_out():
-    # networkx costs most of the CLI's start-up; only two ladder functions,
-    # which no command calls, import it.
-    code = "import sys, dsnkit.cli; sys.exit(any(m.split('.')[0] == 'networkx' for m in sys.modules))"
-    env = dict(os.environ, PYTHONPATH=str(Path(dsnkit.__file__).resolve().parent.parent))
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+SRC = Path(dsnkit.__file__).resolve().parent.parent
+
+
+def test_every_module_imports_only_the_standard_library():
+    # dsnkit has no runtime dependency: in a fresh interpreter, importing
+    # every one of its modules loads nothing from outside the standard
+    # library.
+    code = (
+        "import importlib, json, pkgutil, sys\n"
+        "before = set(sys.modules)\n"
+        "import dsnkit\n"
+        "names = sorted(m.name for m in pkgutil.iter_modules(dsnkit.__path__))\n"
+        "for name in names:\n"
+        "    importlib.import_module('dsnkit.' + name)\n"
+        "loaded = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+        "print(json.dumps([names, sorted(loaded - sys.stdlib_module_names - {'dsnkit'})]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    names, foreign = json.loads(run.stdout)
+    assert names == sorted(p.stem for p in SRC.joinpath("dsnkit").glob("*.py") if p.stem != "__init__")
+    assert foreign == []
+
+
+def test_commands_run_with_networkx_blocked(tmp_path):
+    # A networkx.py that raises ImportError, first on the path, stands in for
+    # an environment without networkx.
+    (tmp_path / "networkx.py").write_text('raise ImportError("networkx is blocked")\n')
+    env = dict(os.environ, PYTHONPATH=f"{tmp_path}{os.pathsep}{SRC}")
+
+    def run(*args):
+        return subprocess.run([sys.executable, *args], env=env, cwd=tmp_path, capture_output=True).returncode
+
+    assert run("-c", "import networkx") == 1
+    (tmp_path / "k4.psi").write_text(emit_psi(PsiInstance(K4, K4, {i: i for i in range(4)})))
+    commands = [
+        ["gen", "ladder", "6", "-o", "ladder6.dsn"],
+        ["analyze", "ladder6.dsn", "--json"],
+        ["solve", "ladder6.dsn"],
+        ["reduce", "k4.psi", "--decide"],
+        ["bench"],
+    ]
+    assert [run("-m", "dsnkit.cli", *argv) for argv in commands] == [0, 0, 0, 0, 0]
 
 
 JSON_SCALARS = (

@@ -1,8 +1,7 @@
 """Source hygiene: every name a module or test file imports is used in
-that file, every import but networkx sits at module level, not inside a
-function body, every private module-level name is used somewhere in the
-package, and so is every public function and class, unless it is library
-surface.
+that file, every import sits at module level, not inside a function body,
+every private module-level name is used somewhere in the package, and so is
+every public function and class, unless it is library surface.
 
 `__init__.py` is exempt from the unused-import scan because it imports names
 only to re-export them through `__all__`."""
@@ -25,7 +24,6 @@ LIBRARY_SURFACE = {
     ("dsn.py", "reverse_instance"),
     ("dsn.py", "reverse_solution"),
     ("formats.py", "emit_psi"),
-    ("ladders.py", "is_ladder_undirected"),
     ("ladders.py", "ladder_two_path_decomposition"),
     ("reduction.py", "embedding_solution"),
     ("reduction.py", "extract_embedding"),
@@ -79,17 +77,9 @@ def test_scan_finds_a_function_body_import():
     assert function_body_imports(source) == [(5, "f"), (5, "g"), (6, "f")]
 
 
-# The one import deferred into function bodies: networkx costs most of the
-# CLI's start-up, and only two library-surface ladder functions use it.
-DEFERRED_IMPORT = ("ladders.py", "import networkx as nx")
-
-
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_imports_at_module_level(path):
-    source = path.read_text()
-    lines = source.splitlines()
-    found = function_body_imports(source)
-    assert [(line, func) for line, func in found if (path.name, lines[line - 1].strip()) != DEFERRED_IMPORT] == []
+    assert function_body_imports(path.read_text()) == []
 
 
 def private_definitions(tree):

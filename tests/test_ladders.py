@@ -16,15 +16,13 @@ from dsnkit.ladders import (
     _hypotheses_failure,
     _suppress_outside,
     is_ladder_subdivision,
-    is_ladder_undirected,
-    is_outerplanar,
     ladder_corner_requests,
     ladder_corners,
     ladder_two_path_decomposition,
     make_ladder,
 )
 
-from conftest import digraphs, reaches, six_family_ladder, without_vertices
+from conftest import digraphs, is_ladder_undirected, is_outerplanar, reaches, six_family_ladder, without_vertices
 
 
 def corner_roles(spec):

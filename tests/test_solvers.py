@@ -16,7 +16,7 @@ from dsnkit.dsn import DsnInstance, is_inclusion_minimal, validate, violated_req
 from dsnkit import dsn, solvers
 from dsnkit.errors import CapacityError, DomainError, InvariantError
 from dsnkit.generators import gen_grid, gen_random
-from dsnkit.graphs import WeightedDigraph, shortest_path
+from dsnkit.graphs import WeightedDigraph, search, shortest_path
 from dsnkit.reduction import decide_psi_via_dsn, generate_hardness_instance
 from dsnkit.solvers import (
     _finish,
@@ -399,7 +399,7 @@ class TestPathUnion:
     def test_infeasible_instance_is_rejected_before_compiling(self, monkeypatch):
         calls = []
         monkeypatch.setattr(solvers, "_IntHost", lambda host: calls.append("_IntHost"))
-        monkeypatch.setattr(solvers, "_request_paths", lambda inst, host: calls.append("_request_paths"))
+        monkeypatch.setattr(solvers, "_request_paths", lambda inst, host, back: calls.append("_request_paths"))
         g = WeightedDigraph(range(4), {(0, 1): 1, (1, 2): 1, (3, 2): 1})
         r = _solve_path_union(DsnInstance(g, {(0, 2), (0, 3)}))
         assert (r.feasible, r.node_count, r.method) == (False, 0, "exhaustive")
@@ -408,7 +408,7 @@ class TestPathUnion:
     def test_reachable_request_without_paths_raises(self, monkeypatch):
         # Every request is reachable, so an empty path list is a bug in the
         # path enumeration, not an infeasible instance.
-        monkeypatch.setattr(solvers, "_request_paths", lambda inst, host: [[] for _ in inst.requests])
+        monkeypatch.setattr(solvers, "_request_paths", lambda inst, host, back: [[] for _ in inst.requests])
         g = WeightedDigraph(range(3), {(0, 1): 1, (1, 2): 1})
         with pytest.raises(InvariantError, match="has no simple path"):
             _solve_path_union(DsnInstance(g, {(0, 2)}))
@@ -570,6 +570,13 @@ class TestBranchAndBound:
         assert time.perf_counter() - start < 1.0
 
 
+def request_paths(inst):
+    """`_request_paths` given the backward searches that `_solve_path_union`
+    runs, one per distinct target."""
+    back = {t: search(inst.host, t, reverse=True) for _, t in inst.requests}
+    return solvers._request_paths(inst, solvers._IntHost(inst.host), back)
+
+
 class TestRequestPaths:
     @settings(max_examples=60, deadline=None)
     @given(g=digraphs(), data=st.data())
@@ -595,14 +602,14 @@ class TestRequestPaths:
             paths = [tuple(bit[a] for a in zip(seq, seq[1:])) for seq in walks]
             keyed = sorted(zip(walks, paths), key=lambda k: (sum(w for _, w in k[1]), k[0]))
             expected.append([path for _, path in keyed])
-        assert solvers._request_paths(inst, host) == expected
+        assert request_paths(inst) == expected
 
     def test_source_with_several_targets(self):
         # Arc bits: (0, 1) 1, (0, 2) 2, (1, 2) 4, (2, 3) 8; the paths to 3
         # pass the targets 1 and 2.
         g = WeightedDigraph(range(4), {(0, 1): 1, (0, 2): 3, (1, 2): 1, (2, 3): 1})
         inst = DsnInstance(g, {(0, 1), (0, 2), (0, 3)})
-        assert solvers._request_paths(inst, solvers._IntHost(g)) == [
+        assert request_paths(inst) == [
             [((1, 1),)],
             [((1, 1), (4, 1)), ((2, 3),)],
             [((1, 1), (4, 1), (8, 1)), ((2, 3), (8, 1))],
@@ -625,7 +632,7 @@ class TestRequestPaths:
     def test_unreachable_request(self):
         g = WeightedDigraph(range(4), {(0, 1): 1, (1, 2): 1, (3, 2): 1})
         inst = DsnInstance(g, {(0, 2), (0, 3)})
-        assert solvers._request_paths(inst, solvers._IntHost(g)) == [[((1, 1), (2, 1))], []]
+        assert request_paths(inst) == [[((1, 1), (2, 1))], []]
         r = solve_exhaustive(inst)
         assert not r.feasible and r.node_count == 0
 
