@@ -131,9 +131,6 @@ def cmd_analyze(args) -> int:
     t0 = time.perf_counter()
     result, cert = solve_with_certificate(inst, declared_genus=genus, engine=args.engine)
     elapsed = time.perf_counter() - t0
-    if not result.feasible:
-        print("infeasible" if not args.json else json.dumps({"feasible": False}))
-        return EXIT_INFEASIBLE
     if args.json:
         payload = {
             "solve": result.to_json_dict(),
@@ -141,6 +138,8 @@ def cmd_analyze(args) -> int:
             "wall_time_s": round(elapsed, 6),
         }
         print(_indented_json(payload))
+    elif not result.feasible:
+        print("infeasible")
     elif cert is None:
         print(f"cost {result.cost}; no requests, no certificate")
     else:
@@ -151,7 +150,7 @@ def cmd_analyze(args) -> int:
         for p in rep.paths:
             print(f"  request {p.request[0] + 1}->{p.request[1] + 1}: len {p.length}, "
                   f"{p.num_important} important, {len(p.segments)} segments")
-    return EXIT_OK
+    return EXIT_OK if result.feasible else EXIT_INFEASIBLE
 
 
 def cmd_reduce(args) -> int:

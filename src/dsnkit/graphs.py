@@ -495,61 +495,61 @@ def treewidth_upper_bound(g: UndirectedGraph) -> int:
     return width
 
 
-def _component_tw_dp(vertices: List[int], adj: Dict[int, Set[int]]) -> Tuple[int, List[int]]:
-    """Exact treewidth of one connected component by the elimination-ordering
-    subset DP; returns (width, elimination order).  Vertex i of `vertices`
-    is bit i, and `adj` must not leave the component."""
-    k = len(vertices)
-    full = (1 << k) - 1
+def _component_treewidth(vertices: List[int], adj: Dict[int, Set[int]], k: int) -> Tuple[int, List[int]]:
+    """The least width >= k of an elimination order of one connected
+    component, with an order of that width; vertex i of `vertices` is bit
+    i, and `adj` must not leave the component.  This is the decision form
+    of the elimination-order recurrence (Bodlaender, Fomin, Koster, Kratsch
+    and Thilikos, ACM TALG 2012): Q(S, v) is the set of vertices outside
+    S + v that v reaches through S, and the width is at most k exactly when
+    a depth-first search from the empty set that adds v to S only while
+    |Q(S, v)| <= k reaches every vertex.  It runs for k, k + 1, ...; a k
+    below every degree stops at the empty set."""
+    full = (1 << len(vertices)) - 1
     local = {v: i for i, v in enumerate(vertices)}
     amask = [sum(1 << local[w] for w in adj[v]) for v in vertices]
-
-    INF = k + 1
-    tw = [0] * (1 << k)
-    choice = [0] * (1 << k)
-    for S in range(1, full + 1):
-        best = INF
-        best_v = -1
-        rest = S
-        while rest:
-            vbit = rest & (-rest)
-            rest ^= vbit
-            v = vbit.bit_length() - 1
-            prev = S ^ vbit
-            # Q(prev, v): neighbors of v's closure through prev, outside prev+v
-            seen = amask[v]
-            grow = seen & prev
-            closed = 0
-            while grow:
-                wbit = grow & (-grow)
-                grow ^= wbit
-                closed |= wbit
-                w = wbit.bit_length() - 1
-                seen |= amask[w]
-                grow = (seen & prev) & ~closed
-            q = bin(seen & ~prev & ~vbit).count("1")
-            cand = tw[prev] if tw[prev] > q else q
-            if cand < best or (cand == best and v < best_v):
-                best = cand
-                best_v = v
-        tw[S] = best
-        choice[S] = best_v
-    order_rev = []
+    while True:
+        last = {0: -1}  # each set reached -> the vertex it was first reached by
+        stack = [0]
+        while stack and full not in last:
+            S = stack.pop()
+            rest = full ^ S
+            while rest:
+                vbit = rest & -rest
+                rest ^= vbit
+                T = S | vbit
+                if T in last:
+                    continue
+                v = vbit.bit_length() - 1
+                # Q(S, v): v's neighbours, grown through the members of S they reach.
+                seen = amask[v]
+                done = 0
+                while grow := seen & S & ~done:
+                    wbit = grow & -grow
+                    done |= wbit
+                    seen |= amask[wbit.bit_length() - 1]
+                if (seen & ~T).bit_count() <= k:
+                    last[T] = v
+                    stack.append(T)
+        if full in last:
+            break
+        k += 1
+    order = []
     S = full
     while S:
-        v = choice[S]
-        order_rev.append(vertices[v])
+        v = last[S]
+        order.append(vertices[v])
         S ^= 1 << v
-    return tw[full], list(reversed(order_rev))
+    return k, order[::-1]
 
 
 def treewidth_exact(g: UndirectedGraph) -> Tuple[int, List[int]]:
     """Exact treewidth with a witness elimination order.
 
     Safe reductions (simplicial vertices, degree-2 contraction) run first,
-    then a 2^n subset dynamic program per remaining component.  Components
-    still above 22 vertices after reduction exceed the cap; use
-    treewidth_upper_bound for those graphs."""
+    then a search for each remaining component's width, from the width
+    reached so far.  Components still above 22 vertices after reduction
+    exceed the cap; use treewidth_upper_bound for those graphs."""
     if g.n == 0:
         return 0, []
 
@@ -603,8 +603,7 @@ def treewidth_exact(g: UndirectedGraph) -> Tuple[int, List[int]]:
                     f"irreducible component of {len(comp)} vertices exceeds the "
                     f"exact-treewidth cap of {TREEWIDTH_EXACT_CAP}"
                 )
-            w_comp, o_comp = _component_tw_dp(comp, adj)
-            width = max(width, w_comp)
+            width, o_comp = _component_treewidth(comp, adj, width)
             order.extend(o_comp)
 
     return width, order

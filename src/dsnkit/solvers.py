@@ -388,8 +388,6 @@ def solve_bnb(inst: DsnInstance) -> SolveResult:
         stack.append((i, included, excluded | bit, inc_cost, missing))
         stack.append((i, included | bit, excluded, inc_cost + iw[i], missing))
 
-    if best_cost is None:
-        return _infeasible("bnb", nodes)
     return _finish(inst, host.decode(best_arcs), nodes, "bnb")
 
 

@@ -3,11 +3,13 @@ Hypothesis strategy for small digraphs, reachability with forbidden
 internal vertices, the cheapest path by exact rational costs, every simple
 path between two vertices, a digraph minus a vertex set, the six-family ladder generator, ladder hosts with terminals
 attached, the undirected ladder and outerplanarity checks (by networkx,
-which only the tests use), and the small 3-regular pattern corpus."""
+which only the tests use), the exact-treewidth subset dynamic program, and
+the small 3-regular pattern corpus."""
 
 import heapq
 import random
 from fractions import Fraction
+from typing import Dict, List, Set, Tuple
 
 import networkx as nx
 import pytest
@@ -188,6 +190,54 @@ def is_ladder_undirected(u: UndirectedGraph, a: int, b: int, c: int, d: int) -> 
     if not nx.is_biconnected(G):
         return False
     return is_outerplanar(u)
+
+
+def _component_tw_dp(vertices: List[int], adj: Dict[int, Set[int]]) -> Tuple[int, List[int]]:
+    """Exact treewidth of one connected component by the elimination-ordering
+    subset DP; returns (width, elimination order).  Vertex i of `vertices`
+    is bit i, and `adj` must not leave the component."""
+    k = len(vertices)
+    full = (1 << k) - 1
+    local = {v: i for i, v in enumerate(vertices)}
+    amask = [sum(1 << local[w] for w in adj[v]) for v in vertices]
+
+    INF = k + 1
+    tw = [0] * (1 << k)
+    choice = [0] * (1 << k)
+    for S in range(1, full + 1):
+        best = INF
+        best_v = -1
+        rest = S
+        while rest:
+            vbit = rest & (-rest)
+            rest ^= vbit
+            v = vbit.bit_length() - 1
+            prev = S ^ vbit
+            # Q(prev, v): neighbors of v's closure through prev, outside prev+v
+            seen = amask[v]
+            grow = seen & prev
+            closed = 0
+            while grow:
+                wbit = grow & (-grow)
+                grow ^= wbit
+                closed |= wbit
+                w = wbit.bit_length() - 1
+                seen |= amask[w]
+                grow = (seen & prev) & ~closed
+            q = bin(seen & ~prev & ~vbit).count("1")
+            cand = tw[prev] if tw[prev] > q else q
+            if cand < best or (cand == best and v < best_v):
+                best = cand
+                best_v = v
+        tw[S] = best
+        choice[S] = best_v
+    order_rev = []
+    S = full
+    while S:
+        v = choice[S]
+        order_rev.append(vertices[v])
+        S ^= 1 << v
+    return tw[full], list(reversed(order_rev))
 
 
 OUT_STAR_KINDS = ("int", "frac", "unit", "grid")

@@ -1,5 +1,7 @@
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -197,6 +199,18 @@ class TestAnalyze:
         assert payload["certificate"] is None
         assert out == cli._indented_json(payload) + "\n"
 
+    def test_analyze_json_infeasible(self, tmp_path, capsys):
+        path = tmp_path / "inf.dsn"
+        path.write_text(INFEASIBLE)
+        assert main(["analyze", str(path), "--json"]) == 2
+        out = capsys.readouterr().out
+        payload = json.loads(out)
+        assert list(payload) == ["solve", "certificate", "wall_time_s"]
+        assert payload["solve"]["feasible"] is False and payload["certificate"] is None
+        assert out == cli._indented_json(payload) + "\n"
+        assert main(["analyze", str(path)]) == 2
+        assert capsys.readouterr().out == "infeasible\n"
+
     def test_analyze_long_out_star_path(self, tmp_path, capsys):
         m = 400
         g = WeightedDigraph(range(m + 1), {(i, i + 1): 1 for i in range(m)})
@@ -374,3 +388,62 @@ class TestBench:
         payload = json.loads(capsys.readouterr().out)
         assert payload["disagreements"] == 0
         assert all(row["agree"] for row in payload["rows"])
+
+
+LADDER6_SOLVE = """cost 16 (bnb, 1 nodes)
+  arc 1 -> 2
+  arc 2 -> 4
+  arc 3 -> 1
+  arc 3 -> 5
+  arc 4 -> 3
+  arc 5 -> 6
+  arc 6 -> 4
+  arc 6 -> 8
+  arc 7 -> 5
+  arc 7 -> 9
+  arc 8 -> 7
+  arc 9 -> 10
+  arc 10 -> 8
+  arc 10 -> 12
+  arc 11 -> 9
+  arc 12 -> 11
+"""
+
+LADDER6_ANALYZE = """cost 16; |V| 12 -> 12
+treewidth 2 -> 2; diameter 6; max ratio 2.25
+  request 1->2: len 1, 2 important, 0 segments
+  request 2->1: len 3, 2 important, 0 segments
+  request 2->12: len 9, 4 important, 0 segments
+  request 11->1: len 9, 4 important, 0 segments
+  request 11->12: len 3, 2 important, 0 segments
+  request 12->11: len 1, 2 important, 0 segments
+"""
+
+
+class TestTextMode:
+    @pytest.mark.parametrize("command,expected", [("solve", LADDER6_SOLVE), ("analyze", LADDER6_ANALYZE)])
+    def test_ladder_text(self, ladder_file, monkeypatch, capsys, command, expected):
+        assert main([command, str(ladder_file)]) == 0
+        assert capsys.readouterr().out == expected
+        monkeypatch.setattr("sys.stdin", io.StringIO(ladder_file.read_text()))
+        assert main([command, "-"]) == 0
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("output", [[], ["-o", "-"]])
+    def test_gen_to_stdout_equals_the_file(self, ladder_file, capsys, output):
+        assert main(["gen", "ladder", "6", *output]) == 0
+        assert capsys.readouterr().out == ladder_file.read_text()
+
+    def test_bench_rows(self, capsys):
+        assert main(["bench"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        names = [name for name, _ in cli._bench_corpus()] + ["psi-k4", "psi-c4"]
+        assert [line.split()[0] for line in lines] == names
+        width = max(map(len, names))
+        for line in lines:
+            # The name padded to the longest, two spaces, then the costs and
+            # the mark right-aligned in 12, 12 and 8 columns and "0.000s" in 8.
+            assert len(line) == width + 2 + 12 + 1 + 12 + 1 + 8 + 1 + 8
+            name, cost, oracle, mark, seconds = line.split()
+            assert cost == oracle and mark == "ok"
+            assert re.fullmatch(r"\d+\.\d{3}s", seconds)

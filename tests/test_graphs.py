@@ -1,6 +1,7 @@
 import pytest
 from fractions import Fraction
 
+import networkx as nx
 from hypothesis import given, settings, strategies as st
 
 from dsnkit.errors import DomainError, InputError, CapacityError
@@ -20,7 +21,7 @@ from dsnkit.graphs import (
 
 from dsnkit.dsn import violated_request
 
-from conftest import all_simple_paths, digraphs, rational_shortest_path, reaches, without_vertices
+from conftest import CUBE, K4, _component_tw_dp, all_simple_paths, digraphs, rational_shortest_path, reaches, without_vertices
 
 
 def elimination_width(g, order):
@@ -111,6 +112,32 @@ def treewidth_exact_by_rescans(g):
         order.append(v)
     rest_width, rest_order = treewidth_exact(UndirectedGraph(adj, [(u, w) for u in adj for w in adj[u]]))
     return max(width, rest_width), order + rest_order
+
+
+def treewidth_by_subset_dp(g):
+    """Reference: the subset DP on each connected component of g, with no
+    safe reductions first."""
+    return max((_component_tw_dp(comp, {v: set(g.adjacent(v)) for v in comp})[0] for comp in g.components()), default=0)
+
+
+def grid_graph(width, height):
+    return UndirectedGraph(
+        range(width * height),
+        [(v, v + 1) for v in range(width * height) if v % width < width - 1]
+        + [(v, v + width) for v in range(width * (height - 1))],
+    )
+
+
+def cubic_graph(n, seed):
+    """A seeded random 3-regular graph on vertices 0..n-1."""
+    return UndirectedGraph(range(n), nx.random_regular_graph(3, n, seed=seed).edges)
+
+
+@st.composite
+def undirected_graphs(draw, max_n):
+    """Hypothesis strategy for undirected graphs on vertices 0..n-1."""
+    n = draw(st.integers(1, max_n))
+    return UndirectedGraph(range(n), [(a, b) for a in range(n) for b in range(a + 1, n) if draw(st.booleans())])
 
 
 def treewidth_outcome(treewidth, g):
@@ -357,15 +384,7 @@ class TestTreewidth:
 
     def test_grid_4x4(self):
         """[DERIVED: compare to subset-DP on 16 vertices]"""
-        edges = []
-        for y in range(4):
-            for x in range(4):
-                v = y * 4 + x
-                if x < 3:
-                    edges.append((v, v + 1))
-                if y < 3:
-                    edges.append((v, v + 4))
-        u = UndirectedGraph(range(16), edges)
+        u = grid_graph(4, 4)
         exact, order = treewidth_exact(u)
         assert exact == 4
         assert elimination_width(u, order) == 4
@@ -407,3 +426,36 @@ class TestTreewidth:
         edges = [(i, (i + 1) % n) for i in range(n)] + [(i, (i + 5) % n) for i in range(n)]
         with pytest.raises(CapacityError):
             treewidth_exact(UndirectedGraph(range(n), edges))
+
+
+WIDTH_REFERENCE_GRAPHS = {
+    "grid-4x4": grid_graph(4, 4),
+    "K4": K4,
+    # The reductions reach width 4 on K5, above the cube's 3.
+    "K5-and-cube": UndirectedGraph(
+        range(13), [(i, j) for i in range(5) for j in range(i + 1, 5)] + [(a + 5, b + 5) for a, b in CUBE.edges]
+    ),
+    **{f"cycle-{n}": UndirectedGraph(range(n), [(i, (i + 1) % n) for i in range(n)]) for n in range(3, 9)},
+    **{f"cubic-{n}-seed-{seed}": cubic_graph(n, seed) for n in (14, 16) for seed in (0, 1)},
+}
+
+
+class TestTreewidthMatchesSubsetDp:
+    """`treewidth_exact` returns the width of the subset DP run on each
+    connected component without the safe reductions, and its witness order
+    has exactly that width."""
+
+    @staticmethod
+    def check(u):
+        width, order = treewidth_exact(u)
+        assert width == treewidth_by_subset_dp(u)
+        assert elimination_width(u, order) == width
+
+    @settings(max_examples=100, deadline=None)
+    @given(undirected_graphs(max_n=12))
+    def test_random_graphs(self, u):
+        self.check(u)
+
+    @pytest.mark.parametrize("name", sorted(WIDTH_REFERENCE_GRAPHS))
+    def test_named_graphs(self, name):
+        self.check(WIDTH_REFERENCE_GRAPHS[name])

@@ -398,6 +398,24 @@ class TestUndirectedView:
             g = make_ladder(spec)
             assert is_ladder_undirected(g.sym(), *corner_roles(spec))
 
+    @pytest.mark.parametrize("change", ["rung removed", "diagonal added", "K_2,3"])
+    def test_non_ladders_fail(self, change):
+        """Removing interior rung 3 leaves a_3 and b_3 with degree 2, and a
+        diagonal a_3 b_4 raises both ends to degree 4; either graph is still
+        2-connected and outerplanar, so only the degree check rejects it.
+        K_{2,3} is not outerplanar."""
+        spec = LadderSpec(6, frozenset())
+        u = make_ladder(spec).sym()
+        roles = corner_roles(spec)
+        if change == "rung removed":
+            u = UndirectedGraph(u.vertices, [e for e in u.edges if set(e) != {spec.a(3), spec.b(3)}])
+        elif change == "diagonal added":
+            u = UndirectedGraph(u.vertices, list(u.edges) + [(spec.a(3), spec.b(4))])
+        else:
+            u = UndirectedGraph(range(5), [(i, j) for i in (0, 1) for j in (2, 3, 4)])
+            roles = (0, 2, 1, 3)
+        assert not is_ladder_undirected(u, *roles)
+
     def test_outerplanar_and_width_two(self):
         """ladders are outerplanar, hence treewidth 2 once they contain a cycle"""
         for n in (4, 8, 12):

@@ -12,9 +12,9 @@ from dsnkit.dsn import (
     minimize_graph,
     normalize_requests_graph,
 )
-from dsnkit.errors import InconsistencyError, InvariantError, PreconditionError
-from dsnkit.graphs import DirectedPath, WeightedDigraph
-from dsnkit import structure
+from dsnkit.errors import CapacityError, InconsistencyError, InvariantError, PreconditionError
+from dsnkit.graphs import DirectedPath, WeightedDigraph, treewidth_exact, treewidth_upper_bound
+from dsnkit import graphs, structure
 from dsnkit.ladders import LadderVerdict
 from dsnkit.structure import (
     LadderSegment,
@@ -36,7 +36,7 @@ from dsnkit.structure import (
     suppress_degree_two,
 )
 
-from conftest import digraphs, ladder_with_terminals, reaches, without_vertices
+from conftest import CUBE, digraphs, ladder_with_terminals, reaches, without_vertices
 
 
 def onto_path_reach_by_dfs(graph, src, pset):
@@ -471,6 +471,16 @@ class TestCertificate:
         cert = certify_treewidth_bound(inst, sol)
         blob = json.dumps(cert.to_json_dict())
         assert json.loads(blob)["declared_genus"] == 0
+
+    def test_component_over_the_cap_falls_back_to_the_upper_bound(self, monkeypatch):
+        """The cube Q3 has no simplicial or degree-2 vertex, so its one
+        8-vertex component exceeds a cap of 4 before any search runs."""
+        assert treewidth_exact(CUBE)[0] == 3
+        monkeypatch.setattr(graphs, "TREEWIDTH_EXACT_CAP", 4)
+        monkeypatch.setattr(graphs, "_component_treewidth", lambda *args: pytest.fail("searched over the cap"))
+        with pytest.raises(CapacityError, match="irreducible component of 8 vertices"):
+            treewidth_exact(CUBE)
+        assert structure._tw_maybe_exact(CUBE) == (treewidth_upper_bound(CUBE), False)
 
 
 class TestAvoidingPath:
