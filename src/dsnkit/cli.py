@@ -1,9 +1,10 @@
 """Command-line surface: solve, analyze, reduce, gen, bench.
 
 Exit codes: 0 solved/ok, 1 bench disagreement, 2 infeasible, 3 capacity cap
-exceeded, 4 domain/input error (unreadable files too), 5 toolkit bug (a failed
-runtime self-check; `solve`, `analyze` and `reduce` then print the DSN instance
-to stderr as a reproducer).  Every command takes `--json`.
+exceeded, 4 domain/input error (unreadable files, usage errors and a negative
+genus too), 5 toolkit bug (a failed runtime self-check; `solve`, `analyze` and
+`reduce` then print the DSN instance to stderr as a reproducer).  Every
+command takes `--json`.
 """
 
 from __future__ import annotations
@@ -123,11 +124,14 @@ def cmd_solve(args) -> int:
 def cmd_analyze(args) -> int:
     inst, meta = parse_dsn(_read(args.file))
     args.instance = inst
-    genus = meta.get("genus", args.genus)
+    # An explicit --genus wins over the file's `c genus` line.
+    genus = args.genus if args.genus is not None else meta.get("genus", 0)
     try:
         genus = int(genus)
     except ValueError:
         raise InputError(f"genus must be an integer, got {genus!r}") from None
+    if genus < 0:
+        raise InputError(f"genus must be non-negative, got {genus}")
     t0 = time.perf_counter()
     result, cert = solve_with_certificate(inst, declared_genus=genus, engine=args.engine)
     elapsed = time.perf_counter() - t0
@@ -265,10 +269,19 @@ def cmd_bench(args) -> int:
     return EXIT_OK if disagreements == 0 else EXIT_DISAGREE
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 4, the input-error code
+    (argparse's own 2 is "infeasible" here); subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_DOMAIN, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dsnkit",
         description="Directed Steiner network toolkit: exact solving, "
         "structural analysis, hardness-instance generation.",
@@ -285,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--engine", default="auto",
                    choices=["auto"] + sorted(ENGINES))
-    p.add_argument("--genus", type=int, default=0)
+    p.add_argument("--genus", type=int)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_analyze)
 

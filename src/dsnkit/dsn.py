@@ -8,7 +8,6 @@ level is where the real logic lives.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Container, FrozenSet, Iterable, List, Optional, Tuple
@@ -86,11 +85,9 @@ class SolutionSubgraph:
         return self.host.subgraph(self.arcs, extra_vertices=self.pinned)
 
     def cost(self) -> Fraction:
-        """The exact sum of the arc weights, added as integers over their
-        least common denominator."""
-        weights = [self.host.weight(*a) for a in self.arcs]
-        scale = math.lcm(*(w.denominator for w in weights))
-        return Fraction(sum(w.numerator * (scale // w.denominator) for w in weights), scale)
+        """The exact sum of the arc weights, added as the host's scaled integers."""
+        ints, scale = self.host.scaled_weights()
+        return Fraction(sum(ints[a] for a in self.arcs), scale)
 
 
 # ---------------------------------------------------------------------------

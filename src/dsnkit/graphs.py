@@ -1,8 +1,10 @@
 """Directed and undirected graph data model plus the generic algorithms.
 
 All graph values are immutable after construction and every operation is a
-pure function, so shared instances are safe to use concurrently.  Vertex ids
-are integers and every deterministic tie-break is by ascending id.
+pure function, so shared instances are safe to use concurrently.  The one
+slot filled later, a digraph's `scaled_weights` view, is a function of its
+fixed weights, so two threads racing to fill it store equal values.  Vertex
+ids are integers and every deterministic tie-break is by ascending id.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ def _as_weight(w) -> Fraction:
 class WeightedDigraph:
     """Simple digraph with strictly positive rational arc weights."""
 
-    __slots__ = ("_vertices", "_vset", "_arcs", "_out", "_in")
+    __slots__ = ("_vertices", "_vset", "_arcs", "_out", "_in", "_scaled")
 
     def __init__(self, vertices: Iterable[int], arcs: Mapping[Arc, object]):
         vs = sorted(vertices)
@@ -89,6 +91,14 @@ class WeightedDigraph:
             return self._arcs[(u, v)]
         except KeyError:
             raise InputError(f"no arc ({u}, {v})") from None
+
+    def scaled_weights(self) -> Tuple[Dict[Arc, int], int]:
+        """({arc: weight * scale}, scale) with `scale` the lcm of the weight
+        denominators, so every value is an integer; computed once, shared, read-only."""
+        if not hasattr(self, "_scaled"):
+            scale = math.lcm(*{w.denominator for w in self._arcs.values()})
+            self._scaled = ({a: w.numerator * (scale // w.denominator) for a, w in self._arcs.items()}, scale)
+        return self._scaled
 
     def out_neighbors(self, v: int) -> Tuple[int, ...]:
         self._check_vertex(v)
@@ -342,10 +352,9 @@ def shortest_path(
     makes the result deterministic."""
     g._check_vertex(s)
     g._check_vertex(t)
-    arcs, out = g._arcs, g._out
-    # Integer costs, scaled by the lcm of the weight denominators: a positive
-    # scale keeps every comparison, so paths and ties stay those of the exact costs.
-    scale = math.lcm(*{w.denominator for w in arcs.values()})
+    out = g._out
+    # Integer costs over one positive scale order paths, ties included, as the exact costs do.
+    ints, scale = g.scaled_weights()
     # Uniform-cost search on (cost, vertex sequence).  Because all simple
     # paths to a vertex end in it, lexicographic comparison is stable under
     # extension, so the first pop per vertex is optimal.
@@ -361,8 +370,7 @@ def shortest_path(
             return DirectedPath(seq), Fraction(cost, scale)
         for v in out[u]:
             if v not in done and (v == t or v not in avoid):
-                w = arcs[(u, v)]
-                heapq.heappush(heap, (cost + w.numerator * (scale // w.denominator), seq + (v,)))
+                heapq.heappush(heap, (cost + ints[(u, v)], seq + (v,)))
     return None
 
 

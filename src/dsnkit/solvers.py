@@ -75,17 +75,16 @@ class _IntHost:
     """The host as the exact engines search it, built once per solve.
 
     Arc i of the sorted arcs is bit 1 << i of an arc-set mask.  Weights are
-    scaled by `scale`, the least common denominator, so every weight is an
-    integer.  `out[u]` and `inn[v]` list (other end, weight, bit) per arc,
-    in ascending order of the other end."""
+    the host's `scaled_weights`, integers over its one `scale`, the least
+    common denominator.  `out[u]` and `inn[v]` list (other end, weight, bit)
+    per arc, in ascending order of the other end."""
 
     __slots__ = ("arcs", "weights", "scale", "out", "inn")
 
     def __init__(self, host: WeightedDigraph) -> None:
-        items = sorted(host.arcs().items())
-        self.arcs = [a for a, _ in items]
-        self.scale = math.lcm(*(w.denominator for _, w in items))
-        self.weights = [w.numerator * (self.scale // w.denominator) for _, w in items]
+        ints, self.scale = host.scaled_weights()
+        self.arcs = sorted(ints)
+        self.weights = [ints[a] for a in self.arcs]
         self.out: Dict[int, List[Tuple[int, int, int]]] = {v: [] for v in host.vertices}
         self.inn: Dict[int, List[Tuple[int, int, int]]] = {v: [] for v in host.vertices}
         # Sorted arcs come in ascending order of head within a tail, and of
@@ -156,8 +155,8 @@ def _solve_path_union(inst: DsnInstance) -> SolveResult:
 
     A depth-first search over the requests in sorted order picks one path
     per request, cheapest first, on an explicit stack; `nodes` counts the
-    entries popped.  Arc sets are bitmasks over arc ids and weights are
-    scaled to integers.  Shared-arc lower bound: each arc's weight is split
+    entries popped.  Arc sets are bitmasks over arc ids and weights are the
+    host's scaled integers.  Shared-arc lower bound: each arc's weight is split
     evenly among the `users` requests having some path through it, so the
     requests still to route cost at least the sum, over each, of its
     cheapest path in split weights with the chosen arcs free.  A node whose
@@ -222,8 +221,9 @@ def solve_bnb(inst: DsnInstance) -> SolveResult:
     Lower bound at a node: cost of included arcs plus the largest
     shortest-path cost d over unsatisfied requests, with included arcs free
     and excluded arcs removed.  The bound ignores sharing between requests,
-    so it never overestimates.  Internally weights are scaled to integers to
-    keep the inner Dijkstra cheap; reported costs are exact rationals.
+    so it never overestimates.  Internally the weights are the host's scaled
+    integers (`WeightedDigraph.scaled_weights`), which keep the inner
+    Dijkstra cheap; reported costs are exact rationals.
 
     Branching: take the unsatisfied request with the largest d (the first in
     sorted order on ties) and the smallest-id arc of its recorded path that

@@ -61,6 +61,37 @@ class TestGen:
         assert not path.exists()
 
 
+class TestUsageErrors:
+    """argparse's own usage errors exit 2, which here means "infeasible"; the
+    CLI's parser exits 4, the input-error code, with the same stderr text."""
+
+    @pytest.mark.parametrize(
+        "argv,prog,message",
+        [
+            (["solve"], "dsnkit solve", "the following arguments are required: file"),
+            (["solve", "x.dsn", "--engine", "nope"], "dsnkit solve", "argument --engine: invalid choice: 'nope'"),
+            (["gen", "ladder", "x"], "dsnkit gen ladder", "argument n: invalid int value: 'x'"),
+            (["analyze", "f.dsn", "--genus", "x"], "dsnkit analyze", "argument --genus: invalid int value: 'x'"),
+            (["nope"], "dsnkit", "argument command: invalid choice: 'nope'"),
+        ],
+        ids=["missing-file", "unknown-engine", "non-integer-n", "non-integer-genus", "unknown-command"],
+    )
+    def test_usage_error_exits_4(self, capsys, argv, prog, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"usage: {prog} ")
+        assert err.splitlines()[-1].startswith(f"{prog}: error: {message}")
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: dsnkit solve ")
+
+
 class TestSolve:
     def test_oversized_header_is_capacity_exit(self, tmp_path):
         path = tmp_path / "huge.dsn"
@@ -179,6 +210,25 @@ class TestAnalyze:
         path.write_text(ladder_file.read_text() + "c genus abc\n")
         assert main(["analyze", str(path)]) == 4
         assert capsys.readouterr().err == "error: genus must be an integer, got 'abc'\n"
+
+    def test_genus_flag_wins_over_the_file(self, ladder_file, capsys):
+        assert "c genus 0\n" in ladder_file.read_text()
+        assert main(["analyze", str(ladder_file), "--genus", "2", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["certificate"]["declared_genus"] == 2
+
+    def test_genus_from_the_file_without_the_flag(self, ladder_file, tmp_path, capsys):
+        path = tmp_path / "genus.dsn"
+        path.write_text(ladder_file.read_text() + "c genus 3\n")
+        assert main(["analyze", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["certificate"]["declared_genus"] == 3
+
+    def test_negative_genus_is_input_error(self, ladder_file, tmp_path, capsys):
+        assert main(["analyze", str(ladder_file), "--genus", "-3"]) == 4
+        assert capsys.readouterr() == ("", "error: genus must be non-negative, got -3\n")
+        path = tmp_path / "genus.dsn"
+        path.write_text(ladder_file.read_text() + "c genus -2\n")
+        assert main(["analyze", str(path)]) == 4
+        assert capsys.readouterr() == ("", "error: genus must be non-negative, got -2\n")
 
     @pytest.fixture
     def no_requests_file(self, tmp_path):

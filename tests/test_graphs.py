@@ -180,6 +180,45 @@ class TestWeightedDigraph:
         assert g.reverse().reverse() == g
 
 
+def assert_scaled_view(g, scale):
+    ints, got_scale = g.scaled_weights()
+    assert got_scale == scale
+    assert set(ints) == g.arc_set()
+    for (u, v), w in ints.items():
+        assert type(w) is int and Fraction(w, scale) == g.weight(u, v)
+
+
+class TestScaledWeights:
+    RATIONAL = {(0, 1): Fraction(1, 3), (1, 2): Fraction(5, 6), (2, 3): Fraction(7, 4), (3, 0): 2, (0, 2): 1}
+
+    def test_integers_over_the_lcm(self):
+        g = WeightedDigraph(range(4), self.RATIONAL)
+        assert_scaled_view(g, 12)
+        assert g.scaled_weights()[0] == {(0, 1): 4, (0, 2): 12, (1, 2): 10, (2, 3): 21, (3, 0): 24}
+
+    def test_integer_weights_have_scale_one(self):
+        assert_scaled_view(WeightedDigraph(range(3), {(0, 1): 3, (1, 2): 5}), 1)
+        assert_scaled_view(WeightedDigraph(range(3), {}), 1)
+
+    def test_second_call_returns_the_same_object(self):
+        g = WeightedDigraph(range(4), self.RATIONAL)
+        assert g.scaled_weights() is g.scaled_weights()
+
+    def test_derived_graphs_scale_their_own_weights(self):
+        g = WeightedDigraph(range(4), self.RATIONAL)
+        g.scaled_weights()
+        assert_scaled_view(g.reverse(), 12)
+        assert g.reverse().scaled_weights()[0][(3, 2)] == 21
+        # Without 7/4 and 2 the lcm of what is left is 6.
+        assert_scaled_view(g.induced([0, 1, 2]), 6)
+        assert_scaled_view(g.subgraph([(2, 3)]), 4)
+
+    def test_view_leaves_equality_and_hash_alone(self):
+        g, h = WeightedDigraph(range(4), self.RATIONAL), WeightedDigraph(range(4), self.RATIONAL)
+        g.scaled_weights()
+        assert g == h and hash(g) == hash(h)
+
+
 class TestReachability:
     def test_forbidden_internal_blocks(self):
         g = WeightedDigraph(range(3), {(0, 1): 1, (1, 2): 1})
