@@ -1,10 +1,10 @@
 """Command-line surface: solve, analyze, reduce, gen, bench.
 
 Exit codes: 0 solved/ok, 1 bench disagreement, 2 infeasible, 3 capacity cap
-exceeded, 4 domain/input error (unreadable files, usage errors and a negative
-genus too), 5 toolkit bug (a failed runtime self-check; `solve`, `analyze` and
-`reduce` then print the DSN instance to stderr as a reproducer).  Every
-command takes `--json`.
+exceeded, 4 domain/input error (unreadable files, a failed write to stdout,
+usage errors and a negative genus too), 5 toolkit bug (a failed runtime
+self-check; `solve`, `analyze` and `reduce` then print the DSN instance to
+stderr as a reproducer).  Every command takes `--json`.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from typing import List, Optional
@@ -41,8 +42,8 @@ def _read(path: str) -> str:
     try:
         if path == "-":
             return sys.stdin.read()
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb", buffering=0) as fh:
+            return fh.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
 
@@ -158,6 +159,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    if args.json and args.output == "-":
+        raise InputError("-o - and --json both write to stdout; give -o a file")
     psi, _ = parse_psi(_read(args.file))
     out = generate_hardness_instance(psi)
     args.instance = out.dsn
@@ -287,6 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
         "structural analysis, hardness-instance generation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # The name -> subparser map that `main` parses a known command with.
+    parser.commands = sub.choices
 
     p = sub.add_parser("solve", help="solve a DSN instance file")
     p.add_argument("file")
@@ -338,9 +343,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser()
+    # A known command is parsed by its own subparser, as the full parser
+    # would hand it the rest of argv; the full parse runs only to print
+    # argparse's own help and error text for anything else.
+    command = parser.commands.get(argv[0]) if argv else None
+    args, rest = command.parse_known_args(argv[1:]) if command else (None, True)
+    if rest:
+        args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
@@ -355,6 +370,24 @@ def main(argv: Optional[List[str]] = None) -> int:
         if inst is not None:
             sys.stderr.write(emit_dsn(inst))
         return EXIT_BUG
+    except OSError as exc:
+        # Reads and -o writes raise InputError, so what is left is a failed
+        # write to stdout: a closed pipe or a full disk.
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        _discard_stdout()
+        return EXIT_DOMAIN
+
+
+def _discard_stdout() -> None:
+    """Point stdout's descriptor at devnull, so that the interpreter's flush
+    at exit cannot fail a second time; a stdout without one is left as is."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, ValueError):  # io.UnsupportedOperation is a ValueError
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -22,14 +22,6 @@ DSN_MAX_VERTICES = 100_000
 DSN_MAX_ARCS = 1_000_000
 
 
-def _tokenized(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        yield lineno, line.split()
-
-
 def _int_field(tok: str, lineno: int, col: int, lo: int = None, hi: int = None) -> int:
     try:
         value = int(tok)
@@ -40,6 +32,18 @@ def _int_field(tok: str, lineno: int, col: int, lo: int = None, hi: int = None) 
     if hi is not None and value > hi:
         raise ParseError(f"value {value} above maximum {hi}", lineno, col)
     return value
+
+
+def _int_pair(toks: List[str], lineno: int, col: int, hi1: int, hi2: int) -> Tuple[int, int]:
+    """toks[1] and toks[2] as integers in 1..hi1 and 1..hi2, at columns col
+    and col + 2; `_int_field` reports the first bad one."""
+    try:
+        u, v = int(toks[1]), int(toks[2])
+        if 1 <= u <= hi1 and 1 <= v <= hi2:
+            return u, v
+    except ValueError:
+        pass
+    return _int_field(toks[1], lineno, col, 1, hi1), _int_field(toks[2], lineno, col + 2, 1, hi2)
 
 
 def _is_ascii_int(tok: str) -> bool:
@@ -87,13 +91,36 @@ def parse_dsn(text: str) -> Tuple[DsnInstance, Metadata]:
     # where it stands, and a bad one stops the parse where it first appears.
     weights: Dict[str, Fraction] = {}
     requests = set()
-    for lineno, toks in _tokenized(text):
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        toks = raw.split()
+        if not toks:
+            continue
         kind = toks[0]
-        if kind == "c":
+        # Arcs are most of a file, so their record is tested first.
+        if kind == "a" and header:
+            if len(toks) != 4:
+                raise ParseError("arc record must be `a u v w`", lineno)
+            u, v = _int_pair(toks, lineno, 3, header[0], header[0])
+            if u == v:
+                raise ParseError(f"loop arc at vertex {u}", lineno, 3)
+            w = weights.get(toks[3])
+            if w is None:
+                w = weights[toks[3]] = _weight_field(toks[3], lineno, 7)
+            arc = (u - 1, v - 1)
+            if arc in arcs:
+                raise ParseError(f"duplicate arc {u} {v}", lineno, 3)
+            arcs[arc] = w
+        elif kind == "r" and header:
+            if len(toks) != 3:
+                raise ParseError("request record must be `r s t`", lineno)
+            s, t = _int_pair(toks, lineno, 3, header[0], header[0])
+            if s == t:
+                raise ParseError(f"request from {s} to itself", lineno, 3)
+            requests.add((s - 1, t - 1))
+        elif kind == "c":
             if len(toks) >= 2:
                 meta[toks[1]] = " ".join(toks[2:])
-            continue
-        if kind == "p":
+        elif kind == "p":
             if header is not None:
                 raise ParseError("duplicate header", lineno)
             if len(toks) != 6 or toks[1] != "dsn":
@@ -105,31 +132,8 @@ def parse_dsn(text: str) -> Tuple[DsnInstance, Metadata]:
                 )
             if header[1] > DSN_MAX_ARCS:
                 raise CapacityError(f"header declares {header[1]} arcs; the cap is {DSN_MAX_ARCS}")
-            continue
-        if header is None:
+        elif header is None:
             raise ParseError(f"record {kind!r} before the header", lineno)
-        n = header[0]
-        if kind == "a":
-            if len(toks) != 4:
-                raise ParseError("arc record must be `a u v w`", lineno)
-            u = _int_field(toks[1], lineno, 3, lo=1, hi=n)
-            v = _int_field(toks[2], lineno, 5, lo=1, hi=n)
-            if u == v:
-                raise ParseError(f"loop arc at vertex {u}", lineno, 3)
-            w = weights.get(toks[3])
-            if w is None:
-                w = weights[toks[3]] = _weight_field(toks[3], lineno, 7)
-            if (u - 1, v - 1) in arcs:
-                raise ParseError(f"duplicate arc {u} {v}", lineno, 3)
-            arcs[(u - 1, v - 1)] = w
-        elif kind == "r":
-            if len(toks) != 3:
-                raise ParseError("request record must be `r s t`", lineno)
-            s = _int_field(toks[1], lineno, 3, lo=1, hi=n)
-            t = _int_field(toks[2], lineno, 5, lo=1, hi=n)
-            if s == t:
-                raise ParseError(f"request from {s} to itself", lineno, 3)
-            requests.add((s - 1, t - 1))
         else:
             raise ParseError(f"unknown record kind {kind!r}", lineno)
     if header is None:
@@ -165,7 +169,10 @@ def parse_psi(text: str) -> Tuple[PsiInstance, Metadata]:
     eg = set()
     eh = set()
     classmap: Dict[int, int] = {}
-    for lineno, toks in _tokenized(text):
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        toks = raw.split()
+        if not toks:
+            continue
         kind = toks[0]
         if kind == "c":
             if len(toks) >= 2:
@@ -188,16 +195,14 @@ def parse_psi(text: str) -> Tuple[PsiInstance, Metadata]:
             if len(toks) != 3:
                 raise ParseError(f"edge record must be `{kind} u v`", lineno)
             hi = nG if kind == "eg" else kH
-            u = _int_field(toks[1], lineno, 4, lo=1, hi=hi)
-            v = _int_field(toks[2], lineno, 6, lo=1, hi=hi)
+            u, v = _int_pair(toks, lineno, 4, hi, hi)
             if u == v:
                 raise ParseError(f"loop edge at {u}", lineno, 4)
             (eg if kind == "eg" else eh).add((min(u, v) - 1, max(u, v) - 1))
         elif kind == "map":
             if len(toks) != 3:
                 raise ParseError("class record must be `map u x`", lineno)
-            u = _int_field(toks[1], lineno, 5, lo=1, hi=nG)
-            x = _int_field(toks[2], lineno, 7, lo=1, hi=kH)
+            u, x = _int_pair(toks, lineno, 5, nG, kH)
             if u - 1 in classmap:
                 raise ParseError(f"vertex {u} mapped twice", lineno, 5)
             classmap[u - 1] = x - 1

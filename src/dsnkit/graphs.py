@@ -46,12 +46,13 @@ class WeightedDigraph:
         checked: Dict[Arc, Fraction] = {}
         out: Dict[int, List[int]] = {v: [] for v in vs}
         inn: Dict[int, List[int]] = {v: [] for v in vs}
-        for (u, v), w in arcs.items():
+        for a, w in arcs.items():
+            u, v = a
             if u == v:
                 raise InputError(f"self-loop at vertex {u}")
             if u not in vset or v not in vset:
                 raise InputError(f"arc ({u}, {v}) has an unknown endpoint")
-            checked[(u, v)] = _as_weight(w)
+            checked[a] = w if isinstance(w, Fraction) and w.numerator > 0 else _as_weight(w)
             out[u].append(v)
             inn[v].append(u)
         self._vertices: Tuple[int, ...] = tuple(vs)
@@ -223,8 +224,7 @@ class UndirectedGraph:
                 raise InputError(f"self-loop at vertex {u}")
             if u not in vset or v not in vset:
                 raise InputError(f"edge ({u}, {v}) has an unknown endpoint")
-            e = (min(u, v), max(u, v))
-            norm.add(e)
+            norm.add((u, v) if u < v else (v, u))
             adj[u].add(v)
             adj[v].add(u)
         self._vertices: Tuple[int, ...] = tuple(vs)
@@ -379,13 +379,20 @@ def avoiding_path(g: WeightedDigraph, s: int, t: int, avoid: Iterable[int]) -> O
     endpoints are exempt.  Nontrivial: s == t yields None."""
     if s == t:
         return None
-    parent = search(g, s, set(avoid), t)
+    seq = _search_path(g, s, t, set(avoid))
+    return None if seq is None else DirectedPath(tuple(seq))
+
+
+def _search_path(g: WeightedDigraph, s: int, t: int, avoid: Container[int] = ()) -> Optional[List[int]]:
+    """The vertices of `search`'s s-t path, or None when it reaches no t."""
+    parent = search(g, s, avoid, t)
     if t not in parent:
         return None
     seq = [t]
     while parent[seq[-1]] is not None:
         seq.append(parent[seq[-1]])
-    return DirectedPath(tuple(reversed(seq)))
+    seq.reverse()
+    return seq
 
 
 def necessary_arcs(g: WeightedDigraph, requests: Iterable[Tuple[int, int]]) -> Optional[Set[Arc]]:
@@ -410,10 +417,9 @@ def necessary_arcs(g: WeightedDigraph, requests: Iterable[Tuple[int, int]]) -> O
             return None
         if s == t:
             continue
-        p = avoiding_path(g, s, t, ())
-        if p is None:
+        path = _search_path(g, s, t)
+        if path is None:
             return None
-        path = p.vertices
         pos = {v: i for i, v in enumerate(path)}
         succ = dict(zip(path, path[1:]))
         seen = {s}

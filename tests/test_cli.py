@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import os
@@ -73,8 +74,13 @@ class TestUsageErrors:
             (["gen", "ladder", "x"], "dsnkit gen ladder", "argument n: invalid int value: 'x'"),
             (["analyze", "f.dsn", "--genus", "x"], "dsnkit analyze", "argument --genus: invalid int value: 'x'"),
             (["nope"], "dsnkit", "argument command: invalid choice: 'nope'"),
+            # A command's own parser leaves these over; the full parser reports them.
+            (["solve", "x.dsn", "--bogus"], "dsnkit", "unrecognized arguments: --bogus"),
+            (["gen", "ladder", "4", "extra"], "dsnkit", "unrecognized arguments: extra"),
+            ([], "dsnkit", "the following arguments are required: command"),
         ],
-        ids=["missing-file", "unknown-engine", "non-integer-n", "non-integer-genus", "unknown-command"],
+        ids=["missing-file", "unknown-engine", "non-integer-n", "non-integer-genus", "unknown-command",
+             "unknown-option", "extra-argument", "no-command"],
     )
     def test_usage_error_exits_4(self, capsys, argv, prog, message):
         with pytest.raises(SystemExit) as exc:
@@ -90,6 +96,12 @@ class TestUsageErrors:
             main(["solve", "--help"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: dsnkit solve ")
+
+    def test_top_level_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: dsnkit ")
 
 
 class TestSolve:
@@ -317,6 +329,16 @@ class TestReduce:
         assert json.loads(capsys.readouterr().out)["threshold"] == 26
         assert out_path.read_text() + "yes\n" == plain.out
 
+    def test_json_with_instance_on_stdout_is_refused(self, tmp_path, capsys):
+        # Both would go to stdout, and the report would not parse as JSON.  The
+        # refusal comes before the file is read, so a missing file still gives it.
+        for psi_path in (tmp_path / "missing.psi", tmp_path / "k4.psi"):
+            assert main(["reduce", str(psi_path), "-o", "-", "--json", "--decide"]) == 4
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "error: -o - and --json both write to stdout; give -o a file\n"
+            psi_path.write_text(emit_psi(PsiInstance(K4, K4, {i: i for i in range(4)})))
+
     def test_json_without_output_emits_no_instance(self, tmp_path, monkeypatch, capsys):
         psi_path = tmp_path / "k4.psi"
         psi_path.write_text(emit_psi(PsiInstance(K4, K4, {i: i for i in range(4)})))
@@ -340,6 +362,69 @@ def test_unreadable_input_is_input_error(tmp_path, capsys, kind):
     for command in ("solve", "analyze", "reduce"):
         assert main([command, str(path)]) == 4
         assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b"c name \xff\np dsn 1 0 0 0\n", b"c x\np dsn 1 0 0 0\n\xe2\x82", b"c pad\r\n" * 3000 + b"c \xc0\x80\n"],
+    ids=["invalid-start", "truncated-at-end", "past-the-first-block"],
+)
+def test_non_utf8_message_matches_the_text_reader(tmp_path, capsys, data):
+    path = tmp_path / "input.dsn"
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as info:
+        with open(path, encoding="utf-8") as fh:
+            fh.read()
+    assert main(["solve", str(path)]) == 4
+    assert capsys.readouterr().err == f"error: cannot read {path}: {info.value}\n"
+
+
+class _FailingStdout(io.StringIO):
+    """A stdout whose `write` or `flush` raises `exc`."""
+
+    def __init__(self, method, exc):
+        super().__init__()
+        self.method, self.exc = method, exc
+
+    def write(self, text):
+        if self.method == "write":
+            raise self.exc
+        return super().write(text)
+
+    def flush(self):
+        if self.method == "flush":
+            raise self.exc
+
+
+@pytest.mark.parametrize("method", ["write", "flush"])
+@pytest.mark.parametrize(
+    "exc",
+    [BrokenPipeError(errno.EPIPE, "Broken pipe"), OSError(errno.ENOSPC, "No space left on device")],
+    ids=["broken-pipe", "disk-full"],
+)
+def test_failed_stdout_write_is_input_error(monkeypatch, capsys, method, exc):
+    monkeypatch.setattr(sys, "stdout", _FailingStdout(method, exc))
+    assert main(["gen", "ladder", "4"]) == 4
+    assert capsys.readouterr().err == f"error: cannot write stdout: {exc}\n"
+
+
+@pytest.mark.parametrize("rungs", ["3", "3000"], ids=["held-in-the-buffer", "past-the-buffer"])
+@pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
+def test_failed_stdout_write_in_a_process(flags, rungs):
+    # A buffered stdout fails at main's flush, and the interpreter flushes it
+    # once more at exit; either way the one error line and exit 4 must be all.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)
+    argv = [sys.executable, *flags, "-m", "dsnkit.cli", "gen", "ladder", rungs]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with os.fdopen(write_end, "wb") as closed_pipe:
+        run = subprocess.run(argv, env=env, stdout=closed_pipe, stderr=subprocess.PIPE, text=True)
+    assert (run.returncode, run.stderr) == (4, "error: cannot write stdout: [Errno 32] Broken pipe\n")
+    if os.path.exists("/dev/full"):
+        with open("/dev/full", "wb") as full:
+            run = subprocess.run(argv, env=env, stdout=full, stderr=subprocess.PIPE, text=True)
+        assert (run.returncode, run.stderr) == (4, "error: cannot write stdout: [Errno 28] No space left on device\n")
 
 
 @pytest.mark.parametrize("command", ["gen", "reduce"])

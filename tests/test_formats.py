@@ -11,7 +11,7 @@ from dsnkit.errors import CapacityError, ParseError
 from dsnkit.formats import emit_dsn, emit_psi, parse_dsn, parse_psi
 from dsnkit.generators import gen_ladder
 
-from conftest import K4, random_instances, random_psi_host
+from conftest import K4, K33, random_instances, random_psi_host
 
 MINIMAL = """\
 c name tiny
@@ -65,6 +65,29 @@ class TestDsnFormat:
         with pytest.raises(ParseError, match=fragment) as info:
             parse_dsn(mutation(MINIMAL))
         assert info.value.line == line
+
+    @pytest.mark.parametrize(
+        "line, record, message",
+        [
+            (2, "a x 2 1", "line 2, column 3: expected an integer, got 'x'"),
+            (2, "a 1 9 1", "line 2, column 5: value 9 above maximum 3"),
+            (2, "a 1 2.0 1", "line 2, column 5: expected an integer, got '2.0'"),
+            (2, "a 0 y 1", "line 2, column 3: value 0 below minimum 1"),
+            (2, "a y 0 1", "line 2, column 3: expected an integer, got 'y'"),
+            (2, "a 4 0 1", "line 2, column 3: value 4 above maximum 3"),
+            (4, "r 4 3", "line 4, column 3: value 4 above maximum 3"),
+            (4, "r 1 z", "line 4, column 5: expected an integer, got 'z'"),
+            (4, "r -1 z", "line 4, column 3: value -1 below minimum 1"),
+            (4, "r z -1", "line 4, column 3: expected an integer, got 'z'"),
+        ],
+    )
+    def test_two_integer_fields_report_the_first_bad_one(self, line, record, message):
+        """The whole message, with line and column, for each field of `a` and `r`."""
+        lines = "p dsn 3 2 2 1\na 1 2 1\na 2 3 1\nr 1 3".splitlines()
+        lines[line - 1] = record
+        with pytest.raises(ParseError) as info:
+            parse_dsn("\n".join(lines) + "\n")
+        assert str(info.value) == message
 
     def test_empty_file_rejected(self):
         with pytest.raises(ParseError, match="missing"):
@@ -150,20 +173,28 @@ FUZZ_TOKENS = st.one_of(
 )
 
 
+PSI_FUZZ_SEEDS = [emit_psi(random_psi_host(K4, seed), {"pattern": "k4"}) for seed in range(3)]
+PSI_FUZZ_SEEDS += [emit_psi(random_psi_host(K33, 0)), "p psi 2 1 2 1\neg 1 2\neh 1 2\nmap 1 1\nmap 2 2\n"]
+PSI_FUZZ_TOKENS = st.one_of(
+    st.sampled_from(["eg", "eh", "map", "p", "c", "psi", "dsn", "0", "1", "2", "3", "4", "9", "-1", "1/2", "x"]),
+    st.text(alphabet="0123456789/-.e", min_size=1, max_size=4),
+)
+
+
 @st.composite
-def mutated_dsn_files(draw):
-    """An emitted `.dsn` file with a few tokens replaced, dropped or added
-    and lines dropped, duplicated or swapped."""
-    lines = [line.split() for line in draw(st.sampled_from(FUZZ_SEEDS)).splitlines()]
+def mutated_files(draw, seeds=FUZZ_SEEDS, tokens=FUZZ_TOKENS):
+    """An emitted file with a few tokens replaced, dropped or added and
+    lines dropped, duplicated or swapped."""
+    lines = [line.split() for line in draw(st.sampled_from(seeds)).splitlines()]
     for _ in range(draw(st.integers(1, 4))):
         i = draw(st.integers(0, len(lines) - 1))
         op = draw(st.sampled_from(["replace", "drop-token", "add-token", "drop-line", "dup-line", "swap-lines"]))
         if op == "replace" and lines[i]:
-            lines[i][draw(st.integers(0, len(lines[i]) - 1))] = draw(FUZZ_TOKENS)
+            lines[i][draw(st.integers(0, len(lines[i]) - 1))] = draw(tokens)
         elif op == "drop-token" and lines[i]:
             del lines[i][draw(st.integers(0, len(lines[i]) - 1))]
         elif op == "add-token":
-            lines[i].insert(draw(st.integers(0, len(lines[i]))), draw(FUZZ_TOKENS))
+            lines[i].insert(draw(st.integers(0, len(lines[i]))), draw(tokens))
         elif op == "drop-line" and len(lines) > 1:
             del lines[i]
         elif op == "dup-line":
@@ -176,13 +207,25 @@ def mutated_dsn_files(draw):
 
 class TestParserFuzz:
     @settings(max_examples=400, deadline=None)
-    @given(mutated_dsn_files())
+    @given(mutated_files())
     def test_mutated_file_parses_or_raises_a_parse_error(self, text):
         try:
             inst, _ = parse_dsn(text)
         except (ParseError, CapacityError):
             return
         assert parse_dsn(emit_dsn(inst))[0] == inst
+
+    @settings(max_examples=400, deadline=None)
+    @given(mutated_files(PSI_FUZZ_SEEDS, PSI_FUZZ_TOKENS))
+    def test_mutated_psi_file_parses_or_raises_a_parse_error(self, text):
+        try:
+            psi, meta = parse_psi(text)
+        except (ParseError, CapacityError):
+            return
+        emitted = emit_psi(psi, meta)
+        psi2, meta2 = parse_psi(emitted)
+        assert (psi2.hostG, psi2.patternH, psi2.classmap, meta2) == (psi.hostG, psi.patternH, psi.classmap, meta)
+        assert emit_psi(psi2, meta2) == emitted
 
 
 class TestPsiFormat:
@@ -207,6 +250,32 @@ class TestPsiFormat:
         with pytest.raises(ParseError, match="mapped twice") as info:
             parse_psi(text)
         assert info.value.line == 5
+
+    @pytest.mark.parametrize(
+        "line, record, message",
+        [
+            (2, "eg x 2", "line 2, column 4: expected an integer, got 'x'"),
+            (2, "eg 1 4", "line 2, column 6: value 4 above maximum 3"),
+            (2, "eg 0 x", "line 2, column 4: value 0 below minimum 1"),
+            (2, "eg x 0", "line 2, column 4: expected an integer, got 'x'"),
+            (4, "eh 3 1", "line 4, column 4: value 3 above maximum 2"),
+            (4, "eh 1 y", "line 4, column 6: expected an integer, got 'y'"),
+            (4, "eh 9 y", "line 4, column 4: value 9 above maximum 2"),
+            (7, "map 3 3", "line 7, column 7: value 3 above maximum 2"),
+            (7, "map 4 2", "line 7, column 5: value 4 above maximum 3"),
+            (7, "map 3 1/2", "line 7, column 7: expected an integer, got '1/2'"),
+            (7, "map 0 x", "line 7, column 5: value 0 below minimum 1"),
+            (7, "map x 9", "line 7, column 5: expected an integer, got 'x'"),
+        ],
+    )
+    def test_two_integer_fields_report_the_first_bad_one(self, line, record, message):
+        """The whole message for `eg`, `eh` (bounded by nG and kH) and `map`
+        (u bounded by nG, x by kH)."""
+        lines = "p psi 3 2 2 1\neg 1 2\neg 2 3\neh 1 2\nmap 1 1\nmap 2 2\nmap 3 2".splitlines()
+        lines[line - 1] = record
+        with pytest.raises(ParseError) as info:
+            parse_psi("\n".join(lines) + "\n")
+        assert str(info.value) == message
 
     def test_pattern_edge_out_of_range(self):
         text = "p psi 2 1 2 1\neg 1 2\neh 1 3\nmap 1 1\nmap 2 2\n"
