@@ -1,10 +1,10 @@
 """Command-line surface: solve, analyze, reduce, gen, bench.
 
 Exit codes: 0 solved/ok, 1 bench disagreement, 2 infeasible, 3 capacity cap
-exceeded, 4 domain/input error (unreadable files, a failed write to stdout,
-usage errors and a negative genus too), 5 toolkit bug (a failed runtime
-self-check; `solve`, `analyze` and `reduce` then print the DSN instance to
-stderr as a reproducer).  Every command takes `--json`.
+exceeded, 4 domain/input error (unreadable files, a failed write to stdout or
+stderr, usage errors and a negative genus too), 5 toolkit bug (a failed
+runtime self-check; `solve`, `analyze` and `reduce` then print the DSN
+instance to stderr as a reproducer).  Every command takes `--json`.
 """
 
 from __future__ import annotations
@@ -100,8 +100,13 @@ def _indented_json(obj, newline: str = "\n") -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _print_result(result: SolveResult, elapsed: float, as_json: bool) -> None:
-    if as_json:
+def cmd_solve(args) -> int:
+    inst, _ = parse_dsn(_read(args.file))
+    args.instance = inst
+    t0 = time.perf_counter()
+    result = ENGINES[args.engine](inst)
+    elapsed = time.perf_counter() - t0
+    if args.json:
         payload = result.to_json_dict()
         payload["wall_time_s"] = round(elapsed, 6)
         print(_indented_json(payload))
@@ -111,14 +116,6 @@ def _print_result(result: SolveResult, elapsed: float, as_json: bool) -> None:
         print(f"cost {result.cost} ({result.method}, {result.node_count} nodes)")
         for u, v in sorted(result.optimum.arcs):
             print(f"  arc {u + 1} -> {v + 1}")
-
-
-def cmd_solve(args) -> int:
-    inst, _ = parse_dsn(_read(args.file))
-    args.instance = inst
-    t0 = time.perf_counter()
-    result = ENGINES[args.engine](inst)
-    _print_result(result, time.perf_counter() - t0, args.json)
     return EXIT_OK if result.feasible else EXIT_INFEASIBLE
 
 
@@ -221,46 +218,37 @@ def _bench_corpus():
     return sorted(rows)
 
 
+def _cost(result: SolveResult) -> str:
+    return str(result.cost) if result.feasible else "infeasible"
+
+
 def cmd_bench(args) -> int:
-    disagreements = 0
-    table = []
-    for name, inst in _bench_corpus():
-        t0 = time.perf_counter()
-        oracle = solve_exhaustive(inst)
-        got = solve_bnb(inst)
-        elapsed = time.perf_counter() - t0
-        agree = oracle.feasible == got.feasible and oracle.cost == got.cost
-        if not agree:
-            disagreements += 1
-        table.append(
-            {
-                "instance": name,
-                "cost": str(got.cost) if got.feasible else "infeasible",
-                "oracle_cost": str(oracle.cost) if oracle.feasible else "infeasible",
-                "agree": agree,
-                "time_s": round(elapsed, 3),
-            }
-        )
+    # (name, check) pairs: a check returns its row's answer and its oracle's.
+    checks = [
+        (name, lambda inst=inst: (_cost(solve_bnb(inst)), _cost(solve_exhaustive(inst))))
+        for name, inst in _bench_corpus()
+    ]
     k4 = UndirectedGraph(range(4), [(i, j) for i in range(4) for j in range(i + 1, 4)])
     c4 = UndirectedGraph(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)])
     for name, host in (("psi-k4", k4), ("psi-c4", c4)):
         psi = PsiInstance(host, k4, {i: i for i in range(4)})
+        checks.append((name, lambda psi=psi: tuple(
+            "yes" if answer else "no"
+            for answer in (decide_psi_via_dsn(generate_hardness_instance(psi)), solve_psi_bruteforce(psi) is not None)
+        )))
+    table = []
+    for name, check in checks:
         t0 = time.perf_counter()
-        via_dsn = decide_psi_via_dsn(generate_hardness_instance(psi))
-        direct = solve_psi_bruteforce(psi) is not None
+        answer, oracle = check()
         elapsed = time.perf_counter() - t0
-        agree = via_dsn == direct
-        if not agree:
-            disagreements += 1
-        table.append(
-            {
-                "instance": name,
-                "cost": "yes" if via_dsn else "no",
-                "oracle_cost": "yes" if direct else "no",
-                "agree": agree,
-                "time_s": round(elapsed, 3),
-            }
-        )
+        table.append({
+            "instance": name,
+            "cost": answer,
+            "oracle_cost": oracle,
+            "agree": answer == oracle,
+            "time_s": round(elapsed, 3),
+        })
+    disagreements = sum(not r["agree"] for r in table)
     if args.json:
         print(_indented_json({"rows": table, "disagreements": disagreements}))
     else:
@@ -349,40 +337,51 @@ def main(argv: Optional[List[str]] = None) -> int:
     # would hand it the rest of argv; the full parse runs only to print
     # argparse's own help and error text for anything else.
     command = parser.commands.get(argv[0]) if argv else None
-    args, rest = command.parse_known_args(argv[1:]) if command else (None, True)
-    if rest:
-        args = parser.parse_args(argv)
+    try:
+        args, rest = command.parse_known_args(argv[1:]) if command else (None, True)
+        if rest:
+            args = parser.parse_args(argv)
+    except SystemExit:
+        # argparse's help and usage exits; it drops a text it cannot write.
+        _report(0)
+        raise
     try:
         code = args.func(args)
         sys.stdout.flush()
         return code
     except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
+        return _report(EXIT_CAPACITY, f"error: {exc}\n")
     except (DomainError, InputError, PreconditionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return _report(EXIT_DOMAIN, f"error: {exc}\n")
     except DsnkitError as exc:
         # What is left, InvariantError and InconsistencyError, is a failed
         # self-check: a bug in the toolkit, not in the input.
-        print(f"internal error: {exc}", file=sys.stderr)
         inst = getattr(args, "instance", None)
-        if inst is not None:
-            sys.stderr.write(emit_dsn(inst))
-        return EXIT_BUG
+        return _report(EXIT_BUG, f"internal error: {exc}\n" + (emit_dsn(inst) if inst is not None else ""))
     except OSError as exc:
         # Reads and -o writes raise InputError, so what is left is a failed
-        # write to stdout: a closed pipe or a full disk.
-        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
-        _discard_stdout()
-        return EXIT_DOMAIN
+        # write to stdout or stderr: a closed pipe or a full disk.  Only a
+        # working stderr shows the message, and then stdout was the one.
+        return _report(EXIT_DOMAIN, f"error: cannot write stdout: {exc}\n")
 
 
-def _discard_stdout() -> None:
-    """Point stdout's descriptor at devnull, so that the interpreter's flush
-    at exit cannot fail a second time; a stdout without one is left as is."""
+def _report(code: int, message: str = "") -> int:
+    """Flush stdout, write `message` to stderr and return `code`; a stream
+    that fails is discarded, and one that works keeps its output."""
+    for stream, text in ((sys.stdout, ""), (sys.stderr, message)):
+        try:
+            stream.write(text)
+            stream.flush()
+        except OSError:
+            _discard(stream)
+    return code
+
+
+def _discard(stream) -> None:
+    """Point `stream`'s descriptor at devnull, so that the interpreter's flush
+    at exit cannot fail a second time; a stream without one is left as is."""
     try:
-        fd = sys.stdout.fileno()
+        fd = stream.fileno()
     except (AttributeError, ValueError):  # io.UnsupportedOperation is a ValueError
         return
     devnull = os.open(os.devnull, os.O_WRONLY)

@@ -93,10 +93,8 @@ def gen_grid(
     return inst, meta
 
 
-def gen_random(
-    n: int, m: int, q: int, p: int, seed: int, max_weight: int = 9
-) -> Tuple[DsnInstance, Metadata]:
-    """Random simple digraph with integer weights in [1, max_weight]."""
+def gen_random(n: int, m: int, q: int, p: int, seed: int) -> Tuple[DsnInstance, Metadata]:
+    """Random simple digraph with integer weights in [1, 9]."""
     if n < 2:
         raise InputError("need at least 2 vertices")
     _check_capacity(n, m)
@@ -108,7 +106,7 @@ def gen_random(
         raise InputError(f"need 1 <= p <= {q * (q - 1)} requests")
     rng = random.Random(seed)
     chosen = _sample_pairs(rng, n, m)
-    arcs = {a: Fraction(rng.randint(1, max_weight)) for a in sorted(chosen)}
+    arcs = {a: Fraction(rng.randint(1, 9)) for a in sorted(chosen)}
     terminals = sorted(rng.sample(range(n), q))
     requests = {(terminals[a], terminals[b]) for a, b in _sample_pairs(rng, q, p)}
     inst = DsnInstance(WeightedDigraph(range(n), arcs), requests)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .errors import InputError, InvariantError
 from .graphs import UNIT, Arc, DirectedPath, WeightedDigraph, necessary_arcs
@@ -63,21 +63,11 @@ def ladder_corners(spec: LadderSpec) -> Tuple[int, int, int, int]:
     return spec.a(1), spec.b(1), spec.a(spec.n), spec.b(spec.n)
 
 
-def scss_requests(cycle: Sequence[int]) -> Set[Tuple[int, int]]:
-    """Directed-cycle request set over the distinct vertices of `cycle`."""
-    seen: List[int] = []
-    for v in cycle:
-        if v not in seen:
-            seen.append(v)
-    if len(seen) < 2:
-        return set()
-    return {(seen[i], seen[(i + 1) % len(seen)]) for i in range(len(seen))}
-
-
 def ladder_corner_requests(spec: LadderSpec) -> Set[Tuple[int, int]]:
-    """The 4-terminal SCSS request cycle a1 -> b1 -> an -> bn -> a1."""
-    a1, b1, an, bn = ladder_corners(spec)
-    return scss_requests([a1, b1, an, bn])
+    """The 4-terminal SCSS request cycle a1 -> b1 -> an -> bn -> a1 over the
+    distinct corners; a single corner gets no request."""
+    corners = list(dict.fromkeys(ladder_corners(spec)))
+    return {(u, v) for u, v in zip(corners, corners[1:] + corners[:1]) if u != v}
 
 
 def _walk_to_path(vertex_seq: List[int]) -> DirectedPath:

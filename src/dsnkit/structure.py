@@ -10,7 +10,7 @@ part of any host graph.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -494,7 +494,7 @@ class PathRecord:
     num_important: int
     num_marked: int
     ratio: float
-    segments: List[LadderSegment] = field(default_factory=list)
+    segments: List[LadderSegment]
 
     def to_json_dict(self) -> dict:
         return {
@@ -565,8 +565,6 @@ class StructureReport:
 
 
 def _tw_maybe_exact(u: UndirectedGraph) -> Tuple[Optional[int], bool]:
-    if u.n == 0:
-        return 0, True
     try:
         w, _ = treewidth_exact(u)
         return w, True
@@ -610,10 +608,14 @@ def reduce_length_graph(
     replacements = 0
     while True:
         rounds += 1
-        analyses = []
+        records: List[PathRecord] = []
         for s, t in sorted(norm):
             P, imp, mk, segs = _analyze_path(current, T, s, t)
-            analyses.append(((s, t), P, imp, mk, segs))
+            num_important = len(imp.important)
+            records.append(PathRecord(
+                (s, t), P.vertices, P.length, num_important, len(mk.marked),
+                P.length / max(1, num_important), segs,
+            ))
             candidates = (
                 protrusion_replace(current, norm, seg)
                 for seg in segs
@@ -623,28 +625,13 @@ def reduce_length_graph(
             if smaller is not None:
                 break
         else:
-            # Nothing was replaced, so this round's analyses describe `current`.
+            # Nothing was replaced, so this round's records describe `current`.
             break
         current = smaller
         replacements += 1
 
     q = len(T)
-    records: List[PathRecord] = []
-    important_ok = True
-    marked_ok = True
-    max_ratio = 0.0
-    for (s, t), P, imp, mk, segs in analyses:
-        ratio = P.length / max(1, len(imp.important))
-        max_ratio = max(max_ratio, ratio)
-        if len(imp.important) > 2 * q - 2:
-            important_ok = False
-        if len(mk.marked) > 4 * len(imp.important):
-            marked_ok = False
-        records.append(
-            PathRecord(
-                (s, t), P.vertices, P.length, len(imp.important), len(mk.marked), ratio, segs
-            )
-        )
+    max_ratio = max((r.ratio for r in records), default=0.0)
 
     sym_after = current.sym()
     try:
@@ -669,8 +656,8 @@ def reduce_length_graph(
         tw_after=tw_after,
         tw_before_exact=tw_before_exact,
         tw_after_exact=tw_after_exact,
-        important_bound_ok=important_ok,
-        marked_bound_ok=marked_ok,
+        important_bound_ok=all(r.num_important <= 2 * q - 2 for r in records),
+        marked_bound_ok=all(r.num_marked <= 4 * r.num_important for r in records),
         diameter_bound_ok=diam_ok,
     )
     return current, report

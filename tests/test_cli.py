@@ -379,8 +379,8 @@ def test_non_utf8_message_matches_the_text_reader(tmp_path, capsys, data):
     assert capsys.readouterr().err == f"error: cannot read {path}: {info.value}\n"
 
 
-class _FailingStdout(io.StringIO):
-    """A stdout whose `write` or `flush` raises `exc`."""
+class _FailingStream(io.StringIO):
+    """A stdout or stderr whose `write` or `flush` raises `exc`."""
 
     def __init__(self, method, exc):
         super().__init__()
@@ -403,7 +403,7 @@ class _FailingStdout(io.StringIO):
     ids=["broken-pipe", "disk-full"],
 )
 def test_failed_stdout_write_is_input_error(monkeypatch, capsys, method, exc):
-    monkeypatch.setattr(sys, "stdout", _FailingStdout(method, exc))
+    monkeypatch.setattr(sys, "stdout", _FailingStream(method, exc))
     assert main(["gen", "ladder", "4"]) == 4
     assert capsys.readouterr().err == f"error: cannot write stdout: {exc}\n"
 
@@ -425,6 +425,60 @@ def test_failed_stdout_write_in_a_process(flags, rungs):
         with open("/dev/full", "wb") as full:
             run = subprocess.run(argv, env=env, stdout=full, stderr=subprocess.PIPE, text=True)
         assert (run.returncode, run.stderr) == (4, "error: cannot write stdout: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.parametrize("method", ["write", "flush"])
+@pytest.mark.parametrize(
+    "argv,code",
+    [(["solve", "missing.dsn"], 4), (["gen", "ladder", "1000000000", "-o", "x.dsn"], 3)],
+    ids=["input-error", "capacity-error"],
+)
+def test_failed_stderr_write_keeps_the_exit_code(monkeypatch, capsys, tmp_path, method, argv, code):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "stderr", _FailingStream(method, OSError(errno.ENOSPC, "No space left on device")))
+    assert main(argv) == code
+    assert capsys.readouterr().out == ""
+
+
+def test_failed_stderr_write_keeps_stdout(monkeypatch, capsys, tmp_path):
+    # reduce's text mode writes the instance to stdout and the threshold to stderr.
+    psi_path = tmp_path / "k4.psi"
+    psi_path.write_text(emit_psi(PsiInstance(K4, K4, {i: i for i in range(4)})))
+    assert main(["reduce", str(psi_path)]) == 0
+    instance = capsys.readouterr().out
+    monkeypatch.setattr(sys, "stderr", _FailingStream("write", BrokenPipeError(errno.EPIPE, "Broken pipe")))
+    assert main(["reduce", str(psi_path)]) == 4
+    assert capsys.readouterr().out == instance
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
+def test_failed_stderr_write_in_a_process(tmp_path, flags):
+    # Nothing can be reported on a stderr that fails, but each run still ends
+    # in its documented exit code, and a stdout that works keeps its output.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)
+    (tmp_path / "k4.psi").write_text(emit_psi(PsiInstance(K4, K4, {i: i for i in range(4)})))
+    cases = [  # argv, the streams that fail, exit code
+        (["solve", "missing.dsn"], "stderr", 4),
+        (["gen", "ladder", "3"], "stdout stderr", 4),
+        (["reduce", "k4.psi"], "stderr", 4),
+        (["gen", "ladder", "1000000000", "-o", "x.dsn"], "stderr", 3),
+        (["solve"], "stderr", 4),
+        (["--help"], "stdout", 0),
+    ]
+    codes, outputs = [], {}
+    with open("/dev/full", "wb") as full:
+        for argv, failing, _ in cases:
+            streams = {name: full if name in failing else subprocess.PIPE for name in ("stdout", "stderr")}
+            run = subprocess.run([sys.executable, *flags, "-m", "dsnkit.cli", *argv], env=env, cwd=tmp_path, **streams)
+            codes.append(run.returncode)
+            outputs[argv[0]] = run.stdout
+    assert codes == [code for *_, code in cases]
+    assert outputs["reduce"] == emit_dsn(
+        generate_hardness_instance(PsiInstance(K4, K4, {i: i for i in range(4)})).dsn,
+        {"generator": "hardness-reduction", "threshold": "26", "k": "4"},
+    ).encode()
 
 
 @pytest.mark.parametrize("command", ["gen", "reduce"])
@@ -517,12 +571,45 @@ class TestIndentedJson:
             cli._indented_json({"w": object()})
 
 
+BENCH_ROWS = [
+    ("grid-3x3", "6", "6"),
+    ("ladder-6", "16", "16"),
+    ("random-s0", "14", "14"),
+    ("random-s1", "13", "13"),
+    ("random-s2", "infeasible", "infeasible"),
+    ("random-s3", "13", "13"),
+    ("random-s4", "19", "19"),
+    ("random-s5", "infeasible", "infeasible"),
+    ("psi-k4", "yes", "yes"),
+    ("psi-c4", "no", "no"),
+]
+
+
 class TestBench:
     def test_bench_all_agree(self, capsys):
         assert main(["bench", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["disagreements"] == 0
         assert all(row["agree"] for row in payload["rows"])
+
+    def test_bench_json_rows(self, capsys):
+        assert main(["bench", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [list(row) for row in payload["rows"]] == [["instance", "cost", "oracle_cost", "agree", "time_s"]] * 10
+        rows = [{k: v for k, v in row.items() if k != "time_s"} for row in payload["rows"]]
+        assert rows == [{"instance": n, "cost": c, "oracle_cost": o, "agree": True} for n, c, o in BENCH_ROWS]
+        assert list(payload) == ["rows", "disagreements"]
+
+    def test_disagreement_exits_1(self, monkeypatch, capsys):
+        # The brute-force oracle finds no PSI solution: psi-k4 disagrees.
+        monkeypatch.setattr(cli, "solve_psi_bruteforce", lambda psi: None)
+        assert main(["bench", "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["disagreements"] == 1
+        assert [row["instance"] for row in payload["rows"] if not row["agree"]] == ["psi-k4"]
+        assert main(["bench"]) == 1
+        (line,) = [line for line in capsys.readouterr().out.splitlines() if "MISMATCH" in line]
+        assert line.split()[:3] == ["psi-k4", "yes", "no"]
 
 
 LADDER6_SOLVE = """cost 16 (bnb, 1 nodes)
