@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Container, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
-from .errors import CapacityError, DomainError, InputError
+from .errors import CapacityError, DomainError, InconsistencyError, InputError
 
 Arc = Tuple[int, int]
 
@@ -439,6 +439,64 @@ def necessary_arcs(g: WeightedDigraph, requests: Iterable[Tuple[int, int]]) -> O
                 seen.add(path[i])
                 stack.append(path[i])
     return found
+
+
+# ---------------------------------------------------------------------------
+# degree-2 suppression
+
+
+def suppress_degree_two(graph: WeightedDigraph, terminals: Iterable[int]) -> WeightedDigraph:
+    """Exhaustively remove non-terminal pass-through vertices with exactly
+    two neighbors, merging their arcs.  Created arcs carry the summed weight
+    of the replaced arcs.  With no candidate, `graph` itself is returned
+    and nothing is copied or built.
+
+    The victim is always the smallest-id non-terminal with one or two
+    neighbors, and one neighbor is an error.  Removing a vertex changes the
+    neighbor sets of its two neighbors only, so a min-heap of candidates,
+    re-checked when popped, yields the victims in that order while the
+    neighbor sets and arcs are edited in place; the graph is built once."""
+    T = set(terminals)
+    nbrs: Dict[int, Set[int]] = {v: set(graph.neighbors(v)) for v in graph.vertices}
+
+    def candidate(v: int) -> bool:
+        return v not in T and 1 <= len(nbrs[v]) <= 2
+
+    # Ascending ids already form a heap.
+    heap = [v for v in graph.vertices if candidate(v)]
+    if not heap:
+        return graph
+    arcs = graph.arcs()
+    while heap:
+        v = heapq.heappop(heap)
+        if v not in nbrs or not candidate(v):
+            continue
+        if len(nbrs[v]) == 1:
+            raise InconsistencyError(
+                f"non-terminal {v} has a single neighbor; input is not inclusion-minimal"
+            )
+        u, w = sorted(nbrs.pop(v))
+        created: List[Tuple[Arc, Fraction]] = []
+        for x, y in ((u, w), (w, u)):
+            if (x, v) in arcs and (v, y) in arcs:
+                created.append(((x, y), arcs[(x, v)] + arcs[(v, y)]))
+        if not created:
+            raise InconsistencyError(
+                f"non-terminal {v} with two neighbors is a source/sink; input is not inclusion-minimal"
+            )
+        for key in ((u, v), (v, u), (v, w), (w, v)):
+            arcs.pop(key, None)
+        for arc, weight in created:
+            # A parallel arc cannot occur in a minimal solution; keep the
+            # cheaper route so cost comparisons stay meaningful.
+            if arc not in arcs or weight < arcs[arc]:
+                arcs[arc] = weight
+        for x, y in ((u, w), (w, u)):
+            nbrs[x].discard(v)
+            nbrs[x].add(y)
+            if candidate(x):
+                heapq.heappush(heap, x)
+    return WeightedDigraph(nbrs, arcs)
 
 
 # ---------------------------------------------------------------------------

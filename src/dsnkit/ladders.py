@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .errors import InputError, InvariantError
-from .graphs import UNIT, Arc, DirectedPath, WeightedDigraph, necessary_arcs
+from .graphs import UNIT, Arc, DirectedPath, WeightedDigraph, necessary_arcs, suppress_degree_two
 
 
 @dataclass(frozen=True)
@@ -144,43 +144,28 @@ def _hypotheses_failure(K: WeightedDigraph, a: int, b: int, c: int, d: int) -> O
     return None
 
 
-def _suppress_outside(K: WeightedDigraph, keep: Set[int]) -> WeightedDigraph:
-    """Suppress total-degree-2 pass-through vertices outside `keep`.
-
-    K must pass `_hypotheses_failure` with roles in `keep`: minimality then
-    makes every such vertex a pass-through u -> v -> w with u != w and no
-    arc uw, and each contraction keeps the hypotheses."""
-    g = K
-    while True:
-        v = next((v for v in g.vertices if v not in keep and g.total_degree(v) == 2), None)
-        if v is None:
-            return g
-        ins, outs = g.in_neighbors(v), g.out_neighbors(v)
-        if len(ins) != 1 or len(outs) != 1 or ins == outs or g.has_arc(ins[0], outs[0]):
-            raise InvariantError(f"degree-2 vertex {v} of a minimal graph is not a pass-through")
-        u, w = ins[0], outs[0]
-        arcs = g.arcs()
-        arcs[(u, w)] = arcs.pop((u, v)) + arcs.pop((v, w))
-        g = WeightedDigraph(set(g.vertices) - {v}, arcs)
-
-
 def is_ladder_subdivision(K: WeightedDigraph, a: int, b: int, c: int, d: int) -> LadderVerdict:
     """Decide whether K with boundary roles (a, b, c, d) is a subdivision of
     a ladder, by the suppress-and-peel procedure.
 
-    K is checked against the hypotheses and suppressed once.  The hypotheses
-    join the (a, b) column to the rest only by the rails abar -> a and
-    b -> bbar, so peeling it leaves roles (bbar, abar, c, d): every a->d
-    path becomes a bbar->d path and every c->b path a c->abar path, both
-    avoiding the column.  So reachability, inclusion-minimality and "no
-    isolated vertex" carry over, the (c, d) bullets are untouched while the
-    pairs do not overlap, and degrees change only at the new corner, so
-    nothing needs suppressing again.  Only the last peeled column touches
-    the new corner, by rails that neither enter abar nor leave bbar.  So
-    each level walks the suppressed graph in place: it finds the rails in
-    neighbour sets minus the column just peeled and checks only the new
-    (a, b) pair.  A rejection at peel level k carries k "peel: " prefixes;
-    the length is that of the suppressed core ladder."""
+    K is checked against the hypotheses and suppressed once, by the graph
+    core's `suppress_degree_two` outside the roles and the vertices whose
+    total degree is not 2.  Minimality makes every other vertex a
+    pass-through u -> v -> w with no arc uw, and merging one changes no
+    other vertex's total degree, so each suppressed vertex removes exactly
+    one arc; that count is checked.  The hypotheses join the (a, b) column
+    to the rest only by the rails abar -> a and b -> bbar, so peeling it
+    leaves roles (bbar, abar, c, d): every a->d path becomes a bbar->d path
+    and every c->b path a c->abar path, both avoiding the column.  So
+    reachability, inclusion-minimality and "no isolated vertex" carry over,
+    the (c, d) bullets are untouched while the pairs do not overlap, and
+    degrees change only at the new corner, so nothing needs suppressing
+    again.  Only the last peeled column touches the new corner, by rails
+    that neither enter abar nor leave bbar.  So each level walks the
+    suppressed graph in place: it finds the rails in neighbour sets minus
+    the column just peeled and checks only the new (a, b) pair.  A
+    rejection at peel level k carries k "peel: " prefixes; the length is
+    that of the suppressed core ladder."""
     peeled = 0
 
     def reject(reason: str) -> LadderVerdict:
@@ -189,7 +174,9 @@ def is_ladder_subdivision(K: WeightedDigraph, a: int, b: int, c: int, d: int) ->
     fail = _hypotheses_failure(K, a, b, c, d)
     if fail is not None:
         return reject(fail)
-    g = _suppress_outside(K, {a, b, c, d})
+    g = suppress_degree_two(K, {a, b, c, d} | {v for v in K.vertices if K.total_degree(v) != 2})
+    if K.m - g.m != K.n - g.n:
+        raise InvariantError("a suppressed vertex of a minimal graph is not a pass-through")
     n, column = g.n, set()
     while n > 4:
         if {a, b} & {c, d}:

@@ -400,14 +400,10 @@ def dst_root(inst: DsnInstance) -> int:
     if not inst.requests:
         raise DomainError("empty request set has no root; use solve_bnb")
     sources = {s for s, _ in inst.requests}
-    targets = {t for _, t in inst.requests}
     if len(sources) != 1:
         raise DomainError("requests are not an out-star (multiple sources); use solve_bnb")
+    # Requests have s != t, so no request enters the one source.
     (r,) = sources
-    if r in targets:
-        raise DomainError("requests are not an out-star (root is also a target); use solve_bnb")
-    if inst.requests != frozenset((r, t) for t in targets):
-        raise DomainError("requests are not an out-star; use solve_bnb")
     return r
 
 

@@ -1,17 +1,15 @@
 """Structural pipeline over inclusion-minimal solutions.
 
-Degree-2 suppression, important and marked vertices along request paths,
-ladder-segment detection, protrusion replacement and the length-reduction
-loop, ending in a treewidth/diameter certificate.  Everything here operates
-on standalone digraphs because replacements introduce vertices that are not
-part of any host graph.
+Important and marked vertices along request paths, ladder-segment
+detection, protrusion replacement and the length-reduction loop over the
+degree-2-suppressed solution, ending in a treewidth/diameter certificate.
+Everything here operates on standalone digraphs because replacements
+introduce vertices that are not part of any host graph.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .dsn import (
@@ -24,14 +22,12 @@ from .dsn import (
 from .errors import (
     CapacityError,
     DomainError,
-    InconsistencyError,
     InputError,
     InvariantError,
     PreconditionError,
 )
 from .graphs import (
     UNIT,
-    Arc,
     DirectedPath,
     UndirectedGraph,
     WeightedDigraph,
@@ -40,67 +36,13 @@ from .graphs import (
     necessary_arcs,
     search,
     shortest_path,
+    suppress_degree_two,
     treewidth_exact,
     treewidth_upper_bound,
 )
 from .ladders import LadderSpec, LadderVerdict, is_ladder_subdivision, ladder_corners, make_ladder
 
 PROTRUSION_MAX_INTERIOR = 14
-
-
-# ---------------------------------------------------------------------------
-# degree-2 suppression
-
-
-def suppress_degree_two(graph: WeightedDigraph, terminals: Iterable[int]) -> WeightedDigraph:
-    """Exhaustively remove non-terminal pass-through vertices with exactly
-    two neighbors, merging their arcs.  Created arcs carry the summed weight
-    of the replaced arcs.
-
-    The victim is always the smallest-id non-terminal with one or two
-    neighbors, and one neighbor is an error.  Removing a vertex changes the
-    neighbor sets of its two neighbors only, so a min-heap of candidates,
-    re-checked when popped, yields the victims in that order while the
-    neighbor sets and arcs are edited in place; the graph is built once."""
-    T = set(terminals)
-    arcs = graph.arcs()
-    nbrs: Dict[int, Set[int]] = {v: set(graph.neighbors(v)) for v in graph.vertices}
-
-    def candidate(v: int) -> bool:
-        return v not in T and 1 <= len(nbrs[v]) <= 2
-
-    # Ascending ids already form a heap.
-    heap = [v for v in graph.vertices if candidate(v)]
-    while heap:
-        v = heapq.heappop(heap)
-        if v not in nbrs or not candidate(v):
-            continue
-        if len(nbrs[v]) == 1:
-            raise InconsistencyError(
-                f"non-terminal {v} has a single neighbor; input is not inclusion-minimal"
-            )
-        u, w = sorted(nbrs.pop(v))
-        created: List[Tuple[Arc, Fraction]] = []
-        for x, y in ((u, w), (w, u)):
-            if (x, v) in arcs and (v, y) in arcs:
-                created.append(((x, y), arcs[(x, v)] + arcs[(v, y)]))
-        if not created:
-            raise InconsistencyError(
-                f"non-terminal {v} with two neighbors is a source/sink; input is not inclusion-minimal"
-            )
-        for key in ((u, v), (v, u), (v, w), (w, v)):
-            arcs.pop(key, None)
-        for arc, weight in created:
-            # A parallel arc cannot occur in a minimal solution; keep the
-            # cheaper route so cost comparisons stay meaningful.
-            if arc not in arcs or weight < arcs[arc]:
-                arcs[arc] = weight
-        for x, y in ((u, w), (w, u)):
-            nbrs[x].discard(v)
-            nbrs[x].add(y)
-            if candidate(x):
-                heapq.heappush(heap, x)
-    return WeightedDigraph(nbrs, arcs)
 
 
 # ---------------------------------------------------------------------------
@@ -327,17 +269,18 @@ def detect_ladder_segments(
     P: DirectedPath,
     markers: Sequence[int],
 ) -> List[LadderSegment]:
-    """Between consecutive markers at distance >= 5, extract the component
-    hanging between the four boundary vertices and test it for ladderness."""
+    """Between consecutive markers at distance >= 6, extract the component
+    hanging between the four boundary vertices and test it for ladderness.
+    The component grows from p_{i+3}, which at distance 5 is the boundary
+    vertex p_{j-2}; from distance 6 on it is none of the four, because path
+    vertices are distinct."""
     T = set(terminals)
     out: List[LadderSegment] = []
     for i, j in zip(markers, markers[1:]):
-        if j - i < 5:
+        if j - i < 6:
             continue
         pv = P.vertices
         boundary = (pv[i + 1], pv[i + 2], pv[j - 2], pv[j - 1])
-        if pv[i + 3] in boundary:
-            continue
         component = _component_avoiding(graph, pv[i + 3], set(boundary))
         if component & T:
             out.append(

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dsnkit
-from dsnkit import cli, reduction
+from dsnkit import cli, reduction, solvers
 from dsnkit.cli import main
 from dsnkit.dsn import DsnInstance
 from dsnkit.errors import InconsistencyError, InvariantError, ParseError
@@ -138,6 +138,16 @@ class TestSolve:
     def test_dst_on_cycle_request_is_domain_error(self, ladder_file, capsys):
         assert main(["solve", str(ladder_file), "--engine", "dst"]) == 4
         assert "solve_bnb" in capsys.readouterr().err
+
+    def test_dst_over_the_leaf_cap_is_capacity_exit(self, tmp_path, capsys):
+        leaves = solvers.DST_MAX_LEAVES + 1
+        path = tmp_path / "star.dsn"
+        path.write_text(emit_dsn(DsnInstance(
+            WeightedDigraph(range(leaves + 1), {(0, t): 1 for t in range(1, leaves + 1)}),
+            {(0, t) for t in range(1, leaves + 1)},
+        )))
+        assert main(["solve", str(path), "--engine", "dst"]) == 3
+        assert capsys.readouterr() == ("", f"error: {leaves} leaves; out-star cap is {solvers.DST_MAX_LEAVES}\n")
 
     @pytest.mark.parametrize(
         "error,code",
@@ -272,6 +282,14 @@ class TestAnalyze:
         assert out == cli._indented_json(payload) + "\n"
         assert main(["analyze", str(path)]) == 2
         assert capsys.readouterr().out == "infeasible\n"
+
+    def test_analyze_json_disconnected_solution(self, tmp_path, capsys):
+        path = tmp_path / "two.dsn"
+        path.write_text("p dsn 4 2 4 2\na 1 2 1\na 3 4 1\nr 1 2\nr 3 4\n")
+        assert main(["analyze", str(path), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)["certificate"]["report"]
+        assert report["diameter_after"] is None
+        assert report["bounds"]["diameter"] is None
 
     def test_analyze_long_out_star_path(self, tmp_path, capsys):
         m = 400

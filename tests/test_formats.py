@@ -283,6 +283,20 @@ class TestPsiFormat:
             parse_psi(text)
 
 
+PSI_MINIMAL = "p psi 2 1 2 1\neg 1 2\neh 1 2\nmap 1 1\nmap 2 2\n"
+
+
+@pytest.mark.parametrize("parse, text", [(parse_dsn, MINIMAL), (parse_psi, PSI_MINIMAL)], ids=["dsn", "psi"])
+def test_blank_lines_between_records_are_skipped(parse, text):
+    """Empty and whitespace-only lines change neither the instance nor the
+    line number an error reports."""
+    spaced = "\n \t\n\n".join(text.splitlines()) + "\n"
+    assert parse(spaced) == parse(text)
+    with pytest.raises(ParseError, match="unknown record kind 'z'") as info:
+        parse(spaced + "\n  \nz 1 2\n")
+    assert info.value.line == 3 * len(text.splitlines()) + 1
+
+
 def peak_bytes_of_failed_parse(parse, text, error, match):
     """Peak traced allocation while `parse(text)` raises `error`."""
     tracemalloc.start()

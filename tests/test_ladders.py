@@ -1,20 +1,20 @@
 import collections
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dsnkit.dsn import DsnInstance, SolutionSubgraph, is_inclusion_minimal, validate
 from dsnkit.errors import InputError
-from dsnkit.graphs import UndirectedGraph, WeightedDigraph, treewidth_exact
+from dsnkit.graphs import UndirectedGraph, WeightedDigraph, suppress_degree_two, treewidth_exact
 from dsnkit import ladders
 from dsnkit.ladders import (
     LadderSpec,
     LadderVerdict,
     _corner_failure,
     _hypotheses_failure,
-    _suppress_outside,
     is_ladder_subdivision,
     ladder_corner_requests,
     ladder_corners,
@@ -68,6 +68,37 @@ def reference_suppress_outside(K, keep):
             return None
         arcs[(u, w)] = wt
         g = WeightedDigraph(set(g.vertices) - {v}, arcs)
+
+
+def recognizer_suppression(K, roles):
+    """The graph that `is_ladder_subdivision(K, *roles)` suppresses K to;
+    the hypotheses must hold."""
+    suppressed = []
+
+    def recorded(graph, keep):
+        suppressed.append(suppress_degree_two(graph, keep))
+        return suppressed[-1]
+
+    with mock.patch.object(ladders, "suppress_degree_two", recorded):
+        is_ladder_subdivision(K, *roles)
+    (g,) = suppressed
+    return g
+
+
+def seeded_subdivision(g, rng):
+    """g with each arc, with probability 1/3, replaced by a path through one
+    to three fresh vertices, each arc of it of weight 1 to 3."""
+    vertices, arcs = set(g.vertices), {}
+    fresh = max(vertices) + 1
+    for (u, v), w in sorted(g.arcs().items()):
+        if rng.random() < 2 / 3:
+            arcs[(u, v)] = w
+            continue
+        walk = [u, *range(fresh, fresh + rng.randint(1, 3)), v]
+        fresh += len(walk) - 2
+        vertices.update(walk)
+        arcs.update({(x, y): rng.randint(1, 3) for x, y in zip(walk, walk[1:])})
+    return WeightedDigraph(vertices, arcs)
 
 
 def reference_hypotheses_failure(K, a, b, c, d):
@@ -388,7 +419,30 @@ class TestRecognizer:
     def test_suppression_keeps_hypotheses(self, case):
         K, roles = case
         if _hypotheses_failure(K, *roles) is None:
-            assert _hypotheses_failure(_suppress_outside(K, set(roles)), *roles) is None
+            g = recognizer_suppression(K, roles)
+            assert g == reference_suppress_outside(K, set(roles))
+            assert _hypotheses_failure(g, *roles) is None
+
+    def test_suppression_matches_reference_on_every_small_ladder(self):
+        """[DERIVED: rescanning suppression that rejects any degree-2 vertex
+        that is not a pass-through] on every ladder with n <= 8, plain and
+        with two seeded subdivisions, under every order of its four corners
+        that passes the hypotheses."""
+        rng = random.Random(8)
+        cases = suppressed = 0
+        for n in range(1, 9):
+            for size in range(n + 1):
+                for ident in itertools.combinations(range(1, n + 1), size):
+                    spec = LadderSpec(n, ident)
+                    g = make_ladder(spec)
+                    for K in (g, seeded_subdivision(g, rng), seeded_subdivision(g, rng)):
+                        for roles in sorted(set(itertools.permutations(ladder_corners(spec)))):
+                            if _hypotheses_failure(K, *roles) is None:
+                                got = recognizer_suppression(K, roles)
+                                assert got == reference_suppress_outside(K, set(roles)), (spec, roles)
+                                cases += 1
+                                suppressed += got.n < K.n
+        assert (cases, suppressed) == (2471, 1422)
 
 
 class TestUndirectedView:

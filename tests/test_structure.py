@@ -268,6 +268,14 @@ class TestSegmentsAndReplacement:
         assert segs[0].verdict.ok and segs[0].verdict.length == 10
         assert segs[0].roles is not None
 
+    @pytest.mark.parametrize("distance, segments", [(5, 0), (6, 1)])
+    def test_markers_closer_than_six_give_no_segment(self, distance, segments):
+        inst = ladder_with_terminals(10)
+        T = set(inst.terminals)
+        P = realize_request_path(inst.host, T, *sorted(inst.requests)[0])
+        segs = detect_ladder_segments(inst.host, T, P, [0, distance])
+        assert [(seg.start_index, seg.end_index) for seg in segs] == [(0, distance)] * segments
+
     def test_replace_shrinks_and_preserves_outside(self):
         inst = ladder_with_terminals(10)
         T = set(inst.terminals)
