@@ -61,28 +61,24 @@ class DsnInstance:
 
 @dataclass(frozen=True)
 class SolutionSubgraph:
-    """An arc subset of a host graph; the vertex set is implied by the arcs
-    (plus any terminals the caller pins)."""
+    """An arc subset of a host graph; its vertices are the arcs' ends.
+
+    Every request joins two distinct terminals, so each terminal ends an arc
+    of a valid solution and needs no separate record."""
 
     host: WeightedDigraph
     arcs: FrozenSet[Arc]
-    pinned: FrozenSet[int] = frozenset()
 
-    def __init__(self, host: WeightedDigraph, arcs: Iterable[Arc], pinned: Iterable[int] = ()):
+    def __init__(self, host: WeightedDigraph, arcs: Iterable[Arc]):
         arcset = frozenset(arcs)
         for a in arcset:
             if not host.has_arc(*a):
                 raise InputError(f"arc {a} is not in the host graph")
-        pin = frozenset(pinned)
-        for v in pin:
-            if not host.has_vertex(v):
-                raise InputError(f"pinned vertex {v} is not in the host graph")
         object.__setattr__(self, "host", host)
         object.__setattr__(self, "arcs", arcset)
-        object.__setattr__(self, "pinned", pin)
 
     def as_graph(self) -> WeightedDigraph:
-        return self.host.subgraph(self.arcs, extra_vertices=self.pinned)
+        return self.host.subgraph(self.arcs)
 
     def cost(self) -> Fraction:
         """The exact sum of the arc weights, added as the host's scaled integers."""
@@ -174,7 +170,7 @@ def minimize(inst: DsnInstance, sol: SolutionSubgraph) -> SolutionSubgraph:
     if validate(inst, sol) is not None:
         raise PreconditionError("solution is not valid")
     reduced = minimize_graph(sol.as_graph(), inst.requests)
-    return SolutionSubgraph(inst.host, reduced.arc_set(), pinned=inst.terminals)
+    return SolutionSubgraph(inst.host, reduced.arc_set())
 
 
 def reverse_instance(inst: DsnInstance) -> DsnInstance:
@@ -182,4 +178,4 @@ def reverse_instance(inst: DsnInstance) -> DsnInstance:
 
 
 def reverse_solution(sol: SolutionSubgraph) -> SolutionSubgraph:
-    return SolutionSubgraph(sol.host.reverse(), {(v, u) for u, v in sol.arcs}, sol.pinned)
+    return SolutionSubgraph(sol.host.reverse(), {(v, u) for u, v in sol.arcs})

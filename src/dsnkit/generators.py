@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .dsn import DsnInstance
 from .errors import CapacityError, InputError
@@ -52,11 +52,9 @@ def gen_ladder(n: int, identified: Iterable[int] = ()) -> Tuple[DsnInstance, Met
     return inst, meta
 
 
-def gen_grid(
-    width: int, height: int, q: int = 3, p: Optional[int] = None, seed: int = 0
-) -> Tuple[DsnInstance, Metadata]:
-    """Bidirected width x height grid with unit weights and seeded random
-    requests over q distinct terminals."""
+def gen_grid(width: int, height: int, q: int = 3, seed: int = 0) -> Tuple[DsnInstance, Metadata]:
+    """Bidirected width x height grid with unit weights.  The requests are a
+    cycle through q seeded random terminals, in ascending order of id."""
     if width < 1 or height < 1:
         raise InputError("grid dimensions must be positive")
     n = width * height
@@ -75,15 +73,7 @@ def gen_grid(
                 arcs[(v + width, v)] = UNIT
     rng = random.Random(seed)
     terminals = sorted(rng.sample(range(n), q))
-    if p is None:
-        # a request cycle through the terminals: strongly-connected flavour
-        requests = {
-            (terminals[i], terminals[(i + 1) % q]) for i in range(q)
-        }
-    else:
-        if p > q * (q - 1):
-            raise InputError(f"at most {q * (q - 1)} distinct requests exist")
-        requests = {(terminals[a], terminals[b]) for a, b in _sample_pairs(rng, q, p)}
+    requests = {(terminals[i], terminals[(i + 1) % q]) for i in range(q)}
     inst = DsnInstance(WeightedDigraph(range(n), arcs), requests)
     meta = {
         "generator": f"grid {width}x{height} q={q} seed={seed}",

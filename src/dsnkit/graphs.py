@@ -123,17 +123,13 @@ class WeightedDigraph:
 
     # -- derived graphs --------------------------------------------------
 
-    def subgraph(self, arcs: Iterable[Arc], extra_vertices: Iterable[int] = ()) -> "WeightedDigraph":
-        """Subgraph on the given arcs plus any extra (isolated) vertices."""
+    def subgraph(self, arcs: Iterable[Arc]) -> "WeightedDigraph":
+        """Subgraph on the given arcs and their ends."""
         arcset = set(arcs)
         for a in arcset:
             if a not in self._arcs:
                 raise InputError(f"arc {a} not present in the graph")
-        vs = {u for a in arcset for u in a}
-        for v in extra_vertices:
-            self._check_vertex(v)
-            vs.add(v)
-        return WeightedDigraph(vs, {a: self._arcs[a] for a in arcset})
+        return WeightedDigraph({u for a in arcset for u in a}, {a: self._arcs[a] for a in arcset})
 
     def induced(self, vertices: Iterable[int]) -> "WeightedDigraph":
         vs = set(vertices)

@@ -57,7 +57,8 @@ class PsiInstance:
 class Labelling:
     """Three colour maps on the pattern graph:
 
-    - alpha groups vertices into chunks of a greedy 4-colouring,
+    - alpha groups vertices into chunks, each inside one colour class of a
+      greedy 4-colouring (which `build_labelling` uses and does not keep),
     - beta separates vertices sharing a chunk or an edge,
     - gamma separates edges whose endpoints share an alpha colour.
 
@@ -65,7 +66,6 @@ class Labelling:
     identifies an edge."""
 
     r: int
-    eta: Dict[int, int]  # greedy 4-colouring
     chunks: Tuple[Tuple[int, ...], ...]  # ordered nonempty chunks
     alpha: Dict[int, int]  # vertex -> chunk index
     beta: Dict[int, int]  # vertex -> colour in [0, r+2]
@@ -173,7 +173,7 @@ def build_labelling(psi: PsiInstance) -> Labelling:
     if gamma and max(gamma.values()) > 6 * r - 2:
         raise InvariantError(f"gamma used more than 6r-1 = {6 * r - 1} colours")
 
-    lab = Labelling(r, eta, chunks, alpha, beta, gamma)
+    lab = Labelling(r, chunks, alpha, beta, gamma)
     bad = check_labelling(h, lab)
     if bad is not None:
         raise InvariantError(f"labelling condition violated: {bad}")

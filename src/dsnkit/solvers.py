@@ -58,13 +58,14 @@ def _infeasible(method: str, nodes: int = 0) -> SolveResult:
 
 
 def _finish(inst: DsnInstance, arcs: Set[Arc], nodes: int, method: str) -> SolveResult:
-    """The engine's optimum as found, pinned to the terminals.
+    """The engine's optimum as found.  Its vertices are the ends of its
+    arcs, which in a valid solution include every terminal.
 
     It is not minimized: weights are positive, so an arc that could be
     removed from an optimum would leave a cheaper solution, and every
     optimum is already inclusion-minimal.  `validate` is the self-check; a
     violated request is a bug in the engine."""
-    sol = SolutionSubgraph(inst.host, frozenset(arcs), pinned=inst.terminals)
+    sol = SolutionSubgraph(inst.host, arcs)
     violated = validate(inst, sol)
     if violated is not None:
         raise InvariantError(f"{method} solution violates request {violated[0]}->{violated[1]}")
@@ -490,20 +491,12 @@ def solve_dst(inst: DsnInstance) -> SolveResult:
 ENGINES = {"exhaustive": solve_exhaustive, "bnb": solve_bnb, "dst": solve_dst}
 
 
-def _is_out_star(inst: DsnInstance) -> bool:
-    try:
-        dst_root(inst)
-        return True
-    except DomainError:
-        return False
-
-
 def solve_with_certificate(
     inst: DsnInstance, declared_genus: int = 0, engine: str = "auto"
 ) -> Tuple[SolveResult, Optional[TreewidthCertificate]]:
     """Solve exactly, then certify the solution's structure."""
     if engine == "auto":
-        if _is_out_star(inst) and len(inst.terminals) - 1 <= DST_MAX_LEAVES:
+        if len({s for s, _ in inst.requests}) == 1 and len(inst.terminals) - 1 <= DST_MAX_LEAVES:
             engine = "dst"
         elif inst.host.m <= EXHAUSTIVE_MAX_ARCS:
             engine = "exhaustive"
@@ -512,7 +505,7 @@ def solve_with_certificate(
     if engine not in ENGINES:
         raise DomainError(f"unknown engine {engine!r}")
     result = ENGINES[engine](inst)
-    if not result.feasible or result.optimum is None or not inst.requests:
+    if not result.feasible or not inst.requests:
         return result, None
     cert = certify_treewidth_bound(inst, result.optimum, declared_genus)
     return result, cert

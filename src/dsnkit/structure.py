@@ -173,7 +173,6 @@ class MarkedQuadruple:
 
 @dataclass(frozen=True)
 class MarkedSet:
-    path: DirectedPath
     quadruples: Tuple[MarkedQuadruple, ...]
 
     @property
@@ -221,7 +220,7 @@ def marked_vertices(graph: WeightedDigraph, P: DirectedPath, imp: ImportantSet) 
                 pj, P.vertices[j1], P.vertices[j2], P.vertices[j3], P.vertices[j4], q31, q42
             )
         )
-    marked = MarkedSet(P, tuple(quads))
+    marked = MarkedSet(tuple(quads))
     if len(marked.marked) > 4 * len(imp.important):
         raise InvariantError("|Q_P| exceeds 4 |I_P|")
     return marked
@@ -474,8 +473,8 @@ class StructureReport:
     vertices_after: int
     max_ratio: float
     diameter_after: Optional[int]
-    tw_before: Optional[int]
-    tw_after: Optional[int]
+    tw_before: int
+    tw_after: int
     tw_before_exact: bool
     tw_after_exact: bool
     important_bound_ok: bool
@@ -507,7 +506,7 @@ class StructureReport:
         }
 
 
-def _tw_maybe_exact(u: UndirectedGraph) -> Tuple[Optional[int], bool]:
+def _tw_maybe_exact(u: UndirectedGraph) -> Tuple[int, bool]:
     try:
         w, _ = treewidth_exact(u)
         return w, True
@@ -618,9 +617,9 @@ def reduce_length(inst: DsnInstance, sol: SolutionSubgraph) -> Tuple[WeightedDig
 class TreewidthCertificate:
     declared_genus: int
     q: int
-    tw_solution: Optional[int]
+    tw_solution: int
     tw_solution_exact: bool
-    tw_reduced: Optional[int]
+    tw_reduced: int
     tw_reduced_exact: bool
     tw_per_terminal: float
     pipeline_increased_tw: bool
@@ -654,13 +653,6 @@ def certify_treewidth_bound(
     q = max(1, inst.q)
     tw_sol = report.tw_before
     tw_red = report.tw_after
-    increased = tw_red is not None and tw_sol is not None and tw_red > tw_sol
-    scale = max(1.0, report.max_ratio)
-    flagged = (
-        tw_sol is not None
-        and tw_red is not None
-        and tw_sol > scale * max(1, tw_red)
-    )
     return TreewidthCertificate(
         declared_genus=declared_genus,
         q=inst.q,
@@ -668,8 +660,8 @@ def certify_treewidth_bound(
         tw_solution_exact=report.tw_before_exact,
         tw_reduced=tw_red,
         tw_reduced_exact=report.tw_after_exact,
-        tw_per_terminal=(tw_sol / q) if tw_sol is not None else float("nan"),
-        pipeline_increased_tw=increased,
-        flagged=flagged,
+        tw_per_terminal=tw_sol / q,
+        pipeline_increased_tw=tw_red > tw_sol,
+        flagged=tw_sol > max(1.0, report.max_ratio) * max(1, tw_red),
         report=report,
     )

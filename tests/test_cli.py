@@ -1,3 +1,4 @@
+import contextlib
 import errno
 import io
 import json
@@ -16,10 +17,10 @@ from dsnkit import cli, reduction, solvers
 from dsnkit.cli import main
 from dsnkit.dsn import DsnInstance
 from dsnkit.errors import InconsistencyError, InvariantError, ParseError
-from dsnkit.formats import emit_dsn, emit_psi, parse_dsn
+from dsnkit.formats import DSN_MAX_ARCS, DSN_MAX_VERTICES, emit_dsn, emit_psi, parse_dsn
 from dsnkit.graphs import WeightedDigraph
 from dsnkit.reduction import PsiInstance, generate_hardness_instance
-from dsnkit.solvers import _finish
+from dsnkit.solvers import ENGINES, _finish
 
 from conftest import K4, ladder_with_terminals
 
@@ -51,6 +52,24 @@ class TestGen:
         path = tmp_path / "huge.dsn"
         assert main(["gen", "ladder", "1000000000", "-o", str(path)]) == 3
         assert "cap" in capsys.readouterr().err
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["grid", "0", "3"], "grid dimensions must be positive"),
+            (["grid", "2", "2", "--q", "5"], "need 2 <= q <= 4 terminals"),
+            (["random", "1", "0", "1", "1"], "need at least 2 vertices"),
+            (["random", "3", "7", "2", "1"], "need 0 <= m <= 6 arcs"),
+            (["random", "3", "2", "4", "1"], "need 2 <= q <= 3 terminals"),
+            (["random", "3", "2", "2", "0"], "need 1 <= p <= 2 requests"),
+        ],
+        ids=["grid-empty", "grid-q", "random-n", "random-m", "random-q", "random-p"],
+    )
+    def test_generator_argument_out_of_range_is_input_error(self, tmp_path, capsys, args, message):
+        path = tmp_path / "out.dsn"
+        assert main(["gen", *args, "-o", str(path)]) == 4
+        assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not path.exists()
 
     def test_random_arc_count_over_cap_is_capacity_exit(self, tmp_path, capsys):
@@ -357,6 +376,21 @@ class TestReduce:
             assert err == "error: -o - and --json both write to stdout; give -o a file\n"
             psi_path.write_text(emit_psi(PsiInstance(K4, K4, {i: i for i in range(4)})))
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("p psi 2 1 2 1\neg 1 1\neh 1 2\nmap 1 1\nmap 2 2\n", "line 2, column 4: loop edge at 1"),
+            ("p psi 2 1 2 1\neg 1 2\neh 2 2\nmap 1 1\nmap 2 2\n", "line 3, column 4: loop edge at 2"),
+            ("c only\nc comments\n", "line 1, column 1: missing `p psi` header"),
+        ],
+        ids=["host-loop", "pattern-loop", "no-header"],
+    )
+    def test_psi_parse_error_is_input_error(self, tmp_path, capsys, text, message):
+        psi_path = tmp_path / "bad.psi"
+        psi_path.write_text(text)
+        assert main(["reduce", str(psi_path)]) == 4
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_json_without_output_emits_no_instance(self, tmp_path, monkeypatch, capsys):
         psi_path = tmp_path / "k4.psi"
         psi_path.write_text(emit_psi(PsiInstance(K4, K4, {i: i for i in range(4)})))
@@ -511,6 +545,71 @@ def test_unwritable_output_is_input_error(tmp_path, capsys, command):
     assert main(argv) == 4
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+
+
+# A size is at most 30 or past its cap, never in between, so no run builds a
+# large instance; the rest are negative and non-integer tokens.
+FUZZ_VALUES = st.sampled_from(
+    [str(i) for i in range(-3, 31)]
+    + [str(DSN_MAX_VERTICES + 1), str(DSN_MAX_ARCS + 1), str(10**30), "x", "1.5", "", "1e3"]
+)
+# Each command's number of positionals and its own options.
+FUZZ_COMMANDS = {
+    "solve": (1, ["--engine", "--json"]),
+    "analyze": (1, ["--engine", "--genus", "--json"]),
+    "reduce": (1, ["-o", "--decide", "--json"]),
+    "gen ladder": (1, ["--identify", "-o", "--json"]),
+    "gen grid": (2, ["--q", "--seed", "-o", "--json"]),
+    "gen random": (4, ["--seed", "-o", "--json"]),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A .dsn, a .psi, an empty file, a non-UTF-8 file and a directory."""
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "small.dsn").write_text(emit_dsn(ladder_with_terminals(3)))
+    (root / "k4.psi").write_text(emit_psi(PsiInstance(K4, K4, {i: i for i in range(4)})))
+    (root / "empty").write_text("")
+    (root / "latin1").write_bytes(b"c \xff\np dsn 1 0 0 0\n")
+    (root / "dir").mkdir()
+    return root
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fuzzed_argv_exits_with_a_documented_code(fuzz_dir, data):
+    files = [str(fuzz_dir / name) for name in ("small.dsn", "k4.psi", "empty", "latin1", "dir", "missing")] + ["-"]
+    outputs = ["-", str(fuzz_dir / "out.dsn"), str(fuzz_dir / "missing" / "out.dsn"), str(fuzz_dir / "dir")]
+    values = {
+        "--engine": st.sampled_from(["auto", "nope", *ENGINES]),
+        "--genus": FUZZ_VALUES,
+        "-o": st.sampled_from(outputs),
+        "--q": FUZZ_VALUES,
+        "--seed": FUZZ_VALUES,
+        "--identify": st.lists(FUZZ_VALUES, max_size=3).map(" ".join),
+    }
+    command = data.draw(st.sampled_from(sorted(FUZZ_COMMANDS)), label="command")
+    count, options = FUZZ_COMMANDS[command]
+    # One positional in four goes missing.
+    count -= data.draw(st.sampled_from([0, 0, 0, 1]), label="missing")
+    positional = st.sampled_from(files) if command in ("solve", "analyze", "reduce") else FUZZ_VALUES
+    argv = command.split() + [data.draw(positional) for _ in range(count)]
+    for option in data.draw(st.lists(st.sampled_from(options + ["--bogus"]), max_size=3), label="options"):
+        argv.append(option)
+        if option in values:
+            argv += data.draw(values[option]).split()
+    stdin = data.draw(st.sampled_from([(fuzz_dir / "small.dsn").read_text(), (fuzz_dir / "k4.psi").read_text(), ""]))
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sys, "stdin", io.StringIO(stdin))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in range(6), argv
+    assert "Traceback" not in err.getvalue(), argv
 
 
 SRC = Path(dsnkit.__file__).resolve().parent.parent

@@ -169,8 +169,7 @@ class TestValidateAndMinimize:
         assume(pairs)
         inst = DsnInstance(g, data.draw(st.sets(st.sampled_from(pairs), min_size=1, max_size=6)))
         arcs = data.draw(st.sets(st.sampled_from(sorted(g.arc_set()))) if g.m else st.just(set()))
-        pinned = data.draw(st.sets(st.sampled_from(g.vertices)))
-        sol = SolutionSubgraph(g, arcs, pinned)
+        sol = SolutionSubgraph(g, arcs)
         expected = violated_request(sol.as_graph(), inst.requests)
         builds = []
         with pytest.MonkeyPatch.context() as m:

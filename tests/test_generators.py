@@ -23,15 +23,6 @@ def gen_random_by_list(n, m, q, p, seed, max_weight=9):
     return DsnInstance(WeightedDigraph(range(n), arcs), requests)
 
 
-def grid_requests_by_list(width, height, q, p, seed):
-    """Reference: `gen_grid`'s requests sampled from the list of all q(q-1)
-    terminal pairs."""
-    rng = random.Random(seed)
-    terminals = sorted(rng.sample(range(width * height), q))
-    pairs = [(s, t) for s in terminals for t in terminals if s != t]
-    return frozenset(rng.sample(pairs, p))
-
-
 def peak_bytes(call):
     tracemalloc.start()
     try:
@@ -52,22 +43,9 @@ def test_random_matches_list_sampler(n):
         assert inst == gen_random_by_list(n, m, q, p, seed)
 
 
-@pytest.mark.parametrize("width,height", [(1, 2), (2, 2), (3, 2), (4, 4)])
-def test_grid_requests_match_list_sampler(width, height):
-    n = width * height
-    for seed in range(20):
-        rng = random.Random(seed)
-        q = rng.randint(2, n)
-        p = rng.randint(0, q * (q - 1))
-        inst, _ = gen_grid(width, height, q=q, p=p, seed=seed)
-        assert inst.requests == grid_requests_by_list(width, height, q, p, seed)
-
-
 def test_request_sampling_does_not_list_all_pairs():
     # Listing all q(q-1) pairs at q = 1,000 would take about 65 MB.
     assert peak_bytes(lambda: gen_random(1000, 1, 1000, 3, seed=3)) < 1 << 20
-    # The 1000x1 grid host alone takes about 1.1 MB.
-    assert peak_bytes(lambda: gen_grid(1000, 1, q=1000, p=3, seed=3)) < 2 << 20
 
 
 def test_random_allocation_is_linear_in_vertices():

@@ -1,7 +1,9 @@
 """Source hygiene: every name a module or test file imports is used in
 that file, every import sits at module level, not inside a function body,
 every private module-level name is used somewhere in the package, and so is
-every public function and class, unless it is library surface.
+every public function and class, unless it is library surface.  Every field
+of a `@dataclass` in the package is read as an attribute in the package or
+its tests.
 
 `__init__.py` is exempt from the unused-import scan because it imports names
 only to re-export them through `__all__`."""
@@ -153,3 +155,38 @@ def test_scan_finds_a_left_behind_public_function():
 def test_public_names_are_referenced_or_library_surface():
     found = unreferenced_names({p.name: p.read_text() for p in SOURCES}, public_definitions)
     assert set(found) == LIBRARY_SURFACE
+
+
+def dataclass_fields(tree):
+    """(class, field) for each annotated field of a `@dataclass` class."""
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and any(
+            isinstance(d, ast.Name) and d.id == "dataclass"
+            or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
+            for d in cls.decorator_list
+        ):
+            for stmt in cls.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    yield cls.name, stmt.target.id
+
+
+def unread_fields(sources, readers):
+    """(class, field) for each dataclass field defined in `sources` that no
+    code in `sources` or `readers` reads as an attribute (`x.field`)."""
+    trees = [ast.parse(source) for source in sources]
+    read = {
+        node.attr
+        for tree in trees + [ast.parse(source) for source in readers]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(field for tree in trees for field in dataclass_fields(tree) if field[1] not in read)
+
+
+def test_scan_finds_an_unread_field():
+    source = "@dataclass(frozen=True)\nclass P:\n    x: int\n    y: int\n\nclass Q:\n    z: int\n"
+    assert unread_fields([source], ["print(P(1, 2).x)\n"]) == [("P", "y")]
+
+
+def test_dataclass_fields_are_read():
+    assert unread_fields([p.read_text() for p in SOURCES], [p.read_text() for p in TESTS]) == []

@@ -62,7 +62,7 @@ def _solve_subset_scan(inst):
             cost = sum((weights[a] for a in combo), Fraction(0))
             if best is not None and cost >= best[0]:
                 continue
-            g = inst.host.subgraph(combo, extra_vertices=inst.terminals)
+            g = WeightedDigraph(inst.host.vertices, {a: weights[a] for a in combo})
             if violated_request(g, inst.requests) is None:
                 best = (cost, list(combo))
     if best is None:
@@ -760,6 +760,61 @@ class TestCertificateWrapper:
         result, cert = solve_with_certificate(DsnInstance(g, {(0, 2)}))
         assert not result.feasible and cert is None
 
+    @pytest.mark.parametrize("dense", [False, True], ids=["15-arcs", "182-arcs"])
+    @pytest.mark.parametrize(
+        "requests",
+        [
+            set(),
+            {(0, 1)},
+            {(0, t) for t in range(1, 13)},
+            {(0, t) for t in range(1, 14)},
+            {(0, 1), (1, 2)},
+            {(1, 2), (2, 1)},
+        ],
+        ids=["empty", "one-request", "12-leaves", "13-leaves", "two-sources", "cycle"],
+    )
+    def test_auto_engine_choice(self, requests, dense, monkeypatch):
+        """[DERIVED: dst for an out-star with at most DST_MAX_LEAVES leaves,
+        else exhaustive up to EXHAUSTIVE_MAX_ARCS arcs, else bnb]  Each
+        engine is stubbed to report its name, so nothing is solved."""
+        stubs = {name: lambda inst, name=name: _infeasible(name) for name in solvers.ENGINES}
+        monkeypatch.setattr(solvers, "ENGINES", stubs)
+        if dense:
+            arcs = {(u, v): 1 for u in range(14) for v in range(14) if u != v}
+        else:
+            arcs = {**{(0, v): 1 for v in range(1, 14)}, (1, 2): 1, (2, 1): 1}
+        inst = DsnInstance(WeightedDigraph(range(14), arcs), requests)
+        try:
+            dst_root(inst)
+            star = len(inst.requests) <= solvers.DST_MAX_LEAVES
+        except DomainError:
+            star = False
+        expected = "dst" if star else "exhaustive" if inst.host.m <= solvers.EXHAUSTIVE_MAX_ARCS else "bnb"
+        assert solve_with_certificate(inst)[0].method == expected
+
+
+class TestTerminalsEndArcs:
+    @settings(max_examples=80, deadline=None)
+    @given(g=digraphs(max_n=6), data=st.data())
+    def test_feasible_optimum_holds_every_terminal(self, g, data):
+        """Every request joins two distinct terminals, so each terminal ends
+        an arc of a valid solution and lies in the optimum's graph."""
+        if data.draw(st.booleans(), label="out-star"):
+            root = data.draw(st.sampled_from(g.vertices))
+            leaves = data.draw(st.sets(st.sampled_from([v for v in g.vertices if v != root]), min_size=1, max_size=4))
+            inst = DsnInstance(g, {(root, t) for t in leaves})
+            engines = [solve_bnb, solve_dst]
+        else:
+            pairs = [(s, t) for s in g.vertices for t in g.vertices if s != t]
+            inst = DsnInstance(g, data.draw(st.sets(st.sampled_from(pairs), min_size=1, max_size=4)))
+            engines = [solve_bnb]
+        if g.m <= solvers.EXHAUSTIVE_MAX_ARCS:
+            engines.append(solve_exhaustive)
+        for engine in engines:
+            result = engine(inst)
+            if result.feasible:
+                assert set(inst.terminals) <= set(result.optimum.as_graph().vertices), engine.__name__
+
 
 class TestSelfChecks:
     """These are `InvariantError`s, not asserts, so they also run under -O."""
@@ -797,7 +852,6 @@ class TestSelfChecks:
         inst = DsnInstance(g, {(0, 1)})
         r = _finish(inst, set(g.arcs()) - {(1, 3)}, 5, "x")
         assert r.optimum.arcs == frozenset({(0, 1), (0, 2), (2, 1)})
-        assert r.optimum.pinned == frozenset(inst.terminals)
         assert r.cost == 7 and r.node_count == 5 and r.method == "x"
 
     def test_no_solve_path_minimizes(self, monkeypatch):

@@ -16,6 +16,7 @@ from dsnkit.errors import CapacityError, InconsistencyError, InvariantError, Pre
 from dsnkit.graphs import DirectedPath, WeightedDigraph, treewidth_exact, treewidth_upper_bound
 from dsnkit import graphs, structure
 from dsnkit.ladders import LadderVerdict
+from dsnkit.solvers import solve_exhaustive
 from dsnkit.structure import (
     LadderSegment,
     PathRecord,
@@ -36,7 +37,7 @@ from dsnkit.structure import (
     suppress_degree_two,
 )
 
-from conftest import CUBE, digraphs, ladder_with_terminals, reaches, without_vertices
+from conftest import CUBE, digraphs, ladder_with_terminals, random_instances, reaches, without_vertices
 
 
 def onto_path_reach_by_dfs(graph, src, pset):
@@ -201,20 +202,45 @@ class TestImportantVertices:
         assert len(imp.important) <= 2 * 3 - 2
 
 
+def assert_quadruples_ordered(P, mk):
+    """Every quadruple satisfies p1 <= p2 <= center <= p3 <= p4 in path
+    order, and a non-degenerate one's witnesses run p3 -> p1 and p4 -> p2
+    with no internal vertex on P.  Returns the non-degenerate count."""
+    idx = {v: i for i, v in enumerate(P.vertices)}
+    found = 0
+    for quad in mk.quadruples:
+        assert idx[quad.p1] <= idx[quad.p2] <= idx[quad.center] <= idx[quad.p3] <= idx[quad.p4]
+        if not quad.degenerate:
+            found += 1
+            assert (quad.q31.vertices[0], quad.q31.vertices[-1]) == (quad.p3, quad.p1)
+            assert (quad.q42.vertices[0], quad.q42.vertices[-1]) == (quad.p4, quad.p2)
+            assert not set(quad.q31.vertices[1:-1] + quad.q42.vertices[1:-1]) & set(P.vertices)
+    return found
+
+
 class TestMarkedVertices:
     def test_ordering_invariant_on_ladder_path(self):
-        # walk the length-8 ladder between two added terminals: every
-        # quadruple must satisfy p1 <= p2 <= center <= p3 <= p4 in path order
+        # walk the length-8 ladder between two added terminals
         inst = ladder_with_terminals(8)
         T = set(inst.terminals)
         P = realize_request_path(inst.host, T, *sorted(inst.requests)[0])
         imp = important_vertices(inst.host, T, P)
-        mk = marked_vertices(inst.host, P, imp)
-        idx = {v: i for i, v in enumerate(P.vertices)}
-        for quad in mk.quadruples:
-            assert (
-                idx[quad.p1] <= idx[quad.p2] <= idx[quad.center] <= idx[quad.p3] <= idx[quad.p4]
-            )
+        assert_quadruples_ordered(P, marked_vertices(inst.host, P, imp))
+
+    def test_ordering_invariant_on_solver_optima(self):
+        """The ladder path has no important vertex; optima of small random
+        instances have non-degenerate quadruples (21 on these 60)."""
+        found = 0
+        for inst in random_instances(60, max_requests=6):
+            result = solve_exhaustive(inst)
+            if not result.feasible:
+                continue
+            g, T = result.optimum.as_graph(), set(inst.terminals)
+            for s, t in sorted(inst.requests):
+                P = realize_request_path(g, T, s, t)
+                if P is not None:
+                    found += assert_quadruples_ordered(P, marked_vertices(g, P, important_vertices(g, T, P)))
+        assert found > 0
 
     def test_backjump_gives_nondegenerate_quadruple(self):
         # path 0..4 with a detour 3 -> 5 -> 1 jumping back across vertex 2
@@ -228,6 +254,7 @@ class TestMarkedVertices:
         assert not quad.degenerate
         assert (quad.p1, quad.p4) == (1, 3)
         assert quad.q31 is not None and quad.q31.vertices == (3, 5, 1)
+        assert quad.q42 is not None and quad.q42.vertices == (3, 5, 1)
 
     def test_marked_bound(self):
         inst = ladder_with_terminals(10)
@@ -489,6 +516,21 @@ class TestCertificate:
         with pytest.raises(CapacityError, match="irreducible component of 8 vertices"):
             treewidth_exact(CUBE)
         assert structure._tw_maybe_exact(CUBE) == (treewidth_upper_bound(CUBE), False)
+
+    def test_upper_bound_widths_are_integers(self, monkeypatch):
+        """With no exact width, both widths come from the upper bound: still
+        integers, and the per-terminal width is a plain quotient."""
+        def over_cap(u):
+            raise CapacityError("over the cap")
+
+        monkeypatch.setattr(structure, "treewidth_exact", over_cap)
+        inst = ladder_with_terminals(8)
+        sol = SolutionSubgraph(inst.host, frozenset(inst.host.arcs()))
+        cert = certify_treewidth_bound(inst, sol)
+        assert type(cert.tw_solution) is int and cert.tw_solution == cert.report.tw_before
+        assert type(cert.tw_reduced) is int and cert.tw_reduced == cert.report.tw_after
+        assert not cert.tw_solution_exact and not cert.tw_reduced_exact
+        assert cert.tw_per_terminal == cert.tw_solution / cert.q
 
 
 class TestAvoidingPath:
