@@ -262,11 +262,18 @@ def cmd_bench(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors exit 4, the input-error code
-    (argparse's own 2 is "infeasible" here); subparsers inherit the class."""
+    (argparse's own 2 is "infeasible" here); subparsers inherit the class.
+    Like 3.11's argparse and unlike 3.10's, it drops a text it cannot write."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_DOMAIN, f"{self.prog}: error: {message}\n")
+
+    def _print_message(self, message, file=None):
+        try:
+            super()._print_message(message, file)
+        except OSError:
+            pass
 
 
 @functools.cache

@@ -8,12 +8,11 @@ level is where the real logic lives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Container, FrozenSet, Iterable, List, Optional, Tuple
 
 from .errors import InputError, PreconditionError
-from .graphs import Arc, WeightedDigraph, necessary_arcs, search
+from .graphs import Arc, WeightedDigraph, _Record, necessary_arcs, search
 
 Request = Tuple[int, int]
 
@@ -27,21 +26,18 @@ def _normalize_requests_arg(requests: Iterable[Request]) -> FrozenSet[Request]:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class DsnInstance:
+class DsnInstance(_Record):
     """A DSN instance: host digraph plus a simple request digraph on the
     terminal set.  Terminals are exactly the request endpoints."""
 
-    host: WeightedDigraph
-    requests: FrozenSet[Request]
+    __slots__ = ("host", "requests")
 
     def __init__(self, host: WeightedDigraph, requests: Iterable[Request]):
         reqs = _normalize_requests_arg(requests)
         for s, t in reqs:
             if not host.has_vertex(s) or not host.has_vertex(t):
                 raise InputError(f"request {s}->{t} endpoint not in the host graph")
-        object.__setattr__(self, "host", host)
-        object.__setattr__(self, "requests", reqs)
+        super().__init__(host, reqs)
 
     @property
     def terminals(self) -> Tuple[int, ...]:
@@ -59,23 +55,20 @@ class DsnInstance:
         return sorted(self.requests)
 
 
-@dataclass(frozen=True)
-class SolutionSubgraph:
+class SolutionSubgraph(_Record):
     """An arc subset of a host graph; its vertices are the arcs' ends.
 
     Every request joins two distinct terminals, so each terminal ends an arc
     of a valid solution and needs no separate record."""
 
-    host: WeightedDigraph
-    arcs: FrozenSet[Arc]
+    __slots__ = ("host", "arcs")
 
     def __init__(self, host: WeightedDigraph, arcs: Iterable[Arc]):
         arcset = frozenset(arcs)
         for a in arcset:
             if not host.has_arc(*a):
                 raise InputError(f"arc {a} is not in the host graph")
-        object.__setattr__(self, "host", host)
-        object.__setattr__(self, "arcs", arcset)
+        super().__init__(host, arcset)
 
     def as_graph(self) -> WeightedDigraph:
         return self.host.subgraph(self.arcs)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Container, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
@@ -44,8 +43,6 @@ class WeightedDigraph:
             raise InputError("duplicate vertex ids")
         vset = frozenset(vs)
         checked: Dict[Arc, Fraction] = {}
-        out: Dict[int, List[int]] = {v: [] for v in vs}
-        inn: Dict[int, List[int]] = {v: [] for v in vs}
         for a, w in arcs.items():
             u, v = a
             if u == v:
@@ -53,13 +50,17 @@ class WeightedDigraph:
             if u not in vset or v not in vset:
                 raise InputError(f"arc ({u}, {v}) has an unknown endpoint")
             checked[a] = w if isinstance(w, Fraction) and w.numerator > 0 else _as_weight(w)
+        # One pass over the sorted arcs leaves every neighbour list sorted.
+        out: Dict[int, List[int]] = {v: [] for v in vs}
+        inn: Dict[int, List[int]] = {v: [] for v in vs}
+        for u, v in sorted(checked):
             out[u].append(v)
             inn[v].append(u)
         self._vertices: Tuple[int, ...] = tuple(vs)
         self._vset = vset
         self._arcs = checked
-        self._out = {v: tuple(sorted(ns)) for v, ns in out.items()}
-        self._in = {v: tuple(sorted(ns)) for v, ns in inn.items()}
+        self._out = {v: tuple(ns) for v, ns in out.items()}
+        self._in = {v: tuple(ns) for v, ns in inn.items()}
 
     # -- basic accessors -------------------------------------------------
 
@@ -165,18 +166,50 @@ class WeightedDigraph:
         return f"WeightedDigraph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class DirectedPath:
+class _Record:
+    """A read-only record whose fields are its `__slots__`, as a frozen
+    dataclass behaves: equal only to its own class, and hashed, pickled and
+    shown as `Name(field=value, ...)` by its field values."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self.__slots__)})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class DirectedPath(_Record):
     """A directed path; consecutive vertices must be joined by an arc of the
     carrier graph and all vertices are distinct."""
 
-    vertices: Tuple[int, ...]
+    __slots__ = ("vertices",)
 
-    def __post_init__(self):
-        if not self.vertices:
+    def __init__(self, vertices: Tuple[int, ...]):
+        if not vertices:
             raise InputError("a path has at least one vertex")
-        if len(set(self.vertices)) != len(self.vertices):
+        if len(set(vertices)) != len(vertices):
             raise InputError("path vertices must be distinct")
+        super().__init__(vertices)
 
     @property
     def start(self) -> int:

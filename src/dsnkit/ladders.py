@@ -8,20 +8,17 @@ structural pipeline is allowed to shrink.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .errors import InputError, InvariantError
-from .graphs import UNIT, Arc, DirectedPath, WeightedDigraph, necessary_arcs, suppress_degree_two
+from .graphs import UNIT, Arc, DirectedPath, WeightedDigraph, _Record, necessary_arcs, suppress_degree_two
 
 
-@dataclass(frozen=True)
-class LadderSpec:
+class LadderSpec(_Record):
     """Length n plus the set of identified positions I."""
 
-    n: int
-    identified: FrozenSet[int] = frozenset()
+    __slots__ = ("n", "identified")
 
     def __init__(self, n: int, identified=()):
         if n < 1:
@@ -29,8 +26,7 @@ class LadderSpec:
         ident = frozenset(identified)
         if not all(1 <= i <= n for i in ident):
             raise InputError(f"identified positions must lie in 1..{n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "identified", ident)
+        super().__init__(n, ident)
 
     def a(self, i: int) -> int:
         """Vertex id of a_i (even ids; b_i collapses onto a_i when i in I)."""
@@ -100,8 +96,7 @@ def ladder_two_path_decomposition(g: WeightedDigraph, spec: LadderSpec) -> Tuple
 # recognition
 
 
-@dataclass(frozen=True)
-class LadderVerdict:
+class LadderVerdict(NamedTuple):
     ok: bool
     length: int = 0
     reason: str = ""

@@ -10,13 +10,12 @@ embedding back out of a tight solution.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from math import isqrt
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from .dsn import DsnInstance, Request, SolutionSubgraph, validate
 from .errors import CapacityError, InputError, InvariantError, PreconditionError
-from .graphs import UNIT, UndirectedGraph, WeightedDigraph
+from .graphs import UNIT, UndirectedGraph, WeightedDigraph, _Record
 from .solvers import _solve_path_union
 
 Edge = Tuple[int, int]
@@ -27,23 +26,20 @@ def _edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
-class PsiInstance:
+class PsiInstance(_Record):
     """Host graph, pattern graph and the class map from host to pattern
     vertices; an embedding must send each pattern vertex into its own class."""
 
-    hostG: UndirectedGraph
-    patternH: UndirectedGraph
-    classmap: Dict[int, int]  # V(G) -> V(H)
+    __slots__ = ("hostG", "patternH", "classmap")  # classmap: V(G) -> V(H)
 
-    def __post_init__(self):
-        g, h = self.hostG, self.patternH
-        if h.n > g.n:
+    def __init__(self, hostG: UndirectedGraph, patternH: UndirectedGraph, classmap: Dict[int, int]):
+        if patternH.n > hostG.n:
             raise InputError("pattern graph is larger than the host graph")
-        if set(self.classmap) != set(g.vertices):
+        if set(classmap) != set(hostG.vertices):
             raise InputError("class map must be total on the host vertices")
-        if not set(self.classmap.values()) <= set(h.vertices):
+        if not set(classmap.values()) <= set(patternH.vertices):
             raise InputError("class map image must lie in the pattern graph")
+        super().__init__(hostG, patternH, classmap)
 
     @property
     def k(self) -> int:
@@ -53,8 +49,7 @@ class PsiInstance:
         return sorted(v for v, c in self.classmap.items() if c == h)
 
 
-@dataclass(frozen=True)
-class Labelling:
+class Labelling(NamedTuple):
     """Three colour maps on the pattern graph:
 
     - alpha groups vertices into chunks, each inside one colour class of a
@@ -185,8 +180,7 @@ def ceil_sqrt(k: int) -> int:
     return s if s * s == k else s + 1
 
 
-@dataclass(frozen=True)
-class ReductionOutput:
+class ReductionOutput(NamedTuple):
     psi: PsiInstance
     labelling: Labelling
     dsn: DsnInstance

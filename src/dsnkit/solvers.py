@@ -12,9 +12,8 @@ import heapq
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from .dsn import DsnInstance, SolutionSubgraph, validate, violated_request
 from .errors import CapacityError, DomainError, InvariantError
@@ -33,8 +32,7 @@ _distance = operator.itemgetter(2)
 PathArcs = Tuple[Tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     feasible: bool
     optimum: Optional[SolutionSubgraph]
     cost: Optional[Fraction]

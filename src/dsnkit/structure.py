@@ -9,23 +9,10 @@ introduce vertices that are not part of any host graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .dsn import (
-    DsnInstance,
-    Request,
-    SolutionSubgraph,
-    _normalize_requests_arg,
-    normalize_requests_graph,
-)
-from .errors import (
-    CapacityError,
-    DomainError,
-    InputError,
-    InvariantError,
-    PreconditionError,
-)
+from .dsn import DsnInstance, Request, SolutionSubgraph, _normalize_requests_arg, normalize_requests_graph
+from .errors import CapacityError, DomainError, InputError, InvariantError, PreconditionError
 from .graphs import (
     UNIT,
     DirectedPath,
@@ -67,8 +54,7 @@ def realize_request_path(
 # important vertices
 
 
-@dataclass(frozen=True)
-class ImportantSet:
+class ImportantSet(NamedTuple):
     path: DirectedPath
     important: Tuple[int, ...]  # in path order
     labels: Dict[int, FrozenSet[Tuple[int, str]]]  # vertex -> {(terminal, "<-"/"->")}
@@ -156,8 +142,7 @@ def important_vertices(
 # marked vertices
 
 
-@dataclass(frozen=True)
-class MarkedQuadruple:
+class MarkedQuadruple(NamedTuple):
     center: int
     p1: int
     p2: int
@@ -171,8 +156,7 @@ class MarkedQuadruple:
         return self.p1 == self.p2 == self.p3 == self.p4 == self.center
 
 
-@dataclass(frozen=True)
-class MarkedSet:
+class MarkedSet(NamedTuple):
     quadruples: Tuple[MarkedQuadruple, ...]
 
     @property
@@ -244,8 +228,7 @@ def _component_avoiding(graph: WeightedDigraph, v: int, boundary: Set[int]) -> F
     return frozenset(seen)
 
 
-@dataclass(frozen=True)
-class LadderSegment:
+class LadderSegment(NamedTuple):
     start_index: int  # index of p_i on P
     end_index: int  # index of p_j on P
     boundary: Tuple[int, int, int, int]  # (p_{i+1}, p_{i+2}, p_{j-2}, p_{j-1})
@@ -428,8 +411,7 @@ def _verify_replacement(
 # length-reduction pipeline
 
 
-@dataclass
-class PathRecord:
+class PathRecord(NamedTuple):
     request: Request
     path_vertices: Tuple[int, ...]
     length: int
@@ -461,8 +443,7 @@ class PathRecord:
         }
 
 
-@dataclass
-class StructureReport:
+class StructureReport(NamedTuple):
     terminals: Tuple[int, ...]
     original_requests: Tuple[Request, ...]
     normalized_requests: Tuple[Request, ...]
@@ -613,8 +594,7 @@ def reduce_length(inst: DsnInstance, sol: SolutionSubgraph) -> Tuple[WeightedDig
 # certification
 
 
-@dataclass
-class TreewidthCertificate:
+class TreewidthCertificate(NamedTuple):
     declared_genus: int
     q: int
     tw_solution: int

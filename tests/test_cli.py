@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import errno
 import io
@@ -531,6 +532,33 @@ def test_failed_stderr_write_in_a_process(tmp_path, flags):
         generate_hardness_instance(PsiInstance(K4, K4, {i: i for i in range(4)})).dsn,
         {"generator": "hardness-reduction", "threshold": "26", "k": "4"},
     ).encode()
+
+
+def _print_message_as_in_python_3_10(self, message, file=None):
+    """argparse's `_print_message` as Python 3.10 has it: a failed write raises."""
+    if message:
+        if file is None:
+            file = sys.stderr
+        file.write(message)
+
+
+@pytest.mark.parametrize(
+    "argv, failing, code",
+    [
+        (["solve"], "stderr", 4),
+        (["solve", "x.dsn", "--bogus"], "stderr", 4),
+        (["--help"], "stdout", 0),
+        (["gen", "ladder", "--help"], "stdout", 0),
+    ],
+    ids=["usage-error", "left-over-argument", "help", "subcommand-help"],
+)
+def test_unwritable_usage_or_help_exits_as_in_python_3_11(monkeypatch, argv, failing, code):
+    # Under 3.10's argparse the OSError of the failed write escaped `main`.
+    monkeypatch.setattr(argparse.ArgumentParser, "_print_message", _print_message_as_in_python_3_10)
+    monkeypatch.setattr(sys, failing, _FailingStream("write", OSError(errno.ENOSPC, "No space left on device")))
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == code
 
 
 @pytest.mark.parametrize("command", ["gen", "reduce"])

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from fractions import Fraction
 
@@ -19,7 +22,9 @@ from dsnkit.graphs import (
     treewidth_upper_bound,
 )
 
-from dsnkit.dsn import violated_request
+from dsnkit.dsn import DsnInstance, SolutionSubgraph, violated_request
+from dsnkit.ladders import LadderSpec, LadderVerdict
+from dsnkit.reduction import PsiInstance
 
 from conftest import CUBE, K4, _component_tw_dp, all_simple_paths, digraphs, rational_shortest_path, reaches, without_vertices
 
@@ -168,6 +173,17 @@ class TestWeightedDigraph:
         g = WeightedDigraph(range(4), {(0, 3): 1, (0, 1): 1, (0, 2): 1})
         assert g.out_neighbors(0) == (1, 2, 3)
         assert g.neighbors(0) == (1, 2, 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(digraphs(), st.randoms(use_true_random=False))
+    def test_adjacency_is_sorted_and_arcs_keep_input_order(self, g, rnd):
+        arcs = list(g.arcs().items())
+        rnd.shuffle(arcs)
+        h = WeightedDigraph(g.vertices, dict(arcs))
+        assert list(h.arcs().items()) == arcs
+        for v in h.vertices:
+            assert h.out_neighbors(v) == tuple(sorted(y for (x, y), _ in arcs if x == v))
+            assert h.in_neighbors(v) == tuple(sorted(x for (x, y), _ in arcs if y == v))
 
     def test_unknown_vertex_rejected_by_every_accessor(self):
         g = WeightedDigraph(range(2), {(0, 1): 1})
@@ -394,6 +410,97 @@ class TestPaths:
     def test_rejects_repeats(self):
         with pytest.raises(InputError):
             DirectedPath((0, 1, 0))
+
+
+ARC = WeightedDigraph(range(2), {(0, 1): 1})
+EDGE = UndirectedGraph(range(2), [(0, 1)])
+
+# Each checked record as a function building a fresh instance, with the
+# repr text a frozen dataclass of the same fields printed.
+RECORDS = [
+    (lambda: DirectedPath((0, 1)), "DirectedPath(vertices=(0, 1))"),
+    (lambda: LadderSpec(3, {2}), "LadderSpec(n=3, identified=frozenset({2}))"),
+    (lambda: DsnInstance(ARC, {(0, 1)}),
+     "DsnInstance(host=WeightedDigraph(n=2, m=1), requests=frozenset({(0, 1)}))"),
+    (lambda: SolutionSubgraph(ARC, {(0, 1)}),
+     "SolutionSubgraph(host=WeightedDigraph(n=2, m=1), arcs=frozenset({(0, 1)}))"),
+    (lambda: PsiInstance(EDGE, EDGE, {0: 0, 1: 1}),
+     "PsiInstance(hostG=UndirectedGraph(n=2, m=1), patternH=UndirectedGraph(n=2, m=1), classmap={0: 0, 1: 1})"),
+]
+RECORD_IDS = ["DirectedPath", "LadderSpec", "DsnInstance", "SolutionSubgraph", "PsiInstance"]
+
+
+class TestRecords:
+    """The checked records keep the behaviour of the frozen dataclasses they
+    were: field equality within one class only, equal hashes, the dataclass
+    repr, read-only fields, and copies and pickles that compare equal."""
+
+    @pytest.mark.parametrize("make, text", RECORDS, ids=RECORD_IDS)
+    def test_equal_instances_compare_and_hash_equal(self, make, text):
+        a, b = make(), make()
+        assert a is not b and a == b and not a != b
+        if isinstance(a, PsiInstance):
+            # Its class map is a dict, so, as before, it has no hash.
+            with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+                hash(a)
+        else:
+            assert hash(a) == hash(b)
+            assert len({a, b}) == 1
+
+    @pytest.mark.parametrize("make, text", RECORDS, ids=RECORD_IDS)
+    def test_never_equal_to_a_tuple_of_its_fields(self, make, text):
+        a = make()
+        fields = tuple(getattr(a, f) for f in type(a).__slots__)
+        assert a != fields and fields != a
+        assert a != fields[0] and a != list(fields)
+
+    def test_equal_fields_of_another_class_are_not_equal(self):
+        assert DsnInstance(ARC, {(0, 1)}) != SolutionSubgraph(ARC, {(0, 1)})
+        assert LadderSpec(3, {2}) != LadderSpec(3, {1}) and LadderSpec(3) != LadderSpec(4)
+
+    @pytest.mark.parametrize("make, text", RECORDS, ids=RECORD_IDS)
+    def test_repr_is_the_dataclass_text(self, make, text):
+        assert repr(make()) == text
+
+    @pytest.mark.parametrize("make, text", RECORDS, ids=RECORD_IDS)
+    def test_fields_are_read_only(self, make, text):
+        a = make()
+        for field in type(a).__slots__:
+            before = getattr(a, field)
+            with pytest.raises(AttributeError):
+                setattr(a, field, None)
+            with pytest.raises(AttributeError):
+                delattr(a, field)
+            assert getattr(a, field) is before
+        with pytest.raises(AttributeError):
+            a.extra = 1
+
+    @pytest.mark.parametrize("make, text", RECORDS, ids=RECORD_IDS)
+    def test_copies_and_pickles_are_equal(self, make, text):
+        a = make()
+        for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+            assert type(b) is type(a) and repr(b) == text and b == a
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: DirectedPath(()), "a path has at least one vertex"),
+        (lambda: DirectedPath((0, 1, 0)), "path vertices must be distinct"),
+        (lambda: LadderSpec(0), "ladder length must be positive"),
+        (lambda: LadderSpec(4, {5}), "identified positions must lie in 1..4"),
+        (lambda: LadderSpec(4, {0}), "identified positions must lie in 1..4"),
+        (lambda: DsnInstance(ARC, {(1, 1)}), "request 1->1 has equal endpoints"),
+        (lambda: DsnInstance(ARC, {(0, 7)}), "request 0->7 endpoint not in the host graph"),
+        (lambda: SolutionSubgraph(ARC, {(1, 0)}), "arc (1, 0) is not in the host graph"),
+        (lambda: PsiInstance(EDGE, K4, {0: 0, 1: 1}), "pattern graph is larger than the host graph"),
+        (lambda: PsiInstance(EDGE, EDGE, {0: 0}), "class map must be total on the host vertices"),
+        (lambda: PsiInstance(EDGE, EDGE, {0: 0, 1: 2}), "class map image must lie in the pattern graph"),
+    ])
+    def test_each_field_check_raises_its_message(self, build, message):
+        with pytest.raises(InputError) as info:
+            build()
+        assert str(info.value) == message
+
+    def test_named_tuple_records_keep_the_dataclass_repr(self):
+        assert repr(LadderVerdict(True)) == "LadderVerdict(ok=True, length=0, reason='')"
 
 
 class TestDiameter:

@@ -2,13 +2,17 @@
 that file, every import sits at module level, not inside a function body,
 every private module-level name is used somewhere in the package, and so is
 every public function and class, unless it is library surface.  Every field
-of a `@dataclass` in the package is read as an attribute in the package or
-its tests.
+of a record in the package (a `@dataclass`, a `NamedTuple` or a class with
+`__slots__`) is read as an attribute in the package or its tests, and
+`import dsnkit.cli` loads neither `dataclasses` nor `inspect`.
 
 `__init__.py` is exempt from the unused-import scan because it imports names
 only to re-export them through `__all__`."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -157,21 +161,39 @@ def test_public_names_are_referenced_or_library_surface():
     assert set(found) == LIBRARY_SURFACE
 
 
-def dataclass_fields(tree):
-    """(class, field) for each annotated field of a `@dataclass` class."""
+def is_dataclass(cls):
+    return any(
+        isinstance(d, ast.Name) and d.id == "dataclass"
+        or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
+        for d in cls.decorator_list
+    )
+
+
+def is_named_tuple(cls):
+    return any(
+        isinstance(b, ast.Name) and b.id == "NamedTuple" or isinstance(b, ast.Attribute) and b.attr == "NamedTuple"
+        for b in cls.bases
+    )
+
+
+def record_fields(tree):
+    """(class, field) for each annotated field of a `@dataclass` or
+    `NamedTuple` class, and for each name in a class's `__slots__`."""
     for cls in ast.walk(tree):
-        if isinstance(cls, ast.ClassDef) and any(
-            isinstance(d, ast.Name) and d.id == "dataclass"
-            or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
-            for d in cls.decorator_list
-        ):
-            for stmt in cls.body:
-                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-                    yield cls.name, stmt.target.id
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        annotated = is_dataclass(cls) or is_named_tuple(cls)
+        for stmt in cls.body:
+            if annotated and isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                yield cls.name, stmt.target.id
+            elif isinstance(stmt, ast.Assign) and any(getattr(t, "id", None) == "__slots__" for t in stmt.targets):
+                for node in ast.walk(stmt.value):
+                    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                        yield cls.name, node.value
 
 
 def unread_fields(sources, readers):
-    """(class, field) for each dataclass field defined in `sources` that no
+    """(class, field) for each record field defined in `sources` that no
     code in `sources` or `readers` reads as an attribute (`x.field`)."""
     trees = [ast.parse(source) for source in sources]
     read = {
@@ -180,13 +202,33 @@ def unread_fields(sources, readers):
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
-    return sorted(field for tree in trees for field in dataclass_fields(tree) if field[1] not in read)
+    return sorted(field for tree in trees for field in record_fields(tree) if field[1] not in read)
 
 
 def test_scan_finds_an_unread_field():
-    source = "@dataclass(frozen=True)\nclass P:\n    x: int\n    y: int\n\nclass Q:\n    z: int\n"
-    assert unread_fields([source], ["print(P(1, 2).x)\n"]) == [("P", "y")]
+    source = (
+        "@dataclass(frozen=True)\nclass P:\n    x: int\n    y: int\n\nclass Q:\n    z: int\n\n"
+        "class R(NamedTuple):\n    u: int\n    v: int = 0\n\n"
+        "class S(typing.NamedTuple):\n    w: int\n\n"
+        "class T(_Record):\n    __slots__ = ('s', 't')\n    k: int\n"
+    )
+    readers = ["print(P(1, 2).x, R(1).u, T(1, 2).s)\n"]
+    assert unread_fields([source], readers) == [("P", "y"), ("R", "v"), ("S", "w"), ("T", "t")]
 
 
-def test_dataclass_fields_are_read():
+def test_record_fields_are_read():
     assert unread_fields([p.read_text() for p in SOURCES], [p.read_text() for p in TESTS]) == []
+
+
+def test_record_fields_scan_covers_the_package_records():
+    found = {cls for p in SOURCES for cls, _ in record_fields(ast.parse(p.read_text()))}
+    assert found >= {"DirectedPath", "DsnInstance", "LadderSpec", "LadderVerdict", "SolveResult", "StructureReport"}
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # A fresh interpreter without `site`, so that only dsnkit's own imports count.
+    src = str(Path(dsnkit.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, dsnkit.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"

@@ -1,4 +1,3 @@
-import dataclasses
 import warnings
 
 import pytest
@@ -54,7 +53,7 @@ class TestLabelling:
         # (0, 1) and (2, 3) already share gamma 0, which is allowed because
         # no endpoints of theirs share an alpha colour.
         lab = build_labelling(identity_psi(K4))
-        broken = dataclasses.replace(lab, **{f: {**getattr(lab, f), **c} for f, c in changes.items()})
+        broken = lab._replace(**{f: {**getattr(lab, f), **c} for f, c in changes.items()})
         assert check_labelling(K4, broken) == message
 
     def test_k4_sizes(self):
