@@ -210,6 +210,24 @@ class TestSolve:
         assert text == emit_dsn(expected)
         assert parse_dsn(text)[0] == expected
 
+    @pytest.mark.parametrize("command", ["reduce", "gen", "bench"])
+    def test_toolkit_bug_without_an_instance_prints_no_reproducer(self, tmp_path, monkeypatch, capsys, command):
+        # reduce fails in its labelling, before `build_dsn` returns; gen and
+        # bench never hand over an instance.
+        def broken(*args):
+            raise InvariantError("self-check failed")
+
+        if command == "reduce":
+            path = tmp_path / "k4.psi"
+            path.write_text(emit_psi(PsiInstance(K4, K4, {i: i for i in range(4)})))
+            monkeypatch.setattr(reduction, "check_labelling", lambda h, lab: "a violation")
+            argv, message = ["reduce", str(path), "--decide"], "labelling condition violated: a violation"
+        else:
+            monkeypatch.setattr(cli, "gen_ladder" if command == "gen" else "solve_bnb", broken)
+            argv, message = (["gen", "ladder", "4"] if command == "gen" else ["bench"]), "self-check failed"
+        assert main(argv) == 5
+        assert capsys.readouterr() == ("", f"internal error: {message}\n")
+
     def test_bnb_self_check_prints_the_instance(self, tmp_path, unsound_bnb_bound, capsys):
         path = tmp_path / "two_routes.dsn"
         path.write_text(emit_dsn(unsound_bnb_bound))

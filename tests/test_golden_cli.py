@@ -2,13 +2,17 @@
 
 Each case stores the sha256 of its input text, the exit code and the JSON
 stdout without `wall_time_s` and without the search statistics `nodes` and
-`rounds` (as `perfbench/workloads.analyze_digest` leaves them out).  The
-corpus: `analyze --json` on ladders with two terminals attached, including
+`rounds` (as `perfbench/workloads.analyze_digest` leaves them out).  It also
+stores `stdout_sha256`, the sha256 of the raw stdout with those three numbers
+masked, which pins key order and layout as well.  The corpus: `analyze --json` on ladders with two terminals attached, including
 identified end and consecutive rungs; `analyze --json` and `solve --json`
 with both exact engines on seeded random instances; `analyze --json` and
 `solve --engine dst --json` on seeded out-stars with 1 to 6 leaves
 (fractional weights and unit-weight grids) and on an infeasible one; and
-`reduce --json --decide` on the two PSI instances of `dsnkit bench`.
+`reduce --json --decide` on the two PSI instances of `dsnkit bench`.  Text-mode
+variants of `reduce --decide` on both PSI instances and of `solve` and
+`analyze` on `random-0` store `stdout_sha256`, with `N nodes` masked, and the
+stderr text in place of the parsed stdout.
 
 Record again with `PYTHONPATH=src:tests python tests/test_golden_cli.py`
 only when an output is meant to change."""
@@ -16,8 +20,9 @@ only when an output is meant to change."""
 import hashlib
 import io
 import json
+import re
 import tempfile
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -33,6 +38,8 @@ from conftest import K4, ladder_with_terminals, out_star
 
 GOLDEN_PATH = Path(__file__).with_name("golden_cli.json")
 UNSTABLE_KEYS = ("wall_time_s", "nodes", "rounds")
+# The number after each unstable key in JSON stdout, and the node count in text stdout.
+UNSTABLE_NUMBERS = re.compile(r'("(?:wall_time_s|nodes|rounds)": )[^,\n]+|\d+( nodes\b)')
 
 LADDERS = (
     [(n, ()) for n in range(8, 14)]
@@ -70,6 +77,9 @@ def cases():
     for name, host in (("k4", K4), ("c4", C4)):
         text = emit_psi(PsiInstance(host, K4, {i: i for i in range(4)}))
         out[f"reduce-decide-psi-{name}"] = (".psi", text, ["reduce", "FILE", "--json", "--decide"])
+    for name in ("reduce-decide-psi-k4", "reduce-decide-psi-c4", "solve-bnb-random-0", "analyze-random-0"):
+        suffix, text, argv = out[name]
+        out[f"{name}-text"] = (suffix, text, [a for a in argv if a != "--json"])
     return out
 
 
@@ -85,10 +95,18 @@ def run_case(case, directory):
     suffix, text, argv = case
     path = Path(directory) / f"input{suffix}"
     path.write_text(text)
-    with redirect_stdout(io.StringIO()) as out:
+    with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
         code = main([str(path) if a == "FILE" else a for a in argv])
-    stdout = strip_unstable(json.loads(out.getvalue()))
-    return {"input_sha256": hashlib.sha256(text.encode()).hexdigest(), "exit": code, "stdout": stdout}
+    record = {
+        "input_sha256": hashlib.sha256(text.encode()).hexdigest(),
+        "exit": code,
+        "stdout_sha256": hashlib.sha256(UNSTABLE_NUMBERS.sub(r"\1#\2", out.getvalue()).encode()).hexdigest(),
+    }
+    if "--json" in argv:
+        record["stdout"] = strip_unstable(json.loads(out.getvalue()))
+    else:
+        record["stderr"] = err.getvalue()
+    return record
 
 
 CASES = cases()
