@@ -1,10 +1,16 @@
 """Command-line surface: solve, analyze, reduce, gen, bench.
 
+`main` is the one runner: it reads and parses the input file, times the
+command's step, writes the report that the step returns to stdout (a dict as
+indented JSON, a text as it is) and maps errors to exit codes.  gen and
+reduce write their instance through `_write`, the one `-o` rule.
+
 Exit codes: 0 solved/ok, 1 bench disagreement, 2 infeasible, 3 capacity cap
-exceeded, 4 domain/input error (unreadable files, a failed write to stdout or
-stderr, usage errors and a negative genus too), 5 toolkit bug (a failed
-runtime self-check; `solve`, `analyze` and `reduce` then print the DSN
-instance to stderr as a reproducer).  Every command takes `--json`.
+exceeded, 4 domain/input error (unreadable files, an `-o` path that cannot
+be written, the empty one too, a failed write to stdout or stderr, usage
+errors and a negative genus too), 5 toolkit bug (a failed runtime
+self-check; `solve`, `analyze` and `reduce` then print the DSN instance in
+hand to stderr as a reproducer).  Every command takes `--json`.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ def _read(path: str) -> str:
 
 def _write(path: Optional[str], text: str) -> None:
     """Write `text` to `path` (None or "-" writes stdout); an unwritable
-    path is an InputError."""
+    path, the empty one too, is an InputError."""
     if path is None or path == "-":
         sys.stdout.write(text)
         return
@@ -100,28 +106,21 @@ def _indented_json(obj, newline: str = "\n") -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def cmd_solve(args) -> int:
-    inst, _ = parse_dsn(_read(args.file))
-    args.instance = inst
-    t0 = time.perf_counter()
+def cmd_solve(args, inst, meta):
     result = ENGINES[args.engine](inst)
-    elapsed = time.perf_counter() - t0
+    code = EXIT_OK if result.feasible else EXIT_INFEASIBLE
     if args.json:
         payload = result.to_json_dict()
-        payload["wall_time_s"] = round(elapsed, 6)
-        print(_indented_json(payload))
-    elif not result.feasible:
-        print("infeasible")
-    else:
-        print(f"cost {result.cost} ({result.method}, {result.node_count} nodes)")
-        for u, v in sorted(result.optimum.arcs):
-            print(f"  arc {u + 1} -> {v + 1}")
-    return EXIT_OK if result.feasible else EXIT_INFEASIBLE
+        payload["wall_time_s"] = None  # the runner fills in the time
+        return code, payload
+    if not result.feasible:
+        return code, "infeasible\n"
+    lines = [f"cost {result.cost} ({result.method}, {result.node_count} nodes)"]
+    lines += [f"  arc {u + 1} -> {v + 1}" for u, v in sorted(result.optimum.arcs)]
+    return code, "\n".join(lines) + "\n"
 
 
-def cmd_analyze(args) -> int:
-    inst, meta = parse_dsn(_read(args.file))
-    args.instance = inst
+def cmd_analyze(args, inst, meta):
     # An explicit --genus wins over the file's `c genus` line.
     genus = args.genus if args.genus is not None else meta.get("genus", 0)
     try:
@@ -130,80 +129,66 @@ def cmd_analyze(args) -> int:
         raise InputError(f"genus must be an integer, got {genus!r}") from None
     if genus < 0:
         raise InputError(f"genus must be non-negative, got {genus}")
-    t0 = time.perf_counter()
     result, cert = solve_with_certificate(inst, declared_genus=genus, engine=args.engine)
-    elapsed = time.perf_counter() - t0
+    code = EXIT_OK if result.feasible else EXIT_INFEASIBLE
     if args.json:
-        payload = {
+        return code, {
             "solve": result.to_json_dict(),
             "certificate": cert.to_json_dict() if cert is not None else None,
-            "wall_time_s": round(elapsed, 6),
+            "wall_time_s": None,  # the runner fills in the time
         }
-        print(_indented_json(payload))
-    elif not result.feasible:
-        print("infeasible")
-    elif cert is None:
-        print(f"cost {result.cost}; no requests, no certificate")
-    else:
-        rep = cert.report
-        print(f"cost {result.cost}; |V| {rep.vertices_before} -> {rep.vertices_after}")
-        print(f"treewidth {cert.tw_solution} -> {cert.tw_reduced}; "
-              f"diameter {rep.diameter_after}; max ratio {rep.max_ratio:.2f}")
-        for p in rep.paths:
-            print(f"  request {p.request[0] + 1}->{p.request[1] + 1}: len {p.length}, "
-                  f"{p.num_important} important, {len(p.segments)} segments")
-    return EXIT_OK if result.feasible else EXIT_INFEASIBLE
+    if not result.feasible:
+        return code, "infeasible\n"
+    if cert is None:
+        return code, f"cost {result.cost}; no requests, no certificate\n"
+    rep = cert.report
+    lines = [
+        f"cost {result.cost}; |V| {rep.vertices_before} -> {rep.vertices_after}",
+        f"treewidth {cert.tw_solution} -> {cert.tw_reduced}; "
+        f"diameter {rep.diameter_after}; max ratio {rep.max_ratio:.2f}",
+    ]
+    lines += [
+        f"  request {p.request[0] + 1}->{p.request[1] + 1}: len {p.length}, "
+        f"{p.num_important} important, {len(p.segments)} segments"
+        for p in rep.paths
+    ]
+    return code, "\n".join(lines) + "\n"
 
 
-def cmd_reduce(args) -> int:
-    if args.json and args.output == "-":
-        raise InputError("-o - and --json both write to stdout; give -o a file")
-    psi, _ = parse_psi(_read(args.file))
-    out = generate_hardness_instance(psi)
-    args.instance = out.dsn
-    meta = {
-        "generator": "hardness-reduction",
-        "threshold": str(out.threshold),
-        "k": str(psi.k),
-    }
+def cmd_reduce(args, inst, out):
     # --json without -o never prints the instance, so it is not emitted.
-    text = emit_dsn(out.dsn, meta) if args.output or not args.json else None
-    if args.output:
-        _write(args.output, text)
-    decision = None
-    if args.decide:
-        decision = decide_psi_via_dsn(out)
+    if args.output is not None or not args.json:
+        meta = {
+            "generator": "hardness-reduction",
+            "threshold": str(out.threshold),
+            "k": str(out.psi.k),
+        }
+        _write(args.output, emit_dsn(inst, meta))
+    decision = decide_psi_via_dsn(out) if args.decide else None
     if args.json:
-        payload = {
-            "n": out.dsn.host.n,
-            "m": out.dsn.host.m,
-            "q": out.dsn.q,
-            "requests": out.dsn.p,
+        return EXIT_OK, {
+            "n": inst.host.n,
+            "m": inst.host.m,
+            "q": inst.q,
+            "requests": inst.p,
             "threshold": out.threshold,
             "decision": decision,
         }
-        print(_indented_json(payload))
-    else:
-        if not args.output:
-            sys.stdout.write(text)
-        print(f"c threshold {out.threshold}", file=sys.stderr)
-        if decision is not None:
-            print("yes" if decision else "no")
-    return EXIT_OK
+    print(f"c threshold {out.threshold}", file=sys.stderr)
+    return EXIT_OK, "" if decision is None else "yes\n" if decision else "no\n"
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args, *_):
     if args.kind == "ladder":
         inst, meta = gen_ladder(args.n, args.identify or ())
     elif args.kind == "grid":
         inst, meta = gen_grid(args.width, args.height, q=args.q, seed=args.seed)
     else:
         inst, meta = gen_random(args.n, args.m, args.q, args.p, args.seed)
-    text = emit_dsn(inst, meta)
-    _write(args.output, text)
+    _write(args.output, emit_dsn(inst, meta))
     if args.json and args.output not in (None, "-"):
-        print(json.dumps({"n": inst.host.n, "m": inst.host.m, "q": inst.q, "p": inst.p}))
-    return EXIT_OK
+        return EXIT_OK, json.dumps({"n": inst.host.n, "m": inst.host.m, "q": inst.q, "p": inst.p}) + "\n"
+    return EXIT_OK, ""
 
 
 def _bench_corpus():
@@ -222,7 +207,7 @@ def _cost(result: SolveResult) -> str:
     return str(result.cost) if result.feasible else "infeasible"
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args, *_):
     # (name, check) pairs: a check returns its row's answer and its oracle's.
     checks = [
         (name, lambda inst=inst: (_cost(solve_bnb(inst)), _cost(solve_exhaustive(inst))))
@@ -249,15 +234,15 @@ def cmd_bench(args) -> int:
             "time_s": round(elapsed, 3),
         })
     disagreements = sum(not r["agree"] for r in table)
+    code = EXIT_OK if disagreements == 0 else EXIT_DISAGREE
     if args.json:
-        print(_indented_json({"rows": table, "disagreements": disagreements}))
-    else:
-        width = max(len(r["instance"]) for r in table)
-        for r in table:
-            mark = "ok" if r["agree"] else "MISMATCH"
-            print(f"{r['instance']:<{width}}  {r['cost']:>12} {r['oracle_cost']:>12} "
-                  f"{mark:>8} {r['time_s']:>7.3f}s")
-    return EXIT_OK if disagreements == 0 else EXIT_DISAGREE
+        return code, {"rows": table, "disagreements": disagreements}
+    width = max(len(r["instance"]) for r in table)
+    return code, "".join(
+        f"{r['instance']:<{width}}  {r['cost']:>12} {r['oracle_cost']:>12} "
+        f"{'ok' if r['agree'] else 'MISMATCH':>8} {r['time_s']:>7.3f}s\n"
+        for r in table
+    )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -292,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--engine", choices=sorted(ENGINES), default="bnb")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_solve)
+    p.set_defaults(func=cmd_solve, reads="dsn")
 
     p = sub.add_parser("analyze", help="solve, then certify solution structure")
     p.add_argument("file")
@@ -300,14 +285,14 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["auto"] + sorted(ENGINES))
     p.add_argument("--genus", type=int)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_analyze)
+    p.set_defaults(func=cmd_analyze, reads="dsn")
 
     p = sub.add_parser("reduce", help="turn a PSI file into a DSN hardness instance")
     p.add_argument("file")
     p.add_argument("-o", "--output")
     p.add_argument("--decide", action="store_true")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_reduce)
+    p.set_defaults(func=cmd_reduce, reads="psi")
 
     p = sub.add_parser("gen", help="generate instance files")
     gsub = p.add_subparsers(dest="kind", required=True)
@@ -328,11 +313,11 @@ def build_parser() -> argparse.ArgumentParser:
     for kind_parser in gsub.choices.values():
         kind_parser.add_argument("-o", "--output")
         kind_parser.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_gen)
+    p.set_defaults(func=cmd_gen, reads=None)
 
     p = sub.add_parser("bench", help="run the built-in corpus and cross-check solvers")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_bench)
+    p.set_defaults(func=cmd_bench, reads=None)
 
     return parser
 
@@ -352,8 +337,23 @@ def main(argv: Optional[List[str]] = None) -> int:
         # argparse's help and usage exits; it drops a text it cannot write.
         _report(0)
         raise
+    inst = data = None  # the parsed input; a failed self-check prints `inst`
     try:
-        code = args.func(args)
+        if args.reads == "dsn":
+            inst, data = parse_dsn(_read(args.file))
+        elif args.reads == "psi":
+            # Refused before the file is read, as a usage error would be.
+            if args.json and args.output == "-":
+                raise InputError("-o - and --json both write to stdout; give -o a file")
+            data = generate_hardness_instance(parse_psi(_read(args.file))[0])
+            inst = data.dsn
+        start = time.perf_counter()
+        code, report = args.func(args, inst, data)
+        if not isinstance(report, str):
+            if "wall_time_s" in report:
+                report["wall_time_s"] = round(time.perf_counter() - start, 6)
+            report = _indented_json(report) + "\n"
+        sys.stdout.write(report)
         sys.stdout.flush()
         return code
     except CapacityError as exc:
@@ -363,7 +363,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except DsnkitError as exc:
         # What is left, InvariantError and InconsistencyError, is a failed
         # self-check: a bug in the toolkit, not in the input.
-        inst = getattr(args, "instance", None)
         return _report(EXIT_BUG, f"internal error: {exc}\n" + (emit_dsn(inst) if inst is not None else ""))
     except OSError as exc:
         # Reads and -o writes raise InputError, so what is left is a failed

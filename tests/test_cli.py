@@ -422,6 +422,22 @@ class TestReduce:
         payload = json.loads(capsys.readouterr().out)
         assert payload["threshold"] == 26 and payload["decision"] is True
 
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("command", ["gen", "reduce"])
+    def test_empty_output_path_is_input_error(self, tmp_path, monkeypatch, capsys, command, flags):
+        # `-o ''` names a path that cannot be written, not a missing -o.
+        monkeypatch.chdir(tmp_path)
+        if command == "gen":
+            argv = ["gen", "ladder", "3"]
+        else:
+            Path("k4.psi").write_text(emit_psi(PsiInstance(K4, K4, {i: i for i in range(4)})))
+            argv = ["reduce", "k4.psi", "--decide"]
+        assert main([*argv, "-o", "", *flags]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: cannot write : ") and err.count("\n") == 1
+        assert sorted(os.listdir()) == (["k4.psi"] if command == "reduce" else [])
+
 
 @pytest.mark.parametrize("kind", ["missing", "directory", "non-utf8"])
 def test_unreadable_input_is_input_error(tmp_path, capsys, kind):

@@ -4,7 +4,9 @@ every private module-level name is used somewhere in the package, and so is
 every public function and class, unless it is library surface.  Every field
 of a record in the package (a `@dataclass`, a `NamedTuple` or a class with
 `__slots__`) is read as an attribute in the package or its tests, and
-`import dsnkit.cli` loads neither `dataclasses` nor `inspect`.
+`import dsnkit.cli` loads neither `dataclasses` nor `inspect`.  No `cmd_*`
+step of the CLI assigns to `args` or writes stdout itself: `cli.main` holds
+the input and writes the report.
 
 `__init__.py` is exempt from the unused-import scan because it imports names
 only to re-export them through `__all__`."""
@@ -232,3 +234,37 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     code = "import sys, dsnkit.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"
+
+
+def runner_bypasses(source):
+    """(line, function) for each node of a `cmd_*` function that assigns to
+    an attribute of `args`, calls `print` without `file=`, or names `stdout`."""
+    found = []
+    for func in ast.parse(source).body:
+        if not (isinstance(func, ast.FunctionDef) and func.name.startswith("cmd_")):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Attribute) and (
+                node.attr == "stdout"
+                or isinstance(node.ctx, ast.Store) and isinstance(node.value, ast.Name) and node.value.id == "args"
+            ) or (
+                isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print"
+                and not any(k.arg == "file" for k in node.keywords)
+            ):
+                found.append((node.lineno, func.name))
+    return sorted(found)
+
+
+def test_scan_finds_a_command_that_bypasses_the_runner():
+    source = (
+        "def cmd_x(args, inst, data):\n"
+        "    args.instance = inst\n"
+        "    print('report')\n"
+        "    sys.stdout.write('report')\n"
+        "    print('note', file=sys.stderr)\n"
+    )
+    assert runner_bypasses(source) == [(2, "cmd_x"), (3, "cmd_x"), (4, "cmd_x")]
+
+
+def test_cli_commands_leave_args_and_stdout_to_the_runner():
+    assert runner_bypasses((Path(dsnkit.__file__).parent / "cli.py").read_text()) == []
