@@ -244,13 +244,16 @@ def runner_bypasses(source):
         if not (isinstance(func, ast.FunctionDef) and func.name.startswith("cmd_")):
             continue
         for node in ast.walk(func):
-            if isinstance(node, ast.Attribute) and (
-                node.attr == "stdout"
-                or isinstance(node.ctx, ast.Store) and isinstance(node.value, ast.Name) and node.value.id == "args"
-            ) or (
+            attribute = isinstance(node, ast.Attribute)
+            stores_on_args = (
+                attribute and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name) and node.value.id == "args"
+            )
+            prints_to_stdout = (
                 isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print"
                 and not any(k.arg == "file" for k in node.keywords)
-            ):
+            )
+            if stores_on_args or prints_to_stdout or attribute and node.attr == "stdout":
                 found.append((node.lineno, func.name))
     return sorted(found)
 
