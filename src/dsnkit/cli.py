@@ -3,14 +3,15 @@
 `main` is the one runner: it reads and parses the input file, times the
 command's step, writes the report that the step returns to stdout (a dict as
 indented JSON, a text as it is) and maps errors to exit codes.  gen and
-reduce write their instance through `_write`, the one `-o` rule.
+reduce write their instance through `_write`, the one `-o` rule.  Every
+command takes `--json`.
 
 Exit codes: 0 solved/ok, 1 bench disagreement, 2 infeasible, 3 capacity cap
 exceeded, 4 domain/input error (unreadable files, an `-o` path that cannot
-be written, the empty one too, a failed write to stdout or stderr, usage
-errors and a negative genus too), 5 toolkit bug (a failed runtime
-self-check; `solve`, `analyze` and `reduce` then print the DSN instance in
-hand to stderr as a reproducer).  Every command takes `--json`.
+be written, the empty one too, `--json` with the instance on stdout, a
+failed write to stdout or stderr, usage errors and a negative genus too),
+5 toolkit bug (a failed runtime self-check; `solve`, `analyze` and
+`reduce` then print the DSN instance in hand to stderr as a reproducer).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import json
 import os
 import sys
 import time
+import warnings
 from typing import List, Optional
 
 from .errors import CapacityError, DomainError, DsnkitError, InputError, PreconditionError
@@ -186,9 +188,8 @@ def cmd_gen(args, *_):
     else:
         inst, meta = gen_random(args.n, args.m, args.q, args.p, args.seed)
     _write(args.output, emit_dsn(inst, meta))
-    if args.json and args.output not in (None, "-"):
-        return EXIT_OK, json.dumps({"n": inst.host.n, "m": inst.host.m, "q": inst.q, "p": inst.p}) + "\n"
-    return EXIT_OK, ""
+    summary = {"n": inst.host.n, "m": inst.host.m, "q": inst.q, "p": inst.p}
+    return EXIT_OK, json.dumps(summary) + "\n" if args.json else ""
 
 
 def _bench_corpus():
@@ -311,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("p", type=int)
     g.add_argument("--seed", type=int, default=0)
     for kind_parser in gsub.choices.values():
-        kind_parser.add_argument("-o", "--output")
+        kind_parser.add_argument("-o", "--output", default="-")
         kind_parser.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_gen, reads=None)
 
@@ -339,13 +340,18 @@ def main(argv: Optional[List[str]] = None) -> int:
         raise
     inst = data = None  # the parsed input; a failed self-check prints `inst`
     try:
+        # gen writes its instance to stdout by default, reduce with -o - only.
+        # Refused before anything is read or generated, as a usage error would be.
+        if args.json and getattr(args, "output", None) == "-":
+            raise InputError("-o - and --json both write to stdout; give -o a file")
         if args.reads == "dsn":
             inst, data = parse_dsn(_read(args.file))
         elif args.reads == "psi":
-            # Refused before the file is read, as a usage error would be.
-            if args.json and args.output == "-":
-                raise InputError("-o - and --json both write to stdout; give -o a file")
-            data = generate_hardness_instance(parse_psi(_read(args.file))[0])
+            psi = parse_psi(_read(args.file))[0]
+            # A library warning (a pattern that is not 3-regular) is one plain line.
+            with warnings.catch_warnings(record=True) as caught:
+                data = generate_hardness_instance(psi)
+            sys.stderr.writelines(f"warning: {w.message}\n" for w in caught)
             inst = data.dsn
         start = time.perf_counter()
         code, report = args.func(args, inst, data)

@@ -10,6 +10,7 @@ embedding back out of a tight solution.
 from __future__ import annotations
 
 import warnings
+from itertools import chain
 from math import isqrt
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
@@ -130,23 +131,14 @@ def build_labelling(psi: PsiInstance) -> Labelling:
     if eta and max(eta.values()) > 3:
         raise InvariantError("greedy colouring of a max-degree-3 graph used > 4 colours")
 
-    chunk_list: List[Tuple[int, ...]] = []
-    for colour in range(4):
-        members = sorted(v for v, c in eta.items() if c == colour)
-        for i in range(0, len(members), r):
-            chunk_list.append(tuple(members[i : i + r]))
-    chunks = tuple(chunk_list)
+    classes = [sorted(v for v, c in eta.items() if c == colour) for colour in range(4)]
+    chunks = tuple(tuple(members[i : i + r]) for members in classes for i in range(0, len(members), r))
     alpha = {v: idx for idx, chunk in enumerate(chunks) for v in chunk}
     if len(chunks) > r + 4:
         raise InvariantError(f"{len(chunks)} alpha labels exceed r+4 = {r + 4}")
 
     # chunk-clique graph: the pattern plus a clique inside each chunk
-    extra = {
-        _edge(u, v)
-        for chunk in chunks
-        for i, u in enumerate(chunk)
-        for v in chunk[i + 1 :]
-    }
+    extra = {_edge(u, v) for chunk in chunks for i, u in enumerate(chunk) for v in chunk[i + 1 :]}
     h_prime = UndirectedGraph(h.vertices, set(h.edges) | extra)
     beta = _greedy_vertex_colouring(h_prime)
     if beta and max(beta.values()) > r + 2:
@@ -155,16 +147,15 @@ def build_labelling(psi: PsiInstance) -> Labelling:
     # chunk-contracted multigraph: colour pattern edges so that edges
     # touching a common chunk get distinct colours
     gamma: Dict[Edge, int] = {}
+    chunk_colours: List[Set[int]] = [set() for _ in chunks]  # gamma colours at each chunk
     for e in sorted(h.edges):
-        cu, cv = alpha[e[0]], alpha[e[1]]
-        used = set()
-        for f, col in gamma.items():
-            if {alpha[f[0]], alpha[f[1]]} & {cu, cv}:
-                used.add(col)
+        at_u, at_v = chunk_colours[alpha[e[0]]], chunk_colours[alpha[e[1]]]
         c = 0
-        while c in used:
+        while c in at_u or c in at_v:
             c += 1
         gamma[e] = c
+        at_u.add(c)
+        at_v.add(c)
     if gamma and max(gamma.values()) > 6 * r - 2:
         raise InvariantError(f"gamma used more than 6r-1 = {6 * r - 1} colours")
 
@@ -204,12 +195,10 @@ def build_dsn(psi: PsiInstance, lab: Labelling) -> ReductionOutput:
     vertex->hub->colour only, so every terminal-to-terminal path has length
     exactly 2 (into the beta layer) or 3 (into the gamma layer)."""
     g, h = psi.hostG, psi.patternH
-    nxt = (max(g.vertices) + 1) if g.n else 0
+    first = nxt = (max(g.vertices) + 1) if g.n else 0
 
-    w_vertex: Dict[Edge, int] = {}
-    for e in sorted(g.edges):
-        w_vertex[e] = nxt
-        nxt += 1
+    w_vertex = {e: nxt + i for i, e in enumerate(sorted(g.edges))}
+    nxt += len(w_vertex)
     x_vertex = {i: nxt + i for i in range(lab.num_x)}
     nxt += lab.num_x
     y_vertex = {i: nxt + i for i in range(lab.num_y)}
@@ -217,39 +206,30 @@ def build_dsn(psi: PsiInstance, lab: Labelling) -> ReductionOutput:
     z_vertex = {i: nxt + i for i in range(lab.num_z)}
     nxt += lab.num_z
 
-    a_v: Set[Tuple[int, int]] = set()
-    for u in g.vertices:
-        hu = psi.classmap[u]
-        a_v.add((x_vertex[lab.alpha[hu]], u))
-        a_v.add((u, y_vertex[lab.beta[hu]]))
-    a_w: Set[Tuple[int, int]] = set()
+    # Each stratum is built once, as the frozenset `ReductionOutput` keeps:
+    # every arc has its own host vertex or hub, so none repeats.
+    cls = psi.classmap
+    a_v = frozenset([(x_vertex[lab.alpha[cls[u]]], u) for u in g.vertices]
+                    + [(u, y_vertex[lab.beta[cls[u]]]) for u in g.vertices])
+    a_w_list = []
     for (u, v), w in w_vertex.items():
-        a_w.add((u, w))
-        a_w.add((v, w))
-        he = _edge(psi.classmap[u], psi.classmap[v])
+        a_w_list += (u, w), (v, w)
         # A host edge inside a class or across non-adjacent classes can never
         # realize a pattern edge, so its hub gets no outlet.
-        if he[0] != he[1] and he in lab.gamma:
-            a_w.add((w, z_vertex[lab.gamma[he]]))
+        he = _edge(cls[u], cls[v])
+        if he in lab.gamma:
+            a_w_list.append((w, z_vertex[lab.gamma[he]]))
+    a_w = frozenset(a_w_list)
 
-    a_y = frozenset(
-        (x_vertex[lab.alpha[u]], y_vertex[lab.beta[u]]) for u in h.vertices
-    )
+    a_y = frozenset((x_vertex[lab.alpha[u]], y_vertex[lab.beta[u]]) for u in h.vertices)
     if len(a_y) != h.n:
         raise InvariantError("vertex requests are not pairwise distinct")
-    a_z_list = []
-    for u, v in sorted(h.edges):
-        ze = z_vertex[lab.gamma[_edge(u, v)]]
-        a_z_list.append((x_vertex[lab.alpha[u]], ze))
-        a_z_list.append((x_vertex[lab.alpha[v]], ze))
-    a_z = frozenset(a_z_list)
+    a_z = frozenset((x_vertex[lab.alpha[u]], z_vertex[lab.gamma[e]]) for e in h.edges for u in e)
     if len(a_z) != 2 * h.m:
         raise InvariantError("edge requests are not pairwise distinct")
 
-    vertices = set(g.vertices) | set(w_vertex.values())
-    vertices |= set(x_vertex.values()) | set(y_vertex.values()) | set(z_vertex.values())
-    arcs = {arc: UNIT for arc in a_v | a_w}
-    host = WeightedDigraph(vertices, arcs)
+    # The strata's vertices are numbered consecutively after the host's.
+    host = WeightedDigraph([*g.vertices, *range(first, nxt)], dict.fromkeys(chain(a_v, a_w), UNIT))
     dsn = DsnInstance(host, a_y | a_z)
 
     out = ReductionOutput(
@@ -262,8 +242,8 @@ def build_dsn(psi: PsiInstance, lab: Labelling) -> ReductionOutput:
         x_vertex=x_vertex,
         y_vertex=y_vertex,
         z_vertex=z_vertex,
-        a_v_arcs=frozenset(a_v),
-        a_w_arcs=frozenset(a_w),
+        a_v_arcs=a_v,
+        a_w_arcs=a_w,
         a_y=a_y,
         a_z=a_z,
     )
@@ -287,8 +267,9 @@ def _audit_strata(out: ReductionOutput) -> None:
     for u, v in out.a_w_arcs:
         if not ((u in V and v in W) or (u in W and v in Z)):
             raise InvariantError(f"misplaced hub-stratum arc {(u, v)}")
+    Y |= Z
     for s, t in out.dsn.requests:
-        if s not in X or t not in (Y | Z):
+        if s not in X or t not in Y:
             raise InvariantError(f"request {(s, t)} leaves the terminal strata")
 
 
@@ -304,14 +285,17 @@ def decide_psi_via_dsn(out: ReductionOutput) -> bool:
     """Solve a generated hardness instance exactly and compare the optimum
     to its threshold.
 
-    The engine exhausts per-request path combinations under the shared-arc
-    lower bound of `solvers._solve_path_union` (its `nodes` count the stack
-    entries popped), which is fast on generated instances because their
-    stratified shape leaves each request only a handful of simple paths."""
-    result = _solve_path_union(out.dsn)
+    The engine is `solvers._solve_path_union`, fast here because the
+    stratified shape leaves each request a handful of simple paths.  No
+    solution costs less than the threshold (criterion 3), so the search
+    stops at the first leaf that meets it, an optimum; a cheaper solution
+    is a failed self-check and raises InvariantError."""
+    result = _solve_path_union(out.dsn, out.threshold)
     if not result.feasible:
         return False
-    return result.cost <= out.threshold
+    if result.cost < out.threshold:
+        raise InvariantError(f"solution cost {result.cost} is below the threshold {out.threshold}")
+    return result.cost == out.threshold
 
 
 def solve_psi_bruteforce(psi: PsiInstance) -> Optional[Dict[int, int]]:

@@ -148,19 +148,25 @@ def solve_exhaustive(inst: DsnInstance) -> SolveResult:
     return _solve_path_union(inst)
 
 
-def _solve_path_union(inst: DsnInstance) -> SolveResult:
+def _solve_path_union(inst: DsnInstance, threshold: Optional[Fraction] = None) -> SolveResult:
     """Uncapped path-union search; suitable whenever simple paths per
     request stay few (e.g. stratified generated instances).
 
     A depth-first search over the requests in sorted order picks one path
     per request, cheapest first, on an explicit stack; `nodes` counts the
-    entries popped.  Arc sets are bitmasks over arc ids and weights are the
-    host's scaled integers.  Shared-arc lower bound: each arc's weight is split
-    evenly among the `users` requests having some path through it, so the
-    requests still to route cost at least the sum, over each, of its
-    cheapest path in split weights with the chosen arcs free.  A node whose
-    cost plus that bound reaches the incumbent is pruned.  The bound never
-    overestimates, so the result is the first optimal leaf in DFS order."""
+    entries popped.  Arc sets are bitmasks over arc ids and costs are sums
+    of the host's scaled integer weights.  Shared-arc lower bound: each
+    arc's weight is split evenly among the `users` requests having some
+    path through it, so the requests still to route cost at least the sum,
+    over each, of its cheapest path in split weights with the chosen arcs
+    free.  A node whose cost plus that bound reaches the incumbent is
+    pruned.  The bound never overestimates, so the result is the first
+    optimal leaf in DFS order.  Only nodes popped after the first leaf read
+    the bound, so its split weights are built at the first of them.
+
+    An internal `threshold` ends the search at the first leaf that costs at
+    most it (compared as `threshold * scale`): an optimum when, as on a
+    hardness instance, no solution costs less."""
     if not inst.requests:
         return _finish(inst, set(), 1, "exhaustive")
     # One backward search per distinct target answers reachability and
@@ -172,13 +178,9 @@ def _solve_path_union(inst: DsnInstance) -> SolveResult:
     per_request = _request_paths(inst, host, back)
     if not all(per_request):
         raise InvariantError("a request reachable in the host has no simple path")
-    users = Counter(bit for paths in per_request for bit in {bit for path in paths for bit, _ in path})
-    # Costs are scaled once more by L, the lcm of the user counts, so every
-    # split weight w * L / users is an integer.
-    L = math.lcm(*users.values())
-    split = [[tuple((bit, w * L // users[bit]) for bit, w in path) for path in paths] for paths in per_request]
     # Each request's paths with their arc masks, in push order.
     pushes = [[(sum(bit for bit, _ in path), path) for path in reversed(paths)] for paths in per_request]
+    split: List[List[PathArcs]] = []
 
     def rest(i: int, chosen: int) -> int:
         return sum(min(sum(w for bit, w in path if not chosen & bit) for path in paths) for paths in split[i:])
@@ -188,19 +190,27 @@ def _solve_path_union(inst: DsnInstance) -> SolveResult:
     best: Optional[int] = None
     best_arcs = 0
     nodes = 0
-    # Entries: (requests routed, chosen arcs, their cost times L).
+    # Entries: (requests routed, chosen arcs, their cost).
     stack = [(0, 0, 0)]
     while stack:
         i, chosen, cost = stack.pop()
         nodes += 1
-        if best is not None and cost + rest(i, chosen) >= best:
-            continue
+        if best is not None:
+            if not split:
+                users = Counter(bit for paths in per_request for bit in {bit for path in paths for bit, _ in path})
+                # The bound compares costs times L, the lcm of the user
+                # counts, so every split weight w * L / users is an integer.
+                L = math.lcm(*users.values())
+                split = [[tuple((bit, w * L // users[bit]) for bit, w in path) for path in paths] for paths in per_request]
+            if cost * L + rest(i, chosen) >= best * L:
+                continue
         if i == len(per_request):
             best, best_arcs = cost, chosen
+            if threshold is not None and cost <= threshold * host.scale:
+                break
             continue
         for mask, path in pushes[i]:
-            add = sum(w for bit, w in path if not chosen & bit)
-            stack.append((i + 1, chosen | mask, cost + add * L))
+            stack.append((i + 1, chosen | mask, cost + sum(w for bit, w in path if not chosen & bit)))
     return _finish(inst, host.decode(best_arcs), nodes, "exhaustive")
 
 

@@ -3,11 +3,14 @@ Hypothesis strategy for small digraphs, reachability with forbidden
 internal vertices, the cheapest path by exact rational costs, every simple
 path between two vertices, a digraph minus a vertex set, the six-family ladder generator, ladder hosts with terminals
 attached, the undirected ladder and outerplanarity checks (by networkx,
-which only the tests use), the exact-treewidth subset dynamic program, and
-the small 3-regular pattern corpus."""
+which only the tests use), the exact-treewidth subset dynamic program, the
+path-union search with its shared-arc bound built up front, and the small
+3-regular pattern corpus."""
 
 import heapq
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 from typing import Dict, List, Set, Tuple
 
@@ -322,6 +325,44 @@ def random_psi_host(pattern, seed, max_n=12, planted=None):
     ]
     edges |= set(rng.sample(pairs, min(len(pairs), rng.randint(4, 12))))
     return PsiInstance(UndirectedGraph(range(nG), edges), pattern, classmap)
+
+
+def solve_path_union_eager(inst):
+    """`solvers._solve_path_union` as it was before its bound became lazy:
+    the users, the lcm L and the split weights are built before the search,
+    costs are carried times L, and there is no threshold.  Reference for its
+    arcs, cost and `nodes`, which the lazy form must reproduce exactly."""
+    if not inst.requests:
+        return solvers._finish(inst, set(), 1, "exhaustive")
+    back = {t: search(inst.host, t, reverse=True) for t in {t for _, t in inst.requests}}
+    if any(s not in back[t] for s, t in inst.requests):
+        return solvers._infeasible("exhaustive")
+    host = solvers._IntHost(inst.host)
+    per_request = solvers._request_paths(inst, host, back)
+    users = Counter(bit for paths in per_request for bit in {bit for path in paths for bit, _ in path})
+    L = math.lcm(*users.values())
+    split = [[tuple((bit, w * L // users[bit]) for bit, w in path) for path in paths] for paths in per_request]
+    pushes = [[(sum(bit for bit, _ in path), path) for path in reversed(paths)] for paths in per_request]
+
+    def rest(i, chosen):
+        return sum(min(sum(w for bit, w in path if not chosen & bit) for path in paths) for paths in split[i:])
+
+    best = None
+    best_arcs = 0
+    nodes = 0
+    stack = [(0, 0, 0)]
+    while stack:
+        i, chosen, cost = stack.pop()
+        nodes += 1
+        if best is not None and cost + rest(i, chosen) >= best:
+            continue
+        if i == len(per_request):
+            best, best_arcs = cost, chosen
+            continue
+        for mask, path in pushes[i]:
+            add = sum(w for bit, w in path if not chosen & bit)
+            stack.append((i + 1, chosen | mask, cost + add * L))
+    return solvers._finish(inst, host.decode(best_arcs), nodes, "exhaustive")
 
 
 @pytest.fixture

@@ -49,6 +49,13 @@ class TestGen:
         payload = json.loads(capsys.readouterr().out)
         assert payload["n"] == 9 and payload["q"] == 3
 
+    @pytest.mark.parametrize("output", [[], ["-o", "-"]], ids=["default", "dash"])
+    def test_json_with_instance_on_stdout_is_refused(self, monkeypatch, capsys, output):
+        # The rule and the message are reduce's, and nothing is generated.
+        monkeypatch.setattr(cli, "gen_ladder", lambda *args: pytest.fail("gen_ladder called"))
+        assert main(["gen", "ladder", "3", *output, "--json"]) == 4
+        assert capsys.readouterr() == ("", "error: -o - and --json both write to stdout; give -o a file\n")
+
     def test_oversized_generator_is_capacity_exit(self, tmp_path, capsys):
         path = tmp_path / "huge.dsn"
         assert main(["gen", "ladder", "1000000000", "-o", str(path)]) == 3
@@ -198,7 +205,7 @@ class TestSolve:
             psi = PsiInstance(K4, K4, {i: i for i in range(4)})
             path = tmp_path / "k4.psi"
             path.write_text(emit_psi(psi))
-            broken = lambda inst: _finish(inst, set(), 0, "exhaustive")  # noqa: E731
+            broken = lambda inst, *_: _finish(inst, set(), 0, "exhaustive")  # noqa: E731
             monkeypatch.setattr(reduction, "_solve_path_union", broken)
             argv, expected = ["reduce", str(path), "--decide"], generate_hardness_instance(psi).dsn
         else:
@@ -394,6 +401,20 @@ class TestReduce:
             assert out == ""
             assert err == "error: -o - and --json both write to stdout; give -o a file\n"
             psi_path.write_text(emit_psi(PsiInstance(K4, K4, {i: i for i in range(4)})))
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_pattern_not_3_regular_is_one_warning_line(self, tmp_path, capsys, flags):
+        # The library's UserWarning, with its source file and line, is not shown.
+        psi_path = tmp_path / "k2.psi"
+        psi_path.write_text("p psi 2 1 2 1\neg 1 2\neh 1 2\nmap 1 1\nmap 2 2\n")
+        assert main(["reduce", str(psi_path), "--decide", *flags]) == 0
+        out, err = capsys.readouterr()
+        note = "warning: pattern graph is not 3-regular; size bounds still hold\n"
+        assert err == note + ("" if flags else "c threshold 7\n")
+        if flags:
+            assert json.loads(out)["decision"] is True
+        else:
+            assert out.endswith("yes\n")
 
     @pytest.mark.parametrize(
         "text,message",

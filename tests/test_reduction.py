@@ -3,7 +3,8 @@ import warnings
 import pytest
 
 from dsnkit.dsn import validate
-from dsnkit.errors import InputError, PreconditionError
+from dsnkit import solvers
+from dsnkit.errors import InputError, InvariantError, PreconditionError
 from dsnkit.graphs import UndirectedGraph
 from dsnkit.reduction import (
     PsiInstance,
@@ -138,6 +139,39 @@ class TestDecide:
         psi = PsiInstance(host, K4, {0: 0, 1: 1, 2: 0, 3: 1})
         assert solve_psi_bruteforce(psi) is None
         assert decide_psi_via_dsn(generate_hardness_instance(psi)) is False
+
+    def test_threshold_stop_builds_no_split_weights(self, monkeypatch):
+        outs = [generate_hardness_instance(psi) for psi in (identity_psi(K4), random_psi_host(K4, 0, planted=True))]
+        for out in outs:
+            # The host keeps its integer weights; their scale is an lcm too.
+            out.dsn.host.scaled_weights()
+        monkeypatch.setattr(solvers.math, "lcm", lambda *args: pytest.fail("split weights built"))
+        assert all(decide_psi_via_dsn(out) for out in outs)
+        # Without the threshold the planted host's search goes on past its
+        # first leaf, an optimum, and needs the bound.
+        with pytest.raises(pytest.fail.Exception, match="split weights built"):
+            _solve_path_union(outs[1].dsn)
+
+    def test_cost_below_the_threshold_is_a_failed_self_check(self):
+        out = generate_hardness_instance(identity_psi(K4))
+        with pytest.raises(InvariantError, match="cost 26 is below the threshold 27"):
+            decide_psi_via_dsn(out._replace(threshold=out.threshold + 1))
+        assert decide_psi_via_dsn(out._replace(threshold=out.threshold - 1)) is False
+
+    @pytest.mark.parametrize("name", sorted(PATTERNS))
+    def test_threshold_search_agrees_with_the_full_search(self, name):
+        # The criterion-3 hosts: the search stops at the full search's
+        # optimum, and never stops when the optimum exceeds the threshold.
+        for seed in range(30):
+            out = generate_hardness_instance(random_psi_host(PATTERNS[name], seed))
+            full, early = _solve_path_union(out.dsn), _solve_path_union(out.dsn, out.threshold)
+            assert early.feasible == full.feasible and early.cost == full.cost
+            if full.feasible:
+                assert early.optimum.arcs == full.optimum.arcs
+            if full.feasible and full.cost == out.threshold:
+                assert early.node_count <= full.node_count
+            else:
+                assert early.node_count == full.node_count
 
     def test_agrees_with_bruteforce_sample(self):
         for seed in range(8):

@@ -40,6 +40,7 @@ from conftest import (
     random_instance,
     random_instances,
     random_psi_host,
+    solve_path_union_eager,
 )
 
 SUBSET_SCAN_MAX_ARCS = 20
@@ -296,6 +297,10 @@ def optimum_outcome(result):
     return result.feasible, result.cost, sorted(result.optimum.arcs) if result.optimum else None
 
 
+def search_outcome(result):
+    return optimum_outcome(result), result.node_count
+
+
 def with_fractional_weights(inst, seed):
     rng = random.Random(seed)
     arcs = {a: Fraction(rng.randint(1, 9), rng.randint(1, 4)) for a in sorted(inst.host.arcs())}
@@ -388,6 +393,21 @@ class TestPathUnion:
         requests = data.draw(st.sets(st.sampled_from(pairs), min_size=1, max_size=4))
         inst = DsnInstance(g, requests)
         assert optimum_outcome(_solve_path_union(inst)) == optimum_outcome(solve_path_union_recursive(inst))
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=digraphs(max_n=6, max_den=3), data=st.data())
+    def test_lazy_bound_matches_the_eager_search_on_random_digraphs(self, g, data):
+        # Same arcs, cost and nodes: the pruning decisions are the same.
+        pairs = [(s, t) for s in range(g.n) for t in range(g.n) if s != t]
+        requests = data.draw(st.sets(st.sampled_from(pairs), min_size=1, max_size=4))
+        inst = DsnInstance(g, requests)
+        assert search_outcome(_solve_path_union(inst)) == search_outcome(solve_path_union_eager(inst))
+
+    @pytest.mark.parametrize("seed", range(16))
+    @pytest.mark.parametrize("pattern", [K4, K33, CUBE], ids=["K4", "K33", "cube"])
+    def test_lazy_bound_matches_the_eager_search_on_hardness_instances(self, pattern, seed):
+        inst = generate_hardness_instance(random_psi_host(pattern, seed)).dsn
+        assert search_outcome(_solve_path_union(inst)) == search_outcome(solve_path_union_eager(inst))
 
     def test_shared_arc_bound_cuts_the_tail(self):
         # The reference visits 23,538 nodes; the optimum equals the threshold.
