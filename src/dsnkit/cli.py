@@ -146,7 +146,7 @@ def cmd_analyze(args, inst, meta):
     rep = cert.report
     lines = [
         f"cost {result.cost}; |V| {rep.vertices_before} -> {rep.vertices_after}",
-        f"treewidth {cert.tw_solution} -> {cert.tw_reduced}; "
+        f"treewidth {rep.tw_before} -> {rep.tw_after}; "
         f"diameter {rep.diameter_after}; max ratio {rep.max_ratio:.2f}",
     ]
     lines += [

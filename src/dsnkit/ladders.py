@@ -8,11 +8,10 @@ structural pipeline is allowed to shrink.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import List, NamedTuple, Optional, Set, Tuple
 
 from .errors import InputError, InvariantError
-from .graphs import UNIT, Arc, DirectedPath, WeightedDigraph, _Record, necessary_arcs, suppress_degree_two
+from .graphs import UNIT, Arc, DirectedPath, WeightedDigraph, _Record, necessary_arcs, search, suppress_degree_two
 
 
 class LadderSpec(_Record):
@@ -36,22 +35,25 @@ class LadderSpec(_Record):
         return self.a(i) if i in self.identified else 2 * (i - 1) + 1
 
 
+def ladder_rungs(spec: LadderSpec) -> List[Arc]:
+    """Rung i as (tail, head), for i = 1..n: a_i -> b_i for odd i and
+    b_i -> a_i for even i.  An identified rung is a single vertex."""
+    a, b = spec.a, spec.b
+    return [(a(i), b(i)) if i % 2 else (b(i), a(i)) for i in range(1, spec.n + 1)]
+
+
 def make_ladder(spec: LadderSpec) -> WeightedDigraph:
     """Materialize G_{n,I} with unit weights; loops at identified rungs are
     dropped.
 
-    Rung i runs a_i -> b_i for odd i and b_i -> a_i for even i.  Between
-    positions i and i+1 the rails run a_{i+1} -> a_i and b_i -> b_{i+1} for
-    odd i, and a_i -> a_{i+1} and b_{i+1} -> b_i for even i."""
-    a, b = spec.a, spec.b
-    arcs: Dict[Arc, Fraction] = {}
-    for i in range(1, spec.n + 1):
-        if i % 2:
-            pairs = [(a(i), b(i)), (a(i + 1), a(i)), (b(i), b(i + 1))]
-        else:
-            pairs = [(b(i), a(i)), (a(i), a(i + 1)), (b(i + 1), b(i))]
-        arcs.update(((u, v), UNIT) for u, v in pairs[: 3 if i < spec.n else 1] if u != v)
-    return WeightedDigraph({v for i in range(1, spec.n + 1) for v in (a(i), b(i))}, arcs)
+    Between consecutive rungs the rails run from each rung's head to the
+    next rung's tail and from the next rung's head back to this rung's
+    tail."""
+    rungs = ladder_rungs(spec)
+    pairs = list(rungs)
+    for (t, h), (t_next, h_next) in zip(rungs, rungs[1:]):
+        pairs += [(h, t_next), (h_next, t)]
+    return WeightedDigraph({v for rung in rungs for v in rung}, {(u, v): UNIT for u, v in pairs if u != v})
 
 
 def ladder_corners(spec: LadderSpec) -> Tuple[int, int, int, int]:
@@ -81,10 +83,9 @@ def ladder_two_path_decomposition(g: WeightedDigraph, spec: LadderSpec) -> Tuple
     endpoints swap rails at the far end."""
     if g != make_ladder(spec):
         raise InputError("graph does not match the ladder spec")
-    a, b = spec.a, spec.b
     # P1 takes the rungs in order and P2 in reverse, each rung in its own
     # direction; consecutive rungs are joined by rail arcs.
-    rungs = [(a(i), b(i)) if i % 2 else (b(i), a(i)) for i in range(1, spec.n + 1)]
+    rungs = ladder_rungs(spec)
     p1 = _walk_to_path([v for rung in rungs for v in rung])
     p2 = _walk_to_path([v for rung in reversed(rungs) for v in rung])
     p1.check_in(g)
@@ -124,13 +125,10 @@ def _hypotheses_failure(K: WeightedDigraph, a: int, b: int, c: int, d: int) -> O
     fail = _corner_failure(K, a, b, "ab") or _corner_failure(K, c, d, "cd")
     if fail:
         return fail
-    need_ad = necessary_arcs(K, [(a, d)])
-    if need_ad is None:
-        return "no directed path from a to d"
-    need_cb = necessary_arcs(K, [(c, b)])
-    if need_cb is None:
-        return "no directed path from c to b"
-    removable = K.arc_set() - need_ad - need_cb - {(a, b), (c, d)}
+    need = necessary_arcs(K, [(a, d), (c, b)])
+    if need is None:
+        return "no directed path from " + ("a to d" if d not in search(K, a, target=d) else "c to b")
+    removable = K.arc_set() - need - {(a, b), (c, d)}
     if removable:
         return f"not inclusion-minimal: arc {min(removable)} is removable"
     iso = [v for v in K.vertices if K.total_degree(v) == 0 and v not in {a, b, c, d}]

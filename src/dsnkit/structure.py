@@ -27,7 +27,7 @@ from .graphs import (
     treewidth_exact,
     treewidth_upper_bound,
 )
-from .ladders import LadderSpec, LadderVerdict, is_ladder_subdivision, ladder_corners, make_ladder
+from .ladders import LadderSpec, LadderVerdict, is_ladder_subdivision, ladder_rungs, make_ladder
 
 PROTRUSION_MAX_INTERIOR = 14
 
@@ -341,14 +341,10 @@ def protrusion_replace(
         ident.add(n_new)
     spec = LadderSpec(n_new, ident)
     ladder = make_ladder(spec)
-    a1, b1, an, bn = ladder_corners(spec)
-    if n_new % 2 == 0:
-        corner_map = {a1: a, b1: b, bn: c, an: d}
-    else:
-        corner_map = {a1: a, b1: b, an: c, bn: d}
-
+    rungs = ladder_rungs(spec)
+    # The first rung runs a -> b and the last one c -> d.
+    vmap: Dict[int, int] = dict(zip((*rungs[0], *rungs[-1]), (a, b, c, d)))
     fresh_base = max(graph.vertices) + 1
-    vmap: Dict[int, int] = dict(corner_map)
     for v in ladder.vertices:
         if v not in vmap:
             vmap[v] = fresh_base
@@ -595,53 +591,46 @@ def reduce_length(inst: DsnInstance, sol: SolutionSubgraph) -> Tuple[WeightedDig
 
 
 class TreewidthCertificate(NamedTuple):
+    """The structure report plus the declared genus, which is only echoed."""
+
     declared_genus: int
-    q: int
-    tw_solution: int
-    tw_solution_exact: bool
-    tw_reduced: int
-    tw_reduced_exact: bool
-    tw_per_terminal: float
-    pipeline_increased_tw: bool
-    flagged: bool
     report: StructureReport
 
+    @property
+    def pipeline_increased_tw(self) -> bool:
+        return self.report.tw_after > self.report.tw_before
+
+    @property
+    def flagged(self) -> bool:
+        """The pipeline made treewidth grow beyond what the measured ratio
+        explains."""
+        rep = self.report
+        return rep.tw_after > max(1.0, rep.max_ratio) * max(1, rep.tw_before)
+
     def to_json_dict(self) -> dict:
+        rep = self.report
+        q = len(rep.terminals)
         return {
             "schema": "dsnkit/treewidth-certificate/1",
             "declared_genus": self.declared_genus,
-            "q": self.q,
-            "treewidth_solution": self.tw_solution,
-            "treewidth_solution_exact": self.tw_solution_exact,
-            "treewidth_reduced": self.tw_reduced,
-            "treewidth_reduced_exact": self.tw_reduced_exact,
-            "treewidth_per_terminal": self.tw_per_terminal,
+            "q": q,
+            "treewidth_solution": rep.tw_before,
+            "treewidth_solution_exact": rep.tw_before_exact,
+            "treewidth_reduced": rep.tw_after,
+            "treewidth_reduced_exact": rep.tw_after_exact,
+            "treewidth_per_terminal": rep.tw_before / max(1, q),
             "pipeline_increased_treewidth": self.pipeline_increased_tw,
             "flagged": self.flagged,
-            "report": self.report.to_json_dict(),
+            "report": rep.to_json_dict(),
         }
 
 
 def certify_treewidth_bound(
     inst: DsnInstance, sol: SolutionSubgraph, declared_genus: int = 0
 ) -> TreewidthCertificate:
-    """Run the reduction pipeline and compare treewidths before/after.
+    """Run the reduction pipeline; the certificate reads its treewidths
+    before and after off the report.
 
     No pass/fail against the asymptotic constant; flags only a pipeline that
     made treewidth grow beyond what the measured ratio explains."""
-    reduced, report = reduce_length(inst, sol)
-    q = max(1, inst.q)
-    tw_sol = report.tw_before
-    tw_red = report.tw_after
-    return TreewidthCertificate(
-        declared_genus=declared_genus,
-        q=inst.q,
-        tw_solution=tw_sol,
-        tw_solution_exact=report.tw_before_exact,
-        tw_reduced=tw_red,
-        tw_reduced_exact=report.tw_after_exact,
-        tw_per_terminal=tw_sol / q,
-        pipeline_increased_tw=tw_red > tw_sol,
-        flagged=tw_sol > max(1.0, report.max_ratio) * max(1, tw_red),
-        report=report,
-    )
+    return TreewidthCertificate(declared_genus, reduce_length(inst, sol)[1])

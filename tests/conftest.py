@@ -5,11 +5,14 @@ path between two vertices, a digraph minus a vertex set, the six-family ladder g
 attached, the undirected ladder and outerplanarity checks (by networkx,
 which only the tests use), the exact-treewidth subset dynamic program, the
 path-union search with its shared-arc bound built up front, and the small
-3-regular pattern corpus."""
+3-regular pattern corpus, and the small-scope enumeration of every
+instance up to a small size with the checks run on each."""
 
 import heapq
+import itertools
 import math
 import random
+import traceback
 from collections import Counter
 from fractions import Fraction
 from typing import Dict, List, Set, Tuple
@@ -20,9 +23,10 @@ from hypothesis import strategies as st
 
 from dsnkit import solvers
 from dsnkit.dsn import DsnInstance
+from dsnkit.formats import emit_dsn
 from dsnkit.generators import gen_grid
 from dsnkit.graphs import DirectedPath, UndirectedGraph, WeightedDigraph, search
-from dsnkit.ladders import LadderSpec, ladder_corners, make_ladder
+from dsnkit.ladders import LadderSpec, ladder_rungs, make_ladder
 from dsnkit.reduction import PsiInstance
 
 
@@ -276,19 +280,11 @@ def ladder_with_terminals(n, identified=()):
     solution."""
     spec = LadderSpec(n, frozenset(identified))
     g = make_ladder(spec)
-    a1, b1, an, bn = ladder_corners(spec)
+    rungs = ladder_rungs(spec)
+    (tail_1, head_1), (tail_n, head_n) = rungs[0], rungs[-1]
     s, t = 1000, 1001
     arcs = dict(g.arcs())
-    if n % 2 == 0:
-        arcs[(s, a1)] = Fraction(1)
-        arcs[(an, t)] = Fraction(1)
-        arcs[(t, bn)] = Fraction(1)
-        arcs[(b1, s)] = Fraction(1)
-    else:
-        arcs[(s, a1)] = Fraction(1)
-        arcs[(bn, t)] = Fraction(1)
-        arcs[(t, an)] = Fraction(1)
-        arcs[(b1, s)] = Fraction(1)
+    arcs.update({(s, tail_1): 1, (head_n, t): 1, (t, tail_n): 1, (head_1, s): 1})
     host = WeightedDigraph(set(g.vertices) | {s, t}, arcs)
     return DsnInstance(host, {(s, t), (t, s)})
 
@@ -363,6 +359,59 @@ def solve_path_union_eager(inst):
             add = sum(w for bit, w in path if not chosen & bit)
             stack.append((i + 1, chosen | mask, cost + add * L))
     return solvers._finish(inst, host.decode(best_arcs), nodes, "exhaustive")
+
+
+def small_scope_instances(n, sizes, weights=(1,), out_stars=False):
+    """Every digraph on vertices 0..n-1, drawn by arc mask, with every set
+    of requests whose size is in `sizes`: any distinct pairs, or with
+    `out_stars` set, pairs that share one source.  Arc i of host `mask`
+    weighs weights[(mask + i) % len(weights)], so weights are unit by
+    default."""
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    if out_stars:
+        request_sets = [
+            [(root, t) for t in leaves]
+            for root in range(n)
+            for k in sizes
+            for leaves in itertools.combinations([v for v in range(n) if v != root], k)
+        ]
+    else:
+        request_sets = [reqs for k in sizes for reqs in itertools.combinations(pairs, k)]
+    for mask in range(1 << len(pairs)):
+        arcs = {a: weights[(mask + i) % len(weights)] for i, a in enumerate(pairs) if mask >> i & 1}
+        host = WeightedDigraph(range(n), arcs)
+        for reqs in request_sets:
+            yield DsnInstance(host, reqs)
+
+
+def small_scope_failure(inst, engine=solvers.solve_exhaustive):
+    """What goes wrong on `inst`, with the instance as `.dsn` text, or None.
+
+    `solve_bnb` and `engine` must agree on feasibility and cost.  A
+    feasible instance must then get a certificate from
+    `solve_with_certificate` with neither verdict set, the important and
+    marked bounds holding and the diameter bound not False.  An exception
+    from any of them is a failure too, reported with its traceback."""
+    try:
+        got, want = engine(inst), solvers.solve_bnb(inst)
+        if (got.feasible, got.cost) != (want.feasible, want.cost):
+            why = f"{engine.__name__} gives cost {got.cost}, solve_bnb {want.cost}"
+        elif want.feasible:
+            cert = solvers.solve_with_certificate(inst)[1]
+            rep = cert.report
+            verdicts = {
+                "flagged": cert.flagged,
+                "pipeline_increased_tw": cert.pipeline_increased_tw,
+                "important bound failed": not rep.important_bound_ok,
+                "marked bound failed": not rep.marked_bound_ok,
+                "diameter bound failed": rep.diameter_bound_ok is False,
+            }
+            why = ", ".join(name for name, bad in verdicts.items() if bad) or None
+        else:
+            why = None
+    except Exception:
+        why = traceback.format_exc()
+    return None if why is None else f"{why.rstrip()}\ninstance:\n{emit_dsn(inst)}"
 
 
 @pytest.fixture

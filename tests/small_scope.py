@@ -1,0 +1,53 @@
+"""Small-scope exhaustive checks over every 4-vertex instance.
+
+Two spaces, each checked in full:
+
+- every unit-weight digraph on 4 vertices with every set of 1 or 2
+  requests (319,488 instances): `solve_bnb` and `solve_exhaustive` agree on
+  feasibility and cost, and each feasible instance gets a certificate with
+  no verdict set and its bounds holding;
+- every digraph on 4 vertices with weights 1 to 3 and every out-star
+  request set of 1 to 3 leaves (114,688 instances): `solve_dst` agrees
+  with `solve_bnb`, and the certificates are checked the same way.
+
+pytest does not collect this file; run it with
+
+    PYTHONPATH=src python tests/small_scope.py
+
+It prints each space's counts and exits 1 at the first failure, which it
+prints as `.dsn` text."""
+
+import sys
+import time
+
+from dsnkit.solvers import solve_dst, solve_exhaustive
+
+from conftest import small_scope_failure, small_scope_instances
+
+# (name, instances, the engine checked against solve_bnb)
+SPACES = [
+    ("4 vertices, 1-2 requests", small_scope_instances(4, (1, 2)), solve_exhaustive),
+    (
+        "4 vertices, weights 1-3, out-stars of 1-3 leaves",
+        small_scope_instances(4, (1, 2, 3), weights=(1, 2, 3), out_stars=True),
+        solve_dst,
+    ),
+]
+
+
+def main() -> int:
+    for name, instances, engine in SPACES:
+        start = time.perf_counter()
+        count = 0
+        for inst in instances:
+            failure = small_scope_failure(inst, engine)
+            if failure is not None:
+                print(f"{name}: {failure}", end="")
+                return 1
+            count += 1
+        print(f"{name}: {count} instances ok in {time.perf_counter() - start:.0f} s", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

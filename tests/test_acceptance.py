@@ -216,8 +216,8 @@ def test_criterion_8_planar_corpus_certificates():
         corpus.append((f"grid-{w}x{h}", inst, result.optimum))
     for name, inst, sol in corpus:
         cert = certify_treewidth_bound(inst, sol, declared_genus=0)
-        assert cert.tw_solution_exact and cert.tw_reduced_exact
-        assert cert.tw_solution <= 4 * inst.q, name
+        assert cert.report.tw_before_exact and cert.report.tw_after_exact
+        assert cert.report.tw_before <= 4 * inst.q, name
         assert cert.report.diameter_bound_ok, name
         assert not cert.pipeline_increased_tw, name
         assert not cert.flagged, name

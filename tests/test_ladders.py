@@ -18,6 +18,7 @@ from dsnkit.ladders import (
     is_ladder_subdivision,
     ladder_corner_requests,
     ladder_corners,
+    ladder_rungs,
     ladder_two_path_decomposition,
     make_ladder,
 )
@@ -247,7 +248,7 @@ class TestConstruction:
 
     def test_matches_six_family_reference_on_every_small_spec(self):
         """[DERIVED: the generator written as six arc families] on all 2,046
-        specs with n <= 10, with their two-path decompositions."""
+        specs with n <= 10, with their rungs and two-path decompositions."""
         cases = 0
         for n in range(1, 11):
             for size in range(n + 1):
@@ -255,6 +256,7 @@ class TestConstruction:
                     spec = LadderSpec(n, ident)
                     g, ref = make_ladder(spec), six_family_ladder(spec)
                     assert (g.vertices, g.arcs()) == (ref.vertices, ref.arcs())
+                    assert all(ref.has_arc(u, v) for u, v in ladder_rungs(spec) if u != v)
                     p1, p2 = ladder_two_path_decomposition(g, spec)
                     assert set(p1.arcs()) | set(p2.arcs()) == g.arc_set()
                     cases += 1

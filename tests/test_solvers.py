@@ -761,7 +761,7 @@ class TestCertificateWrapper:
         g = WeightedDigraph(range(4), {(0, 1): 1, (1, 2): 1, (2, 3): 1})
         result, cert = solve_with_certificate(DsnInstance(g, {(0, 3)}))
         assert result.feasible
-        assert cert.tw_solution == 1
+        assert cert.report.tw_before == 1
 
     def test_grid_scss_bounds(self):
         """[DERIVED: exact treewidth oracle] planar grid, q = 3"""
@@ -771,8 +771,8 @@ class TestCertificateWrapper:
         inst, _ = gen_grid(3, 3, q=3, seed=1)
         result, cert = solve_with_certificate(inst, declared_genus=0)
         assert result.feasible
-        assert cert.tw_solution <= 3
-        assert cert.tw_solution / inst.q <= 1
+        assert cert.report.tw_before <= 3
+        assert cert.to_json_dict()["treewidth_per_terminal"] <= 1
 
     def test_infeasible_has_no_certificate(self):
         g = WeightedDigraph(range(3), {(0, 1): 1})

@@ -498,7 +498,7 @@ class TestCertificate:
         cert = certify_treewidth_bound(inst, sol, declared_genus=0)
         assert not cert.pipeline_increased_tw
         assert not cert.flagged
-        assert cert.tw_reduced_exact
+        assert cert.report.tw_after_exact
 
     def test_certificate_serializes(self):
         inst = ladder_with_terminals(8)
@@ -527,10 +527,10 @@ class TestCertificate:
         inst = ladder_with_terminals(8)
         sol = SolutionSubgraph(inst.host, frozenset(inst.host.arcs()))
         cert = certify_treewidth_bound(inst, sol)
-        assert type(cert.tw_solution) is int and cert.tw_solution == cert.report.tw_before
-        assert type(cert.tw_reduced) is int and cert.tw_reduced == cert.report.tw_after
-        assert not cert.tw_solution_exact and not cert.tw_reduced_exact
-        assert cert.tw_per_terminal == cert.tw_solution / cert.q
+        rep = cert.report
+        assert type(rep.tw_before) is int and type(rep.tw_after) is int
+        assert not rep.tw_before_exact and not rep.tw_after_exact
+        assert cert.to_json_dict()["treewidth_per_terminal"] == rep.tw_before / len(rep.terminals)
 
 
 class TestAvoidingPath:
