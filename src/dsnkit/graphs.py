@@ -1,9 +1,10 @@
 """Directed and undirected graph data model plus the generic algorithms.
 
 All graph values are immutable after construction and every operation is a
-pure function, so shared instances are safe to use concurrently.  The one
-slot filled later, a digraph's `scaled_weights` view, is a function of its
-fixed weights, so two threads racing to fill it store equal values.  Vertex
+pure function, so shared instances are safe to use concurrently.  The two
+slots filled later, a digraph's `scaled_weights` view and its
+`necessary_arcs` answers per request set, are functions of its fixed arcs
+and weights, so two threads racing to fill one store equal values.  Vertex
 ids are integers and every deterministic tie-break is by ascending id.
 """
 
@@ -12,7 +13,7 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
-from typing import Container, Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Container, Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 from .errors import CapacityError, DomainError, InconsistencyError, InputError
 
@@ -35,7 +36,7 @@ def _as_weight(w) -> Fraction:
 class WeightedDigraph:
     """Simple digraph with strictly positive rational arc weights."""
 
-    __slots__ = ("_vertices", "_vset", "_arcs", "_out", "_in", "_scaled")
+    __slots__ = ("_vertices", "_vset", "_arcs", "_out", "_in", "_scaled", "_necessary")
 
     def __init__(self, vertices: Iterable[int], arcs: Mapping[Arc, object]):
         vs = sorted(vertices)
@@ -61,6 +62,7 @@ class WeightedDigraph:
         self._arcs = checked
         self._out = {v: tuple(ns) for v, ns in out.items()}
         self._in = {v: tuple(ns) for v, ns in inn.items()}
+        self._necessary: Dict[FrozenSet[Tuple[int, int]], Optional[FrozenSet[Arc]]] = {}
 
     # -- basic accessors -------------------------------------------------
 
@@ -125,12 +127,17 @@ class WeightedDigraph:
     # -- derived graphs --------------------------------------------------
 
     def subgraph(self, arcs: Iterable[Arc]) -> "WeightedDigraph":
-        """Subgraph on the given arcs and their ends."""
+        """Subgraph on the given arcs and their ends.  Graphs are immutable,
+        so when that is every arc and every vertex, it is the graph itself,
+        with its `scaled_weights` view and `necessary_arcs` answers."""
         arcset = set(arcs)
         for a in arcset:
             if a not in self._arcs:
                 raise InputError(f"arc {a} not present in the graph")
-        return WeightedDigraph({u for a in arcset for u in a}, {a: self._arcs[a] for a in arcset})
+        ends = {u for a in arcset for u in a}
+        if len(arcset) == len(self._arcs) and len(ends) == len(self._vertices):
+            return self
+        return WeightedDigraph(ends, {a: self._arcs[a] for a in arcset})
 
     def induced(self, vertices: Iterable[int]) -> "WeightedDigraph":
         vs = set(vertices)
@@ -357,11 +364,8 @@ def search(
     queue = [s]
     # The list grows while it is walked, which makes it the FIFO queue.
     for u in queue:
-        ns = adj[u]
-        if within is not None:
-            ns = [v for v in ns if ((v, u) if reverse else (u, v)) in within]
-        for v in ns:
-            if v in parent:
+        for v in adj[u]:
+            if v in parent or within is not None and ((v, u) if reverse else (u, v)) not in within:
                 continue
             parent[v] = u
             if v == target:
@@ -424,9 +428,11 @@ def _search_path(g: WeightedDigraph, s: int, t: int, avoid: Container[int] = ())
     return seq
 
 
-def necessary_arcs(g: WeightedDigraph, requests: Iterable[Tuple[int, int]]) -> Optional[Set[Arc]]:
+def necessary_arcs(g: WeightedDigraph, requests: Iterable[Tuple[int, int]]) -> Optional[FrozenSet[Arc]]:
     """The arcs that lie on every s-t path of some request (s, t), or None
     when some request has an endpoint outside g or t unreachable from s.
+    The answer is kept on g per request set, so asking again for the same
+    set walks nothing; it is a frozenset, which no caller can change.
 
     These are the strong bridges that separate a request (Italiano, Laura &
     Santaroni, TCS 2012); s == t needs none.  Per request, a breadth-first
@@ -439,6 +445,13 @@ def necessary_arcs(g: WeightedDigraph, requests: Iterable[Tuple[int, int]]) -> O
     e_1 .. e_{i-1}.  So one walk that leaves out the path's arcs, seeded
     with each path vertex in turn and extended only as far as each answer
     needs, finds them all in time linear in the graph."""
+    key = frozenset(requests)
+    if key not in g._necessary:
+        g._necessary[key] = _necessary_arcs(g, key)
+    return g._necessary[key]
+
+
+def _necessary_arcs(g: WeightedDigraph, requests: FrozenSet[Tuple[int, int]]) -> Optional[FrozenSet[Arc]]:
     out = g._out
     found: Set[Arc] = set()
     for s, t in requests:
@@ -467,7 +480,7 @@ def necessary_arcs(g: WeightedDigraph, requests: Iterable[Tuple[int, int]]) -> O
             if path[i] not in seen:
                 seen.add(path[i])
                 stack.append(path[i])
-    return found
+    return frozenset(found)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +499,7 @@ def suppress_degree_two(graph: WeightedDigraph, terminals: Iterable[int]) -> Wei
     re-checked when popped, yields the victims in that order while the
     neighbor sets and arcs are edited in place; the graph is built once."""
     T = set(terminals)
-    nbrs: Dict[int, Set[int]] = {v: set(graph.neighbors(v)) for v in graph.vertices}
+    nbrs: Dict[int, Set[int]] = {v: {*graph._out[v], *graph._in[v]} for v in graph.vertices}
 
     def candidate(v: int) -> bool:
         return v not in T and 1 <= len(nbrs[v]) <= 2

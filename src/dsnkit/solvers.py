@@ -224,8 +224,9 @@ def solve_bnb(inst: DsnInstance) -> SolveResult:
     Forced arcs: the root includes `necessary_arcs` of the host, the arcs on
     every s-t path of some request.  Every feasible solution contains them,
     so the optima, and with them the tie-break's result, are those of a root
-    with nothing included.  On a ladder every arc is forced and the search
-    ends at the root.
+    with nothing included.  When every host arc is forced, as on a ladder,
+    the root is the only leaf: the search returns it with `nodes` 1 and
+    builds nothing.
 
     Lower bound at a node: cost of included arcs plus the largest
     shortest-path cost d over unsatisfied requests, with included arcs free
@@ -287,6 +288,8 @@ def solve_bnb(inst: DsnInstance) -> SolveResult:
     forced = necessary_arcs(inst.host, inst.requests)
     if forced is None:
         return _infeasible("bnb")
+    if len(forced) == inst.host.m:
+        return _finish(inst, forced, 1, "bnb")
     host = _IntHost(inst.host)
     adj, iw = host.out, host.weights
     heappop, heappush = heapq.heappop, heapq.heappush

@@ -361,12 +361,12 @@ def solve_path_union_eager(inst):
     return solvers._finish(inst, host.decode(best_arcs), nodes, "exhaustive")
 
 
-def small_scope_instances(n, sizes, weights=(1,), out_stars=False):
+def small_scope_instances(n, sizes, weights=(1,), out_stars=False, masks=None):
     """Every digraph on vertices 0..n-1, drawn by arc mask, with every set
     of requests whose size is in `sizes`: any distinct pairs, or with
     `out_stars` set, pairs that share one source.  Arc i of host `mask`
     weighs weights[(mask + i) % len(weights)], so weights are unit by
-    default."""
+    default.  `masks` picks the hosts, all of them by default."""
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     if out_stars:
         request_sets = [
@@ -377,7 +377,7 @@ def small_scope_instances(n, sizes, weights=(1,), out_stars=False):
         ]
     else:
         request_sets = [reqs for k in sizes for reqs in itertools.combinations(pairs, k)]
-    for mask in range(1 << len(pairs)):
+    for mask in range(1 << len(pairs)) if masks is None else masks:
         arcs = {a: weights[(mask + i) % len(weights)] for i, a in enumerate(pairs) if mask >> i & 1}
         host = WeightedDigraph(range(n), arcs)
         for reqs in request_sets:

@@ -24,19 +24,21 @@ from dsnkit.solvers import solve_dst, solve_exhaustive
 
 from conftest import small_scope_failure, small_scope_instances
 
-# (name, instances, the engine checked against solve_bnb)
-SPACES = [
-    ("4 vertices, 1-2 requests", small_scope_instances(4, (1, 2)), solve_exhaustive),
-    (
-        "4 vertices, weights 1-3, out-stars of 1-3 leaves",
-        small_scope_instances(4, (1, 2, 3), weights=(1, 2, 3), out_stars=True),
-        solve_dst,
-    ),
-]
+def spaces(masks=None):
+    """(name, instances, the engine checked against solve_bnb) per space;
+    `masks` picks the hosts, all of them by default."""
+    return [
+        ("4 vertices, 1-2 requests", small_scope_instances(4, (1, 2), masks=masks), solve_exhaustive),
+        (
+            "4 vertices, weights 1-3, out-stars of 1-3 leaves",
+            small_scope_instances(4, (1, 2, 3), weights=(1, 2, 3), out_stars=True, masks=masks),
+            solve_dst,
+        ),
+    ]
 
 
 def main() -> int:
-    for name, instances, engine in SPACES:
+    for name, instances, engine in spaces():
         start = time.perf_counter()
         count = 0
         for inst in instances:

@@ -195,6 +195,18 @@ class TestWeightedDigraph:
         g = WeightedDigraph(range(3), {(0, 1): 2, (1, 2): Fraction(1, 3)})
         assert g.reverse().reverse() == g
 
+    def test_subgraph_on_every_arc_is_the_graph_itself(self):
+        g = WeightedDigraph(range(3), {(0, 1): 2, (1, 2): Fraction(1, 3), (2, 0): 1})
+        assert g.subgraph(g.arcs()) is g
+        assert g.subgraph(list(g.arc_set())) is g
+
+    def test_subgraph_without_an_arc_or_a_vertex_is_a_new_graph(self):
+        g = WeightedDigraph(range(4), {(0, 1): 2, (1, 2): Fraction(1, 3), (0, 2): 1})
+        every_arc = g.subgraph(g.arcs())
+        assert every_arc is not g and every_arc.vertices == (0, 1, 2) and every_arc.arcs() == g.arcs()
+        every_vertex = every_arc.subgraph([(0, 1), (1, 2)])
+        assert every_vertex is not every_arc and every_vertex.vertices == every_arc.vertices and every_vertex.m == 2
+
 
 def assert_scaled_view(g, scale):
     ints, got_scale = g.scaled_weights()
@@ -394,6 +406,18 @@ class TestNecessaryArcs:
         assert necessary_arcs(g, [(0, 7)]) is None
         assert necessary_arcs(g, [(7, 0)]) is None
         assert necessary_arcs(g, [(2, 2), (0, 0)]) == set()
+
+    def test_answer_is_frozen_and_kept_per_request_set(self):
+        g = WeightedDigraph(range(4), {(0, 1): 1, (1, 2): 1, (2, 3): 1, (0, 2): 5})
+        got = necessary_arcs(g, [(0, 3)])
+        assert isinstance(got, frozenset)
+        with pytest.raises(AttributeError):
+            got.add((0, 2))
+        # The same set in another order or container gets the kept answer.
+        assert necessary_arcs(g, {(0, 3), (0, 3)}) is got
+        assert necessary_arcs(g, [(1, 3), (0, 1)]) is necessary_arcs(g, ((0, 1), (1, 3)))
+        # A graph equal to g keeps answers of its own.
+        assert necessary_arcs(WeightedDigraph(g.vertices, g.arcs()), [(0, 3)]) is not got
 
     @settings(max_examples=200, deadline=None)
     @given(g=st.one_of(digraphs(), digraphs(density=0.5)), data=st.data())

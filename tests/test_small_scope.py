@@ -1,10 +1,17 @@
-"""Small-scope exhaustive check: every 3-vertex instance, not a sample.
+"""Small-scope exhaustive check: every 3-vertex instance, not a sample,
+and a fixed seeded slice of the two 4-vertex spaces.
 
 All 64 unit-weight digraphs on 3 vertices, each with every non-empty
 request set: 4,032 instances.  `tests/small_scope.py` runs the same checks
-over the 4-vertex spaces."""
+over the 4-vertex spaces in full."""
+
+import random
 
 from conftest import small_scope_failure, small_scope_instances
+from small_scope import spaces
+
+# 64 of the 4,096 arc masks of a 4-vertex host, drawn once from seed 0.
+FOUR_VERTEX_HOSTS = sorted(random.Random(0).sample(range(1 << 12), 64))
 
 
 def test_every_three_vertex_instance():
@@ -14,3 +21,17 @@ def test_every_three_vertex_instance():
         assert failure is None, failure
         count += 1
     assert count == 4032
+
+
+def test_seeded_slice_of_the_four_vertex_spaces():
+    """Each sampled host with every set of 1 or 2 requests (78 per host)
+    and, with weights 1 to 3, every out-star request set of 1 to 3 leaves
+    (28 per host)."""
+    counts = []
+    for _, instances, engine in spaces(FOUR_VERTEX_HOSTS):
+        counts.append(0)
+        for inst in instances:
+            failure = small_scope_failure(inst, engine)
+            assert failure is None, failure
+            counts[-1] += 1
+    assert counts == [64 * 78, 64 * 28]

@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsnkit.dsn import DsnInstance, is_inclusion_minimal, validate, violated_request
-from dsnkit import dsn, solvers
+from dsnkit import dsn, graphs, solvers
 from dsnkit.errors import CapacityError, DomainError, InvariantError
-from dsnkit.generators import gen_grid, gen_random
+from dsnkit.generators import gen_grid, gen_ladder, gen_random
 from dsnkit.graphs import WeightedDigraph, search, shortest_path
 from dsnkit.reduction import decide_psi_via_dsn, generate_hardness_instance
 from dsnkit.solvers import (
@@ -570,13 +570,22 @@ class TestBranchAndBound:
         r = solve_bnb(DsnInstance(g, {(0, m)}))
         assert r.feasible and r.cost == m and len(r.optimum.arcs) == m
 
-    @pytest.mark.parametrize("n,identified", [(6, ()), (9, ()), (10, {1, 5}), (13, {13})])
-    def test_ladder_is_solved_at_the_root(self, n, identified):
-        # Every arc of a ladder with terminals lies on every path of a request.
-        inst = ladder_with_terminals(n, identified)
+    @pytest.mark.parametrize(
+        "shape,n,identified",
+        [("terminals", n, identified) for n, identified in [(3, ()), (6, ()), (7, (2,)), (9, ()), (10, {1, 5}), (13, {13})]]
+        + [("corners", n, identified) for n in (2, 5, 8) for identified in ((), (1,), (n // 2 + 1,))],
+    )
+    def test_ladder_is_solved_at_the_root(self, shape, n, identified, monkeypatch):
+        # Every arc of a ladder, with terminals or with its corner requests,
+        # lies on every path of a request, so the root is the only leaf and
+        # the host is never compiled.
+        inst = ladder_with_terminals(n, identified) if shape == "terminals" else gen_ladder(n, identified)[0]
+        monkeypatch.setattr(solvers, "_IntHost", lambda host: pytest.fail("_IntHost built for a fully forced host"))
         r = solve_bnb(inst)
+        monkeypatch.undo()
         assert r.node_count == 1 and r.optimum.arcs == frozenset(inst.host.arcs())
-        assert optimum_outcome(r) == optimum_outcome(solve_bnb_recursive(inst))
+        reference = solve_exhaustive if inst.host.m <= solvers.EXHAUSTIVE_MAX_ARCS else solve_bnb_recursive
+        assert optimum_outcome(r) == optimum_outcome(reference(inst))
 
     def test_long_path_is_linear(self):
         # Every arc of a path is forced at the root, so the search ends there;
@@ -773,6 +782,31 @@ class TestCertificateWrapper:
         assert result.feasible
         assert cert.report.tw_before <= 3
         assert cert.to_json_dict()["treewidth_per_terminal"] <= 1
+
+    @pytest.mark.parametrize("n,identified", [(8, ()), (13, (6,))])
+    def test_ladder_walks_the_host_once_and_copies_no_graph(self, n, identified, monkeypatch):
+        # The optimum is the whole host, so its graph is the host, and the
+        # pipeline's minimality check reads the forced arcs bnb found.
+        inst = ladder_with_terminals(n, identified)
+        walked, built = [], []
+        walk, init = graphs._necessary_arcs, WeightedDigraph.__init__
+
+        def counted_walk(g, requests):
+            walked.append(g)
+            return walk(g, requests)
+
+        def counted_init(g, *args):
+            init(g, *args)
+            built.append(g)
+
+        monkeypatch.setattr(graphs, "_necessary_arcs", counted_walk)
+        monkeypatch.setattr(WeightedDigraph, "__init__", counted_init)
+        result, cert = solve_with_certificate(inst)
+        monkeypatch.undo()
+        assert result.method == "bnb" and result.optimum.as_graph() is inst.host
+        assert [g for g in walked if g == inst.host] == [inst.host]
+        assert not [g for g in built if g == inst.host]
+        assert cert.report.replacements >= 1
 
     def test_infeasible_has_no_certificate(self):
         g = WeightedDigraph(range(3), {(0, 1): 1})
