@@ -409,23 +409,23 @@ def shortest_path(
 
 def avoiding_path(g: WeightedDigraph, s: int, t: int, avoid: Iterable[int]) -> Optional[DirectedPath]:
     """Shortest (fewest arcs) s-t path whose internal vertices avoid `avoid`;
-    endpoints are exempt.  Nontrivial: s == t yields None."""
+    endpoints are exempt.  Nontrivial: s == t yields None.  It is the s-t
+    path of `search(g, s, avoid)`, read off that search's parent map."""
     if s == t:
         return None
-    seq = _search_path(g, s, t, set(avoid))
-    return None if seq is None else DirectedPath(tuple(seq))
+    seq = _parent_path(search(g, s, set(avoid), t), t)
+    return None if seq is None else DirectedPath(seq)
 
 
-def _search_path(g: WeightedDigraph, s: int, t: int, avoid: Container[int] = ()) -> Optional[List[int]]:
-    """The vertices of `search`'s s-t path, or None when it reaches no t."""
-    parent = search(g, s, avoid, t)
+def _parent_path(parent: Dict[int, Optional[int]], t: int) -> Optional[Tuple[int, ...]]:
+    """The vertices of the path to t in `search`'s parent map, from the
+    search's source, or None when the search did not reach t."""
     if t not in parent:
         return None
     seq = [t]
     while parent[seq[-1]] is not None:
         seq.append(parent[seq[-1]])
-    seq.reverse()
-    return seq
+    return tuple(reversed(seq))
 
 
 def necessary_arcs(g: WeightedDigraph, requests: Iterable[Tuple[int, int]]) -> Optional[FrozenSet[Arc]]:
@@ -459,7 +459,7 @@ def _necessary_arcs(g: WeightedDigraph, requests: FrozenSet[Tuple[int, int]]) ->
             return None
         if s == t:
             continue
-        path = _search_path(g, s, t)
+        path = _parent_path(search(g, s, (), t), t)
         if path is None:
             return None
         pos = {v: i for i, v in enumerate(path)}

@@ -18,6 +18,7 @@ from .graphs import (
     DirectedPath,
     UndirectedGraph,
     WeightedDigraph,
+    _parent_path,
     avoiding_path,
     diameter,
     necessary_arcs,
@@ -66,7 +67,9 @@ def important_vertices(
     graph: WeightedDigraph, terminals: Iterable[int], P: DirectedPath
 ) -> ImportantSet:
     """Vertices of P with a P-avoiding connection to a terminal off P, with
-    the closest-to-endpoint labelling and the anchor map g_P."""
+    the closest-to-endpoint labelling and the anchor map g_P.  Per terminal
+    x, one search runs from x onto P and one from P into x, except the two
+    that cannot move a label: from P's start and into P's end."""
     T = set(terminals)
     P.check_in(graph)
     if P.start not in T or P.end not in T:
@@ -79,23 +82,14 @@ def important_vertices(
     onto_fwd: Dict[int, Set[int]] = {}  # terminal -> P vertices reachable from it
     onto_bwd: Dict[int, Set[int]] = {}  # terminal -> P vertices that reach it
     for x in sorted(T):
-        if not graph.has_vertex(x):
-            onto_fwd[x] = set()
-            onto_bwd[x] = set()
-            continue
-        onto_fwd[x] = _onto_path_reach(graph, x, pset)
-        onto_bwd[x] = _onto_path_reach(graph, x, pset, reverse=True)
-        if x in pset:
-            onto_fwd[x].add(x)
-            onto_bwd[x].add(x)
+        # P's start is its own closest "<-" vertex, and P's end its own closest "->" vertex.
+        on_p = {x} & pset
+        absent = not graph.has_vertex(x)
+        onto_fwd[x] = on_p if absent or x == P.start else _onto_path_reach(graph, x, pset) | on_p
+        onto_bwd[x] = on_p if absent or x == P.end else _onto_path_reach(graph, x, pset, reverse=True) | on_p
 
-    important = tuple(
-        v
-        for v in P.vertices
-        if any(
-            (v in onto_fwd[x] or v in onto_bwd[x]) for x in T - pset if graph.has_vertex(x)
-        )
-    )
+    linked = set().union(*(onto_fwd[x] | onto_bwd[x] for x in T - pset))
+    important = tuple(v for v in P.vertices if v in linked)
 
     labels: Dict[int, Set[Tuple[int, str]]] = {}
     for x in sorted(T):
@@ -169,16 +163,20 @@ class MarkedSet(NamedTuple):
 
 
 def marked_vertices(graph: WeightedDigraph, P: DirectedPath, imp: ImportantSet) -> MarkedSet:
-    """The four extremal back-jump endpoints around every important vertex."""
+    """The four extremal back-jump endpoints around every important vertex.
+    Quadruples read back-jumps only from the first important vertex on, so
+    one P-avoiding search runs from each such path vertex; the witnesses
+    p3 -> p1 and p4 -> p2 are read off the searches from p3 and p4."""
     if imp.path != P:
         raise InputError("important set was computed for a different path")
-    pset = set(P.vertices)
-    idx = {v: i for i, v in enumerate(P.vertices)}
-    r = len(P.vertices)
+    pv = P.vertices
+    pset = set(pv)
+    idx = {v: i for i, v in enumerate(pv)}
+    r = len(pv)
+    first = idx[imp.important[0]] if imp.important else r
+    parents = {x: search(graph, pv[x], pset) for x in range(first, r)}
     # back[x] = indices reachable from P[x] by a nontrivial P-avoiding path
-    back: Dict[int, Set[int]] = {}
-    for x in range(r):
-        back[x] = {idx[v] for v in _onto_path_reach(graph, P.vertices[x], pset)}
+    back = {x: {idx[v] for v in parent if v in pset and v != pv[x]} for x, parent in parents.items()}
 
     quads: List[MarkedQuadruple] = []
     for pj in imp.important:
@@ -195,14 +193,12 @@ def marked_vertices(graph: WeightedDigraph, P: DirectedPath, imp: ImportantSet) 
             raise InvariantError(
                 f"marked quadruple ordering violated at {pj}: {(j1, j2, j, j3, j4)}"
             )
-        q31 = avoiding_path(graph, P.vertices[j3], P.vertices[j1], pset)
-        q42 = avoiding_path(graph, P.vertices[j4], P.vertices[j2], pset)
+        q31 = _parent_path(parents[j3], pv[j1])
+        q42 = _parent_path(parents[j4], pv[j2])
         if q31 is None or q42 is None:
             raise InvariantError(f"missing back-jump witness at {pj}")
         quads.append(
-            MarkedQuadruple(
-                pj, P.vertices[j1], P.vertices[j2], P.vertices[j3], P.vertices[j4], q31, q42
-            )
+            MarkedQuadruple(pj, pv[j1], pv[j2], pv[j3], pv[j4], DirectedPath(q31), DirectedPath(q42))
         )
     marked = MarkedSet(tuple(quads))
     if len(marked.marked) > 4 * len(imp.important):

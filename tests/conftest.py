@@ -4,9 +4,11 @@ internal vertices, the cheapest path by exact rational costs, every simple
 path between two vertices, a digraph minus a vertex set, the six-family ladder generator, ladder hosts with terminals
 attached, the undirected ladder and outerplanarity checks (by networkx,
 which only the tests use), the exact-treewidth subset dynamic program, the
-path-union search with its shared-arc bound built up front, and the small
-3-regular pattern corpus, and the small-scope enumeration of every
-instance up to a small size with the checks run on each."""
+path-union search with its shared-arc bound built up front, the small
+3-regular pattern corpus, the important and marked vertices with every
+search run, the per-path analysis checked against them, and the
+small-scope enumeration of every instance up to a small size with the
+checks run on each."""
 
 import heapq
 import itertools
@@ -16,18 +18,20 @@ import traceback
 from collections import Counter
 from fractions import Fraction
 from typing import Dict, List, Set, Tuple
+from unittest import mock
 
 import networkx as nx
 import pytest
 from hypothesis import strategies as st
 
-from dsnkit import solvers
+from dsnkit import solvers, structure
 from dsnkit.dsn import DsnInstance
 from dsnkit.formats import emit_dsn
 from dsnkit.generators import gen_grid
-from dsnkit.graphs import DirectedPath, UndirectedGraph, WeightedDigraph, search
+from dsnkit.graphs import DirectedPath, UndirectedGraph, WeightedDigraph, avoiding_path, search
 from dsnkit.ladders import LadderSpec, ladder_rungs, make_ladder
 from dsnkit.reduction import PsiInstance
+from dsnkit.structure import ImportantSet, MarkedQuadruple, MarkedSet
 
 
 def random_instance(seed, n_range=(4, 8), density=0.35, max_requests=4, max_arcs=20):
@@ -361,6 +365,69 @@ def solve_path_union_eager(inst):
     return solvers._finish(inst, host.decode(best_arcs), nodes, "exhaustive")
 
 
+def important_vertices_reference(graph, terminals, P):
+    """Reference: `structure.important_vertices` with both searches from
+    every terminal, P's endpoints included, and no self-check."""
+    T, pset, idx = set(terminals), set(P.vertices), {v: i for i, v in enumerate(P.vertices)}
+    # (x, "<-"): the P vertices that x reaches; (x, "->"): those that reach x
+    onto = {
+        (x, d): {v for v in search(graph, x, pset, reverse=d == "->") if v in pset}
+        for x in T if graph.has_vertex(x) for d in ("<-", "->")
+    }
+    labels = {}
+    for (x, d), hits in onto.items():
+        if hits:  # "<-" labels the hit closest to P's start, "->" the one closest to its end
+            labels.setdefault((min if d == "<-" else max)(hits, key=idx.get), set()).add((x, d))
+    important = tuple(v for v in P.vertices if any(v in hits for (x, _), hits in onto.items() if x not in pset))
+    anchor, witness = {}, {}
+    for v in important:
+        for x, d in sorted(labels[v]):
+            w = avoiding_path(graph, *((x, v) if d == "<-" else (v, x)), pset | T)
+            if w is not None:
+                anchor[v], witness[v] = x, w
+                break
+    return ImportantSet(P, important, {v: frozenset(ls) for v, ls in labels.items()}, anchor, witness)
+
+
+def marked_vertices_reference(graph, P, imp):
+    """Reference: `structure.marked_vertices` with a P-avoiding search from
+    every path vertex, the witnesses found again by `avoiding_path` and no
+    self-check."""
+    pv, pset, idx, r = P.vertices, set(P.vertices), {v: i for i, v in enumerate(P.vertices)}, len(P.vertices)
+    back = [{idx[v] for v in search(graph, pv[x], pset) if v in pset and v != pv[x]} for x in range(r)]
+    quads = []
+    for pj in imp.important:
+        j = idx[pj]
+        if not any(w <= j for x in range(j, r) for w in back[x]):
+            quads.append(MarkedQuadruple(pj, pj, pj, pj, pj, None, None))
+            continue
+        j1 = min(w for x in range(j, r) for w in back[x])
+        j4 = max(x for x in range(j, r) if back[x] and min(back[x]) <= j)
+        j3 = min(x for x in range(j, r) if j1 in back[x])
+        j2 = max(w for w in back[j4] if w <= j)
+        q31, q42 = (avoiding_path(graph, pv[a], pv[b], pset) for a, b in ((j3, j1), (j4, j2)))
+        quads.append(MarkedQuadruple(pj, pv[j1], pv[j2], pv[j3], pv[j4], q31, q42))
+    return MarkedSet(tuple(quads))
+
+
+def checked_analyses(run, *args):
+    """`run(*args)`, with each per-path analysis of the structural pipeline
+    checked against the two references.  Returns the result and, per
+    analyzed path, its marked set and whether both sets equal the
+    references', every field and witness included."""
+    analyses = []
+    analyze = structure._analyze_path
+
+    def checked(graph, T, s, t):
+        P, imp, mk, segs = analyze(graph, T, s, t)
+        same = (imp, mk) == (important_vertices_reference(graph, T, P), marked_vertices_reference(graph, P, imp))
+        analyses.append((mk, same))
+        return P, imp, mk, segs
+
+    with mock.patch.object(structure, "_analyze_path", checked):
+        return run(*args), analyses
+
+
 def small_scope_instances(n, sizes, weights=(1,), out_stars=False, masks=None):
     """Every digraph on vertices 0..n-1, drawn by arc mask, with every set
     of requests whose size is in `sizes`: any distinct pairs, or with
@@ -390,14 +457,16 @@ def small_scope_failure(inst, engine=solvers.solve_exhaustive):
     `solve_bnb` and `engine` must agree on feasibility and cost.  A
     feasible instance must then get a certificate from
     `solve_with_certificate` with neither verdict set, the important and
-    marked bounds holding and the diameter bound not False.  An exception
-    from any of them is a failure too, reported with its traceback."""
+    marked bounds holding and the diameter bound not False, and each path
+    it analyzes must get the important and marked sets of the references.
+    An exception from any of them is a failure too, reported with its
+    traceback."""
     try:
         got, want = engine(inst), solvers.solve_bnb(inst)
         if (got.feasible, got.cost) != (want.feasible, want.cost):
             why = f"{engine.__name__} gives cost {got.cost}, solve_bnb {want.cost}"
         elif want.feasible:
-            cert = solvers.solve_with_certificate(inst)[1]
+            (_, cert), analyses = checked_analyses(solvers.solve_with_certificate, inst)
             rep = cert.report
             verdicts = {
                 "flagged": cert.flagged,
@@ -405,6 +474,7 @@ def small_scope_failure(inst, engine=solvers.solve_exhaustive):
                 "important bound failed": not rep.important_bound_ok,
                 "marked bound failed": not rep.marked_bound_ok,
                 "diameter bound failed": rep.diameter_bound_ok is False,
+                "important or marked set differs from the reference": not all(same for _, same in analyses),
             }
             why = ", ".join(name for name, bad in verdicts.items() if bad) or None
         else:

@@ -6,7 +6,9 @@ of a record in the package (a `@dataclass`, a `NamedTuple` or a class with
 `__slots__`) is read as an attribute in the package or its tests, and
 `import dsnkit.cli` loads neither `dataclasses` nor `inspect`.  No `cmd_*`
 step of the CLI assigns to `args` or writes stdout itself: `cli.main` holds
-the input and writes the report.
+the input and writes the report.  The package holds no `assert` statement
+and reads no `__debug__`, so every runtime self-check also runs under
+`python -O`, on paths that no test reaches too.
 
 `__init__.py` is exempt from the unused-import scan because it imports names
 only to re-export them through `__all__`."""
@@ -271,3 +273,23 @@ def test_scan_finds_a_command_that_bypasses_the_runner():
 
 def test_cli_commands_leave_args_and_stdout_to_the_runner():
     assert runner_bypasses((Path(dsnkit.__file__).parent / "cli.py").read_text()) == []
+
+
+def optimized_away(source):
+    """Line of each `assert` statement and each `__debug__` in `source`:
+    the code that `python -O` strips or skips."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Assert) or isinstance(node, ast.Name) and node.id == "__debug__"
+    )
+
+
+def test_scan_finds_code_that_python_o_strips():
+    source = "def f(x):\n    assert x, 'x'\n    if __debug__:\n        check(x)\n    return x  # assert x\n"
+    assert optimized_away(source) == [2, 3]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_self_checks_survive_python_o(path):
+    assert optimized_away(path.read_text()) == []

@@ -1,5 +1,6 @@
 import json
 import sys
+from collections import Counter
 
 import pytest
 from fractions import Fraction
@@ -16,7 +17,8 @@ from dsnkit.errors import CapacityError, InconsistencyError, InvariantError, Pre
 from dsnkit.graphs import DirectedPath, WeightedDigraph, treewidth_exact, treewidth_upper_bound
 from dsnkit import graphs, structure
 from dsnkit.ladders import LadderVerdict
-from dsnkit.solvers import solve_exhaustive
+from dsnkit.generators import gen_random
+from dsnkit.solvers import solve_exhaustive, solve_with_certificate
 from dsnkit.structure import (
     LadderSegment,
     PathRecord,
@@ -37,7 +39,10 @@ from dsnkit.structure import (
     suppress_degree_two,
 )
 
-from conftest import CUBE, digraphs, ladder_with_terminals, random_instances, reaches, without_vertices
+from conftest import (
+    CUBE, checked_analyses, digraphs, ladder_with_terminals, out_star, random_instances, reaches, without_vertices,
+)
+from test_golden_cli import LADDERS, OUT_STARS
 
 
 def onto_path_reach_by_dfs(graph, src, pset):
@@ -218,7 +223,52 @@ def assert_quadruples_ordered(P, mk):
     return found
 
 
+def count_searches(monkeypatch):
+    """Patches `structure.search` to count its calls by the calling public
+    function, past private helpers and comprehensions."""
+    calls = Counter()
+
+    def counting(*args, **kw):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith(("_", "<")):
+            frame = frame.f_back
+        calls[frame.f_code.co_name] += 1
+        return graphs.search(*args, **kw)
+
+    monkeypatch.setattr(structure, "search", counting)
+    return calls
+
+
 class TestMarkedVertices:
+    def test_sets_match_the_references_on_the_analyze_corpora(self):
+        """Every path analyzed for the golden analyze corpus (ladders, random
+        instances, out-stars) and for 300 seeded random instances (251 of
+        them feasible) gets the references' important and marked sets."""
+        corpus = [ladder_with_terminals(n, ident) for n, ident in LADDERS]
+        corpus += [out_star(seed, kind, leaves) for kind, leaves, seed in OUT_STARS]
+        corpus += [gen_random(8, 20, 4, 3, seed)[0] for seed in range(300)]
+        feasible = nondegenerate = 0
+        for inst in corpus:
+            (_, cert), found = checked_analyses(solve_with_certificate, inst)
+            assert all(same for _, same in found)
+            feasible += cert is not None
+            nondegenerate += sum(not q.degenerate for mk, _ in found for q in mk.quadruples)
+        assert feasible == len(LADDERS) + len(OUT_STARS) + 251 and nondegenerate > 0
+
+    @pytest.mark.parametrize("n", [8, 13])
+    def test_ladder_analysis_runs_no_marked_search(self, n, monkeypatch):
+        calls = count_searches(monkeypatch)
+        solve_with_certificate(ladder_with_terminals(n))
+        assert calls["marked_vertices"] == 0 and calls["important_vertices"] > 0
+
+    def test_one_search_per_path_vertex_from_the_first_important_one(self, monkeypatch):
+        arcs = {(0, 1): 1, (1, 2): 1, (2, 3): 1, (3, 4): 1, (3, 5): 1, (5, 1): 1, (6, 2): 1, (2, 6): 1}
+        g, P = WeightedDigraph(range(7), arcs), DirectedPath((0, 1, 2, 3, 4))
+        imp = important_vertices(g, {0, 4, 6}, P)
+        calls = count_searches(monkeypatch)
+        marked_vertices(g, P, imp)
+        assert imp.important == (2,) and calls == {"marked_vertices": 5 - 2}
+
     def test_ordering_invariant_on_ladder_path(self):
         # walk the length-8 ladder between two added terminals
         inst = ladder_with_terminals(8)
