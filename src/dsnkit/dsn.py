@@ -9,6 +9,7 @@ level is where the real logic lives.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from typing import Container, FrozenSet, Iterable, List, Optional, Tuple
 
 from .errors import InputError, PreconditionError
@@ -34,9 +35,9 @@ class DsnInstance(_Record):
 
     def __init__(self, host: WeightedDigraph, requests: Iterable[Request]):
         reqs = _normalize_requests_arg(requests)
-        for s, t in reqs:
-            if not host.has_vertex(s) or not host.has_vertex(t):
-                raise InputError(f"request {s}->{t} endpoint not in the host graph")
+        if not set(chain.from_iterable(reqs)).issubset(host.vertices):
+            s, t = next(r for r in reqs if not host.has_vertex(r[0]) or not host.has_vertex(r[1]))
+            raise InputError(f"request {s}->{t} endpoint not in the host graph")
         super().__init__(host, reqs)
 
     @property
@@ -65,9 +66,9 @@ class SolutionSubgraph(_Record):
 
     def __init__(self, host: WeightedDigraph, arcs: Iterable[Arc]):
         arcset = frozenset(arcs)
-        for a in arcset:
-            if not host.has_arc(*a):
-                raise InputError(f"arc {a} is not in the host graph")
+        if not arcset <= host.arc_set():
+            a = next(a for a in arcset if not host.has_arc(*a))
+            raise InputError(f"arc {a} is not in the host graph")
         super().__init__(host, arcset)
 
     def as_graph(self) -> WeightedDigraph:
@@ -124,7 +125,8 @@ def minimize_graph(graph: WeightedDigraph, requests: Iterable[Request]) -> Weigh
         raise PreconditionError("graph is not a valid solution")
     terminals = {v for r in reqs for v in r}
     current = graph
-    for arc in sorted(graph.arc_set(), key=lambda a: (-graph.weight(*a), a)):
+    ints = graph.scaled_weights()[0]
+    for arc in sorted(ints, key=lambda a: (-ints[a], a)):
         if arc not in necessary:
             current = current.without_arc(*arc)
             necessary = necessary_arcs(current, reqs)

@@ -7,8 +7,9 @@ Files are 1-based; in-memory objects are 0-based.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List, Tuple, Union
 
 from .dsn import DsnInstance
 from .errors import CapacityError, ParseError
@@ -50,9 +51,10 @@ def _is_ascii_int(tok: str) -> bool:
     return tok.isascii() and tok.isdigit()
 
 
-def _weight_field(tok: str, lineno: int, col: int) -> Fraction:
-    """`Fraction(tok)`, which must be positive.  A token `n` or `n/d` of
-    ASCII digits is read with `int` (d = 0 raises ZeroDivisionError, as
+def _weight_field(tok: str, lineno: int, col: int) -> Union[int, Fraction]:
+    """The value of `Fraction(tok)`, which must be positive: an int when
+    it is a whole number, else a Fraction.  A token `n` or `n/d` of ASCII
+    digits is read with `int` (d = 0 raises ZeroDivisionError, as
     `Fraction(tok)` does); any other token goes through `Fraction(tok)`, so
     both accept, reject and report the same tokens.
 
@@ -65,7 +67,7 @@ def _weight_field(tok: str, lineno: int, col: int) -> Fraction:
     try:
         if _is_ascii_int(num) and (not slash or _is_ascii_int(den)):
             d = int(den) if slash else 1
-            w = Fraction(int(num)) if d == 1 else Fraction(int(num), d)
+            w = int(num) if d == 1 else Fraction(int(num), d)
         else:
             # Fraction reads the exponent after the token's only 'e' with
             # int, so a malformed exponent fails here as it would there; only
@@ -80,16 +82,16 @@ def _weight_field(tok: str, lineno: int, col: int) -> Fraction:
     # A Fraction's denominator is positive, so its sign is the numerator's.
     if w.numerator <= 0:
         raise ParseError(f"weight must be positive, got {tok}", lineno, col)
-    return w
+    return w.numerator if w.denominator == 1 else w
 
 
 def parse_dsn(text: str) -> Tuple[DsnInstance, Metadata]:
     meta: Metadata = {}
     header = None
-    arcs: Dict[Tuple[int, int], Fraction] = {}
+    arcs: Dict[Tuple[int, int], Union[int, Fraction]] = {}
     # Each distinct weight token is read once: its value does not depend on
     # where it stands, and a bad one stops the parse where it first appears.
-    weights: Dict[str, Fraction] = {}
+    weights: Dict[str, Union[int, Fraction]] = {}
     requests = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         toks = raw.split()
@@ -156,8 +158,11 @@ def emit_dsn(inst: DsnInstance, meta: Metadata = None) -> str:
     for key in sorted(meta or {}):
         lines.append(f"c {key} {meta[key]}".rstrip())
     lines.append(f"p dsn {len(verts)} {inst.host.m} {inst.q} {inst.p}")
-    for (u, v), w in sorted(inst.host.arcs().items()):
-        lines.append(f"a {index[u]} {index[v]} {w.numerator}/{w.denominator}")
+    # Each weight in lowest terms, read off the host's integers and scale.
+    ints, scale = inst.host.scaled_weights()
+    for (u, v), w in sorted(ints.items()):
+        d = math.gcd(w, scale)
+        lines.append(f"a {index[u]} {index[v]} {w // d}/{scale // d}")
     for s, t in inst.sorted_requests():
         lines.append(f"r {index[s]} {index[t]}")
     return "\n".join(lines) + "\n"
@@ -174,43 +179,41 @@ def parse_psi(text: str) -> Tuple[PsiInstance, Metadata]:
         if not toks:
             continue
         kind = toks[0]
-        if kind == "c":
-            if len(toks) >= 2:
-                meta[toks[1]] = " ".join(toks[2:])
-            continue
-        if kind == "p":
-            if header is not None:
-                raise ParseError("duplicate header", lineno)
-            if len(toks) != 6 or toks[1] != "psi":
-                raise ParseError("header must be `p psi nG mG kH mH`", lineno)
-            header = tuple(_int_field(t, lineno, i + 3, lo=0) for i, t in enumerate(toks[2:]))
-            # nG is bounded by the file, which must hold nG `map` records.
-            if header[2] > header[0]:
-                raise ParseError("pattern graph is larger than the host graph", lineno, 5)
-            continue
-        if header is None:
-            raise ParseError(f"record {kind!r} before the header", lineno)
-        nG, _, kH, _ = header
-        if kind == "eg" or kind == "eh":
+        # Records are tested in the order of their frequency in a file.
+        if (kind == "eg" or kind == "eh") and header:
             if len(toks) != 3:
                 raise ParseError(f"edge record must be `{kind} u v`", lineno)
             hi = nG if kind == "eg" else kH
             u, v = _int_pair(toks, lineno, 4, hi, hi)
             if u == v:
                 raise ParseError(f"loop edge at {u}", lineno, 4)
-            (eg if kind == "eg" else eh).add((min(u, v) - 1, max(u, v) - 1))
-        elif kind == "map":
+            (eg if kind == "eg" else eh).add((u - 1, v - 1) if u < v else (v - 1, u - 1))
+        elif kind == "map" and header:
             if len(toks) != 3:
                 raise ParseError("class record must be `map u x`", lineno)
             u, x = _int_pair(toks, lineno, 5, nG, kH)
             if u - 1 in classmap:
                 raise ParseError(f"vertex {u} mapped twice", lineno, 5)
             classmap[u - 1] = x - 1
+        elif kind == "c":
+            if len(toks) >= 2:
+                meta[toks[1]] = " ".join(toks[2:])
+        elif kind == "p":
+            if header is not None:
+                raise ParseError("duplicate header", lineno)
+            if len(toks) != 6 or toks[1] != "psi":
+                raise ParseError("header must be `p psi nG mG kH mH`", lineno)
+            header = tuple(_int_field(t, lineno, i + 3, lo=0) for i, t in enumerate(toks[2:]))
+            nG, mG, kH, mH = header
+            # nG is bounded by the file, which must hold nG `map` records.
+            if kH > nG:
+                raise ParseError("pattern graph is larger than the host graph", lineno, 5)
+        elif header is None:
+            raise ParseError(f"record {kind!r} before the header", lineno)
         else:
             raise ParseError(f"unknown record kind {kind!r}", lineno)
     if header is None:
         raise ParseError("missing `p psi` header", 1)
-    nG, mG, kH, mH = header
     if len(eg) != mG:
         raise ParseError(f"header promises {mG} host edges, file has {len(eg)}", 1)
     if len(eh) != mH:

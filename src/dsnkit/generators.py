@@ -7,7 +7,6 @@ byte-stable across runs.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from typing import Dict, Iterable, List, Tuple
 
 from .dsn import DsnInstance
@@ -96,7 +95,7 @@ def gen_random(n: int, m: int, q: int, p: int, seed: int) -> Tuple[DsnInstance, 
         raise InputError(f"need 1 <= p <= {q * (q - 1)} requests")
     rng = random.Random(seed)
     chosen = _sample_pairs(rng, n, m)
-    arcs = {a: Fraction(rng.randint(1, 9)) for a in sorted(chosen)}
+    arcs = {a: rng.randint(1, 9) for a in sorted(chosen)}
     terminals = sorted(rng.sample(range(n), q))
     requests = {(terminals[a], terminals[b]) for a, b in _sample_pairs(rng, q, p)}
     inst = DsnInstance(WeightedDigraph(range(n), arcs), requests)

@@ -1,11 +1,11 @@
 """Directed and undirected graph data model plus the generic algorithms.
 
 All graph values are immutable after construction and every operation is a
-pure function, so shared instances are safe to use concurrently.  The two
-slots filled later, a digraph's `scaled_weights` view and its
-`necessary_arcs` answers per request set, are functions of its fixed arcs
-and weights, so two threads racing to fill one store equal values.  Vertex
-ids are integers and every deterministic tie-break is by ascending id.
+pure function, so shared instances are safe to use concurrently.  The one
+slot filled later, a digraph's `necessary_arcs` answers per request set, is
+a function of its fixed arcs, so two threads racing to fill it store equal
+values.  Vertex ids are integers and every deterministic tie-break is by
+ascending id.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
-from typing import Container, Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Container, Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple, Union
 
 from .errors import CapacityError, DomainError, InconsistencyError, InputError
 
@@ -21,45 +21,62 @@ Arc = Tuple[int, int]
 
 TREEWIDTH_EXACT_CAP = 22
 
-# The weight of a unit arc, shared so that each such arc needs no new Fraction.
-UNIT = Fraction(1)
+# The weight of a unit arc.
+UNIT = 1
 
 
-def _as_weight(w) -> Fraction:
+def _as_weight(w) -> Union[int, Fraction]:
     f = w if isinstance(w, Fraction) else Fraction(w)
     # A Fraction's denominator is positive, so its sign is the numerator's.
     if f.numerator <= 0:
         raise InputError(f"arc weight must be positive, got {w}")
-    return f
+    # A whole weight is an int, as the stored form is.
+    return f.numerator if f.denominator == 1 else f
 
 
 class WeightedDigraph:
-    """Simple digraph with strictly positive rational arc weights."""
+    """Simple digraph with strictly positive rational arc weights, stored as
+    integers over one `scale`, the lcm of their reduced denominators.  Arc
+    a weighs `arcs[a] / scale`, `arcs[a]` an int, a Fraction or anything
+    `Fraction` reads; a derived graph passes its parent's integers and scale."""
 
-    __slots__ = ("_vertices", "_vset", "_arcs", "_out", "_in", "_scaled", "_necessary")
+    __slots__ = ("_vertices", "_vset", "_arcs", "_scaled", "_out", "_in", "_necessary")
 
-    def __init__(self, vertices: Iterable[int], arcs: Mapping[Arc, object]):
+    def __init__(self, vertices: Iterable[int], arcs: Mapping[Arc, object], scale: int = 1):
         vs = sorted(vertices)
         if len(set(vs)) != len(vs):
             raise InputError("duplicate vertex ids")
         vset = frozenset(vs)
-        checked: Dict[Arc, Fraction] = {}
+        ints: Dict[Arc, Union[int, Fraction]] = {}
+        dens = set()
         for a, w in arcs.items():
             u, v = a
             if u == v:
                 raise InputError(f"self-loop at vertex {u}")
             if u not in vset or v not in vset:
                 raise InputError(f"arc ({u}, {v}) has an unknown endpoint")
-            checked[a] = w if isinstance(w, Fraction) and w.numerator > 0 else _as_weight(w)
+            if type(w) is not int or w <= 0:
+                w = _as_weight(w)
+                if type(w) is not int:
+                    dens.add(w.denominator)
+            ints[a] = w
+        if dens or scale != 1:
+            # Integers over scale * lcm, then divided by their one gcd.
+            lcm = math.lcm(*dens)
+            ints = {a: int(w * lcm) for a, w in ints.items()}
+            common = math.gcd(scale * lcm, *ints.values())
+            ints = {a: w // common for a, w in ints.items()}
+            scale = scale * lcm // common
         # One pass over the sorted arcs leaves every neighbour list sorted.
         out: Dict[int, List[int]] = {v: [] for v in vs}
         inn: Dict[int, List[int]] = {v: [] for v in vs}
-        for u, v in sorted(checked):
+        for u, v in sorted(ints):
             out[u].append(v)
             inn[v].append(u)
         self._vertices: Tuple[int, ...] = tuple(vs)
         self._vset = vset
-        self._arcs = checked
+        self._arcs: Dict[Arc, int] = ints
+        self._scaled = (ints, scale)
         self._out = {v: tuple(ns) for v, ns in out.items()}
         self._in = {v: tuple(ns) for v, ns in inn.items()}
         self._necessary: Dict[FrozenSet[Tuple[int, int]], Optional[FrozenSet[Arc]]] = {}
@@ -78,8 +95,10 @@ class WeightedDigraph:
     def m(self) -> int:
         return len(self._arcs)
 
-    def arcs(self) -> Dict[Arc, Fraction]:
-        return dict(self._arcs)
+    def arcs(self) -> Dict[Arc, Union[int, Fraction]]:
+        """{arc: weight}: the stored ints at scale 1, else one Fraction per arc."""
+        ints, scale = self._scaled
+        return dict(ints) if scale == 1 else {a: Fraction(w, scale) for a, w in ints.items()}
 
     def arc_set(self) -> Set[Arc]:
         return set(self._arcs)
@@ -92,16 +111,12 @@ class WeightedDigraph:
 
     def weight(self, u: int, v: int) -> Fraction:
         try:
-            return self._arcs[(u, v)]
+            return Fraction(self._arcs[(u, v)], self._scaled[1])
         except KeyError:
             raise InputError(f"no arc ({u}, {v})") from None
 
     def scaled_weights(self) -> Tuple[Dict[Arc, int], int]:
-        """({arc: weight * scale}, scale) with `scale` the lcm of the weight
-        denominators, so every value is an integer; computed once, shared, read-only."""
-        if not hasattr(self, "_scaled"):
-            scale = math.lcm(*{w.denominator for w in self._arcs.values()})
-            self._scaled = ({a: w.numerator * (scale // w.denominator) for a, w in self._arcs.items()}, scale)
+        """({arc: weight * scale}, scale), the stored form; shared, read-only."""
         return self._scaled
 
     def out_neighbors(self, v: int) -> Tuple[int, ...]:
@@ -129,7 +144,7 @@ class WeightedDigraph:
     def subgraph(self, arcs: Iterable[Arc]) -> "WeightedDigraph":
         """Subgraph on the given arcs and their ends.  Graphs are immutable,
         so when that is every arc and every vertex, it is the graph itself,
-        with its `scaled_weights` view and `necessary_arcs` answers."""
+        with its `necessary_arcs` answers."""
         arcset = set(arcs)
         for a in arcset:
             if a not in self._arcs:
@@ -137,22 +152,22 @@ class WeightedDigraph:
         ends = {u for a in arcset for u in a}
         if len(arcset) == len(self._arcs) and len(ends) == len(self._vertices):
             return self
-        return WeightedDigraph(ends, {a: self._arcs[a] for a in arcset})
+        return WeightedDigraph(ends, {a: self._arcs[a] for a in arcset}, self._scaled[1])
 
     def induced(self, vertices: Iterable[int]) -> "WeightedDigraph":
         vs = set(vertices)
         for v in vs:
             self._check_vertex(v)
         arcs = {a: w for a, w in self._arcs.items() if a[0] in vs and a[1] in vs}
-        return WeightedDigraph(vs, arcs)
+        return WeightedDigraph(vs, arcs, self._scaled[1])
 
     def without_arc(self, u: int, v: int) -> "WeightedDigraph":
         arcs = dict(self._arcs)
         del arcs[(u, v)]
-        return WeightedDigraph(self._vertices, arcs)
+        return WeightedDigraph(self._vertices, arcs, self._scaled[1])
 
     def reverse(self) -> "WeightedDigraph":
-        return WeightedDigraph(self._vertices, {(v, u): w for (u, v), w in self._arcs.items()})
+        return WeightedDigraph(self._vertices, {(v, u): w for (u, v), w in self._arcs.items()}, self._scaled[1])
 
     def sym(self) -> "UndirectedGraph":
         """Underlying undirected graph; weights are discarded."""
@@ -163,7 +178,7 @@ class WeightedDigraph:
         return (
             isinstance(other, WeightedDigraph)
             and self._vertices == other._vertices
-            and self._arcs == other._arcs
+            and self._scaled == other._scaled
         )
 
     def __hash__(self):
@@ -387,7 +402,7 @@ def shortest_path(
     g._check_vertex(t)
     out = g._out
     # Integer costs over one positive scale order paths, ties included, as the exact costs do.
-    ints, scale = g.scaled_weights()
+    ints, scale = g._scaled
     # Uniform-cost search on (cost, vertex sequence).  Because all simple
     # paths to a vertex end in it, lexicographic comparison is stable under
     # extension, so the first pop per vertex is optimal.
@@ -490,8 +505,8 @@ def _necessary_arcs(g: WeightedDigraph, requests: FrozenSet[Tuple[int, int]]) ->
 def suppress_degree_two(graph: WeightedDigraph, terminals: Iterable[int]) -> WeightedDigraph:
     """Exhaustively remove non-terminal pass-through vertices with exactly
     two neighbors, merging their arcs.  Created arcs carry the summed weight
-    of the replaced arcs.  With no candidate, `graph` itself is returned
-    and nothing is copied or built.
+    of the replaced arcs, added as integers over `graph`'s scale.  With no
+    candidate, `graph` itself is returned and nothing is copied or built.
 
     The victim is always the smallest-id non-terminal with one or two
     neighbors, and one neighbor is an error.  Removing a vertex changes the
@@ -508,7 +523,8 @@ def suppress_degree_two(graph: WeightedDigraph, terminals: Iterable[int]) -> Wei
     heap = [v for v in graph.vertices if candidate(v)]
     if not heap:
         return graph
-    arcs = graph.arcs()
+    ints, scale = graph._scaled
+    arcs = dict(ints)
     while heap:
         v = heapq.heappop(heap)
         if v not in nbrs or not candidate(v):
@@ -518,7 +534,7 @@ def suppress_degree_two(graph: WeightedDigraph, terminals: Iterable[int]) -> Wei
                 f"non-terminal {v} has a single neighbor; input is not inclusion-minimal"
             )
         u, w = sorted(nbrs.pop(v))
-        created: List[Tuple[Arc, Fraction]] = []
+        created: List[Tuple[Arc, int]] = []
         for x, y in ((u, w), (w, u)):
             if (x, v) in arcs and (v, y) in arcs:
                 created.append(((x, y), arcs[(x, v)] + arcs[(v, y)]))
@@ -538,7 +554,7 @@ def suppress_degree_two(graph: WeightedDigraph, terminals: Iterable[int]) -> Wei
             nbrs[x].add(y)
             if candidate(x):
                 heapq.heappush(heap, x)
-    return WeightedDigraph(nbrs, arcs)
+    return WeightedDigraph(nbrs, arcs, scale)
 
 
 # ---------------------------------------------------------------------------

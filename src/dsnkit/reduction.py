@@ -80,10 +80,11 @@ class Labelling(NamedTuple):
         return 1 + max(self.gamma.values()) if self.gamma else 0
 
 
-def _greedy_vertex_colouring(g: UndirectedGraph) -> Dict[int, int]:
+def _greedy_vertex_colouring(adj: Dict[int, Set[int]]) -> Dict[int, int]:
+    """Each vertex, in the map's order, takes the least colour its neighbours lack."""
     colour: Dict[int, int] = {}
-    for v in g.vertices:
-        used = {colour[u] for u in g.adjacent(v) if u in colour}
+    for v, ns in adj.items():
+        used = {colour[u] for u in ns if u in colour}
         c = 0
         while c in used:
             c += 1
@@ -120,27 +121,33 @@ def build_labelling(psi: PsiInstance) -> Labelling:
     class into groups of size r = ceil(sqrt(k)), then two more greedy
     colourings on the chunk-clique graph and the chunk-contracted multigraph."""
     h = psi.patternH
-    if any(h.degree(v) > 3 for v in h.vertices):
+    # Adjacency maps in ascending order of vertex.
+    adj = {v: set(h.adjacent(v)) for v in h.vertices}
+    if any(len(ns) > 3 for ns in adj.values()):
         raise InputError("pattern graph must have maximum degree 3")
-    if h.n > 0 and any(h.degree(v) != 3 for v in h.vertices):
+    if h.n > 0 and any(len(ns) != 3 for ns in adj.values()):
         warnings.warn("pattern graph is not 3-regular; size bounds still hold", stacklevel=2)
     k = h.n
     r = max(1, ceil_sqrt(k))
 
-    eta = _greedy_vertex_colouring(h)
+    eta = _greedy_vertex_colouring(adj)
     if eta and max(eta.values()) > 3:
         raise InvariantError("greedy colouring of a max-degree-3 graph used > 4 colours")
 
-    classes = [sorted(v for v, c in eta.items() if c == colour) for colour in range(4)]
+    # eta lists the vertices in ascending order, so each class comes sorted.
+    classes: List[List[int]] = [[], [], [], []]
+    for v, c in eta.items():
+        classes[c].append(v)
     chunks = tuple(tuple(members[i : i + r]) for members in classes for i in range(0, len(members), r))
     alpha = {v: idx for idx, chunk in enumerate(chunks) for v in chunk}
     if len(chunks) > r + 4:
         raise InvariantError(f"{len(chunks)} alpha labels exceed r+4 = {r + 4}")
 
     # chunk-clique graph: the pattern plus a clique inside each chunk
-    extra = {_edge(u, v) for chunk in chunks for i, u in enumerate(chunk) for v in chunk[i + 1 :]}
-    h_prime = UndirectedGraph(h.vertices, set(h.edges) | extra)
-    beta = _greedy_vertex_colouring(h_prime)
+    for v, ns in adj.items():
+        ns.update(chunks[alpha[v]])
+        ns.discard(v)
+    beta = _greedy_vertex_colouring(adj)
     if beta and max(beta.values()) > r + 2:
         raise InvariantError(f"beta used more than r+3 = {r + 3} colours")
 

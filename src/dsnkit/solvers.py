@@ -30,6 +30,8 @@ Bound = Tuple[int, int, int, int, Dict[int, int]]
 _distance = operator.itemgetter(2)
 # A simple path in `_solve_path_union`: (arc bit, scaled weight) per arc.
 PathArcs = Tuple[Tuple[int, int], ...]
+# A request's path with its cost and the mask of its arcs.
+CostedPath = Tuple[int, PathArcs, int]
 
 
 class SolveResult(NamedTuple):
@@ -74,23 +76,24 @@ class _IntHost:
     """The host as the exact engines search it, built once per solve.
 
     Arc i of the sorted arcs is bit 1 << i of an arc-set mask.  Weights are
-    the host's `scaled_weights`, integers over its one `scale`, the least
-    common denominator.  `out[u]` and `inn[v]` list (other end, weight, bit)
-    per arc, in ascending order of the other end."""
+    the host's stored integers over its one `scale`, the least common
+    denominator.  `out[u]` and `inn[v]` list (other end, weight, bit) per
+    arc, in ascending order of the other end."""
 
     __slots__ = ("arcs", "weights", "scale", "out", "inn")
 
     def __init__(self, host: WeightedDigraph) -> None:
         ints, self.scale = host.scaled_weights()
-        self.arcs = sorted(ints)
+        # The host's out-lists are sorted, so this walk lists the arcs sorted.
+        self.arcs = [(u, v) for u in host.vertices for v in host.out_neighbors(u)]
         self.weights = [ints[a] for a in self.arcs]
         self.out: Dict[int, List[Tuple[int, int, int]]] = {v: [] for v in host.vertices}
         self.inn: Dict[int, List[Tuple[int, int, int]]] = {v: [] for v in host.vertices}
         # Sorted arcs come in ascending order of head within a tail, and of
         # tail overall, so both lists are ascending in the other end.
-        for i, (u, v) in enumerate(self.arcs):
-            self.out[u].append((v, self.weights[i], 1 << i))
-            self.inn[v].append((u, self.weights[i], 1 << i))
+        for i, ((u, v), w) in enumerate(zip(self.arcs, self.weights)):
+            self.out[u].append((v, w, 1 << i))
+            self.inn[v].append((u, w, 1 << i))
 
     def decode(self, mask: int) -> Set[Arc]:
         return {a for i, a in enumerate(self.arcs) if mask >> i & 1}
@@ -102,35 +105,36 @@ class _IntHost:
 
 def _request_paths(
     inst: DsnInstance, host: _IntHost, back: Dict[int, Iterable[int]]
-) -> List[List[PathArcs]]:
-    """All simple paths per request as (arc bit, scaled weight) tuples, by
-    one explicit-stack depth-first search per source that stops extending a
-    path once it holds every target, and never extends it into a vertex
-    that reaches no target (`back[t]` holds the vertices that reach t).
-    Requests come sorted, and paths cheapest first, then by tuple, which
-    orders them by vertices: two paths from one source first differ at arcs
-    with a common tail."""
-    found: Dict[Tuple[int, int], List[Tuple[int, PathArcs]]] = {r: [] for r in inst.requests}
+) -> List[List[CostedPath]]:
+    """All simple paths per request as (cost, arcs, arc mask), the arcs as
+    (arc bit, scaled weight) tuples, by one explicit-stack depth-first
+    search per source that stops extending a path once it holds every
+    target, and never extends it into a vertex that reaches no target
+    (`back[t]` holds the vertices that reach t).  Requests come sorted, and
+    paths cheapest first, then by arcs, which orders them by vertices: two
+    paths from one source first differ at arcs with a common tail."""
+    found: Dict[Tuple[int, int], List[CostedPath]] = {r: [] for r in inst.requests}
     for s in {s for s, _ in inst.requests}:
         targets = {t for r, t in inst.requests if r == s}
         live = set().union(*(back[t] for t in targets))
-        # Entries: (the path's vertices, its arcs, its cost, the number of
-        # targets on it).
-        stack: List[Tuple[Tuple[int, ...], PathArcs, int, int]] = [((s,), (), 0, 0)]
+        # Entries: (the path's vertices, its arcs, its cost, its arc mask,
+        # the number of targets on it).
+        stack: List[Tuple[Tuple[int, ...], PathArcs, int, int, int]] = [((s,), (), 0, 0, 0)]
         while stack:
-            on_path, path, cost, hits = stack.pop()
+            on_path, path, cost, mask, hits = stack.pop()
             for v, w, bit in host.out[on_path[-1]]:
                 if v in on_path or v not in live:
                     continue
                 longer = path + ((bit, w),)
                 hit = v in targets
                 if hit:
-                    found[(s, v)].append((cost + w, longer))
+                    found[(s, v)].append((cost + w, longer, mask | bit))
                     if hits + 1 == len(targets):
                         continue
-                stack.append((on_path + (v,), longer, cost + w, hits + hit))
-    # Pairs sort by cost, then by path: no two paths of a request are equal.
-    return [[p for _, p in sorted(found[r])] for r in inst.sorted_requests()]
+                stack.append((on_path + (v,), longer, cost + w, mask | bit, hits + hit))
+    # Paths sort by cost, then by arcs: no two paths of a request are equal,
+    # so masks are never compared.
+    return [sorted(found[r]) for r in inst.sorted_requests()]
 
 
 def solve_exhaustive(inst: DsnInstance) -> SolveResult:
@@ -170,16 +174,19 @@ def _solve_path_union(inst: DsnInstance, threshold: Optional[Fraction] = None) -
     if not inst.requests:
         return _finish(inst, set(), 1, "exhaustive")
     # One backward search per distinct target answers reachability and
-    # bounds the path enumeration.
-    back = {t: search(inst.host, t, reverse=True) for t in {t for _, t in inst.requests}}
-    if any(s not in back[t] for s, t in inst.requests):
-        return _infeasible("exhaustive")
+    # bounds the path enumeration; the first unreachable request ends them.
+    back: Dict[int, Dict[int, Optional[int]]] = {}
+    for s, t in inst.requests:
+        if t not in back:
+            back[t] = search(inst.host, t, reverse=True)
+        if s not in back[t]:
+            return _infeasible("exhaustive")
     host = _IntHost(inst.host)
     per_request = _request_paths(inst, host, back)
     if not all(per_request):
         raise InvariantError("a request reachable in the host has no simple path")
-    # Each request's paths with their arc masks, in push order.
-    pushes = [[(sum(bit for bit, _ in path), path) for path in reversed(paths)] for paths in per_request]
+    # Each request's paths in push order.
+    pushes = [paths[::-1] for paths in per_request]
     split: List[List[PathArcs]] = []
 
     def rest(i: int, chosen: int) -> int:
@@ -197,11 +204,11 @@ def _solve_path_union(inst: DsnInstance, threshold: Optional[Fraction] = None) -
         nodes += 1
         if best is not None:
             if not split:
-                users = Counter(bit for paths in per_request for bit in {bit for path in paths for bit, _ in path})
+                users = Counter(bit for paths in per_request for bit in {bit for _, path, _ in paths for bit, _ in path})
                 # The bound compares costs times L, the lcm of the user
                 # counts, so every split weight w * L / users is an integer.
                 L = math.lcm(*users.values())
-                split = [[tuple((bit, w * L // users[bit]) for bit, w in path) for path in paths] for paths in per_request]
+                split = [[tuple((bit, w * L // users[bit]) for bit, w in path) for _, path, _ in paths] for paths in per_request]
             if cost * L + rest(i, chosen) >= best * L:
                 continue
         if i == len(per_request):
@@ -209,8 +216,10 @@ def _solve_path_union(inst: DsnInstance, threshold: Optional[Fraction] = None) -
             if threshold is not None and cost <= threshold * host.scale:
                 break
             continue
-        for mask, path in pushes[i]:
-            stack.append((i + 1, chosen | mask, cost + sum(w for bit, w in path if not chosen & bit)))
+        for c, path, mask in pushes[i]:
+            # A path that shares no chosen arc adds its whole cost.
+            add = c if not chosen & mask else sum(w for bit, w in path if not chosen & bit)
+            stack.append((i + 1, chosen | mask, cost + add))
     return _finish(inst, host.decode(best_arcs), nodes, "exhaustive")
 
 

@@ -297,7 +297,7 @@ def _replacement_length(n: int) -> int:
 
 
 def protrusion_replace(
-    graph: WeightedDigraph, requests: Iterable[Request], seg: LadderSegment
+    graph: WeightedDigraph, requests: Iterable[Request], seg: LadderSegment, norm: Optional[FrozenSet[Request]] = None
 ) -> WeightedDigraph:
     """Swap a recognized ladder-shaped component for a constant-length fresh
     ladder.
@@ -307,7 +307,9 @@ def protrusion_replace(
     The result is still fully verified at runtime: the graph outside the
     component is untouched, the fresh interior neighbors exactly
     {a, b, c, d}, and the result is a valid inclusion-minimal solution
-    preserving the terminal reachability matrix."""
+    preserving the terminal reachability matrix.  A caller that holds
+    `normalize_requests_graph(graph, T)` for the requests' endpoints T
+    passes it as `norm`, and the check does not search for it again."""
     if not seg.verdict.ok:
         raise PreconditionError(f"component is not a ladder: {seg.verdict.reason}")
     reqs = frozenset(requests)
@@ -349,19 +351,17 @@ def protrusion_replace(
     if len(interior) >= len(Fset):
         return graph
 
-    arcs = {
-        arc: w
-        for arc, w in graph.arcs().items()
-        if arc[0] not in Fset and arc[1] not in Fset
-    }
-    for (u, v), w in ladder.arcs().items():
+    # The new graph keeps `graph`'s integers and scale; a unit arc is the scale.
+    ints, scale = graph.scaled_weights()
+    arcs = {arc: w for arc, w in ints.items() if arc[0] not in Fset and arc[1] not in Fset}
+    for u, v in ladder.arcs():
         mu, mv = vmap[u], vmap[v]
         if (mu, mv) not in arcs:
-            arcs[(mu, mv)] = UNIT
+            arcs[(mu, mv)] = UNIT * scale
     vertices = (set(graph.vertices) - Fset) | interior
-    new_graph = WeightedDigraph(vertices, arcs)
+    new_graph = WeightedDigraph(vertices, arcs, scale)
 
-    _verify_replacement(graph, new_graph, reqs, T, Fset, interior, (a, b, c, d))
+    _verify_replacement(graph, new_graph, reqs, T, Fset, interior, (a, b, c, d), norm)
     return new_graph
 
 
@@ -373,11 +373,15 @@ def _verify_replacement(
     F: Set[int],
     F_new: Set[int],
     boundary: Tuple[int, int, int, int],
+    norm: Optional[FrozenSet[Request]] = None,
 ) -> None:
-    # The vertices and the arcs, with their weights, off the component.
+    """`norm`, when given, is `normalize_requests_graph(old, T)`."""
+    # The vertices and the arcs off the component, each weight times the
+    # other graph's scale, so that equal weights compare equal exactly.
+    (old_ints, old_scale), (new_ints, new_scale) = old.scaled_weights(), new.scaled_weights()
     outside = [
-        (set(g.vertices) - X, {a: w for a, w in g.arcs().items() if a[0] not in X and a[1] not in X})
-        for g, X in ((old, F), (new, F_new))
+        (set(g.vertices) - X, {a: w * scale for a, w in ints.items() if a[0] not in X and a[1] not in X})
+        for g, X, ints, scale in ((old, F, old_ints, new_scale), (new, F_new, new_ints, old_scale))
     ]
     if outside[0] != outside[1]:
         raise InvariantError("replacement changed the graph outside the component")
@@ -393,7 +397,9 @@ def _verify_replacement(
         raise InvariantError("replacement broke a request")
     if len(necessary) < new.m:
         raise InvariantError("replacement is not inclusion-minimal")
-    changed = normalize_requests_graph(old, T) ^ normalize_requests_graph(new, T)
+    if norm is None:
+        norm = normalize_requests_graph(old, T)
+    changed = norm ^ normalize_requests_graph(new, T)
     if changed:
         s, t = min(changed)
         raise InvariantError(f"terminal reachability changed for {s}->{t}")
@@ -531,8 +537,10 @@ def reduce_length_graph(
                 (s, t), P.vertices, P.length, num_important, len(mk.marked),
                 P.length / max(1, num_important), segs,
             ))
+            # Every terminal ends a normalized request, so the endpoints of
+            # norm are T, and the replacement's check can take norm as is.
             candidates = (
-                protrusion_replace(current, norm, seg)
+                protrusion_replace(current, norm, seg, norm)
                 for seg in segs
                 if seg.verdict.ok and seg.verdict.length > _replacement_length(seg.verdict.length)
             )

@@ -339,6 +339,7 @@ def solve_path_union_eager(inst):
         return solvers._infeasible("exhaustive")
     host = solvers._IntHost(inst.host)
     per_request = solvers._request_paths(inst, host, back)
+    per_request = [[path for _, path, _ in paths] for paths in per_request]
     users = Counter(bit for paths in per_request for bit in {bit for path in paths for bit, _ in path})
     L = math.lcm(*users.values())
     split = [[tuple((bit, w * L // users[bit]) for bit, w in path) for path in paths] for paths in per_request]

@@ -9,7 +9,11 @@ identified end and consecutive rungs; `analyze --json` and `solve --json`
 with both exact engines on seeded random instances; `analyze --json` and
 `solve --engine dst --json` on seeded out-stars with 1 to 6 leaves
 (fractional weights and unit-weight grids) and on an infeasible one; and
-`reduce --json --decide` on the two PSI instances of `dsnkit bench`.  Text-mode
+`reduce --json --decide` on the two PSI instances of `dsnkit bench`, on
+seeded hosts around K3,3 and the cube, planted and unplanted (the unplanted
+K3,3 host is feasible above the threshold, the unplanted cube host and one K4
+host have a request that no path serves), with the `.dsn` instance that
+`-o` writes stored as `output_sha256` for two of them.  Text-mode
 variants of `reduce --decide` on both PSI instances and of `solve` and
 `analyze` on `random-0` store `stdout_sha256`, with `N nodes` masked, and the
 stderr text in place of the parsed stdout.
@@ -34,7 +38,7 @@ from dsnkit.generators import gen_random
 from dsnkit.graphs import UndirectedGraph, WeightedDigraph
 from dsnkit.reduction import PsiInstance
 
-from conftest import K4, ladder_with_terminals, out_star
+from conftest import CUBE, K33, K4, ladder_with_terminals, out_star, random_psi_host
 
 GOLDEN_PATH = Path(__file__).with_name("golden_cli.json")
 UNSTABLE_KEYS = ("wall_time_s", "nodes", "rounds")
@@ -53,6 +57,16 @@ OUT_STARS = [("frac", k, seed) for k, seed in zip(range(1, 7), (1, 1, 1, 1, 3, 5
 OUT_STARS += [("grid", k, k) for k in range(1, 7)]
 # nothing reaches leaf 3
 INFEASIBLE_OUT_STAR = DsnInstance(WeightedDigraph(range(4), {(0, 1): 1, (1, 2): 1, (3, 0): 1}), {(0, 2), (0, 3)})
+# (name, pattern, seed, planted) for `random_psi_host`
+PSI_HOSTS = [
+    ("k33-planted", K33, 0, True),
+    ("k33-unplanted", K33, 3, False),
+    ("cube-planted", CUBE, 0, True),
+    ("cube-unplanted", CUBE, 0, False),
+    ("k4-unreachable", K4, 2, False),
+]
+# cases whose `-o` instance text is stored too
+PSI_OUTPUTS = ("k33-planted", "cube-unplanted")
 
 
 def cases():
@@ -77,6 +91,11 @@ def cases():
     for name, host in (("k4", K4), ("c4", C4)):
         text = emit_psi(PsiInstance(host, K4, {i: i for i in range(4)}))
         out[f"reduce-decide-psi-{name}"] = (".psi", text, ["reduce", "FILE", "--json", "--decide"])
+    for name, pattern, seed, planted in PSI_HOSTS:
+        text = emit_psi(random_psi_host(pattern, seed, planted=planted))
+        out[f"reduce-decide-psi-{name}"] = (".psi", text, ["reduce", "FILE", "--json", "--decide"])
+        if name in PSI_OUTPUTS:
+            out[f"reduce-output-psi-{name}"] = (".psi", text, ["reduce", "FILE", "-o", "OUT", "--json", "--decide"])
     for name in ("reduce-decide-psi-k4", "reduce-decide-psi-c4", "solve-bnb-random-0", "analyze-random-0"):
         suffix, text, argv = out[name]
         out[f"{name}-text"] = (suffix, text, [a for a in argv if a != "--json"])
@@ -95,13 +114,17 @@ def run_case(case, directory):
     suffix, text, argv = case
     path = Path(directory) / f"input{suffix}"
     path.write_text(text)
+    written = Path(directory) / "output.dsn"
+    paths = {"FILE": str(path), "OUT": str(written)}
     with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
-        code = main([str(path) if a == "FILE" else a for a in argv])
+        code = main([paths.get(a, a) for a in argv])
     record = {
         "input_sha256": hashlib.sha256(text.encode()).hexdigest(),
         "exit": code,
         "stdout_sha256": hashlib.sha256(UNSTABLE_NUMBERS.sub(r"\1#\2", out.getvalue()).encode()).hexdigest(),
     }
+    if "OUT" in argv:
+        record["output_sha256"] = hashlib.sha256(written.read_bytes()).hexdigest()
     if "--json" in argv:
         record["stdout"] = strip_unstable(json.loads(out.getvalue()))
     else:

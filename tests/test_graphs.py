@@ -18,6 +18,7 @@ from dsnkit.graphs import (
     necessary_arcs,
     search,
     shortest_path,
+    suppress_degree_two,
     treewidth_exact,
     treewidth_upper_bound,
 )
@@ -245,6 +246,26 @@ class TestScaledWeights:
         g, h = WeightedDigraph(range(4), self.RATIONAL), WeightedDigraph(range(4), self.RATIONAL)
         g.scaled_weights()
         assert g == h and hash(g) == hash(h)
+
+    def test_arcs_at_scale_one_are_the_integer_weights(self):
+        g = WeightedDigraph(range(3), {(0, 1): 3, (1, 2): Fraction(10, 2), (2, 0): 1})
+        arcs = g.arcs()
+        assert arcs == {(0, 1): 3, (1, 2): 5, (2, 0): 1}
+        for (u, v), w in arcs.items():
+            assert type(w) is int and w == g.weight(u, v)
+        assert type(g.weight(0, 1)) is Fraction
+
+    @pytest.mark.parametrize("arcs", [{(0, 1): 3, (1, 2): 5, (2, 3): 1}, RATIONAL], ids=["scale-1", "scale-12"])
+    def test_rebuilt_from_its_arcs_is_equal(self, arcs):
+        g = WeightedDigraph(range(4), arcs)
+        again = WeightedDigraph(g.vertices, g.arcs())
+        assert again == g and again.scaled_weights() == g.scaled_weights()
+
+    def test_derived_weights_divide_by_the_gcd(self):
+        # 1/2 + 1/2 suppressed into one arc of weight 1: the scale falls to 1.
+        g = WeightedDigraph(range(3), {(0, 1): Fraction(1, 2), (1, 2): Fraction(1, 2)})
+        assert suppress_degree_two(g, {0, 2}).scaled_weights() == ({(0, 2): 1}, 1)
+        assert WeightedDigraph(range(3), {(0, 1): 4, (1, 2): 6}, 8).scaled_weights() == ({(0, 1): 2, (1, 2): 3}, 4)
 
 
 class TestReachability:

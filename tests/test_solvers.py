@@ -605,6 +605,11 @@ def request_paths(inst):
     return solvers._request_paths(inst, solvers._IntHost(inst.host), back)
 
 
+def path_arcs(per_request):
+    """The arcs of each (cost, arcs, mask) that `_request_paths` returns."""
+    return [[path for _, path, _ in paths] for paths in per_request]
+
+
 class TestRequestPaths:
     @settings(max_examples=60, deadline=None)
     @given(g=digraphs(), data=st.data())
@@ -629,7 +634,8 @@ class TestRequestPaths:
             walk([s], t, walks)
             paths = [tuple(bit[a] for a in zip(seq, seq[1:])) for seq in walks]
             keyed = sorted(zip(walks, paths), key=lambda k: (sum(w for _, w in k[1]), k[0]))
-            expected.append([path for _, path in keyed])
+            # Each path with its cost and mask, summed over the walk's own arcs.
+            expected.append([(sum(w for _, w in path), path, sum(b for b, _ in path)) for _, path in keyed])
         assert request_paths(inst) == expected
 
     def test_source_with_several_targets(self):
@@ -637,7 +643,7 @@ class TestRequestPaths:
         # pass the targets 1 and 2.
         g = WeightedDigraph(range(4), {(0, 1): 1, (0, 2): 3, (1, 2): 1, (2, 3): 1})
         inst = DsnInstance(g, {(0, 1), (0, 2), (0, 3)})
-        assert request_paths(inst) == [
+        assert path_arcs(request_paths(inst)) == [
             [((1, 1),)],
             [((1, 1), (4, 1)), ((2, 3),)],
             [((1, 1), (4, 1), (8, 1)), ((2, 3), (8, 1))],
@@ -660,7 +666,7 @@ class TestRequestPaths:
     def test_unreachable_request(self):
         g = WeightedDigraph(range(4), {(0, 1): 1, (1, 2): 1, (3, 2): 1})
         inst = DsnInstance(g, {(0, 2), (0, 3)})
-        assert request_paths(inst) == [[((1, 1), (2, 1))], []]
+        assert path_arcs(request_paths(inst)) == [[((1, 1), (2, 1))], []]
         r = solve_exhaustive(inst)
         assert not r.feasible and r.node_count == 0
 

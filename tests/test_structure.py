@@ -366,6 +366,23 @@ class TestSegmentsAndReplacement:
         assert new.induced(outside) == inst.host.induced(outside)
         assert is_inclusion_minimal_graph(new, inst.requests)
 
+    def test_replace_compares_the_outside_across_two_scales(self):
+        # A weight of 1/2 inside the component gives the host scale 2; the
+        # replacement drops it, so the new graph has scale 1.
+        inst = ladder_with_terminals(10)
+        T = set(inst.terminals)
+        P = realize_request_path(inst.host, T, *sorted(inst.requests)[0])
+        imp = important_vertices(inst.host, T, P)
+        mk = marked_vertices(inst.host, P, imp)
+        (seg,) = detect_ladder_segments(inst.host, T, P, segment_markers(P, imp, mk))
+        arcs = inst.host.arcs()
+        arcs[min(a for a in arcs if set(a) <= seg.component)] = Fraction(1, 2)
+        host = WeightedDigraph(inst.host.vertices, arcs)
+        new = protrusion_replace(host, inst.requests, seg)
+        assert host.scaled_weights()[1] == 2 and new.scaled_weights()[1] == 1
+        outside = set(host.vertices) - set(seg.component)
+        assert new.induced(outside) == host.induced(outside)
+
     def test_replace_noop_at_target_size(self):
         inst = ladder_with_terminals(6)
         T = set(inst.terminals)
