@@ -207,11 +207,11 @@ def build_dsn(psi: PsiInstance, lab: Labelling) -> ReductionOutput:
     w_vertex = {e: nxt + i for i, e in enumerate(sorted(g.edges))}
     nxt += len(w_vertex)
     x_vertex = {i: nxt + i for i in range(lab.num_x)}
-    nxt += lab.num_x
+    nxt += len(x_vertex)
     y_vertex = {i: nxt + i for i in range(lab.num_y)}
-    nxt += lab.num_y
+    nxt += len(y_vertex)
     z_vertex = {i: nxt + i for i in range(lab.num_z)}
-    nxt += lab.num_z
+    nxt += len(z_vertex)
 
     # Each stratum is built once, as the frozenset `ReductionOutput` keeps:
     # every arc has its own host vertex or hub, so none repeats.
