@@ -158,7 +158,6 @@ def emit_dsn(inst: DsnInstance, meta: Metadata = None) -> str:
     for key in sorted(meta or {}):
         lines.append(f"c {key} {meta[key]}".rstrip())
     lines.append(f"p dsn {len(verts)} {inst.host.m} {inst.q} {inst.p}")
-    # Each weight in lowest terms, read off the host's integers and scale.
     ints, scale = inst.host.scaled_weights()
     for (u, v), w in sorted(ints.items()):
         d = math.gcd(w, scale)

@@ -30,7 +30,6 @@ def _as_weight(w) -> Union[int, Fraction]:
     # A Fraction's denominator is positive, so its sign is the numerator's.
     if f.numerator <= 0:
         raise InputError(f"arc weight must be positive, got {w}")
-    # A whole weight is an int, as the stored form is.
     return f.numerator if f.denominator == 1 else f
 
 

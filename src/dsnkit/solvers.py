@@ -78,9 +78,10 @@ class _IntHost:
     Arc i of the sorted arcs is bit 1 << i of an arc-set mask.  Weights are
     the host's stored integers over its one `scale`, the least common
     denominator.  `out[u]` and `inn[v]` list (other end, weight, bit) per
-    arc, in ascending order of the other end."""
+    arc, in ascending order of the other end; `inn`, which only `solve_dst`
+    reads, is built on each read."""
 
-    __slots__ = ("arcs", "weights", "scale", "out", "inn")
+    __slots__ = ("arcs", "weights", "scale", "out")
 
     def __init__(self, host: WeightedDigraph) -> None:
         ints, self.scale = host.scaled_weights()
@@ -88,12 +89,18 @@ class _IntHost:
         self.arcs = [(u, v) for u in host.vertices for v in host.out_neighbors(u)]
         self.weights = [ints[a] for a in self.arcs]
         self.out: Dict[int, List[Tuple[int, int, int]]] = {v: [] for v in host.vertices}
-        self.inn: Dict[int, List[Tuple[int, int, int]]] = {v: [] for v in host.vertices}
         # Sorted arcs come in ascending order of head within a tail, and of
         # tail overall, so both lists are ascending in the other end.
         for i, ((u, v), w) in enumerate(zip(self.arcs, self.weights)):
             self.out[u].append((v, w, 1 << i))
-            self.inn[v].append((u, w, 1 << i))
+
+    @property
+    def inn(self) -> Dict[int, List[Tuple[int, int, int]]]:
+        inn: Dict[int, List[Tuple[int, int, int]]] = {v: [] for v in self.out}
+        for u, arcs in self.out.items():
+            for v, w, bit in arcs:
+                inn[v].append((u, w, bit))
+        return inn
 
     def decode(self, mask: int) -> Set[Arc]:
         return {a for i, a in enumerate(self.arcs) if mask >> i & 1}
@@ -444,6 +451,7 @@ def solve_dst(inst: DsnInstance) -> SolveResult:
     if violated_request(inst.host, inst.requests) is not None:
         return _infeasible("dst")
     host = _IntHost(inst.host)
+    inn = host.inn
     full = (1 << len(leaves)) - 1
     f: List[Dict[int, Tuple[int, int]]] = [{} for _ in range(full + 1)]
     split: List[Dict[int, int]] = [{} for _ in range(full + 1)]
@@ -477,7 +485,7 @@ def solve_dst(inst: DsnInstance) -> SolveResult:
                 continue
             fS[v] = (cost, seed)
             nodes += 1
-            for p, w, _ in host.inn[v]:
+            for p, w, _ in inn[v]:
                 if p not in fS:
                     heapq.heappush(heap, (cost + w, seed, p))
 
