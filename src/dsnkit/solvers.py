@@ -85,8 +85,7 @@ class _IntHost:
 
     def __init__(self, host: WeightedDigraph) -> None:
         ints, self.scale = host.scaled_weights()
-        # The host's out-lists are sorted, so this walk lists the arcs sorted.
-        self.arcs = [(u, v) for u in host.vertices for v in host.out_neighbors(u)]
+        self.arcs = sorted(ints)
         self.weights = [ints[a] for a in self.arcs]
         self.out: Dict[int, List[Tuple[int, int, int]]] = {v: [] for v in host.vertices}
         # Sorted arcs come in ascending order of head within a tail, and of
