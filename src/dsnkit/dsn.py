@@ -84,16 +84,19 @@ class SolutionSubgraph(_Record):
 # graph-level predicates
 
 
-def violated_request(
-    graph: WeightedDigraph, requests: Iterable[Request], within: Optional[Container[Arc]] = None
-) -> Optional[Request]:
-    """Lexicographically first request with no s-t path, or None if valid;
-    with `within` set, the paths use only arcs in it (see `search`).
+def violated_request(graph: WeightedDigraph, requests: Iterable[Request]) -> Optional[Request]:
+    """Lexicographically first request with no s-t path, or None if valid."""
+    return _first_violated(graph, sorted(_normalize_requests_arg(requests)), None)
 
-    Sorted requests come grouped by source, and one search per source
-    answers all of its requests."""
+
+def _first_violated(
+    graph: WeightedDigraph, requests: List[Request], within: Optional[Container[Arc]]
+) -> Optional[Request]:
+    """`violated_request` on sorted, normalized requests; with `within` set,
+    the paths use only arcs in it (see `search`).  The requests come grouped
+    by source, and one search per source answers all of its requests."""
     source, reached = None, {}
-    for s, t in sorted(_normalize_requests_arg(requests)):
+    for s, t in requests:
         if not graph.has_vertex(s) or not graph.has_vertex(t):
             return (s, t)
         if s != source:
@@ -125,8 +128,8 @@ def minimize_graph(graph: WeightedDigraph, requests: Iterable[Request]) -> Weigh
         raise PreconditionError("graph is not a valid solution")
     terminals = {v for r in reqs for v in r}
     current = graph
-    ints = graph.scaled_weights()[0]
-    for arc in sorted(ints, key=lambda a: (-ints[a], a)):
+    weights = graph.arcs()
+    for arc in sorted(weights, key=lambda a: (-weights[a], a)):
         if arc not in necessary:
             current = current.without_arc(*arc)
             necessary = necessary_arcs(current, reqs)
@@ -152,7 +155,7 @@ def validate(inst: DsnInstance, sol: SolutionSubgraph) -> Optional[Request]:
     exactly what a search of `sol.as_graph()` would."""
     if sol.host is not inst.host and sol.host != inst.host:
         raise InputError("solution host differs from the instance host")
-    return violated_request(sol.host, inst.requests, within=sol.arcs)
+    return _first_violated(sol.host, inst.sorted_requests(), sol.arcs)
 
 
 def is_inclusion_minimal(inst: DsnInstance, sol: SolutionSubgraph) -> bool:

@@ -7,7 +7,6 @@ Files are 1-based; in-memory objects are 0-based.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Dict, List, Tuple, Union
 
@@ -158,10 +157,8 @@ def emit_dsn(inst: DsnInstance, meta: Metadata = None) -> str:
     for key in sorted(meta or {}):
         lines.append(f"c {key} {meta[key]}".rstrip())
     lines.append(f"p dsn {len(verts)} {inst.host.m} {inst.q} {inst.p}")
-    ints, scale = inst.host.scaled_weights()
-    for (u, v), w in sorted(ints.items()):
-        d = math.gcd(w, scale)
-        lines.append(f"a {index[u]} {index[v]} {w // d}/{scale // d}")
+    for (u, v), w in sorted(inst.host.arcs().items()):
+        lines.append(f"a {index[u]} {index[v]} {w.numerator}/{w.denominator}")
     for s, t in inst.sorted_requests():
         lines.append(f"r {index[s]} {index[t]}")
     return "\n".join(lines) + "\n"

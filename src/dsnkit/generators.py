@@ -12,7 +12,7 @@ from typing import Dict, Iterable, List, Tuple
 from .dsn import DsnInstance
 from .errors import CapacityError, InputError
 from .formats import DSN_MAX_ARCS, DSN_MAX_VERTICES
-from .graphs import UNIT, WeightedDigraph
+from .graphs import WeightedDigraph
 from .ladders import LadderSpec, ladder_corner_requests, make_ladder
 
 Metadata = Dict[str, str]
@@ -65,11 +65,11 @@ def gen_grid(width: int, height: int, q: int = 3, seed: int = 0) -> Tuple[DsnIns
         for x in range(width):
             v = y * width + x
             if x + 1 < width:
-                arcs[(v, v + 1)] = UNIT
-                arcs[(v + 1, v)] = UNIT
+                arcs[(v, v + 1)] = 1
+                arcs[(v + 1, v)] = 1
             if y + 1 < height:
-                arcs[(v, v + width)] = UNIT
-                arcs[(v + width, v)] = UNIT
+                arcs[(v, v + width)] = 1
+                arcs[(v + width, v)] = 1
     rng = random.Random(seed)
     terminals = sorted(rng.sample(range(n), q))
     requests = {(terminals[i], terminals[(i + 1) % q]) for i in range(q)}

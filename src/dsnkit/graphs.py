@@ -21,9 +21,6 @@ Arc = Tuple[int, int]
 
 TREEWIDTH_EXACT_CAP = 22
 
-# The weight of a unit arc.
-UNIT = 1
-
 
 def _as_weight(w) -> Union[int, Fraction]:
     f = w if isinstance(w, Fraction) else Fraction(w)
@@ -35,9 +32,9 @@ def _as_weight(w) -> Union[int, Fraction]:
 
 class WeightedDigraph:
     """Simple digraph with strictly positive rational arc weights, stored as
-    integers over one `scale`, the lcm of their reduced denominators.  Arc
-    a weighs `arcs[a] / scale`, `arcs[a]` an int, a Fraction or anything
-    `Fraction` reads; a derived graph passes its parent's integers and scale."""
+    integers over one `scale`, the lcm of their reduced denominators.  Arc a
+    weighs `arcs[a] / scale`, `arcs[a]` any value `Fraction` reads.  Only the
+    graphs derived in `graphs` pass `scale`; other modules read `arcs()`."""
 
     __slots__ = ("_vertices", "_vset", "_arcs", "_scaled", "_out", "_in", "_necessary")
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import List, NamedTuple, Optional, Set, Tuple
 
 from .errors import InputError, InvariantError
-from .graphs import UNIT, Arc, DirectedPath, WeightedDigraph, _Record, necessary_arcs, search, suppress_degree_two
+from .graphs import Arc, DirectedPath, WeightedDigraph, _Record, necessary_arcs, search, suppress_degree_two
 
 
 class LadderSpec(_Record):
@@ -53,7 +53,7 @@ def make_ladder(spec: LadderSpec) -> WeightedDigraph:
     pairs = list(rungs)
     for (t, h), (t_next, h_next) in zip(rungs, rungs[1:]):
         pairs += [(h, t_next), (h_next, t)]
-    return WeightedDigraph({v for rung in rungs for v in rung}, {(u, v): UNIT for u, v in pairs if u != v})
+    return WeightedDigraph({v for rung in rungs for v in rung}, {(u, v): 1 for u, v in pairs if u != v})
 
 
 def ladder_corners(spec: LadderSpec) -> Tuple[int, int, int, int]:

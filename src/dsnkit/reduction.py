@@ -16,7 +16,7 @@ from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from .dsn import DsnInstance, Request, SolutionSubgraph, validate
 from .errors import CapacityError, InputError, InvariantError, PreconditionError
-from .graphs import UNIT, UndirectedGraph, WeightedDigraph, _Record
+from .graphs import UndirectedGraph, WeightedDigraph, _Record
 from .solvers import _solve_path_union
 
 Edge = Tuple[int, int]
@@ -236,7 +236,7 @@ def build_dsn(psi: PsiInstance, lab: Labelling) -> ReductionOutput:
         raise InvariantError("edge requests are not pairwise distinct")
 
     # The strata's vertices are numbered consecutively after the host's.
-    host = WeightedDigraph([*g.vertices, *range(first, nxt)], dict.fromkeys(chain(a_v, a_w), UNIT))
+    host = WeightedDigraph([*g.vertices, *range(first, nxt)], dict.fromkeys(chain(a_v, a_w), 1))
     dsn = DsnInstance(host, a_y | a_z)
 
     out = ReductionOutput(

@@ -14,7 +14,6 @@ from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequen
 from .dsn import DsnInstance, Request, SolutionSubgraph, _normalize_requests_arg, normalize_requests_graph
 from .errors import CapacityError, DomainError, InputError, InvariantError, PreconditionError
 from .graphs import (
-    UNIT,
     DirectedPath,
     UndirectedGraph,
     WeightedDigraph,
@@ -351,15 +350,10 @@ def protrusion_replace(
     if len(interior) >= len(Fset):
         return graph
 
-    # The new graph keeps `graph`'s integers and scale; a unit arc is the scale.
-    ints, scale = graph.scaled_weights()
-    arcs = {arc: w for arc, w in ints.items() if arc[0] not in Fset and arc[1] not in Fset}
+    arcs = {arc: w for arc, w in graph.arcs().items() if arc[0] not in Fset and arc[1] not in Fset}
     for u, v in ladder.arcs():
-        mu, mv = vmap[u], vmap[v]
-        if (mu, mv) not in arcs:
-            arcs[(mu, mv)] = UNIT * scale
-    vertices = (set(graph.vertices) - Fset) | interior
-    new_graph = WeightedDigraph(vertices, arcs, scale)
+        arcs.setdefault((vmap[u], vmap[v]), 1)
+    new_graph = WeightedDigraph((set(graph.vertices) - Fset) | interior, arcs)
 
     _verify_replacement(graph, new_graph, reqs, T, Fset, interior, (a, b, c, d), norm)
     return new_graph
@@ -376,12 +370,9 @@ def _verify_replacement(
     norm: Optional[FrozenSet[Request]] = None,
 ) -> None:
     """`norm`, when given, is `normalize_requests_graph(old, T)`."""
-    # The vertices and the arcs off the component, each weight times the
-    # other graph's scale, so that equal weights compare equal exactly.
-    (old_ints, old_scale), (new_ints, new_scale) = old.scaled_weights(), new.scaled_weights()
     outside = [
-        (set(g.vertices) - X, {a: w * scale for a, w in ints.items() if a[0] not in X and a[1] not in X})
-        for g, X, ints, scale in ((old, F, old_ints, new_scale), (new, F_new, new_ints, old_scale))
+        (set(g.vertices) - X, {a: w for a, w in g.arcs().items() if a[0] not in X and a[1] not in X})
+        for g, X in ((old, F), (new, F_new))
     ]
     if outside[0] != outside[1]:
         raise InvariantError("replacement changed the graph outside the component")

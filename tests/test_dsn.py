@@ -161,6 +161,17 @@ class TestValidateAndMinimize:
         assert got == violated_request_by_reaches(g, requests)
         assert sorted(searched) == sorted(set(searched))
 
+    def test_violated_request_rejects_equal_endpoints(self):
+        with pytest.raises(InputError, match="request 1->1 has equal endpoints"):
+            violated_request(chain(3), {(0, 2), (1, 1)})
+
+    def test_validate_takes_the_instance_requests_as_normalized(self):
+        inst = DsnInstance(chain(3), {(0, 2), (2, 0)})
+        sol = SolutionSubgraph(inst.host, inst.host.arc_set())
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(dsn, "_normalize_requests_arg", None)
+            assert validate(inst, sol) == (2, 0)
+
     @settings(max_examples=100, deadline=None)
     @given(g=digraphs(), data=st.data())
     def test_validate_matches_a_check_of_the_subgraph_and_builds_none(self, g, data):

@@ -8,7 +8,10 @@ of a record in the package (a `@dataclass`, a `NamedTuple` or a class with
 step of the CLI assigns to `args` or writes stdout itself: `cli.main` holds
 the input and writes the report.  The package holds no `assert` statement
 and reads no `__debug__`, so every runtime self-check also runs under
-`python -O`, on paths that no test reaches too.
+`python -O`, on paths that no test reaches too.  The integer weight form
+stays in the graph core: outside `graphs.py`, only `SolutionSubgraph.cost`
+and `_IntHost.__init__` call `scaled_weights()`, and no call of
+`WeightedDigraph` passes a `scale`.
 
 `__init__.py` is exempt from the unused-import scan because it imports names
 only to re-export them through `__all__`."""
@@ -293,3 +296,53 @@ def test_scan_finds_code_that_python_o_strips():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_self_checks_survive_python_o(path):
     assert optimized_away(path.read_text()) == []
+
+
+# The hot spots outside `graphs.py` that read the stored integer weights.
+SCALED_WEIGHTS_READERS = {"SolutionSubgraph.cost", "_IntHost.__init__"}
+
+
+def integer_form_uses(source):
+    """(line, scope) for each `scaled_weights()` call outside the scopes in
+    SCALED_WEIGHTS_READERS, and for each `WeightedDigraph(...)` call that
+    passes a scale: a third argument or `scale=`.  The scope is the dotted
+    name of the enclosing classes and functions, "" at module level."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif isinstance(child, ast.Call):
+                name = getattr(child.func, "attr", getattr(child.func, "id", None))
+                reads_scaled = name == "scaled_weights" and scope not in SCALED_WEIGHTS_READERS
+                passes_scale = name == "WeightedDigraph" and (
+                    len(child.args) > 2 or any(k.arg == "scale" for k in child.keywords)
+                )
+                if reads_scaled or passes_scale:
+                    found.append((child.lineno, scope))
+            visit(child, inner)
+
+    visit(ast.parse(source), "")
+    return sorted(found)
+
+
+def test_scan_finds_a_use_of_the_integer_form():
+    source = (
+        "class SolutionSubgraph:\n"
+        "    def cost(self):\n"
+        "        return self.host.scaled_weights()\n"
+        "    def scale(self):\n"
+        "        return self.host.scaled_weights()[1]\n"
+        "def emit(g):\n"
+        "    h = graphs.WeightedDigraph(g.vertices, {}, 2)\n"
+        "    return WeightedDigraph(g.vertices, g.arcs(), scale=1), WeightedDigraph(g.vertices, g.arcs())\n"
+        "ints = g.scaled_weights()\n"
+    )
+    assert integer_form_uses(source) == [(5, "SolutionSubgraph.scale"), (7, "emit"), (8, "emit"), (9, "")]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "graphs.py"], ids=lambda p: p.name)
+def test_integer_weights_stay_in_the_graph_core(path):
+    assert integer_form_uses(path.read_text()) == []

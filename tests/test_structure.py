@@ -383,15 +383,22 @@ class TestSegmentsAndReplacement:
         outside = set(host.vertices) - set(seg.component)
         assert new.induced(outside) == host.induced(outside)
 
-    def test_replace_noop_at_target_size(self):
-        inst = ladder_with_terminals(6)
+    # Length 6 is already the fresh ladder's length.  Length 9 > 7, but four
+    # identified rungs leave a 10-vertex component, and the fresh length-7
+    # ladder's interior is 10 too, so it would not be smaller.
+    @pytest.mark.parametrize("n,identified,n_vertices", [(6, (), 14), (9, (2, 4, 6, 8), 16)])
+    def test_replace_noop_at_target_size(self, n, identified, n_vertices):
+        inst = ladder_with_terminals(n, identified)
         T = set(inst.terminals)
         P = realize_request_path(inst.host, T, *sorted(inst.requests)[0])
         imp = important_vertices(inst.host, T, P)
         mk = marked_vertices(inst.host, P, imp)
         (seg,) = detect_ladder_segments(inst.host, T, P, segment_markers(P, imp, mk))
-        new = protrusion_replace(inst.host, inst.requests, seg)
-        assert new == inst.host
+        assert seg.verdict.length == n
+        assert protrusion_replace(inst.host, inst.requests, seg) is inst.host
+        _, report = reduce_length_graph(inst.host, inst.requests)
+        assert report.replacements == 0
+        assert report.vertices_before == report.vertices_after == n_vertices
 
     def test_replace_rejects_terminal_component(self):
         inst = ladder_with_terminals(10)
