@@ -22,6 +22,10 @@ Arc = Tuple[int, int]
 TREEWIDTH_EXACT_CAP = 22
 
 
+def _unknown_vertex(v) -> InputError:
+    return InputError(f"unknown vertex id {v}")
+
+
 def _as_weight(w) -> Union[int, Fraction]:
     f = w if isinstance(w, Fraction) else Fraction(w)
     # A Fraction's denominator is positive, so its sign is the numerator's.
@@ -115,25 +119,32 @@ class WeightedDigraph:
         """({arc: weight * scale}, scale), the stored form; shared, read-only."""
         return self._scaled
 
+    # An accessor that reads an adjacency dict lets the lookup check the vertex.
     def out_neighbors(self, v: int) -> Tuple[int, ...]:
-        self._check_vertex(v)
-        return self._out[v]
+        try:
+            return self._out[v]
+        except KeyError:
+            raise _unknown_vertex(v) from None
 
     def in_neighbors(self, v: int) -> Tuple[int, ...]:
-        self._check_vertex(v)
-        return self._in[v]
+        try:
+            return self._in[v]
+        except KeyError:
+            raise _unknown_vertex(v) from None
 
     def neighbors(self, v: int) -> Tuple[int, ...]:
         self._check_vertex(v)
         return tuple(sorted(set(self._out[v]) | set(self._in[v])))
 
     def total_degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return len(self._in[v]) + len(self._out[v])
+        try:
+            return len(self._in[v]) + len(self._out[v])
+        except KeyError:
+            raise _unknown_vertex(v) from None
 
     def _check_vertex(self, v: int) -> None:
         if v not in self._vset:
-            raise InputError(f"unknown vertex id {v}")
+            raise _unknown_vertex(v)
 
     # -- derived graphs --------------------------------------------------
 
@@ -166,9 +177,16 @@ class WeightedDigraph:
         return WeightedDigraph(self._vertices, {(v, u): w for (u, v), w in self._arcs.items()}, self._scaled[1])
 
     def sym(self) -> "UndirectedGraph":
-        """Underlying undirected graph; weights are discarded."""
-        edges = {(min(u, v), max(u, v)) for (u, v) in self._arcs}
-        return UndirectedGraph(self._vertices, edges)
+        """Underlying undirected graph; weights are discarded.  It is filled
+        straight from this graph's sorted vertices, arc keys and sorted
+        neighbour tuples, which `__init__` already checked, so nothing is
+        validated or sorted again but the union of a vertex's in- and
+        out-neighbours when it has both."""
+        out, inn = self._out, self._in
+        adj = {v: tuple(sorted({*out[v], *inn[v]})) if out[v] and inn[v] else out[v] or inn[v] for v in self._vertices}
+        und = UndirectedGraph.__new__(UndirectedGraph)
+        und._fill(self._vertices, self._vset, frozenset((u, v) if u < v else (v, u) for u, v in self._arcs), adj)
+        return und
 
     def __eq__(self, other) -> bool:
         return (
@@ -249,8 +267,9 @@ class DirectedPath(_Record):
         return list(zip(self.vertices, self.vertices[1:]))
 
     def check_in(self, g: WeightedDigraph) -> None:
+        arcs = g._arcs
         for u, v in self.arcs():
-            if not g.has_arc(u, v):
+            if (u, v) not in arcs:
                 raise InputError(f"path arc ({u}, {v}) is not in the carrier graph")
 
 
@@ -274,10 +293,12 @@ class UndirectedGraph:
             norm.add((u, v) if u < v else (v, u))
             adj[u].add(v)
             adj[v].add(u)
-        self._vertices: Tuple[int, ...] = tuple(vs)
-        self._vset = vset
-        self._edges = frozenset(norm)
-        self._adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
+        self._fill(tuple(vs), vset, frozenset(norm), {v: tuple(sorted(ns)) for v, ns in adj.items()})
+
+    def _fill(self, vertices: Tuple[int, ...], vset: FrozenSet[int], edges: FrozenSet[Arc], adj: Dict[int, Tuple[int, ...]]):
+        """Set the fields from checked values: sorted vertices, each edge as
+        (smaller, larger) and each vertex's sorted neighbours, in vertex order."""
+        self._vertices, self._vset, self._edges, self._adj = vertices, vset, edges, adj
 
     @property
     def vertices(self) -> Tuple[int, ...]:
@@ -303,7 +324,7 @@ class UndirectedGraph:
 
     def adjacent(self, v: int) -> Tuple[int, ...]:
         if v not in self._vset:
-            raise InputError(f"unknown vertex id {v}")
+            raise _unknown_vertex(v)
         return self._adj[v]
 
     def degree(self, v: int) -> int:
@@ -481,8 +502,9 @@ def _necessary_arcs(g: WeightedDigraph, requests: FrozenSet[Tuple[int, int]]) ->
         for i in range(1, len(path)):
             while stack and far < i:
                 u = stack.pop()
+                skip = succ.get(u)
                 for v in out[u]:
-                    if v not in seen and v != succ.get(u):
+                    if v not in seen and v != skip:
                         seen.add(v)
                         stack.append(v)
                         far = max(far, pos.get(v, 0))
@@ -501,8 +523,10 @@ def _necessary_arcs(g: WeightedDigraph, requests: FrozenSet[Tuple[int, int]]) ->
 def suppress_degree_two(graph: WeightedDigraph, terminals: Iterable[int]) -> WeightedDigraph:
     """Exhaustively remove non-terminal pass-through vertices with exactly
     two neighbors, merging their arcs.  Created arcs carry the summed weight
-    of the replaced arcs, added as integers over `graph`'s scale.  With no
-    candidate, `graph` itself is returned and nothing is copied or built.
+    of the replaced arcs, added as integers over `graph`'s scale.  The
+    non-terminals' neighbor sets are built first; with no candidate among
+    them, `graph` itself is returned, and no terminal's set is built and
+    nothing is copied.
 
     The victim is always the smallest-id non-terminal with one or two
     neighbors, and one neighbor is an error.  Removing a vertex changes the
@@ -510,15 +534,17 @@ def suppress_degree_two(graph: WeightedDigraph, terminals: Iterable[int]) -> Wei
     re-checked when popped, yields the victims in that order while the
     neighbor sets and arcs are edited in place; the graph is built once."""
     T = set(terminals)
-    nbrs: Dict[int, Set[int]] = {v: {*graph._out[v], *graph._in[v]} for v in graph.vertices}
+    out, inn = graph._out, graph._in
+    nbrs: Dict[int, Set[int]] = {v: {*out[v], *inn[v]} for v in graph.vertices if v not in T}
+    # Ascending ids already form a heap.
+    heap = [v for v, ns in nbrs.items() if 1 <= len(ns) <= 2]
+    if not heap:
+        return graph
+    nbrs.update({v: {*out[v], *inn[v]} for v in graph.vertices if v in T})
 
     def candidate(v: int) -> bool:
         return v not in T and 1 <= len(nbrs[v]) <= 2
 
-    # Ascending ids already form a heap.
-    heap = [v for v in graph.vertices if candidate(v)]
-    if not heap:
-        return graph
     ints, scale = graph._scaled
     arcs = dict(ints)
     while heap:
@@ -682,7 +708,6 @@ def treewidth_exact(g: UndirectedGraph) -> Tuple[int, List[int]]:
     adj: Dict[int, Set[int]] = {v: set(ns) for v, ns in g._adj.items()}
     order: List[int] = []
     width = 0
-    heap: List[Tuple[int, int]] = []
 
     def key(u: int) -> int:
         # 0 if u is simplicial (each neighbour sees the d others), else 1
@@ -692,13 +717,10 @@ def treewidth_exact(g: UndirectedGraph) -> Tuple[int, List[int]]:
         if d == 1:
             a, b = ns
             return 0 if b in adj[a] else 1
-        return 0 if all(len(adj[a] & ns) == d for a in ns) else 2
-
-    def push(vs: Iterable[int]) -> None:
-        for u in vs:
-            k = key(u)
-            if k < 2:
-                heapq.heappush(heap, (k, u))
+        for a in ns:
+            if len(adj[a] & ns) < d:
+                return 2
+        return 0
 
     # Safe reductions: the smallest simplicial vertex if there is one, else
     # the smallest of degree 2, from a lazy heap on (key, id).  Eliminating
@@ -708,7 +730,8 @@ def treewidth_exact(g: UndirectedGraph) -> Tuple[int, List[int]]:
     # simplicial vertex stays simplicial, and a degree-2 v is eliminated
     # only when none is simplicial, which keeps its neighbours' degrees.
     # So the first entry popped for a vertex carries its current key.
-    push(adj)
+    heap = [(k, u) for u in adj if (k := key(u)) < 2]
+    heapq.heapify(heap)
     while heap:
         _, v = heapq.heappop(heap)
         if v not in adj:
@@ -719,7 +742,10 @@ def treewidth_exact(g: UndirectedGraph) -> Tuple[int, List[int]]:
         if len(ns) == 2:
             a, b = ns
             ns = ns | (adj[a] & adj[b])
-        push(ns)
+        for u in ns:
+            k = key(u)
+            if k < 2:
+                heapq.heappush(heap, (k, u))
 
     if adj:
         rest = UndirectedGraph(adj, [(u, w) for u in adj for w in adj[u]])

@@ -42,18 +42,21 @@ def ladder_rungs(spec: LadderSpec) -> List[Arc]:
     return [(a(i), b(i)) if i % 2 else (b(i), a(i)) for i in range(1, spec.n + 1)]
 
 
-def make_ladder(spec: LadderSpec) -> WeightedDigraph:
-    """Materialize G_{n,I} with unit weights; loops at identified rungs are
-    dropped.
-
-    Between consecutive rungs the rails run from each rung's head to the
-    next rung's tail and from the next rung's head back to this rung's
-    tail."""
-    rungs = ladder_rungs(spec)
+def ladder_arcs(rungs: List[Arc]) -> List[Arc]:
+    """The arcs of the ladder with these rungs, each once: the rungs in
+    order, then the rails between each pair of consecutive rungs, from the
+    rung's head to the next rung's tail and from the next rung's head back
+    to the rung's tail.  The loops at identified rungs are dropped."""
     pairs = list(rungs)
     for (t, h), (t_next, h_next) in zip(rungs, rungs[1:]):
         pairs += [(h, t_next), (h_next, t)]
-    return WeightedDigraph({v for rung in rungs for v in rung}, {(u, v): 1 for u, v in pairs if u != v})
+    return [(u, v) for u, v in pairs if u != v]
+
+
+def make_ladder(spec: LadderSpec) -> WeightedDigraph:
+    """Materialize G_{n,I} with unit weights, on the arcs of `ladder_arcs`."""
+    rungs = ladder_rungs(spec)
+    return WeightedDigraph({v for rung in rungs for v in rung}, dict.fromkeys(ladder_arcs(rungs), 1))
 
 
 def ladder_corners(spec: LadderSpec) -> Tuple[int, int, int, int]:

@@ -15,7 +15,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
-from .dsn import DsnInstance, SolutionSubgraph, validate, violated_request
+from .dsn import DsnInstance, SolutionSubgraph, _first_violated, validate
 from .errors import CapacityError, DomainError, InvariantError
 from .graphs import Arc, WeightedDigraph, necessary_arcs, search
 from .structure import TreewidthCertificate, certify_treewidth_bound
@@ -447,7 +447,7 @@ def solve_dst(inst: DsnInstance) -> SolveResult:
     leaves = sorted(t for _, t in inst.requests)
     if len(leaves) > DST_MAX_LEAVES:
         raise CapacityError(f"{len(leaves)} leaves; out-star cap is {DST_MAX_LEAVES}")
-    if violated_request(inst.host, inst.requests) is not None:
+    if _first_violated(inst.host, inst.sorted_requests(), None) is not None:
         return _infeasible("dst")
     host = _IntHost(inst.host)
     inn = host.inn

@@ -27,7 +27,7 @@ from .graphs import (
     treewidth_exact,
     treewidth_upper_bound,
 )
-from .ladders import LadderSpec, LadderVerdict, is_ladder_subdivision, ladder_rungs, make_ladder
+from .ladders import LadderSpec, LadderVerdict, is_ladder_subdivision, ladder_arcs, ladder_rungs
 
 PROTRUSION_MAX_INTERIOR = 14
 
@@ -336,22 +336,20 @@ def protrusion_replace(
         ident.add(1)
     if c == d:
         ident.add(n_new)
-    spec = LadderSpec(n_new, ident)
-    ladder = make_ladder(spec)
-    rungs = ladder_rungs(spec)
+    rungs = ladder_rungs(LadderSpec(n_new, ident))
     # The first rung runs a -> b and the last one c -> d.
     vmap: Dict[int, int] = dict(zip((*rungs[0], *rungs[-1]), (a, b, c, d)))
     fresh_base = max(graph.vertices) + 1
-    for v in ladder.vertices:
+    for v in sorted({v for rung in rungs for v in rung}):
         if v not in vmap:
             vmap[v] = fresh_base
             fresh_base += 1
-    interior = {vmap[v] for v in ladder.vertices} - {a, b, c, d}
+    interior = set(vmap.values()) - {a, b, c, d}
     if len(interior) >= len(Fset):
         return graph
 
     arcs = {arc: w for arc, w in graph.arcs().items() if arc[0] not in Fset and arc[1] not in Fset}
-    for u, v in ladder.arcs():
+    for u, v in ladder_arcs(rungs):
         arcs.setdefault((vmap[u], vmap[v]), 1)
     new_graph = WeightedDigraph((set(graph.vertices) - Fset) | interior, arcs)
 

@@ -188,9 +188,25 @@ class TestWeightedDigraph:
 
     def test_unknown_vertex_rejected_by_every_accessor(self):
         g = WeightedDigraph(range(2), {(0, 1): 1})
-        for accessor in (g.out_neighbors, g.in_neighbors, g.neighbors):
+        for accessor in (g.out_neighbors, g.in_neighbors, g.neighbors, g.total_degree):
             with pytest.raises(InputError, match="unknown vertex id 7"):
                 accessor(7)
+
+    @settings(max_examples=100, deadline=None)
+    @given(digraphs(density=0.5))
+    def test_sym_matches_the_checked_constructor_and_calls_none(self, g):
+        """[DERIVED: `UndirectedGraph` built and checked from the normalized arcs]"""
+        expected = UndirectedGraph(g.vertices, {(min(u, v), max(u, v)) for u, v in g.arc_set()})
+        builds = []
+        with pytest.MonkeyPatch.context() as m:
+            init = UndirectedGraph.__init__
+            m.setattr(UndirectedGraph, "__init__", lambda self, *a: builds.append(a) or init(self, *a))
+            got = g.sym()
+        assert builds == []
+        assert got == expected and hash(got) == hash(expected) and got.edges == expected.edges
+        assert got.vertices == expected.vertices
+        for v in g.vertices:
+            assert got.adjacent(v) == expected.adjacent(v)
 
     def test_reverse_involution(self):
         g = WeightedDigraph(range(3), {(0, 1): 2, (1, 2): Fraction(1, 3)})

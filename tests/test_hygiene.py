@@ -11,7 +11,9 @@ and reads no `__debug__`, so every runtime self-check also runs under
 `python -O`, on paths that no test reaches too.  The integer weight form
 stays in the graph core: outside `graphs.py`, only `SolutionSubgraph.cost`
 and `_IntHost.__init__` call `scaled_weights()`, and no call of
-`WeightedDigraph` passes a `scale`.
+`WeightedDigraph` passes a `scale`.  No module but `graphs.py` reads a
+graph's private slots, which is what lets `WeightedDigraph.sym()` fill its
+undirected graph without checking it again.
 
 `__init__.py` is exempt from the unused-import scan because it imports names
 only to re-export them through `__all__`."""
@@ -36,6 +38,7 @@ LIBRARY_SURFACE = {
     ("dsn.py", "minimize"),
     ("dsn.py", "reverse_instance"),
     ("dsn.py", "reverse_solution"),
+    ("dsn.py", "violated_request"),
     ("formats.py", "emit_psi"),
     ("ladders.py", "ladder_two_path_decomposition"),
     ("reduction.py", "embedding_solution"),
@@ -346,3 +349,33 @@ def test_scan_finds_a_use_of_the_integer_form():
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "graphs.py"], ids=lambda p: p.name)
 def test_integer_weights_stay_in_the_graph_core(path):
     assert integer_form_uses(path.read_text()) == []
+
+
+# The private slots of the graph classes in `graphs.py`.
+GRAPH_SLOTS = {"_out", "_in", "_arcs", "_adj", "_vset", "_scaled", "_necessary"}
+
+
+def graph_slot_reads(source):
+    """(line, attribute) for each attribute access `x._out`, `x._arcs`, ...
+    of a name in GRAPH_SLOTS."""
+    return sorted(
+        (node.lineno, node.attr)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in GRAPH_SLOTS
+    )
+
+
+def test_scan_finds_a_graph_slot_read():
+    source = (
+        "def degree(g, v):\n"
+        "    return len(g._out[v]) + len(g.in_neighbors(v))\n"
+        "adj = graph.sym()._adj\n"
+        "g._arcs = {}\n"
+        "_out = g.out_neighbors\n"
+    )
+    assert graph_slot_reads(source) == [(2, "_out"), (3, "_adj"), (4, "_arcs")]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "graphs.py"], ids=lambda p: p.name)
+def test_graph_slots_stay_in_the_graph_core(path):
+    assert graph_slot_reads(path.read_text()) == []

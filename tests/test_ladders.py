@@ -18,6 +18,7 @@ from dsnkit.ladders import (
     is_ladder_subdivision,
     ladder_corner_requests,
     ladder_corners,
+    ladder_arcs,
     ladder_rungs,
     ladder_two_path_decomposition,
     make_ladder,
@@ -259,6 +260,8 @@ class TestConstruction:
                     assert all(ref.has_arc(u, v) for u, v in ladder_rungs(spec) if u != v)
                     p1, p2 = ladder_two_path_decomposition(g, spec)
                     assert set(p1.arcs()) | set(p2.arcs()) == g.arc_set()
+                    arcs = ladder_arcs(ladder_rungs(spec))
+                    assert len(arcs) == len(set(arcs)) and set(arcs) == g.arc_set()
                     cases += 1
         assert cases == 2046
 

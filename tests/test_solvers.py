@@ -711,6 +711,14 @@ class TestDst:
         r = solve_dst(DsnInstance(g, {(0, 1), (0, 2)}))
         assert not r.feasible
 
+    def test_feasibility_check_reads_the_normalized_requests(self):
+        feasible = DsnInstance(WeightedDigraph(range(3), {(0, 1): 1, (0, 2): 2}), {(0, 1), (0, 2)})
+        infeasible = DsnInstance(WeightedDigraph(range(3), {(0, 1): 1}), {(0, 1), (0, 2)})
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(dsn, "_normalize_requests_arg", None)
+            assert solve_dst(feasible).cost == 3
+            assert not solve_dst(infeasible).feasible
+
     def test_matches_all_pairs_reference(self):
         """630 seeded out-stars: integer, fractional and unit weights on
         random digraphs and unit-weight grids, 1 to 6 leaves each."""

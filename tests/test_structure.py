@@ -360,7 +360,13 @@ class TestSegmentsAndReplacement:
         imp = important_vertices(inst.host, T, P)
         mk = marked_vertices(inst.host, P, imp)
         (seg,) = detect_ladder_segments(inst.host, T, P, segment_markers(P, imp, mk))
-        new = protrusion_replace(inst.host, inst.requests, seg)
+        builds = []
+        with pytest.MonkeyPatch.context() as m:
+            init = WeightedDigraph.__init__
+            m.setattr(WeightedDigraph, "__init__", lambda self, *a: builds.append(self) or init(self, *a))
+            new = protrusion_replace(inst.host, inst.requests, seg)
+        # The fresh ladder's arcs come from `ladder_arcs`: the result is the one graph built.
+        assert builds == [new]
         assert new.n < inst.host.n
         outside = set(inst.host.vertices) - set(seg.component)
         assert new.induced(outside) == inst.host.induced(outside)
