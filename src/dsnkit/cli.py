@@ -123,8 +123,7 @@ def cmd_solve(args, inst, meta):
 
 
 def cmd_analyze(args, inst, meta):
-    # An explicit --genus wins over the file's `c genus` line.
-    genus = args.genus if args.genus is not None else meta.get("genus", 0)
+    genus = meta.get("genus", 0)
     try:
         genus = int(genus)
     except ValueError:
@@ -248,18 +247,11 @@ def cmd_bench(args, *_):
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors exit 4, the input-error code
-    (argparse's own 2 is "infeasible" here); subparsers inherit the class.
-    Like 3.11's argparse and unlike 3.10's, it drops a text it cannot write."""
+    (argparse's own 2 is "infeasible" here); subparsers inherit the class."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_DOMAIN, f"{self.prog}: error: {message}\n")
-
-    def _print_message(self, message, file=None):
-        try:
-            super()._print_message(message, file)
-        except OSError:
-            pass
 
 
 @functools.cache
@@ -284,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--engine", default="auto",
                    choices=["auto"] + sorted(ENGINES))
-    p.add_argument("--genus", type=int)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_analyze, reads="dsn")
 

@@ -125,7 +125,7 @@ def build_labelling(psi: PsiInstance) -> Labelling:
     adj = {v: set(h.adjacent(v)) for v in h.vertices}
     if any(len(ns) > 3 for ns in adj.values()):
         raise InputError("pattern graph must have maximum degree 3")
-    if h.n > 0 and any(len(ns) != 3 for ns in adj.values()):
+    if any(len(ns) != 3 for ns in adj.values()):
         warnings.warn("pattern graph is not 3-regular; size bounds still hold", stacklevel=2)
     k = h.n
     r = max(1, ceil_sqrt(k))

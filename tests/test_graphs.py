@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 
 import pytest
 from fractions import Fraction
@@ -562,6 +563,23 @@ class TestRecords:
 
     def test_named_tuple_records_keep_the_dataclass_repr(self):
         assert repr(LadderVerdict(True)) == "LadderVerdict(ok=True, length=0, reason='')"
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: UndirectedGraph([0, 0], []), InputError, "duplicate vertex ids"),
+    (lambda: UndirectedGraph(range(2), [(1, 1)]), InputError, "self-loop at vertex 1"),
+    (lambda: UndirectedGraph(range(2), [(0, 2)]), InputError, "edge (0, 2) has an unknown endpoint"),
+    (lambda: EDGE.adjacent(7), InputError, "unknown vertex id 7"),
+    (lambda: WeightedDigraph([0, 0], {}), InputError, "duplicate vertex ids"),
+    (lambda: ARC.weight(1, 0), InputError, "no arc (1, 0)"),
+    (lambda: ARC.subgraph([(1, 0)]), InputError, "arc (1, 0) not present in the graph"),
+    (lambda: DirectedPath((1, 0)).check_in(ARC), InputError, "path arc (1, 0) is not in the carrier graph"),
+    (lambda: diameter(UndirectedGraph((), ())), DomainError, "graph is empty"),
+], ids=["undirected-duplicate", "undirected-self-loop", "undirected-unknown-endpoint", "undirected-adjacent",
+        "digraph-duplicate", "digraph-weight", "digraph-subgraph", "path-check-in", "diameter-empty"])
+def test_input_guard_raises_its_message(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestDiameter:

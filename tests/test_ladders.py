@@ -314,6 +314,14 @@ class TestRecognizer:
         verdict = is_ladder_subdivision(g2, *corner_roles(spec))
         assert verdict.ok and verdict.length == 8
 
+    def test_rejects_a_role_outside_the_graph(self):
+        spec = LadderSpec(4, frozenset())
+        g = make_ladder(spec)
+        a, b, c, _ = corner_roles(spec)
+        missing = max(g.vertices) + 1
+        verdict = is_ladder_subdivision(g, a, b, c, missing)
+        assert verdict == LadderVerdict(False, 0, f"boundary vertex {missing} missing")
+
     def test_rejects_bidirected_clique(self):
         from dsnkit.graphs import WeightedDigraph
 
