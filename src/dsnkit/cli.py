@@ -247,11 +247,19 @@ def cmd_bench(args, *_):
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors exit 4, the input-error code
-    (argparse's own 2 is "infeasible" here); subparsers inherit the class."""
+    (argparse's own 2 is "infeasible" here); subparsers inherit the class.
+    Like argparse from a later 3.11 patch release on, and unlike early 3.11
+    releases such as 3.11.2, it drops a text it cannot write."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_DOMAIN, f"{self.prog}: error: {message}\n")
+
+    def _print_message(self, message, file=None):
+        try:
+            super()._print_message(message, file)
+        except OSError:
+            pass
 
 
 @functools.cache
@@ -326,7 +334,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if rest:
             args = parser.parse_args(argv)
     except SystemExit:
-        # argparse's help and usage exits; it drops a text it cannot write.
+        # argparse's help and usage exits; the parser drops a text it cannot write.
         _report(0)
         raise
     inst = data = None  # the parsed input; a failed self-check prints `inst`

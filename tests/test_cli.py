@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import errno
 import io
@@ -583,6 +584,14 @@ def test_failed_stderr_write_in_a_process(tmp_path, flags):
     ).encode()
 
 
+def _print_message_without_a_guard(self, message, file=None):
+    """argparse's `_print_message` as early 3.11 releases have it: a failed write raises."""
+    if message:
+        if file is None:
+            file = sys.stderr
+        file.write(message)
+
+
 @pytest.mark.parametrize(
     "argv, failing, code",
     [
@@ -594,6 +603,8 @@ def test_failed_stderr_write_in_a_process(tmp_path, flags):
     ids=["usage-error", "left-over-argument", "help", "subcommand-help"],
 )
 def test_unwritable_usage_or_help_exits_as_in_python_3_11(monkeypatch, argv, failing, code):
+    # Under an argparse without the guard the OSError of the failed write escaped `main`.
+    monkeypatch.setattr(argparse.ArgumentParser, "_print_message", _print_message_without_a_guard)
     monkeypatch.setattr(sys, failing, _FailingStream("write", OSError(errno.ENOSPC, "No space left on device")))
     with pytest.raises(SystemExit) as info:
         main(argv)
