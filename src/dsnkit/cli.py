@@ -103,7 +103,14 @@ def _indented_json(obj, newline: str = "\n") -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [enc(v) if (enc := _scalar_encoder(type(v))) else _indented_json(v, inner) for v in obj]
+        # A pair of ints, such as a solve result's arc, is written in one step.
+        items = [
+            enc(v) if (enc := _scalar_encoder(type(v)))
+            else f"[{inner}  {v[0]},{inner}  {v[1]}{inner}]"
+            if type(v) is tuple and len(v) == 2 and type(v[0]) is int and type(v[1]) is int
+            else _indented_json(v, inner)
+            for v in obj
+        ]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 

@@ -2,10 +2,11 @@
 
 All graph values are immutable after construction and every operation is a
 pure function, so shared instances are safe to use concurrently.  The one
-slot filled later, a digraph's `necessary_arcs` answers per request set, is
-a function of its fixed arcs, so two threads racing to fill it store equal
-values.  Vertex ids are integers and every deterministic tie-break is by
-ascending id.
+slot filled later, a digraph's derived facts (its `necessary_arcs` answers
+per request set, its `induced` graphs per vertex set and its
+`component_avoiding` components per boundary), holds functions of its fixed
+arcs, so two threads racing to fill it store equal values.  Vertex ids are
+integers and every deterministic tie-break is by ascending id.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ class WeightedDigraph:
     weighs `arcs[a] / scale`, `arcs[a]` any value `Fraction` reads.  Only the
     graphs derived in `graphs` pass `scale`; other modules read `arcs()`."""
 
-    __slots__ = ("_vertices", "_vset", "_arcs", "_scaled", "_out", "_in", "_necessary")
+    __slots__ = ("_vertices", "_vset", "_arcs", "_scaled", "_out", "_in", "_facts")
 
     def __init__(self, vertices: Iterable[int], arcs: Mapping[Arc, object], scale: int = 1):
         vs = sorted(vertices)
@@ -79,7 +80,8 @@ class WeightedDigraph:
         self._scaled = (ints, scale)
         self._out = {v: tuple(ns) for v, ns in out.items()}
         self._in = {v: tuple(ns) for v, ns in inn.items()}
-        self._necessary: Dict[FrozenSet[Tuple[int, int]], Optional[FrozenSet[Arc]]] = {}
+        # ("necessary", requests), ("induced", vertices) or ("components", boundary) -> fact
+        self._facts: Dict[Tuple[str, FrozenSet], object] = {}
 
     # -- basic accessors -------------------------------------------------
 
@@ -151,7 +153,7 @@ class WeightedDigraph:
     def subgraph(self, arcs: Iterable[Arc]) -> "WeightedDigraph":
         """Subgraph on the given arcs and their ends.  Graphs are immutable,
         so when that is every arc and every vertex, it is the graph itself,
-        with its `necessary_arcs` answers."""
+        with its derived facts."""
         arcset = set(arcs)
         for a in arcset:
             if a not in self._arcs:
@@ -162,11 +164,17 @@ class WeightedDigraph:
         return WeightedDigraph(ends, {a: self._arcs[a] for a in arcset}, self._scaled[1])
 
     def induced(self, vertices: Iterable[int]) -> "WeightedDigraph":
-        vs = set(vertices)
-        for v in vs:
-            self._check_vertex(v)
-        arcs = {a: w for a, w in self._arcs.items() if a[0] in vs and a[1] in vs}
-        return WeightedDigraph(vs, arcs, self._scaled[1])
+        """Subgraph induced by `vertices`; kept per vertex set, so asking
+        again for the same set returns the same graph."""
+        vs = frozenset(vertices)
+        key = ("induced", vs)
+        found = self._facts.get(key)
+        if found is None:
+            for v in vs:
+                self._check_vertex(v)
+            arcs = {a: w for a, w in self._arcs.items() if a[0] in vs and a[1] in vs}
+            found = self._facts[key] = WeightedDigraph(vs, arcs, self._scaled[1])
+        return found
 
     def without_arc(self, u: int, v: int) -> "WeightedDigraph":
         arcs = dict(self._arcs)
@@ -460,6 +468,30 @@ def _parent_path(parent: Dict[int, Optional[int]], t: int) -> Optional[Tuple[int
     return tuple(reversed(seq))
 
 
+def component_avoiding(g: WeightedDigraph, v: int, boundary: Iterable[int]) -> FrozenSet[int]:
+    """The vertex set of v's connected component in the underlying
+    undirected graph of g minus `boundary`; v must be outside `boundary`.
+    Every component found is kept on g per boundary, so a later vertex of
+    one, with the same boundary, walks nothing."""
+    stop = frozenset(boundary)
+    comps = g._facts.setdefault(("components", stop), {})
+    if v in comps:
+        return comps[v]
+    g._check_vertex(v)
+    out, inn = g._out, g._in
+    seen = {v}
+    stack = [v]
+    while stack:
+        u = stack.pop()
+        for w in (*out[u], *inn[u]):
+            if w not in seen and w not in stop:
+                seen.add(w)
+                stack.append(w)
+    comp = frozenset(seen)
+    comps.update(dict.fromkeys(comp, comp))
+    return comp
+
+
 def necessary_arcs(g: WeightedDigraph, requests: Iterable[Tuple[int, int]]) -> Optional[FrozenSet[Arc]]:
     """The arcs that lie on every s-t path of some request (s, t), or None
     when some request has an endpoint outside g or t unreachable from s.
@@ -477,10 +509,11 @@ def necessary_arcs(g: WeightedDigraph, requests: Iterable[Tuple[int, int]]) -> O
     e_1 .. e_{i-1}.  So one walk that leaves out the path's arcs, seeded
     with each path vertex in turn and extended only as far as each answer
     needs, finds them all in time linear in the graph."""
-    key = frozenset(requests)
-    if key not in g._necessary:
-        g._necessary[key] = _necessary_arcs(g, key)
-    return g._necessary[key]
+    reqs = frozenset(requests)
+    facts, key = g._facts, ("necessary", reqs)
+    if key not in facts:
+        facts[key] = _necessary_arcs(g, reqs)
+    return facts[key]
 
 
 def _necessary_arcs(g: WeightedDigraph, requests: FrozenSet[Tuple[int, int]]) -> Optional[FrozenSet[Arc]]:
@@ -709,43 +742,49 @@ def treewidth_exact(g: UndirectedGraph) -> Tuple[int, List[int]]:
     order: List[int] = []
     width = 0
 
-    def key(u: int) -> int:
-        # 0 if u is simplicial (each neighbour sees the d others), else 1
-        # if it has degree 2, else 2.
-        ns = adj[u]
-        d = len(ns) - 1
-        if d == 1:
-            a, b = ns
-            return 0 if b in adj[a] else 1
-        for a in ns:
-            if len(adj[a] & ns) < d:
-                return 2
-        return 0
-
     # Safe reductions: the smallest simplicial vertex if there is one, else
-    # the smallest of degree 2, from a lazy heap on (key, id).  Eliminating
-    # v changes only its neighbours' neighbour sets and, for a degree-2 v,
-    # adds at most the edge between them, which can change only their
-    # common neighbours' keys; those are pushed again.  Keys only fall: a
-    # simplicial vertex stays simplicial, and a degree-2 v is eliminated
-    # only when none is simplicial, which keeps its neighbours' degrees.
-    # So the first entry popped for a vertex carries its current key.
-    heap = [(k, u) for u in adj if (k := key(u)) < 2]
-    heapq.heapify(heap)
-    while heap:
-        _, v = heapq.heappop(heap)
-        if v not in adj:
-            continue
-        ns = adj[v]
-        width = max(width, _eliminate(adj, v))
+    # the smallest of degree 2, from a lazy heap on (key, id), with key 0
+    # for a simplicial vertex (each neighbour sees the d others), 1 for
+    # another of degree 2.  Eliminating v changes only its neighbours'
+    # neighbour sets and, for a degree-2 v, adds at most the edge between
+    # them, which can change only their common neighbours' keys; those are
+    # pushed again.  Keys only fall: a simplicial vertex stays simplicial,
+    # and a degree-2 v is eliminated only when none is simplicial, which
+    # keeps its neighbours' degrees.  So the first entry popped for a vertex
+    # carries its current key.  The elimination (`_eliminate`) and the key
+    # test are written out in this loop, which runs for every vertex: about
+    # 1.3% of an analyze-ladder item's time.
+    heap: List[Tuple[int, int]] = []
+    touched: Iterable[int] = adj
+    while True:
+        for u in touched:
+            ns = adj[u]
+            d = len(ns) - 1
+            if d == 1:
+                a, b = ns
+                heapq.heappush(heap, (0 if b in adj[a] else 1, u))
+                continue
+            for a in ns:
+                if len(adj[a] & ns) < d:
+                    break
+            else:
+                heapq.heappush(heap, (0, u))
+        while heap and heap[0][1] not in adj:
+            heapq.heappop(heap)
+        if not heap:
+            break
+        v = heapq.heappop(heap)[1]
+        touched = ns = adj.pop(v)
+        for a in ns:
+            na = adj[a]
+            na.discard(v)
+            na |= ns
+            na.discard(a)
+        width = max(width, len(ns))
         order.append(v)
         if len(ns) == 2:
             a, b = ns
-            ns = ns | (adj[a] & adj[b])
-        for u in ns:
-            k = key(u)
-            if k < 2:
-                heapq.heappush(heap, (k, u))
+            touched = ns | (adj[a] & adj[b])
 
     if adj:
         rest = UndirectedGraph(adj, [(u, w) for u in adj for w in adj[u]])

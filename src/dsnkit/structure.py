@@ -19,6 +19,7 @@ from .graphs import (
     WeightedDigraph,
     _parent_path,
     avoiding_path,
+    component_avoiding,
     diameter,
     necessary_arcs,
     search,
@@ -209,20 +210,6 @@ def marked_vertices(graph: WeightedDigraph, P: DirectedPath, imp: ImportantSet) 
 # ladder segments
 
 
-def _component_avoiding(graph: WeightedDigraph, v: int, boundary: Set[int]) -> FrozenSet[int]:
-    """The vertex set of v's connected component in the underlying
-    undirected graph of `graph` minus `boundary` (v not in `boundary`)."""
-    seen = {v}
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        for w in (*graph.out_neighbors(u), *graph.in_neighbors(u)):
-            if w not in seen and w not in boundary:
-                seen.add(w)
-                stack.append(w)
-    return frozenset(seen)
-
-
 class LadderSegment(NamedTuple):
     start_index: int  # index of p_i on P
     end_index: int  # index of p_j on P
@@ -258,7 +245,7 @@ def detect_ladder_segments(
             continue
         pv = P.vertices
         boundary = (pv[i + 1], pv[i + 2], pv[j - 2], pv[j - 1])
-        component = _component_avoiding(graph, pv[i + 3], set(boundary))
+        component = component_avoiding(graph, pv[i + 3], boundary)
         if component & T:
             out.append(
                 LadderSegment(
@@ -320,7 +307,7 @@ def protrusion_replace(
     if Fset & {a, b, c, d}:
         raise PreconditionError("component overlaps its boundary")
     v = min(Fset, default=None)
-    if v is None or not graph.has_vertex(v) or _component_avoiding(graph, v, {a, b, c, d}) != Fset:
+    if v is None or not graph.has_vertex(v) or component_avoiding(graph, v, (a, b, c, d)) != Fset:
         raise PreconditionError("F is not a connected component of graph - {a,b,c,d}")
     if a != b and not graph.has_arc(a, b):
         raise PreconditionError("a != b but arc ab is missing")

@@ -7,8 +7,8 @@ which only the tests use), the exact-treewidth subset dynamic program, the
 path-union search with its shared-arc bound built up front, the small
 3-regular pattern corpus, the important and marked vertices with every
 search run, the per-path analysis checked against them, and the
-small-scope enumeration of every instance up to a small size with the
-checks run on each."""
+small-scope enumeration of every instance up to a small size and of every
+ladder up to a small length, with the checks run on each."""
 
 import heapq
 import itertools
@@ -25,7 +25,7 @@ import pytest
 from hypothesis import strategies as st
 
 from dsnkit import solvers, structure
-from dsnkit.dsn import DsnInstance
+from dsnkit.dsn import DsnInstance, reverse_instance
 from dsnkit.formats import emit_dsn
 from dsnkit.generators import gen_grid
 from dsnkit.graphs import DirectedPath, UndirectedGraph, WeightedDigraph, avoiding_path, search
@@ -450,6 +450,17 @@ def small_scope_instances(n, sizes, weights=(1,), out_stars=False, masks=None):
         host = WeightedDigraph(range(n), arcs)
         for reqs in request_sets:
             yield DsnInstance(host, reqs)
+
+
+def ladder_space(max_n):
+    """Every G_{n,I} with 1 <= n <= max_n and every identified set I, wired
+    by `ladder_with_terminals`, each followed by its `reverse_instance`:
+    2 * (2 ** (max_n + 1) - 2) instances."""
+    for n in range(1, max_n + 1):
+        for mask in range(1 << n):
+            inst = ladder_with_terminals(n, {i + 1 for i in range(n) if mask >> i & 1})
+            yield inst
+            yield reverse_instance(inst)
 
 
 def small_scope_failure(inst, engine=solvers.solve_exhaustive):

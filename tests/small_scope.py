@@ -1,6 +1,7 @@
-"""Small-scope exhaustive checks over every 4-vertex instance.
+"""Small-scope exhaustive checks over every 4-vertex instance and every
+ladder of up to 12 rungs.
 
-Two spaces, each checked in full:
+Three spaces, each checked in full:
 
 - every unit-weight digraph on 4 vertices with every set of 1 or 2
   requests (319,488 instances): `solve_bnb` and `solve_exhaustive` agree on
@@ -9,7 +10,10 @@ Two spaces, each checked in full:
   of the references on each path it analyzes;
 - every digraph on 4 vertices with weights 1 to 3 and every out-star
   request set of 1 to 3 leaves (114,688 instances): `solve_dst` agrees
-  with `solve_bnb`, and the certificates are checked the same way.
+  with `solve_bnb`, and the certificates are checked the same way;
+- every ladder G_{n,I} with n <= 12 and every identified set I, wired by
+  `conftest.ladder_with_terminals`, and the reversal of each (16,380
+  instances): the certificates are checked the same way.
 
 pytest does not collect this file; run it with
 
@@ -21,9 +25,9 @@ prints as `.dsn` text."""
 import sys
 import time
 
-from dsnkit.solvers import solve_dst, solve_exhaustive
+from dsnkit.solvers import solve_bnb, solve_dst, solve_exhaustive
 
-from conftest import small_scope_failure, small_scope_instances
+from conftest import ladder_space, small_scope_failure, small_scope_instances
 
 def spaces(masks=None):
     """(name, instances, the engine checked against solve_bnb) per space;
@@ -39,7 +43,8 @@ def spaces(masks=None):
 
 
 def main() -> int:
-    for name, instances, engine in spaces():
+    ladders = ("ladders of 1-12 rungs and their reversals", ladder_space(12), solve_bnb)
+    for name, instances, engine in [*spaces(), ladders]:
         start = time.perf_counter()
         count = 0
         for inst in instances:

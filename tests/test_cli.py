@@ -760,6 +760,16 @@ class TestIndentedJson:
         """[DERIVED: json.dumps(value, indent=2)]"""
         assert cli._indented_json(value) == json.dumps(value, indent=2)
 
+    # The strategy rarely draws a tuple of exactly two ints, the shape that
+    # takes the one-step path; bools, floats and other lengths must not.
+    @pytest.mark.parametrize(
+        "value",
+        [[(1, 2)], [(True, 1)], [(1, 2.0)], [(2**70, -3)], [(1, 2, 3)], [[1, 2]], ((1, 2),)],
+        ids=["int-pair", "bool", "float", "big-and-negative", "triple", "list-pair", "in-a-tuple"],
+    )
+    def test_pairs_match_json_dumps_indent_2(self, value):
+        assert cli._indented_json(value) == json.dumps(value, indent=2)
+
     def test_unknown_type_raises_like_json(self):
         with pytest.raises(TypeError, match="not JSON serializable"):
             cli._indented_json({"w": object()})

@@ -225,6 +225,17 @@ class TestWeightedDigraph:
         every_vertex = every_arc.subgraph([(0, 1), (1, 2)])
         assert every_vertex is not every_arc and every_vertex.vertices == every_arc.vertices and every_vertex.m == 2
 
+    def test_induced_graph_is_kept_per_vertex_set(self):
+        g = WeightedDigraph(range(4), {(0, 1): 2, (1, 2): Fraction(1, 3), (2, 3): 1, (3, 0): 1})
+        X = {0, 1, 2}
+        kept = g.induced(X)
+        assert g.induced(list(X)) is kept and g.induced((2, 1, 0)) is kept
+        assert kept.vertices == (0, 1, 2) and kept.arcs() == {(0, 1): 2, (1, 2): Fraction(1, 3)}
+        other = g.induced({1, 2, 3})
+        assert other is not kept and other.arc_set() == {(1, 2), (2, 3)}
+        with pytest.raises(InputError, match="unknown vertex id 9"):
+            g.induced({0, 9})
+
 
 def assert_scaled_view(g, scale):
     ints, got_scale = g.scaled_weights()

@@ -352,7 +352,7 @@ def test_integer_weights_stay_in_the_graph_core(path):
 
 
 # The private slots of the graph classes in `graphs.py`.
-GRAPH_SLOTS = {"_out", "_in", "_arcs", "_adj", "_vset", "_scaled", "_necessary"}
+GRAPH_SLOTS = {"_out", "_in", "_arcs", "_adj", "_vset", "_scaled", "_facts"}
 
 
 def graph_slot_reads(source):

@@ -1,13 +1,16 @@
 """Small-scope exhaustive check: every 3-vertex instance, not a sample,
-and a fixed seeded slice of the two 4-vertex spaces.
+a fixed seeded slice of the two 4-vertex spaces, and every ladder of up to
+8 rungs with its reversal.
 
 All 64 unit-weight digraphs on 3 vertices, each with every non-empty
 request set: 4,032 instances.  `tests/small_scope.py` runs the same checks
-over the 4-vertex spaces in full."""
+over the 4-vertex spaces and the ladders of up to 12 rungs in full."""
 
 import random
 
-from conftest import small_scope_failure, small_scope_instances
+from dsnkit.solvers import solve_bnb
+
+from conftest import ladder_space, small_scope_failure, small_scope_instances
 from small_scope import spaces
 
 # 64 of the 4,096 arc masks of a 4-vertex host, drawn once from seed 0.
@@ -35,3 +38,14 @@ def test_seeded_slice_of_the_four_vertex_spaces():
             assert failure is None, failure
             counts[-1] += 1
     assert counts == [64 * 78, 64 * 28]
+
+
+def test_every_ladder_up_to_eight_rungs_and_its_reversal():
+    """Every G_{n,I} with n <= 8 (510 specs), where protrusion replacement
+    acts, and the reversal of each."""
+    count = 0
+    for inst in ladder_space(8):
+        failure = small_scope_failure(inst, solve_bnb)
+        assert failure is None, failure
+        count += 1
+    assert count == 1020

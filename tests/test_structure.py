@@ -13,8 +13,8 @@ from dsnkit.dsn import (
     minimize_graph,
     normalize_requests_graph,
 )
-from dsnkit.errors import CapacityError, InconsistencyError, InvariantError, PreconditionError
-from dsnkit.graphs import DirectedPath, WeightedDigraph, treewidth_exact, treewidth_upper_bound
+from dsnkit.errors import CapacityError, InconsistencyError, InputError, InvariantError, PreconditionError
+from dsnkit.graphs import DirectedPath, WeightedDigraph, component_avoiding, treewidth_exact, treewidth_upper_bound
 from dsnkit import graphs, structure
 from dsnkit.ladders import LadderVerdict
 from dsnkit.generators import gen_random
@@ -23,7 +23,6 @@ from dsnkit.structure import (
     LadderSegment,
     PathRecord,
     _analyze_path,
-    _component_avoiding,
     _onto_path_reach,
     _verify_replacement,
     avoiding_path,
@@ -409,13 +408,39 @@ class TestSegmentsAndReplacement:
     def test_replace_rejects_terminal_component(self):
         inst = ladder_with_terminals(10)
         s = sorted(inst.requests)[0][1]
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="component contains a terminal"):
             protrusion_replace(inst.host, inst.requests, recognized({s}, (0, 1, 2, 3)))
 
     def test_replace_rejects_non_component(self):
         inst = ladder_with_terminals(10)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="F is not a connected component"):
             protrusion_replace(inst.host, inst.requests, recognized({4, 5}, (0, 1, 18, 19)))
+
+    # The 10-rung ladder's segment has roles (0, 1, 19, 18) and interior 2..17;
+    # its rungs run 0 -> 1 and 19 -> 18 only.
+    @pytest.mark.parametrize(
+        "component,roles,message",
+        [
+            ({0, 4}, (0, 1, 19, 18), "component overlaps its boundary"),
+            (range(2, 18), (1, 0, 19, 18), "a != b but arc ab is missing"),
+            (range(2, 18), (0, 1, 18, 19), "c != d but arc cd is missing"),
+        ],
+        ids=["overlap", "ab-missing", "cd-missing"],
+    )
+    def test_replace_rejects_a_broken_precondition(self, component, roles, message):
+        inst = ladder_with_terminals(10)
+        with pytest.raises(PreconditionError, match=message):
+            protrusion_replace(inst.host, inst.requests, recognized(component, roles))
+
+    def test_replace_rejects_a_subset_of_a_kept_component(self):
+        """The component found from another of its vertices is kept on the
+        graph, and the precondition compares the claimed set with it."""
+        inst = ladder_with_terminals(10)
+        roles = (0, 1, 19, 18)
+        kept = component_avoiding(inst.host, 17, roles)
+        assert kept == frozenset(range(2, 18))
+        with pytest.raises(PreconditionError, match="F is not a connected component"):
+            protrusion_replace(inst.host, inst.requests, recognized(kept - {17}, roles))
 
     def test_verification_names_first_changed_reachability(self):
         old = WeightedDigraph({0, 1, 2, 9}, {(2, 9): 1, (9, 1): 1, (1, 9): 1, (9, 0): 1})
@@ -555,8 +580,25 @@ class TestReduceLength:
 
     def test_rejects_non_minimal_input(self):
         g = WeightedDigraph(range(3), {(0, 1): 1, (0, 2): 1, (2, 1): 1})
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="input graph is not inclusion-minimal"):
             reduce_length_graph(g, {(0, 1)})
+
+    def test_rejects_an_invalid_solution(self):
+        g = WeightedDigraph(range(2), {(0, 1): 1})
+        with pytest.raises(PreconditionError, match="input graph is not a valid solution"):
+            reduce_length_graph(g, {(1, 0)})
+
+    def test_diameter_verdict_holds_at_its_bound(self, monkeypatch):
+        """[DERIVED: diameter <= 8 * max(1, max_ratio) * q]  A diameter equal
+        to the bound passes, one more fails."""
+        inst = ladder_with_terminals(10)
+        _, report = reduce_length_graph(inst.host, inst.requests)
+        q = len(report.terminals)
+        assert q == 2
+        bound = 8 * max(1, report.max_ratio) * q
+        for diam, ok in ((bound, True), (bound + 1, False)):
+            monkeypatch.setattr(structure, "diameter", lambda u, diam=diam: diam)
+            assert reduce_length_graph(inst.host, inst.requests)[1].diameter_bound_ok is ok
 
     def test_report_serializes(self):
         inst = ladder_with_terminals(10)
@@ -642,7 +684,28 @@ class TestComponentAvoiding:
         components = without_vertices(g, boundary).sym().components()
         for v in set(g.vertices) - boundary:
             expected = next(frozenset(c) for c in components if v in c)
-            assert _component_avoiding(g, v, boundary) == expected
+            assert component_avoiding(g, v, boundary) == expected
+
+    def test_each_component_is_walked_once_per_boundary(self):
+        g = WeightedDigraph(range(5), {(0, 1): 1, (2, 1): 1, (2, 3): 1, (4, 3): 1})
+        expanded = []
+
+        class Counted(dict):
+            def __getitem__(self, v):
+                expanded.append(v)
+                return dict.__getitem__(self, v)
+
+        g._out = Counted(g._out)
+        left = component_avoiding(g, 0, {2})
+        assert left == {0, 1} and sorted(expanded) == [0, 1]
+        # Another vertex of it, with the same boundary in another container.
+        assert component_avoiding(g, 1, [2]) is left and len(expanded) == 2
+        assert component_avoiding(g, 4, (2,)) == {3, 4} and sorted(expanded[2:]) == [3, 4]
+        assert component_avoiding(g, 3, {2}) == {3, 4} and len(expanded) == 4
+        # Another boundary is walked again.
+        assert component_avoiding(g, 3, {1}) == {2, 3, 4} and len(expanded) == 7
+        with pytest.raises(InputError, match="unknown vertex id 9"):
+            component_avoiding(g, 9, {2})
 
     @pytest.mark.parametrize("F", [set(), {4, 99}], ids=["empty", "unknown-vertex"])
     def test_replace_rejects_empty_or_foreign_component(self, F):
