@@ -21,7 +21,7 @@ from .graphs import DirectedPath, UndirectedGraph, WeightedDigraph
 from .ladders import LadderSpec, make_ladder
 from .reduction import PsiInstance
 from .solvers import SolveResult, solve_bnb, solve_dst, solve_exhaustive, solve_with_certificate
-from .structure import StructureReport, certify_treewidth_bound, reduce_length
+from .structure import StructureReport
 
 __version__ = "0.1.0"
 
@@ -40,8 +40,6 @@ __all__ = [
     "solve_dst",
     "solve_with_certificate",
     "StructureReport",
-    "reduce_length",
-    "certify_treewidth_bound",
     "DsnkitError",
     "InputError",
     "ParseError",

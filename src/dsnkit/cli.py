@@ -137,19 +137,18 @@ def cmd_analyze(args, inst, meta):
         raise InputError(f"genus must be an integer, got {genus!r}") from None
     if genus < 0:
         raise InputError(f"genus must be non-negative, got {genus}")
-    result, cert = solve_with_certificate(inst, declared_genus=genus, engine=args.engine)
+    result, rep = solve_with_certificate(inst, engine=args.engine)
     code = EXIT_OK if result.feasible else EXIT_INFEASIBLE
     if args.json:
         return code, {
             "solve": result.to_json_dict(),
-            "certificate": cert.to_json_dict() if cert is not None else None,
+            "certificate": rep.certificate_json(genus) if rep is not None else None,
             "wall_time_s": None,  # the runner fills in the time
         }
     if not result.feasible:
         return code, "infeasible\n"
-    if cert is None:
+    if rep is None:
         return code, f"cost {result.cost}; no requests, no certificate\n"
-    rep = cert.report
     lines = [
         f"cost {result.cost}; |V| {rep.vertices_before} -> {rep.vertices_after}",
         f"treewidth {rep.tw_before} -> {rep.tw_after}; "

@@ -18,7 +18,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 from .dsn import DsnInstance, SolutionSubgraph, _first_violated, validate
 from .errors import CapacityError, DomainError, InvariantError
 from .graphs import Arc, WeightedDigraph, necessary_arcs, search
-from .structure import TreewidthCertificate, certify_treewidth_bound
+from .structure import StructureReport, reduce_length_graph
 
 EXHAUSTIVE_MAX_ARCS = 24
 DST_MAX_LEAVES = 12
@@ -519,9 +519,9 @@ ENGINES = {"exhaustive": solve_exhaustive, "bnb": solve_bnb, "dst": solve_dst}
 
 
 def solve_with_certificate(
-    inst: DsnInstance, declared_genus: int = 0, engine: str = "auto"
-) -> Tuple[SolveResult, Optional[TreewidthCertificate]]:
-    """Solve exactly, then certify the solution's structure."""
+    inst: DsnInstance, engine: str = "auto"
+) -> Tuple[SolveResult, Optional[StructureReport]]:
+    """Solve exactly; the optimum's length-reduction report certifies it."""
     if engine == "auto":
         if len({s for s, _ in inst.requests}) == 1 and len(inst.terminals) - 1 <= DST_MAX_LEAVES:
             engine = "dst"
@@ -534,5 +534,4 @@ def solve_with_certificate(
     result = ENGINES[engine](inst)
     if not result.feasible or not inst.requests:
         return result, None
-    cert = certify_treewidth_bound(inst, result.optimum, declared_genus)
-    return result, cert
+    return result, reduce_length_graph(result.optimum.as_graph(), inst.requests)[1]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .dsn import DsnInstance, Request, SolutionSubgraph, _normalize_requests_arg, normalize_requests_graph
+from .dsn import Request, _normalize_requests_arg, normalize_requests_graph
 from .errors import CapacityError, DomainError, InputError, InvariantError, PreconditionError
 from .graphs import (
     DirectedPath,
@@ -418,6 +418,8 @@ class PathRecord(NamedTuple):
 
 
 class StructureReport(NamedTuple):
+    """The pipeline's measurements, which also make the treewidth certificate."""
+
     terminals: Tuple[int, ...]
     original_requests: Tuple[Request, ...]
     normalized_requests: Tuple[Request, ...]
@@ -458,6 +460,33 @@ class StructureReport(NamedTuple):
                 "marked": self.marked_bound_ok,
                 "diameter": self.diameter_bound_ok,
             },
+        }
+
+    @property
+    def pipeline_increased_tw(self) -> bool:
+        return self.tw_after > self.tw_before
+
+    @property
+    def flagged(self) -> bool:
+        """The pipeline made treewidth grow beyond what the measured ratio
+        explains."""
+        return self.tw_after > max(1.0, self.max_ratio) * max(1, self.tw_before)
+
+    def certificate_json(self, declared_genus: int) -> dict:
+        """The certificate; `declared_genus` is only echoed."""
+        q = len(self.terminals)
+        return {
+            "schema": "dsnkit/treewidth-certificate/1",
+            "declared_genus": declared_genus,
+            "q": q,
+            "treewidth_solution": self.tw_before,
+            "treewidth_solution_exact": self.tw_before_exact,
+            "treewidth_reduced": self.tw_after,
+            "treewidth_reduced_exact": self.tw_after_exact,
+            "treewidth_per_terminal": self.tw_before / max(1, q),
+            "pipeline_increased_treewidth": self.pipeline_increased_tw,
+            "flagged": self.flagged,
+            "report": self.to_json_dict(),
         }
 
 
@@ -561,56 +590,3 @@ def reduce_length_graph(
     )
     return current, report
 
-
-def reduce_length(inst: DsnInstance, sol: SolutionSubgraph) -> Tuple[WeightedDigraph, StructureReport]:
-    return reduce_length_graph(sol.as_graph(), inst.requests)
-
-
-# ---------------------------------------------------------------------------
-# certification
-
-
-class TreewidthCertificate(NamedTuple):
-    """The structure report plus the declared genus, which is only echoed."""
-
-    declared_genus: int
-    report: StructureReport
-
-    @property
-    def pipeline_increased_tw(self) -> bool:
-        return self.report.tw_after > self.report.tw_before
-
-    @property
-    def flagged(self) -> bool:
-        """The pipeline made treewidth grow beyond what the measured ratio
-        explains."""
-        rep = self.report
-        return rep.tw_after > max(1.0, rep.max_ratio) * max(1, rep.tw_before)
-
-    def to_json_dict(self) -> dict:
-        rep = self.report
-        q = len(rep.terminals)
-        return {
-            "schema": "dsnkit/treewidth-certificate/1",
-            "declared_genus": self.declared_genus,
-            "q": q,
-            "treewidth_solution": rep.tw_before,
-            "treewidth_solution_exact": rep.tw_before_exact,
-            "treewidth_reduced": rep.tw_after,
-            "treewidth_reduced_exact": rep.tw_after_exact,
-            "treewidth_per_terminal": rep.tw_before / max(1, q),
-            "pipeline_increased_treewidth": self.pipeline_increased_tw,
-            "flagged": self.flagged,
-            "report": rep.to_json_dict(),
-        }
-
-
-def certify_treewidth_bound(
-    inst: DsnInstance, sol: SolutionSubgraph, declared_genus: int = 0
-) -> TreewidthCertificate:
-    """Run the reduction pipeline; the certificate reads its treewidths
-    before and after off the report.
-
-    No pass/fail against the asymptotic constant; flags only a pipeline that
-    made treewidth grow beyond what the measured ratio explains."""
-    return TreewidthCertificate(declared_genus, reduce_length(inst, sol)[1])

@@ -7,8 +7,9 @@ which only the tests use), the exact-treewidth subset dynamic program, the
 path-union search with its shared-arc bound built up front, the small
 3-regular pattern corpus, the important and marked vertices with every
 search run, the per-path analysis checked against them, and the
-small-scope enumeration of every instance up to a small size and of every
-ladder up to a small length, with the checks run on each."""
+small-scope enumeration of every instance up to a small size, of every
+ladder up to a small length and of every PSI instance of a pattern on a
+small host, with the checks run on each."""
 
 import heapq
 import itertools
@@ -26,11 +27,11 @@ from hypothesis import strategies as st
 
 from dsnkit import solvers, structure
 from dsnkit.dsn import DsnInstance, reverse_instance
-from dsnkit.formats import emit_dsn
+from dsnkit.formats import emit_dsn, emit_psi
 from dsnkit.generators import gen_grid
 from dsnkit.graphs import DirectedPath, UndirectedGraph, WeightedDigraph, avoiding_path, search
 from dsnkit.ladders import LadderSpec, ladder_rungs, make_ladder
-from dsnkit.reduction import PsiInstance
+from dsnkit.reduction import PsiInstance, decide_psi_via_dsn, generate_hardness_instance, solve_psi_bruteforce
 from dsnkit.structure import ImportantSet, MarkedQuadruple, MarkedSet
 
 
@@ -463,6 +464,34 @@ def ladder_space(max_n):
             yield reverse_instance(inst)
 
 
+def psi_space(pattern, n):
+    """Every PSI instance of `pattern` on host vertices 0..n-1 whose classes
+    are contiguous blocks, one per pattern vertex in order, of every size
+    vector, with every set of host edges between classes."""
+    order = sorted(pattern.vertices)
+    for cuts in itertools.combinations(range(1, n), len(order) - 1):
+        ends = (0, *cuts, n)
+        classmap = {v: h for i, h in enumerate(order) for v in range(ends[i], ends[i + 1])}
+        pairs = [(u, v) for u, v in itertools.combinations(range(n), 2) if classmap[u] != classmap[v]]
+        for mask in range(1 << len(pairs)):
+            host = UndirectedGraph(range(n), [e for i, e in enumerate(pairs) if mask >> i & 1])
+            yield PsiInstance(host, pattern, classmap)
+
+
+def psi_space_failure(psi):
+    """None if deciding `psi` through its hardness instance agrees with
+    `solve_psi_bruteforce`, else what differs, with the instance as `.psi`
+    text.  An exception from either is a failure too, reported with its
+    traceback."""
+    try:
+        via_dsn = decide_psi_via_dsn(generate_hardness_instance(psi))
+        direct = solve_psi_bruteforce(psi) is not None
+        why = None if via_dsn == direct else f"decide_psi_via_dsn gives {via_dsn}, solve_psi_bruteforce {direct}"
+    except Exception:
+        why = traceback.format_exc()
+    return None if why is None else f"{why.rstrip()}\ninstance:\n{emit_psi(psi)}"
+
+
 def small_scope_failure(inst, engine=solvers.solve_exhaustive):
     """What goes wrong on `inst`, with the instance as `.dsn` text, or None.
 
@@ -478,11 +507,10 @@ def small_scope_failure(inst, engine=solvers.solve_exhaustive):
         if (got.feasible, got.cost) != (want.feasible, want.cost):
             why = f"{engine.__name__} gives cost {got.cost}, solve_bnb {want.cost}"
         elif want.feasible:
-            (_, cert), analyses = checked_analyses(solvers.solve_with_certificate, inst)
-            rep = cert.report
+            (_, rep), analyses = checked_analyses(solvers.solve_with_certificate, inst)
             verdicts = {
-                "flagged": cert.flagged,
-                "pipeline_increased_tw": cert.pipeline_increased_tw,
+                "flagged": rep.flagged,
+                "pipeline_increased_tw": rep.pipeline_increased_tw,
                 "important bound failed": not rep.important_bound_ok,
                 "marked bound failed": not rep.marked_bound_ok,
                 "diameter bound failed": rep.diameter_bound_ok is False,

@@ -35,11 +35,10 @@ from dsnkit.reduction import (
 )
 from dsnkit.solvers import _solve_path_union, solve_bnb, solve_dst, solve_exhaustive
 from dsnkit.structure import (
-    certify_treewidth_bound,
     important_vertices,
     marked_vertices,
     realize_request_path,
-    reduce_length,
+    reduce_length_graph,
 )
 from dsnkit.generators import gen_grid
 
@@ -195,7 +194,7 @@ def test_criterion_7_protrusion_replacements():
         inst = ladder_with_terminals(n, identified)
         sol = SolutionSubgraph(inst.host, frozenset(inst.host.arcs()))
         assert validate(inst, sol) is None
-        reduced, report = reduce_length(inst, sol)
+        reduced, report = reduce_length_graph(sol.as_graph(), inst.requests)
         assert report.replacements >= 1
         assert report.vertices_after < report.vertices_before
         total += report.replacements
@@ -215,12 +214,12 @@ def test_criterion_8_planar_corpus_certificates():
         assert result.feasible
         corpus.append((f"grid-{w}x{h}", inst, result.optimum))
     for name, inst, sol in corpus:
-        cert = certify_treewidth_bound(inst, sol, declared_genus=0)
-        assert cert.report.tw_before_exact and cert.report.tw_after_exact
-        assert cert.report.tw_before <= 4 * inst.q, name
-        assert cert.report.diameter_bound_ok, name
-        assert not cert.pipeline_increased_tw, name
-        assert not cert.flagged, name
+        _, rep = reduce_length_graph(sol.as_graph(), inst.requests)
+        assert rep.tw_before_exact and rep.tw_after_exact
+        assert rep.tw_before <= 4 * inst.q, name
+        assert rep.diameter_bound_ok, name
+        assert not rep.pipeline_increased_tw, name
+        assert not rep.flagged, name
     print(f"criterion 8 ok: certificates hold on {len(corpus)} planar hosts")
 
 

@@ -143,9 +143,21 @@ class TestValidateAndMinimize:
         assert is_inclusion_minimal_by_copies(small, reqs)
         assert is_inclusion_minimal_graph(small, reqs)
 
-    def test_inclusion_minimality_refuses_an_invalid_graph(self):
-        with pytest.raises(PreconditionError):
-            is_inclusion_minimal_graph(chain(3), {(2, 0)})
+    @pytest.mark.parametrize("check", [is_inclusion_minimal_graph, minimize_graph])
+    def test_graph_checks_refuse_an_invalid_graph(self, check):
+        with pytest.raises(PreconditionError, match="graph is not a valid solution"):
+            check(chain(3), {(2, 0)})
+
+    @pytest.mark.parametrize("check", [is_inclusion_minimal, minimize])
+    def test_instance_level_checks_refuse_an_invalid_solution(self, check):
+        inst = DsnInstance(chain(3), {(0, 2)})
+        with pytest.raises(PreconditionError, match="solution is not valid"):
+            check(inst, SolutionSubgraph(inst.host, frozenset({(0, 1)})))
+
+    def test_validate_refuses_a_solution_on_another_host(self):
+        inst = DsnInstance(chain(3), {(0, 2)})
+        with pytest.raises(InputError, match="solution host differs from the instance host"):
+            validate(inst, SolutionSubgraph(chain(4), frozenset(chain(4).arcs())))
 
     @settings(max_examples=150, deadline=None)
     @given(g=digraphs(), data=st.data())

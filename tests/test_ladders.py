@@ -282,6 +282,10 @@ class TestTwoPathDecomposition:
             assert (p1.start, p1.end) == (a1, bn)
             assert (p2.start, p2.end) == (an, b1)
 
+    def test_rejects_the_graph_of_another_spec(self):
+        with pytest.raises(InputError, match="graph does not match the ladder spec"):
+            ladder_two_path_decomposition(make_ladder(LadderSpec(5, frozenset())), LadderSpec(6, frozenset()))
+
     def test_identified_specs(self):
         for spec in sampled_specs(40, seed=9):
             g = make_ladder(spec)

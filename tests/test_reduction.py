@@ -2,11 +2,12 @@ import warnings
 
 import pytest
 
-from dsnkit.dsn import validate
+from dsnkit.dsn import SolutionSubgraph, validate
 from dsnkit import solvers
-from dsnkit.errors import InputError, InvariantError, PreconditionError
+from dsnkit.errors import CapacityError, InputError, InvariantError, PreconditionError
 from dsnkit.graphs import UndirectedGraph
 from dsnkit.reduction import (
+    PSI_BRUTEFORCE_MAX_K,
     PsiInstance,
     build_dsn,
     build_labelling,
@@ -199,14 +200,23 @@ class TestEmbeddings:
             assert phi is not None
             verify_embedding(psi, phi)
 
-    def test_extract_rejects_loose_solution(self):
-        from dsnkit.dsn import SolutionSubgraph
+    def test_bruteforce_refuses_a_pattern_over_the_cap(self):
+        k = PSI_BRUTEFORCE_MAX_K + 1
+        with pytest.raises(CapacityError, match=f"pattern has {k} vertices; brute-force cap is {k - 1}"):
+            solve_psi_bruteforce(identity_psi(UndirectedGraph(range(k), [])))
 
+    def test_extract_rejects_an_invalid_solution(self):
+        out = generate_hardness_instance(identity_psi(K4))
+        with pytest.raises(PreconditionError, match="solution does not satisfy the requests"):
+            extract_embedding(out, SolutionSubgraph(out.dsn.host, frozenset()))
+
+    def test_extract_rejects_loose_solution(self):
         out = generate_hardness_instance(random_psi_host(K4, 0, planted=True))
         everything = SolutionSubgraph(out.dsn.host, frozenset(out.dsn.host.arcs()))
         assert validate(out.dsn, everything) is None
         assert everything.cost() > out.threshold
-        with pytest.raises(PreconditionError, match="threshold"):
+        message = f"solution cost {everything.cost()} exceeds the threshold {out.threshold}"
+        with pytest.raises(PreconditionError, match=message):
             extract_embedding(out, everything)
 
     def test_optimum_never_below_threshold(self):

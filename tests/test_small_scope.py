@@ -1,16 +1,17 @@
 """Small-scope exhaustive check: every 3-vertex instance, not a sample,
-a fixed seeded slice of the two 4-vertex spaces, and every ladder of up to
-8 rungs with its reversal.
+a fixed seeded slice of the two 4-vertex spaces, every ladder of up to
+8 rungs with its reversal, and pattern K4 on every host of 4 or 5 vertices.
 
 All 64 unit-weight digraphs on 3 vertices, each with every non-empty
 request set: 4,032 instances.  `tests/small_scope.py` runs the same checks
-over the 4-vertex spaces and the ladders of up to 12 rungs in full."""
+over the 4-vertex spaces and the ladders of up to 12 rungs in full, and the
+PSI check over two spaces of 6-vertex hosts."""
 
 import random
 
 from dsnkit.solvers import solve_bnb
 
-from conftest import ladder_space, small_scope_failure, small_scope_instances
+from conftest import K4, ladder_space, psi_space, psi_space_failure, small_scope_failure, small_scope_instances
 from small_scope import spaces
 
 # 64 of the 4,096 arc masks of a 4-vertex host, drawn once from seed 0.
@@ -49,3 +50,15 @@ def test_every_ladder_up_to_eight_rungs_and_its_reversal():
         assert failure is None, failure
         count += 1
     assert count == 1020
+
+
+def test_pattern_k4_on_every_host_of_four_or_five_vertices():
+    """Classes are contiguous blocks of every size vector, with every edge
+    set between classes: 64 hosts on 4 vertices and 4 * 512 on 5."""
+    count = 0
+    for n in (4, 5):
+        for psi in psi_space(K4, n):
+            failure = psi_space_failure(psi)
+            assert failure is None, failure
+            count += 1
+    assert count == 2112

@@ -782,9 +782,9 @@ class TestProperties:
 class TestCertificateWrapper:
     def test_one_request_treewidth_one(self):
         g = WeightedDigraph(range(4), {(0, 1): 1, (1, 2): 1, (2, 3): 1})
-        result, cert = solve_with_certificate(DsnInstance(g, {(0, 3)}))
+        result, rep = solve_with_certificate(DsnInstance(g, {(0, 3)}))
         assert result.feasible
-        assert cert.report.tw_before == 1
+        assert rep.tw_before == 1
 
     def test_grid_scss_bounds(self):
         """[DERIVED: exact treewidth oracle] planar grid, q = 3"""
@@ -792,10 +792,10 @@ class TestCertificateWrapper:
         from dsnkit.generators import gen_grid
 
         inst, _ = gen_grid(3, 3, q=3, seed=1)
-        result, cert = solve_with_certificate(inst, declared_genus=0)
+        result, rep = solve_with_certificate(inst)
         assert result.feasible
-        assert cert.report.tw_before <= 3
-        assert cert.to_json_dict()["treewidth_per_terminal"] <= 1
+        assert rep.tw_before <= 3
+        assert rep.certificate_json(0)["treewidth_per_terminal"] <= 1
 
     @pytest.mark.parametrize("n,identified", [(8, ()), (13, (6,))])
     def test_ladder_walks_the_host_once_and_copies_no_graph(self, n, identified, monkeypatch):
@@ -815,12 +815,12 @@ class TestCertificateWrapper:
 
         monkeypatch.setattr(graphs, "_necessary_arcs", counted_walk)
         monkeypatch.setattr(WeightedDigraph, "__init__", counted_init)
-        result, cert = solve_with_certificate(inst)
+        result, rep = solve_with_certificate(inst)
         monkeypatch.undo()
         assert result.method == "bnb" and result.optimum.as_graph() is inst.host
         assert [g for g in walked if g == inst.host] == [inst.host]
         assert not [g for g in built if g == inst.host]
-        assert cert.report.replacements >= 1
+        assert rep.replacements >= 1
 
     def test_reverse_request_path_reuses_the_segment_walk(self, monkeypatch):
         """In the second round both request paths find the one ladder segment,
@@ -831,14 +831,19 @@ class TestCertificateWrapper:
         walked = []
         walk = graphs._necessary_arcs
         monkeypatch.setattr(graphs, "_necessary_arcs", lambda g, requests: walked.append(g) or walk(g, requests))
-        _, cert = solve_with_certificate(ladder_with_terminals(10))
-        assert cert.report.rounds == 2 and cert.report.replacements == 1
+        _, rep = solve_with_certificate(ladder_with_terminals(10))
+        assert rep.rounds == 2 and rep.replacements == 1
         assert len(walked) == 4
 
     def test_infeasible_has_no_certificate(self):
         g = WeightedDigraph(range(3), {(0, 1): 1})
-        result, cert = solve_with_certificate(DsnInstance(g, {(0, 2)}))
-        assert not result.feasible and cert is None
+        result, rep = solve_with_certificate(DsnInstance(g, {(0, 2)}))
+        assert not result.feasible and rep is None
+
+    def test_unknown_engine(self):
+        g = WeightedDigraph(range(2), {(0, 1): 1})
+        with pytest.raises(DomainError, match="unknown engine 'simplex'"):
+            solve_with_certificate(DsnInstance(g, {(0, 1)}), engine="simplex")
 
     @pytest.mark.parametrize("dense", [False, True], ids=["15-arcs", "182-arcs"])
     @pytest.mark.parametrize(

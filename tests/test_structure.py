@@ -26,13 +26,11 @@ from dsnkit.structure import (
     _onto_path_reach,
     _verify_replacement,
     avoiding_path,
-    certify_treewidth_bound,
     detect_ladder_segments,
     important_vertices,
     marked_vertices,
     protrusion_replace,
     realize_request_path,
-    reduce_length,
     reduce_length_graph,
     segment_markers,
     suppress_degree_two,
@@ -192,6 +190,14 @@ class TestImportantVertices:
         assert (0, "<-") in imp.labels[0]
         assert (4, "->") in imp.labels[4]
 
+    @pytest.mark.parametrize(
+        "terminals, message",
+        [({0, 5}, "path endpoints must be terminals"), ({0, 2, 4}, "path is not T-avoiding")],
+    )
+    def test_rejects_a_path_not_between_terminals(self, terminals, message):
+        with pytest.raises(InputError, match=message):
+            important_vertices(self.host_with_branch(), terminals, DirectedPath((0, 1, 2, 3, 4)))
+
     def test_no_offpath_terminals_means_empty(self):
         inst = ladder_with_terminals(6)
         T = set(inst.terminals)
@@ -239,6 +245,12 @@ def count_searches(monkeypatch):
 
 
 class TestMarkedVertices:
+    def test_rejects_the_important_set_of_another_path(self):
+        g = WeightedDigraph(range(4), {(0, 1): 1, (1, 2): 1, (2, 3): 1})
+        imp = important_vertices(g, {0, 3}, DirectedPath((0, 1, 2, 3)))
+        with pytest.raises(InputError, match="important set was computed for a different path"):
+            marked_vertices(g, DirectedPath((1, 2)), imp)
+
     def test_sets_match_the_references_on_the_analyze_corpora(self):
         """Every path analyzed for the golden analyze corpus (ladders, random
         instances, out-stars) and for 300 seeded random instances (251 of
@@ -248,9 +260,9 @@ class TestMarkedVertices:
         corpus += [gen_random(8, 20, 4, 3, seed)[0] for seed in range(300)]
         feasible = nondegenerate = 0
         for inst in corpus:
-            (_, cert), found = checked_analyses(solve_with_certificate, inst)
+            (_, rep), found = checked_analyses(solve_with_certificate, inst)
             assert all(same for _, same in found)
-            feasible += cert is not None
+            feasible += rep is not None
             nondegenerate += sum(not q.degenerate for mk, _ in found for q in mk.quadruples)
         assert feasible == len(LADDERS) + len(OUT_STARS) + 251 and nondegenerate > 0
 
@@ -609,7 +621,7 @@ class TestReduceLength:
     def test_instance_level_wrapper(self):
         inst = ladder_with_terminals(10)
         sol = SolutionSubgraph(inst.host, frozenset(inst.host.arcs()))
-        reduced, report = reduce_length(inst, sol)
+        reduced, report = reduce_length_graph(sol.as_graph(), inst.requests)
         assert reduced.n == report.vertices_after
 
 
@@ -617,16 +629,16 @@ class TestCertificate:
     def test_pipeline_never_increases_treewidth_here(self):
         inst = ladder_with_terminals(12)
         sol = SolutionSubgraph(inst.host, frozenset(inst.host.arcs()))
-        cert = certify_treewidth_bound(inst, sol, declared_genus=0)
-        assert not cert.pipeline_increased_tw
-        assert not cert.flagged
-        assert cert.report.tw_after_exact
+        _, rep = reduce_length_graph(sol.as_graph(), inst.requests)
+        assert not rep.pipeline_increased_tw
+        assert not rep.flagged
+        assert rep.tw_after_exact
 
     def test_certificate_serializes(self):
         inst = ladder_with_terminals(8)
         sol = SolutionSubgraph(inst.host, frozenset(inst.host.arcs()))
-        cert = certify_treewidth_bound(inst, sol)
-        blob = json.dumps(cert.to_json_dict())
+        _, rep = reduce_length_graph(sol.as_graph(), inst.requests)
+        blob = json.dumps(rep.certificate_json(0))
         assert json.loads(blob)["declared_genus"] == 0
 
     def test_component_over_the_cap_falls_back_to_the_upper_bound(self, monkeypatch):
@@ -648,11 +660,10 @@ class TestCertificate:
         monkeypatch.setattr(structure, "treewidth_exact", over_cap)
         inst = ladder_with_terminals(8)
         sol = SolutionSubgraph(inst.host, frozenset(inst.host.arcs()))
-        cert = certify_treewidth_bound(inst, sol)
-        rep = cert.report
+        _, rep = reduce_length_graph(sol.as_graph(), inst.requests)
         assert type(rep.tw_before) is int and type(rep.tw_after) is int
         assert not rep.tw_before_exact and not rep.tw_after_exact
-        assert cert.to_json_dict()["treewidth_per_terminal"] == rep.tw_before / len(rep.terminals)
+        assert rep.certificate_json(0)["treewidth_per_terminal"] == rep.tw_before / len(rep.terminals)
 
 
 class TestAvoidingPath:
