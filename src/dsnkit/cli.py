@@ -6,6 +6,10 @@ indented JSON, a text as it is) and maps errors to exit codes.  gen and
 reduce write their instance through `_write`, the one `-o` rule.  Every
 command takes `--json`.
 
+`_parse_direct` reads a solve, analyze or reduce argv of options spelled in
+full, their values and one file; argparse parses any other argv (`-`,
+`--opt=value`, abbreviations, `--`, `-h`) and writes all help and usage text.
+
 Exit codes: 0 solved/ok, 1 bench disagreement, 2 infeasible, 3 capacity cap
 exceeded, 4 domain/input error (unreadable files, an `-o` path that cannot
 be written, the empty one too, `--json` with the instance on stdout, a
@@ -325,20 +329,51 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_bench, reads=None)
 
+    # `_parse_direct`'s table for each command that reads a file: argparse's
+    # namespace of the defaults, and each option string's action but -h's.
+    parser.direct = {
+        name: (vars(p.parse_args([""])), {s: a for s, a in p._option_string_actions.items()
+                                           if a.default is not argparse.SUPPRESS})
+        for name, p in sub.choices.items() if p.get_default("reads")
+    }
     return parser
+
+
+def _parse_direct(defaults, options, tokens) -> Optional[argparse.Namespace]:
+    """argparse's namespace for `tokens` if each is an option string of
+    `options`, the value after a value option (no leading "-", one of its
+    choices if it has them) or the one file; None for any other `tokens`."""
+    ns, it = dict(defaults, file=None), iter(tokens)
+    for tok in it:
+        action = options.get(tok)
+        if action is None:
+            if tok.startswith("-") or ns["file"] is not None:
+                return None
+            ns["file"] = tok
+        elif action.nargs == 0:
+            ns[action.dest] = action.const
+        elif (value := next(it, "-")).startswith("-") or action.choices and value not in action.choices:
+            return None
+        else:
+            ns[action.dest] = value
+    return None if ns["file"] is None else argparse.Namespace(**ns)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
-    # A known command is parsed by its own subparser, as the full parser
-    # would hand it the rest of argv; the full parse runs only to print
-    # argparse's own help and error text for anything else.
-    command = parser.commands.get(argv[0]) if argv else None
+    # solve, analyze and reduce parse a plain argv without argparse.  Any
+    # other argv of a known command is parsed by its own subparser, as the
+    # full parser would hand it the rest of argv; the full parse runs only
+    # to print argparse's own help and error text for anything else.
+    table = parser.direct.get(argv[0]) if argv else None
+    args = _parse_direct(*table, argv[1:]) if table else None
     try:
-        args, rest = command.parse_known_args(argv[1:]) if command else (None, True)
-        if rest:
-            args = parser.parse_args(argv)
+        if args is None:
+            command = parser.commands.get(argv[0]) if argv else None
+            args, rest = command.parse_known_args(argv[1:]) if command else (None, True)
+            if rest:
+                args = parser.parse_args(argv)
     except SystemExit:
         # argparse's help and usage exits; the parser drops a text it cannot write.
         _report(0)

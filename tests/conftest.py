@@ -31,7 +31,14 @@ from dsnkit.formats import emit_dsn, emit_psi
 from dsnkit.generators import gen_grid
 from dsnkit.graphs import DirectedPath, UndirectedGraph, WeightedDigraph, avoiding_path, search
 from dsnkit.ladders import LadderSpec, ladder_rungs, make_ladder
-from dsnkit.reduction import PsiInstance, decide_psi_via_dsn, generate_hardness_instance, solve_psi_bruteforce
+from dsnkit.reduction import (
+    PsiInstance,
+    decide_psi_via_dsn,
+    extract_embedding,
+    generate_hardness_instance,
+    solve_psi_bruteforce,
+    verify_embedding,
+)
 from dsnkit.structure import ImportantSet, MarkedQuadruple, MarkedSet
 
 
@@ -480,13 +487,26 @@ def psi_space(pattern, n):
 
 def psi_space_failure(psi):
     """None if deciding `psi` through its hardness instance agrees with
-    `solve_psi_bruteforce`, else what differs, with the instance as `.psi`
-    text.  An exception from either is a failure too, reported with its
-    traceback."""
+    `solve_psi_bruteforce`, and the optimum found without the threshold stop
+    is never below the threshold and, when it meets it, carries an
+    embedding (`extract_embedding`, then `verify_embedding`); else what
+    differs, with the instance as `.psi` text.  An exception from any of
+    them is a failure too, reported with its traceback."""
     try:
-        via_dsn = decide_psi_via_dsn(generate_hardness_instance(psi))
+        out = generate_hardness_instance(psi)
+        via_dsn = decide_psi_via_dsn(out)
         direct = solve_psi_bruteforce(psi) is not None
-        why = None if via_dsn == direct else f"decide_psi_via_dsn gives {via_dsn}, solve_psi_bruteforce {direct}"
+        full = solvers._solve_path_union(out.dsn)
+        tight = full.feasible and full.cost == out.threshold
+        why = None
+        if via_dsn != direct:
+            why = f"decide_psi_via_dsn gives {via_dsn}, solve_psi_bruteforce {direct}"
+        elif full.feasible and full.cost < out.threshold:
+            why = f"optimum {full.cost} is below the threshold {out.threshold}"
+        elif tight != via_dsn:
+            why = f"optimum {full.cost} against the threshold {out.threshold}, but decide_psi_via_dsn gives {via_dsn}"
+        elif tight:
+            verify_embedding(psi, extract_embedding(out, full.optimum))
     except Exception:
         why = traceback.format_exc()
     return None if why is None else f"{why.rstrip()}\ninstance:\n{emit_psi(psi)}"

@@ -18,7 +18,9 @@ Five spaces, each checked in full:
   of every size vector and every edge set between classes (65,536
   instances), and pattern K3,3 on every 6-vertex host with singleton
   classes (32,768 instances): `decide_psi_via_dsn` on the hardness
-  instance agrees with `solve_psi_bruteforce`.
+  instance agrees with `solve_psi_bruteforce`, and the optimum found
+  without the threshold stop is never below the threshold and, when it
+  meets it, carries a class-respecting embedding.
 
 pytest does not collect this file; run it with
 

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import errno
 import io
+import itertools
 import json
 import os
 import re
@@ -131,6 +132,59 @@ class TestUsageErrors:
             main(["--help"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: dsnkit ")
+
+
+class TestDirectParse:
+    """solve, analyze and reduce parse a plain argv without argparse; the
+    namespace must be the one argparse builds, and every other argv must be
+    left to argparse."""
+
+    @pytest.mark.parametrize("name", ["solve", "analyze", "reduce"])
+    def test_direct_parse_equals_argparse(self, name):
+        parser = cli.build_parser()
+        command, table = parser.commands[name], parser.direct[name]
+        actions = command._option_string_actions
+        value_options = [(s, a) for s, a in actions.items() if s.startswith("--") and a.nargs is None]
+        alphabet = list(dict.fromkeys([
+            *actions, *(c for a in actions.values() for c in a.choices or ()), "nope", "a.dsn", "b.psi",
+            "-", "--", "", "-1", "-h", "--js", "--bogus",
+            *(f"{s}={(a.choices or ['o.dsn'])[0]}" for s, a in value_options),
+        ]))
+        accepted = 0
+        for length in range(5):
+            for argv in itertools.product(alphabet, repeat=length):
+                direct = cli._parse_direct(*table, argv)
+                if direct is None:
+                    continue
+                accepted += 1
+                try:
+                    args, rest = command.parse_known_args(list(argv))
+                except SystemExit:
+                    pytest.fail(f"argparse refuses {argv}")
+                assert (args, rest) == (direct, []), argv
+        assert accepted > 0
+
+    @pytest.mark.parametrize(
+        "command, options",
+        [("solve", ["--engine", "bnb", "--json"]), ("analyze", ["--json"]), ("reduce", ["--decide", "--json"])],
+        ids=["solve", "analyze", "reduce"],
+    )
+    def test_workload_forms_take_the_direct_path(self, ladder_file, tmp_path, monkeypatch, capsys, command, options):
+        psi_path = tmp_path / "k4.psi"
+        psi_path.write_text(emit_psi(PsiInstance(K4, K4, {i: i for i in range(4)})))
+        argv = [command, str(psi_path if command == "reduce" else ladder_file), *options]
+        assert main(argv) == 0
+        plain = capsys.readouterr()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("argparse parsed a workload argv")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+        assert main(argv) == 0
+        direct = capsys.readouterr()
+        wall_time = re.compile(r'"wall_time_s": [^,\n}]+')
+        assert wall_time.sub("", direct.out) == wall_time.sub("", plain.out)
+        assert direct.err == plain.err
 
 
 class TestSolve:

@@ -1,9 +1,12 @@
-"""The hardness reduction's runtime self-checks that read their input from an
-argument: each one fires, with its own message, on a doctored argument."""
+"""The hardness reduction's runtime self-checks: each one fires, with its
+own message, on a doctored argument or behind a faulty routine upstream."""
+
+from types import SimpleNamespace
 
 import pytest
 
-from dsnkit.dsn import DsnInstance
+from dsnkit import reduction
+from dsnkit.dsn import DsnInstance, SolutionSubgraph
 from dsnkit.errors import InvariantError
 from dsnkit.graphs import UndirectedGraph
 from dsnkit.reduction import (
@@ -11,11 +14,13 @@ from dsnkit.reduction import (
     _audit_strata,
     build_dsn,
     build_labelling,
+    embedding_solution,
+    extract_embedding,
     generate_hardness_instance,
     verify_embedding,
 )
 
-from conftest import K4
+from conftest import K4, K33
 
 IDENTITY = {i: i for i in K4.vertices}
 K4_MINUS_01 = UndirectedGraph(K4.vertices, [e for e in K4.edges if e != (0, 1)])
@@ -78,3 +83,70 @@ def test_build_dsn_rejects_a_labelling_with_equal_requests(changes, message):
     broken = lab._replace(**{f: {**getattr(lab, f), **c} for f, c in changes.items()})
     with pytest.raises(InvariantError, match=message):
         build_dsn(psi, broken)
+
+
+@pytest.mark.parametrize(
+    "call, shift, message",
+    [
+        (0, 1, "greedy colouring of a max-degree-3 graph used > 4 colours"),
+        (1, 2, r"beta used more than r\+3 = 5 colours"),
+    ],
+    ids=["eta", "beta"],
+)
+def test_build_labelling_rejects_a_colouring_over_its_bound(monkeypatch, call, shift, message):
+    # On K4 (r = 2) both greedy colourings use colours 0-3; the faulty one
+    # shifts the colours of its `call`-th run.
+    real, calls = reduction._greedy_vertex_colouring, []
+
+    def colouring(adj):
+        calls.append(adj)
+        colours = real(adj)
+        return {v: c + shift for v, c in colours.items()} if len(calls) == call + 1 else colours
+
+    monkeypatch.setattr(reduction, "_greedy_vertex_colouring", colouring)
+    with pytest.raises(InvariantError, match=message):
+        build_labelling(k4_psi(K4))
+
+
+def test_build_labelling_rejects_more_alpha_labels_than_r_plus_4(monkeypatch):
+    # With r = 1 each of K3,3's six vertices is a chunk of its own.
+    monkeypatch.setattr(reduction, "ceil_sqrt", lambda k: 1)
+    with pytest.raises(InvariantError, match=r"6 alpha labels exceed r\+4 = 5"):
+        build_labelling(PsiInstance(K33, K33, {i: i for i in K33.vertices}))
+
+
+def test_build_labelling_rejects_more_gamma_colours_than_6r_minus_1():
+    # A pattern whose edge list repeats the edge (0, 1) twelve times while its
+    # adjacency is K4's: each copy takes the next colour, up to 11 > 6r-2.
+    pattern = SimpleNamespace(n=4, vertices=K4.vertices, adjacent=K4.adjacent, edges=[(0, 1)] * 12)
+    with pytest.raises(InvariantError, match="gamma used more than 6r-1 = 11 colours"):
+        build_labelling(PsiInstance(K4, pattern, IDENTITY))
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("two-members", r"two class members \[0, 4\] realize the path for pattern vertex 0"),
+        ("no-member", "no class member realizes the path for pattern vertex 0"),
+        ("no-hub", r"pattern edge \(0, 1\) lacks a shared hub in the solution"),
+    ],
+)
+def test_extract_embedding_rejects_a_solution_without_an_embedding(monkeypatch, case, message):
+    # Host vertex 4 joins class 0, next to 0; the doctored solutions cost at
+    # most the threshold, and a faulty `validate` accepts them.
+    host = UndirectedGraph(range(5), [*K4.edges, (1, 4), (2, 4), (3, 4)])
+    out = generate_hardness_instance(PsiInstance(host, K4, {**IDENTITY, 4: 0}))
+    tight = embedding_solution(out, IDENTITY)
+    extract_embedding(out, tight)
+    lab = out.labelling
+    x, y = out.x_vertex[lab.alpha[0]], out.y_vertex[lab.beta[0]]
+    hub_arc = (out.w_vertex[(0, 1)], out.z_vertex[lab.gamma[(0, 1)]])
+    other_hub_arcs = sorted(a for a in tight.arcs if a in out.a_w_arcs and a[1] in out.z_vertex.values())[-2:]
+    arcs = {
+        "two-members": tight.arcs - set(other_hub_arcs) | {(x, 4), (4, y)},
+        "no-member": tight.arcs - {(x, 0)},
+        "no-hub": tight.arcs - {hub_arc},
+    }[case]
+    monkeypatch.setattr(reduction, "validate", lambda inst, sol: None)
+    with pytest.raises(InvariantError, match=message):
+        extract_embedding(out, SolutionSubgraph(out.dsn.host, arcs))
