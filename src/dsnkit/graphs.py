@@ -728,6 +728,26 @@ def _component_treewidth(vertices: List[int], adj: Dict[int, Set[int]], k: int) 
     return k, order[::-1]
 
 
+def treewidth_at_most_two(g: UndirectedGraph) -> Optional[int]:
+    """The treewidth of g if it is at most 2, else None.  Eliminating
+    vertices of degree <= 2, in any order, empties g exactly when its
+    treewidth is at most 2 (Wald and Colbourn, Networks 13, 1983).  An
+    elimination keeps each component connected, so one vertex per component
+    leaves at degree 0.  The width is read from counts, not from elimination
+    degrees: 0 with no edge, 1 for a forest (m = n - components), else 2."""
+    adj: Dict[int, Set[int]] = {v: set(ns) for v, ns in g._adj.items()}
+    stack = list(adj)
+    components = 0
+    while stack:
+        v = stack.pop()
+        if v in adj and len(adj[v]) <= 2:
+            stack.extend(adj[v])
+            components += _eliminate(adj, v) == 0
+    if adj:
+        return None
+    return 0 if not g.m else 1 if g.m == g.n - components else 2
+
+
 def treewidth_exact(g: UndirectedGraph) -> Tuple[int, List[int]]:
     """Exact treewidth with a witness elimination order.
 

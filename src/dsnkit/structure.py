@@ -25,6 +25,7 @@ from .graphs import (
     search,
     shortest_path,
     suppress_degree_two,
+    treewidth_at_most_two,
     treewidth_exact,
     treewidth_upper_bound,
 )
@@ -491,6 +492,9 @@ class StructureReport(NamedTuple):
 
 
 def _tw_maybe_exact(u: UndirectedGraph) -> Tuple[int, bool]:
+    w = treewidth_at_most_two(u)
+    if w is not None:
+        return w, True
     try:
         w, _ = treewidth_exact(u)
         return w, True

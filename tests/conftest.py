@@ -29,7 +29,7 @@ from dsnkit import solvers, structure
 from dsnkit.dsn import DsnInstance, reverse_instance
 from dsnkit.formats import emit_dsn, emit_psi
 from dsnkit.generators import gen_grid
-from dsnkit.graphs import DirectedPath, UndirectedGraph, WeightedDigraph, avoiding_path, search
+from dsnkit.graphs import DirectedPath, UndirectedGraph, WeightedDigraph, avoiding_path, search, treewidth_exact
 from dsnkit.ladders import LadderSpec, ladder_rungs, make_ladder
 from dsnkit.reduction import (
     PsiInstance,
@@ -518,8 +518,10 @@ def small_scope_failure(inst, engine=solvers.solve_exhaustive):
     `solve_bnb` and `engine` must agree on feasibility and cost.  A
     feasible instance must then get a certificate from
     `solve_with_certificate` with neither verdict set, the important and
-    marked bounds holding and the diameter bound not False, and each path
-    it analyzes must get the important and marked sets of the references.
+    marked bounds holding and the diameter bound not False, an exact
+    solution treewidth equal to `treewidth_exact`'s on the optimum, and
+    each path it analyzes must get the important and marked sets of the
+    references.
     An exception from any of them is a failure too, reported with its
     traceback."""
     try:
@@ -527,13 +529,15 @@ def small_scope_failure(inst, engine=solvers.solve_exhaustive):
         if (got.feasible, got.cost) != (want.feasible, want.cost):
             why = f"{engine.__name__} gives cost {got.cost}, solve_bnb {want.cost}"
         elif want.feasible:
-            (_, rep), analyses = checked_analyses(solvers.solve_with_certificate, inst)
+            (res, rep), analyses = checked_analyses(solvers.solve_with_certificate, inst)
             verdicts = {
                 "flagged": rep.flagged,
                 "pipeline_increased_tw": rep.pipeline_increased_tw,
                 "important bound failed": not rep.important_bound_ok,
                 "marked bound failed": not rep.marked_bound_ok,
                 "diameter bound failed": rep.diameter_bound_ok is False,
+                "exact solution treewidth differs from treewidth_exact": rep.tw_before_exact
+                and rep.tw_before != treewidth_exact(res.optimum.as_graph().sym())[0],
                 "important or marked set differs from the reference": not all(same for _, same in analyses),
             }
             why = ", ".join(name for name, bad in verdicts.items() if bad) or None

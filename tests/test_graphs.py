@@ -20,6 +20,7 @@ from dsnkit.graphs import (
     search,
     shortest_path,
     suppress_degree_two,
+    treewidth_at_most_two,
     treewidth_exact,
     treewidth_upper_bound,
 )
@@ -695,3 +696,40 @@ class TestTreewidthMatchesSubsetDp:
     @pytest.mark.parametrize("name", sorted(WIDTH_REFERENCE_GRAPHS))
     def test_named_graphs(self, name):
         self.check(WIDTH_REFERENCE_GRAPHS[name])
+
+
+class TestTreewidthAtMostTwo:
+    """`treewidth_at_most_two` gives `treewidth_exact`'s width when that is
+    at most 2, and None exactly when it is larger."""
+
+    @staticmethod
+    def check(u):
+        width = treewidth_exact(u)[0]
+        assert treewidth_at_most_two(u) == (width if width <= 2 else None)
+
+    @settings(max_examples=200, deadline=None)
+    @given(undirected_graphs(max_n=12))
+    def test_random_graphs(self, u):
+        self.check(u)
+
+    @pytest.mark.parametrize("name", sorted(WIDTH_REFERENCE_GRAPHS))
+    def test_named_graphs(self, name):
+        self.check(WIDTH_REFERENCE_GRAPHS[name])
+
+    @pytest.mark.parametrize(
+        "u, width",
+        [
+            (UndirectedGraph([], []), 0),
+            (UndirectedGraph(range(3), []), 0),
+            (UndirectedGraph(range(3), [(0, 1), (1, 2)]), 1),
+            # A star and a path: two trees, so m = n - 2.
+            (UndirectedGraph(range(7), [(0, 1), (0, 2), (0, 3), (4, 5), (5, 6)]), 1),
+            (UndirectedGraph(range(6), [(0, 1), (1, 2), (3, 4), (4, 5), (3, 5)]), 2),
+            (K4, None),
+            (CUBE, None),
+        ],
+        ids=["empty", "isolated", "path-3", "two-trees", "tree-and-triangle", "K4", "cube"],
+    )
+    def test_hand_cases(self, u, width):
+        assert treewidth_at_most_two(u) == width
+        self.check(u)

@@ -1,14 +1,28 @@
-"""The hardness reduction's runtime self-checks: each one fires, with its
-own message, on a doctored argument or behind a faulty routine upstream."""
+"""The runtime self-checks of the hardness reduction, the per-path
+analysis and the ladder recognizer: each one fires, with its own message,
+on a doctored argument or behind a faulty routine upstream.
+
+Two checks restate the lines above them, so no fault outside their own
+function can trip them:
+- `important_vertices`' "anchor map hits a terminal more than twice": each
+  terminal labels at most one vertex "<-" (the first it reaches on P) and
+  one "->" (the last that reaches it), and a vertex's anchor is a terminal
+  of its own labels, so each terminal anchors at most two vertices;
+- `marked_vertices`' "marked quadruple ordering violated": j1 is the least
+  back-jump endpoint from j on, and at most j; j3 is the first index from j
+  on that jumps to j1, so j <= j3 <= j4, the last index from j on that jumps
+  to j or before; j2 is the largest endpoint of j4's jumps up to j, so
+  j1 <= j2 <= j.  This holds for any back-jump sets."""
 
 from types import SimpleNamespace
 
 import pytest
 
-from dsnkit import reduction
+from dsnkit import ladders, reduction, structure
 from dsnkit.dsn import DsnInstance, SolutionSubgraph
 from dsnkit.errors import InvariantError
-from dsnkit.graphs import UndirectedGraph
+from dsnkit.graphs import DirectedPath, UndirectedGraph, WeightedDigraph
+from dsnkit.ladders import LadderSpec, is_ladder_subdivision, make_ladder
 from dsnkit.reduction import (
     PsiInstance,
     _audit_strata,
@@ -21,6 +35,7 @@ from dsnkit.reduction import (
 )
 
 from conftest import K4, K33
+from test_ladders import corner_roles
 
 IDENTITY = {i: i for i in K4.vertices}
 K4_MINUS_01 = UndirectedGraph(K4.vertices, [e for e in K4.edges if e != (0, 1)])
@@ -150,3 +165,62 @@ def test_extract_embedding_rejects_a_solution_without_an_embedding(monkeypatch, 
     monkeypatch.setattr(reduction, "validate", lambda inst, sol: None)
     with pytest.raises(InvariantError, match=message):
         extract_embedding(out, SolutionSubgraph(out.dsn.host, arcs))
+
+
+# P = 0 -> 1 -> 2 -> 3 between terminals 0 and 3; terminal 4 enters P at 1,
+# which makes 1 important, and 2 jumps back to 1 through 5.
+JUMP_GRAPH = WeightedDigraph(range(6), dict.fromkeys([(0, 1), (1, 2), (2, 3), (4, 1), (2, 5), (5, 1)], 1))
+JUMP_TERMINALS = (0, 3, 4)
+JUMP_PATH = DirectedPath((0, 1, 2, 3))
+
+
+def test_important_vertices_rejects_an_important_vertex_without_a_label(monkeypatch):
+    # A faulty search onto P reaches every other path vertex, so all of P is
+    # important, but each terminal labels only its first and last vertex.
+    monkeypatch.setattr(structure, "_onto_path_reach", lambda graph, src, pset, reverse=False: pset - {src})
+    with pytest.raises(InvariantError, match="important vertex 1 received no label"):
+        structure.important_vertices(JUMP_GRAPH, JUMP_TERMINALS, JUMP_PATH)
+
+
+def test_important_vertices_rejects_a_label_without_an_anchor_witness(monkeypatch):
+    assert structure.important_vertices(JUMP_GRAPH, JUMP_TERMINALS, JUMP_PATH).anchor == {1: 4}
+    monkeypatch.setattr(structure, "avoiding_path", lambda *args: None)
+    with pytest.raises(InvariantError, match=r"no \(V\(P\) u T\)-avoiding anchor witness for 1"):
+        structure.important_vertices(JUMP_GRAPH, JUMP_TERMINALS, JUMP_PATH)
+
+
+def test_marked_vertices_rejects_a_back_jump_without_a_witness(monkeypatch):
+    imp = structure.important_vertices(JUMP_GRAPH, JUMP_TERMINALS, JUMP_PATH)
+    assert structure.marked_vertices(JUMP_GRAPH, JUMP_PATH, imp).marked == {1, 2}
+    monkeypatch.setattr(structure, "_parent_path", lambda parent, t: None)
+    with pytest.raises(InvariantError, match="missing back-jump witness at 1"):
+        structure.marked_vertices(JUMP_GRAPH, JUMP_PATH, imp)
+
+
+def test_marked_vertices_rejects_more_than_four_marked_per_important(monkeypatch):
+    # A faulty Q_P that names five vertices for one important vertex.
+    class Overcounted(structure.MarkedSet):
+        @property
+        def marked(self):
+            return frozenset(range(5))
+
+    imp = structure.important_vertices(JUMP_GRAPH, JUMP_TERMINALS, JUMP_PATH)
+    monkeypatch.setattr(structure, "MarkedSet", Overcounted)
+    with pytest.raises(InvariantError, match=r"\|Q_P\| exceeds 4 \|I_P\|"):
+        structure.marked_vertices(JUMP_GRAPH, JUMP_PATH, imp)
+
+
+def test_analyze_path_rejects_a_request_without_a_path(monkeypatch):
+    monkeypatch.setattr(structure, "realize_request_path", lambda graph, T, s, t: None)
+    with pytest.raises(InvariantError, match="normalized request 0->3 has no T-avoiding path"):
+        structure._analyze_path(JUMP_GRAPH, JUMP_TERMINALS, 0, 3)
+
+
+def test_recognizer_rejects_a_suppression_that_drops_an_arc(monkeypatch):
+    # A faulty suppression that deletes one arc and merges nothing.
+    spec = LadderSpec(4, frozenset())
+    K = make_ladder(spec)
+    assert is_ladder_subdivision(K, *corner_roles(spec)).ok
+    monkeypatch.setattr(ladders, "suppress_degree_two", lambda g, keep: g.without_arc(*min(g.arc_set())))
+    with pytest.raises(InvariantError, match="a suppressed vertex of a minimal graph is not a pass-through"):
+        is_ladder_subdivision(K, *corner_roles(spec))

@@ -37,7 +37,7 @@ from dsnkit.structure import (
 )
 
 from conftest import (
-    CUBE, checked_analyses, digraphs, ladder_with_terminals, out_star, random_instances, reaches, without_vertices,
+    CUBE, K4, checked_analyses, digraphs, ladder_with_terminals, out_star, random_instances, reaches, without_vertices,
 )
 from test_golden_cli import LADDERS, OUT_STARS
 
@@ -657,6 +657,7 @@ class TestCertificate:
         def over_cap(u):
             raise CapacityError("over the cap")
 
+        monkeypatch.setattr(structure, "treewidth_at_most_two", lambda u: None)
         monkeypatch.setattr(structure, "treewidth_exact", over_cap)
         inst = ladder_with_terminals(8)
         sol = SolutionSubgraph(inst.host, frozenset(inst.host.arcs()))
@@ -664,6 +665,27 @@ class TestCertificate:
         assert type(rep.tw_before) is int and type(rep.tw_after) is int
         assert not rep.tw_before_exact and not rep.tw_after_exact
         assert rep.certificate_json(0)["treewidth_per_terminal"] == rep.tw_before / len(rep.terminals)
+
+    def test_ladder_widths_skip_the_exact_search(self, monkeypatch):
+        """A ladder and its reduction have treewidth 2, which the degree-2
+        elimination certifies on its own."""
+        monkeypatch.setattr(structure, "treewidth_exact", lambda u: pytest.fail("ran the exact search"))
+        inst = ladder_with_terminals(12)
+        sol = SolutionSubgraph(inst.host, frozenset(inst.host.arcs()))
+        _, rep = reduce_length_graph(sol.as_graph(), inst.requests)
+        assert (rep.tw_before, rep.tw_before_exact) == (2, True)
+        assert (rep.tw_after, rep.tw_after_exact) == (2, True)
+
+    def test_width_above_two_comes_from_the_exact_search(self, monkeypatch):
+        calls = []
+
+        def exact(u):
+            calls.append(u)
+            return treewidth_exact(u)
+
+        monkeypatch.setattr(structure, "treewidth_exact", exact)
+        assert structure._tw_maybe_exact(K4) == (3, True)
+        assert calls == [K4]
 
 
 class TestAvoidingPath:
