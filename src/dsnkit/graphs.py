@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from typing import Container, Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple, Union
 
-from .errors import CapacityError, DomainError, InconsistencyError, InputError
+from .errors import DomainError, InconsistencyError, InputError
 
 Arc = Tuple[int, int]
 
@@ -680,30 +680,30 @@ def treewidth_upper_bound(g: UndirectedGraph) -> int:
     return width
 
 
-def _component_treewidth(vertices: List[int], adj: Dict[int, Set[int]], k: int) -> Tuple[int, List[int]]:
+def _component_treewidth(vertices: List[int], adj: Dict[int, Set[int]], k: int) -> int:
     """The least width >= k of an elimination order of one connected
-    component, with an order of that width; vertex i of `vertices` is bit
-    i, and `adj` must not leave the component.  This is the decision form
-    of the elimination-order recurrence (Bodlaender, Fomin, Koster, Kratsch
-    and Thilikos, ACM TALG 2012): Q(S, v) is the set of vertices outside
-    S + v that v reaches through S, and the width is at most k exactly when
-    a depth-first search from the empty set that adds v to S only while
-    |Q(S, v)| <= k reaches every vertex.  It runs for k, k + 1, ...; a k
-    below every degree stops at the empty set."""
+    component; vertex i of `vertices` is bit i, and `adj` must not leave the
+    component.  This is the decision form of the elimination-order
+    recurrence (Bodlaender, Fomin, Koster, Kratsch and Thilikos, ACM TALG
+    2012): Q(S, v) is the set of vertices outside S + v that v reaches
+    through S, and the width is at most k exactly when a depth-first search
+    from the empty set that adds v to S only while |Q(S, v)| <= k reaches
+    every vertex.  It runs for k, k + 1, ...; a k below every degree stops
+    at the empty set."""
     full = (1 << len(vertices)) - 1
     local = {v: i for i, v in enumerate(vertices)}
     amask = [sum(1 << local[w] for w in adj[v]) for v in vertices]
     while True:
-        last = {0: -1}  # each set reached -> the vertex it was first reached by
+        reached = {0}
         stack = [0]
-        while stack and full not in last:
+        while stack and full not in reached:
             S = stack.pop()
             rest = full ^ S
             while rest:
                 vbit = rest & -rest
                 rest ^= vbit
                 T = S | vbit
-                if T in last:
+                if T in reached:
                     continue
                 v = vbit.bit_length() - 1
                 # Q(S, v): v's neighbours, grown through the members of S they reach.
@@ -714,107 +714,49 @@ def _component_treewidth(vertices: List[int], adj: Dict[int, Set[int]], k: int) 
                     done |= wbit
                     seen |= amask[wbit.bit_length() - 1]
                 if (seen & ~T).bit_count() <= k:
-                    last[T] = v
+                    reached.add(T)
                     stack.append(T)
-        if full in last:
-            break
+        if full in reached:
+            return k
         k += 1
-    order = []
-    S = full
-    while S:
-        v = last[S]
-        order.append(vertices[v])
-        S ^= 1 << v
-    return k, order[::-1]
 
 
-def treewidth_at_most_two(g: UndirectedGraph) -> Optional[int]:
-    """The treewidth of g if it is at most 2, else None.  Eliminating
-    vertices of degree <= 2, in any order, empties g exactly when its
-    treewidth is at most 2 (Wald and Colbourn, Networks 13, 1983).  An
-    elimination keeps each component connected, so one vertex per component
-    leaves at degree 0.  The width is read from counts, not from elimination
-    degrees: 0 with no edge, 1 for a forest (m = n - components), else 2."""
+def treewidth(g: UndirectedGraph) -> Tuple[int, bool]:
+    """(width, exact): the treewidth of g, or, when the search would exceed
+    its cap, the min-fill upper bound with exact False.
+
+    Vertices of degree <= 2 are eliminated from a stack.  Only when it is
+    empty is the first simplicial vertex eliminated; its degree d is then at
+    least 3, and its neighbours go on the stack.  Eliminating a simplicial
+    vertex of degree d leaves the width at max(d, width of the rest), and
+    one of degree <= 2 keeps any width of at least 2, which the clique on a
+    simplicial vertex and its d >= 3 neighbours guarantees.  If g
+    empties with no such d, the width is read from counts (Wald and
+    Colbourn, Networks 13, 1983): 0 with no edge, 1 for a forest (m = n -
+    components, one vertex per component leaving at degree 0), else 2.  If
+    it empties otherwise, the width is the largest d.  If not, what is left
+    has minimum degree >= 3, and each of its components is searched from
+    max(3, d); one above TREEWIDTH_EXACT_CAP vertices gives the bound."""
     adj: Dict[int, Set[int]] = {v: set(ns) for v, ns in g._adj.items()}
     stack = list(adj)
-    components = 0
-    while stack:
-        v = stack.pop()
-        if v in adj and len(adj[v]) <= 2:
-            stack.extend(adj[v])
-            components += _eliminate(adj, v) == 0
-    if adj:
-        return None
-    return 0 if not g.m else 1 if g.m == g.n - components else 2
-
-
-def treewidth_exact(g: UndirectedGraph) -> Tuple[int, List[int]]:
-    """Exact treewidth with a witness elimination order.
-
-    Safe reductions (simplicial vertices, degree-2 contraction) run first,
-    then a search for each remaining component's width, from the width
-    reached so far.  Components still above 22 vertices after reduction
-    exceed the cap; use treewidth_upper_bound for those graphs."""
-    if g.n == 0:
-        return 0, []
-
-    adj: Dict[int, Set[int]] = {v: set(ns) for v, ns in g._adj.items()}
-    order: List[int] = []
-    width = 0
-
-    # Safe reductions: the smallest simplicial vertex if there is one, else
-    # the smallest of degree 2, from a lazy heap on (key, id), with key 0
-    # for a simplicial vertex (each neighbour sees the d others), 1 for
-    # another of degree 2.  Eliminating v changes only its neighbours'
-    # neighbour sets and, for a degree-2 v, adds at most the edge between
-    # them, which can change only their common neighbours' keys; those are
-    # pushed again.  Keys only fall: a simplicial vertex stays simplicial,
-    # and a degree-2 v is eliminated only when none is simplicial, which
-    # keeps its neighbours' degrees.  So the first entry popped for a vertex
-    # carries its current key.  The elimination (`_eliminate`) and the key
-    # test are written out in this loop, which runs for every vertex: about
-    # 1.3% of an analyze-ladder item's time.
-    heap: List[Tuple[int, int]] = []
-    touched: Iterable[int] = adj
+    components = width = 0
     while True:
-        for u in touched:
-            ns = adj[u]
-            d = len(ns) - 1
-            if d == 1:
-                a, b = ns
-                heapq.heappush(heap, (0 if b in adj[a] else 1, u))
-                continue
-            for a in ns:
-                if len(adj[a] & ns) < d:
-                    break
-            else:
-                heapq.heappush(heap, (0, u))
-        while heap and heap[0][1] not in adj:
-            heapq.heappop(heap)
-        if not heap:
+        while stack:
+            v = stack.pop()
+            if v in adj and len(adj[v]) <= 2:
+                stack.extend(adj[v])
+                components += _eliminate(adj, v) == 0
+        if not adj:
+            return width or (0 if not g.m else 1 if g.m == g.n - components else 2), True
+        v = next((u for u, ns in adj.items() if all(len(adj[a] & ns) == len(ns) - 1 for a in ns)), None)
+        if v is None:
             break
-        v = heapq.heappop(heap)[1]
-        touched = ns = adj.pop(v)
-        for a in ns:
-            na = adj[a]
-            na.discard(v)
-            na |= ns
-            na.discard(a)
-        width = max(width, len(ns))
-        order.append(v)
-        if len(ns) == 2:
-            a, b = ns
-            touched = ns | (adj[a] & adj[b])
-
-    if adj:
-        rest = UndirectedGraph(adj, [(u, w) for u in adj for w in adj[u]])
-        for comp in rest.components():
-            if len(comp) > TREEWIDTH_EXACT_CAP:
-                raise CapacityError(
-                    f"irreducible component of {len(comp)} vertices exceeds the "
-                    f"exact-treewidth cap of {TREEWIDTH_EXACT_CAP}"
-                )
-            width, o_comp = _component_treewidth(comp, adj, width)
-            order.extend(o_comp)
-
-    return width, order
+        stack.extend(adj[v])
+        width = max(width, _eliminate(adj, v))
+    comps = UndirectedGraph(adj, [(u, w) for u in adj for w in adj[u]]).components()
+    if any(len(comp) > TREEWIDTH_EXACT_CAP for comp in comps):
+        return treewidth_upper_bound(g), False
+    width = max(width, 3)
+    for comp in comps:
+        width = _component_treewidth(comp, adj, width)
+    return width, True

@@ -12,10 +12,9 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .dsn import Request, _normalize_requests_arg, normalize_requests_graph
-from .errors import CapacityError, DomainError, InputError, InvariantError, PreconditionError
+from .errors import DomainError, InputError, InvariantError, PreconditionError
 from .graphs import (
     DirectedPath,
-    UndirectedGraph,
     WeightedDigraph,
     _parent_path,
     avoiding_path,
@@ -25,9 +24,7 @@ from .graphs import (
     search,
     shortest_path,
     suppress_degree_two,
-    treewidth_at_most_two,
-    treewidth_exact,
-    treewidth_upper_bound,
+    treewidth,
 )
 from .ladders import LadderSpec, LadderVerdict, is_ladder_subdivision, ladder_arcs, ladder_rungs
 
@@ -491,17 +488,6 @@ class StructureReport(NamedTuple):
         }
 
 
-def _tw_maybe_exact(u: UndirectedGraph) -> Tuple[int, bool]:
-    w = treewidth_at_most_two(u)
-    if w is not None:
-        return w, True
-    try:
-        w, _ = treewidth_exact(u)
-        return w, True
-    except CapacityError:
-        return treewidth_upper_bound(u), False
-
-
 def _analyze_path(
     graph: WeightedDigraph, T: Sequence[int], s: int, t: int
 ) -> Tuple[DirectedPath, ImportantSet, MarkedSet, List[LadderSegment]]:
@@ -529,7 +515,7 @@ def reduce_length_graph(
     if len(necessary) < graph.m:
         raise PreconditionError("input graph is not inclusion-minimal")
 
-    tw_before, tw_before_exact = _tw_maybe_exact(graph.sym())
+    tw_before, tw_before_exact = treewidth(graph.sym())
     current = suppress_degree_two(graph, T)
     # A verified replacement keeps T-avoiding reachability, so this holds
     # for every round.
@@ -570,7 +556,7 @@ def reduce_length_graph(
         diam: Optional[int] = diameter(sym_after)
     except DomainError:  # empty or disconnected
         diam = None
-    tw_after, tw_after_exact = _tw_maybe_exact(sym_after)
+    tw_after, tw_after_exact = treewidth(sym_after)
     diam_ok = None if diam is None else diam <= 8 * max(1.0, max_ratio) * q
 
     report = StructureReport(

@@ -6,9 +6,10 @@ Five spaces, each checked in full:
 - every unit-weight digraph on 4 vertices with every set of 1 or 2
   requests (319,488 instances): `solve_bnb` and `solve_exhaustive` agree on
   feasibility and cost, and each feasible instance gets a certificate with
-  no verdict set and its bounds holding, an exact solution treewidth equal
-  to `treewidth_exact`'s, and the important and marked sets of the
-  references on each path it analyzes;
+  no verdict set and its bounds holding, an exact solution treewidth that
+  equals the subset-DP reference (run after rescanning safe reductions),
+  and the important and marked sets of the references on each path it
+  analyzes;
 - every digraph on 4 vertices with weights 1 to 3 and every out-star
   request set of 1 to 3 leaves (114,688 instances): `solve_dst` agrees
   with `solve_bnb`, and the certificates are checked the same way;

@@ -54,6 +54,8 @@ class TestDsnFormat:
             (lambda t: t.replace("3/2", "fast"), 3, "rational"),
             (lambda t: t.replace("r 1 3", "r 3 3"), 5, "itself"),
             (lambda t: t.replace("a 1 2 3/2\n", ""), 1, "promises 2 arcs"),
+            # Requests are a set, so a repeated `r` line counts once.
+            (lambda t: t.replace("2 2 1", "2 2 2") + "r 1 3\n", 1, "promises 2 requests, file has 1"),
             (lambda t: t.replace("p dsn 3 2 2 1", "p dsn 3 2 3 1"), 1, "terminals"),
             (lambda t: t.replace("p dsn 3 2 2 1\n", ""), 2, "before the header"),
             (lambda t: t.replace("r 1 3", "z 1 3"), 5, "unknown record"),

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import random
 import re
 
 import pytest
@@ -8,10 +9,10 @@ from fractions import Fraction
 import networkx as nx
 from hypothesis import given, settings, strategies as st
 
-from dsnkit.errors import DomainError, InputError, CapacityError
+from dsnkit import graphs
+from dsnkit.errors import DomainError, InputError
 from dsnkit.graphs import (
     DirectedPath,
-    _eliminate,
     UndirectedGraph,
     WeightedDigraph,
     avoiding_path,
@@ -20,8 +21,7 @@ from dsnkit.graphs import (
     search,
     shortest_path,
     suppress_degree_two,
-    treewidth_at_most_two,
-    treewidth_exact,
+    treewidth,
     treewidth_upper_bound,
 )
 
@@ -29,12 +29,22 @@ from dsnkit.dsn import DsnInstance, SolutionSubgraph, violated_request
 from dsnkit.ladders import LadderSpec, LadderVerdict
 from dsnkit.reduction import PsiInstance
 
-from conftest import CUBE, K4, _component_tw_dp, all_simple_paths, digraphs, rational_shortest_path, reaches, without_vertices
+from conftest import (
+    CUBE,
+    K4,
+    all_simple_paths,
+    digraphs,
+    rational_shortest_path,
+    reaches,
+    treewidth_by_rescans,
+    treewidth_by_subset_dp,
+    without_vertices,
+)
 
 
 def elimination_width(g, order):
     """Width of a given elimination order (with fill-in); an independent
-    checker for the witness orders of `treewidth_exact`."""
+    checker for the orders of the subset-DP reference."""
     assert sorted(order) == sorted(g.vertices), "order must be a permutation of the vertices"
     adj = {v: set(g.adjacent(v)) for v in g.vertices}
     width = 0
@@ -102,32 +112,6 @@ def necessary_arcs_by_removal(g, requests):
     return {a for a in g.arc_set() if violated_request(g.without_arc(*a), proper) is not None}
 
 
-def treewidth_exact_by_rescans(g):
-    """Reference: the safe reductions re-sort and rescan the remaining
-    vertices after every elimination; `treewidth_exact` then finishes the
-    graph they leave, which has no simplicial or degree-2 vertex."""
-    adj = {v: set(g.adjacent(v)) for v in g.vertices}
-    order = []
-    width = 0
-    while adj:
-        ordered = sorted(adj)
-        v = next((u for u in ordered if all(b in adj[a] for a in adj[u] for b in adj[u] if a < b)), None)
-        if v is None:
-            v = next((u for u in ordered if len(adj[u]) == 2), None)
-        if v is None:
-            break
-        width = max(width, _eliminate(adj, v))
-        order.append(v)
-    rest_width, rest_order = treewidth_exact(UndirectedGraph(adj, [(u, w) for u in adj for w in adj[u]]))
-    return max(width, rest_width), order + rest_order
-
-
-def treewidth_by_subset_dp(g):
-    """Reference: the subset DP on each connected component of g, with no
-    safe reductions first."""
-    return max((_component_tw_dp(comp, {v: set(g.adjacent(v)) for v in comp})[0] for comp in g.components()), default=0)
-
-
 def grid_graph(width, height):
     return UndirectedGraph(
         range(width * height),
@@ -146,14 +130,6 @@ def undirected_graphs(draw, max_n):
     """Hypothesis strategy for undirected graphs on vertices 0..n-1."""
     n = draw(st.integers(1, max_n))
     return UndirectedGraph(range(n), [(a, b) for a in range(n) for b in range(a + 1, n) if draw(st.booleans())])
-
-
-def treewidth_outcome(treewidth, g):
-    """(width, order), or the message of the capacity error."""
-    try:
-        return treewidth(g)
-    except CapacityError as exc:
-        return str(exc)
 
 
 def vertex_sets(g):
@@ -606,63 +582,135 @@ class TestDiameter:
         assert "0" in str(err.value) and "2" in str(err.value)
 
 
+def k_tree(n, k, seed):
+    """A seeded k-tree on vertices 0..n-1: a (k+1)-clique, then each new
+    vertex joined to a k-clique of the graph so far.  Its treewidth is k."""
+    rng = random.Random(seed)
+    edges = [(a, b) for a in range(k + 1) for b in range(a + 1, k + 1)]
+    cliques = [tuple(range(k + 1))]
+    for v in range(k + 1, n):
+        base = rng.choice(cliques)
+        drop = rng.choice(base)
+        clique = tuple(x for x in base if x != drop)
+        edges += [(x, v) for x in clique]
+        cliques.append(clique + (v,))
+    return UndirectedGraph(range(n), edges)
+
+
+def circulant(n, steps, first=0):
+    """Edges of the circulant graph on first..first+n-1: each vertex joined
+    to the vertices `steps` ahead of it, cyclically."""
+    return [(first + i, first + (i + d) % n) for i in range(n) for d in steps]
+
+
+def no_search(monkeypatch):
+    monkeypatch.setattr(graphs, "_component_treewidth", lambda *args: pytest.fail("ran the subset search"))
+
+
 class TestTreewidth:
-    def test_tree_is_one(self):
-        u = UndirectedGraph(range(5), [(0, 1), (0, 2), (2, 3), (2, 4)])
-        assert treewidth_exact(u)[0] == 1
-
-    def test_cycle_is_two(self):
-        u = UndirectedGraph(range(6), [(i, (i + 1) % 6) for i in range(6)])
-        assert treewidth_exact(u)[0] == 2
-
-    def test_k4_is_three(self):
-        u = UndirectedGraph(range(4), [(i, j) for i in range(4) for j in range(i + 1, 4)])
-        assert treewidth_exact(u)[0] == 3
+    @pytest.mark.parametrize(
+        "u, width",
+        [
+            (UndirectedGraph([], []), 0),
+            (UndirectedGraph(range(3), []), 0),
+            (UndirectedGraph(range(3), [(0, 1), (1, 2)]), 1),
+            (UndirectedGraph(range(5), [(0, 1), (0, 2), (2, 3), (2, 4)]), 1),
+            # A star and a path: two trees, so m = n - 2.
+            (UndirectedGraph(range(7), [(0, 1), (0, 2), (0, 3), (4, 5), (5, 6)]), 1),
+            (UndirectedGraph(range(6), [(i, (i + 1) % 6) for i in range(6)]), 2),
+            (UndirectedGraph(range(6), [(0, 1), (1, 2), (3, 4), (4, 5), (3, 5)]), 2),
+            (K4, 3),
+            (CUBE, 3),
+            # Sparse vertex ids, and a cube left for the search.
+            (UndirectedGraph(range(5, 80, 10), [(10 * a + 5, 10 * b + 5) for a, b in CUBE.edges]), 3),
+        ],
+        ids=["empty", "isolated", "path-3", "tree", "two-trees", "cycle-6", "tree-and-triangle", "K4", "cube",
+             "cube-sparse-ids"],
+    )
+    def test_hand_cases(self, u, width):
+        assert treewidth(u) == (width, True)
+        assert treewidth_by_subset_dp(u)[0] == width
 
     def test_grid_4x4(self):
         """[DERIVED: compare to subset-DP on 16 vertices]"""
         u = grid_graph(4, 4)
-        exact, order = treewidth_exact(u)
-        assert exact == 4
-        assert elimination_width(u, order) == 4
+        width, order = treewidth_by_subset_dp(u)
+        assert width == 4 and elimination_width(u, order) == 4
+        assert treewidth(u) == (4, True)
         assert 4 <= treewidth_upper_bound(u) <= 6
 
-    def test_witness_order_matches_width(self):
-        import random
-
+    def test_reference_order_matches_width(self):
         for seed in range(15):
             rng = random.Random(seed)
             n = rng.randint(3, 9)
-            edges = [
-                (u, v)
-                for u in range(n)
-                for v in range(u + 1, n)
-                if rng.random() < 0.45
-            ]
-            u = UndirectedGraph(range(n), edges)
-            width, order = treewidth_exact(u)
+            u = UndirectedGraph(range(n), [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.45])
+            width, order = treewidth_by_subset_dp(u)
             assert elimination_width(u, order) == width
+            assert treewidth(u) == (width, True)
             assert width <= treewidth_upper_bound(u)
 
     def test_matches_rescanning_reference(self):
-        """[DERIVED: rescan-after-every-elimination reduction loop]"""
-        import random
-
+        """[DERIVED: rescan-after-every-elimination reduction loop, then the subset DP]"""
         for seed in range(400):
             rng = random.Random(seed)
             p = rng.choice((0.15, 0.3, 0.5, 0.8))
             # Sparse graphs are mostly reduced; dense ones stay small for the DP.
             n = rng.randint(1, 14 if p < 0.3 else 10)
             u = UndirectedGraph(range(n), [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p])
-            assert treewidth_outcome(treewidth_exact, u) == treewidth_outcome(treewidth_exact_by_rescans, u)
+            assert treewidth(u) == (treewidth_by_rescans(u), True)
 
-    def test_capacity_cap(self):
-        # 4-regular circulant: no simplicial or degree-2 reductions apply,
-        # so the 30-vertex component exceeds the exact-DP cap
-        n = 30
-        edges = [(i, (i + 1) % n) for i in range(n)] + [(i, (i + 5) % n) for i in range(n)]
-        with pytest.raises(CapacityError):
-            treewidth_exact(UndirectedGraph(range(n), edges))
+    @pytest.mark.parametrize("u", [K4, k_tree(40, 3, seed=0)], ids=["K4", "3-tree-40"])
+    def test_chordal_graphs_empty_by_simplicial_eliminations(self, u, monkeypatch):
+        """A 3-tree has minimum degree 3, and eliminating a simplicial vertex
+        leaves a 3-tree or K4, down to the triangle that degree-2
+        eliminations clear.  Min-fill is exact on chordal graphs."""
+        no_search(monkeypatch)
+        assert treewidth(u) == (3, True) == (treewidth_upper_bound(u), True)
+
+    def test_search_starts_at_the_largest_simplicial_degree(self, monkeypatch):
+        """K5 empties by simplicial eliminations of degree 4, so the cube
+        beside it is searched from max(3, 4) = 4 and stops there; alone, the
+        cube is searched from 3."""
+        u = WIDTH_REFERENCE_GRAPHS["K5-and-cube"]
+        starts = []
+        search = graphs._component_treewidth
+
+        def recorded(vertices, adj, k):
+            starts.append((len(vertices), k))
+            return search(vertices, adj, k)
+
+        monkeypatch.setattr(graphs, "_component_treewidth", recorded)
+        assert treewidth(u) == (4, True) == (treewidth_by_subset_dp(u)[0], True)
+        assert treewidth(CUBE) == (3, True)
+        assert starts == [(8, 4), (8, 3)]
+
+    def test_fill_edge_makes_a_degree_three_vertex_simplicial(self, monkeypatch):
+        """Vertex 0 sees 1, 2 and 3, of which only 1 and 2 are not adjacent.
+        Eliminating the degree-2 vertex 4 joins them, so 0 becomes
+        simplicial at degree 3 without going back on the stack."""
+        u = UndirectedGraph(range(5), [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3), (4, 1), (4, 2)])
+        no_search(monkeypatch)
+        assert treewidth(u) == (3, True) == (treewidth_by_subset_dp(u)[0], True)
+
+    @pytest.mark.parametrize(
+        "u, cap",
+        [
+            (CUBE, 4),
+            # The cube fits a cap of 8, but the 10-vertex circulant beside it
+            # does not.
+            (UndirectedGraph(range(18), [*CUBE.edges, *circulant(10, (1, 2), first=8)]), 8),
+            # 4-regular, with no simplicial vertex.
+            (UndirectedGraph(range(30), circulant(30, (1, 5))), graphs.TREEWIDTH_EXACT_CAP),
+        ],
+        ids=["cube-cap-4", "cube-and-circulant-cap-8", "circulant-30"],
+    )
+    def test_component_over_the_cap_gives_the_upper_bound(self, u, cap, monkeypatch):
+        """No vertex of these graphs has degree <= 2 or is simplicial, and one
+        component exceeds the cap: the whole graph gets the min-fill bound,
+        and no component is searched."""
+        monkeypatch.setattr(graphs, "TREEWIDTH_EXACT_CAP", cap)
+        no_search(monkeypatch)
+        assert treewidth(u) == (treewidth_upper_bound(u), False)
 
 
 WIDTH_REFERENCE_GRAPHS = {
@@ -678,34 +726,15 @@ WIDTH_REFERENCE_GRAPHS = {
 
 
 class TestTreewidthMatchesSubsetDp:
-    """`treewidth_exact` returns the width of the subset DP run on each
-    connected component without the safe reductions, and its witness order
-    has exactly that width."""
+    """`treewidth` returns the width of the subset DP run on each connected
+    component without the safe reductions, as exact, and the DP's order has
+    exactly that width."""
 
     @staticmethod
     def check(u):
-        width, order = treewidth_exact(u)
-        assert width == treewidth_by_subset_dp(u)
+        width, order = treewidth_by_subset_dp(u)
+        assert treewidth(u) == (width, True)
         assert elimination_width(u, order) == width
-
-    @settings(max_examples=100, deadline=None)
-    @given(undirected_graphs(max_n=12))
-    def test_random_graphs(self, u):
-        self.check(u)
-
-    @pytest.mark.parametrize("name", sorted(WIDTH_REFERENCE_GRAPHS))
-    def test_named_graphs(self, name):
-        self.check(WIDTH_REFERENCE_GRAPHS[name])
-
-
-class TestTreewidthAtMostTwo:
-    """`treewidth_at_most_two` gives `treewidth_exact`'s width when that is
-    at most 2, and None exactly when it is larger."""
-
-    @staticmethod
-    def check(u):
-        width = treewidth_exact(u)[0]
-        assert treewidth_at_most_two(u) == (width if width <= 2 else None)
 
     @settings(max_examples=200, deadline=None)
     @given(undirected_graphs(max_n=12))
@@ -716,20 +745,12 @@ class TestTreewidthAtMostTwo:
     def test_named_graphs(self, name):
         self.check(WIDTH_REFERENCE_GRAPHS[name])
 
-    @pytest.mark.parametrize(
-        "u, width",
-        [
-            (UndirectedGraph([], []), 0),
-            (UndirectedGraph(range(3), []), 0),
-            (UndirectedGraph(range(3), [(0, 1), (1, 2)]), 1),
-            # A star and a path: two trees, so m = n - 2.
-            (UndirectedGraph(range(7), [(0, 1), (0, 2), (0, 3), (4, 5), (5, 6)]), 1),
-            (UndirectedGraph(range(6), [(0, 1), (1, 2), (3, 4), (4, 5), (3, 5)]), 2),
-            (K4, None),
-            (CUBE, None),
-        ],
-        ids=["empty", "isolated", "path-3", "two-trees", "tree-and-triangle", "K4", "cube"],
-    )
-    def test_hand_cases(self, u, width):
-        assert treewidth_at_most_two(u) == width
-        self.check(u)
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_partial_k_trees(self, k):
+        """Seeded k-trees with some edges dropped: widths up to k, reached by
+        every branch of `treewidth`."""
+        for seed in range(40):
+            rng = random.Random(seed)
+            full = k_tree(rng.randint(k + 1, 12), k, seed)
+            keep = rng.choice((1.0, 0.9, 0.75))
+            self.check(UndirectedGraph(full.vertices, [e for e in sorted(full.edges) if rng.random() < keep]))

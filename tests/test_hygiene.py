@@ -13,13 +13,17 @@ stays in the graph core: outside `graphs.py`, only `SolutionSubgraph.cost`
 and `_IntHost.__init__` call `scaled_weights()`, and no call of
 `WeightedDigraph` passes a `scale`.  No module but `graphs.py` reads a
 graph's private slots, which is what lets `WeightedDigraph.sym()` fill its
-undirected graph without checking it again.
+undirected graph without checking it again.  Every `raise InvariantError`
+in the package has a `pytest.raises(InvariantError, match=...)` in the
+tests that matches its message, but for the sites listed as unreachable,
+each with its reason.
 
 `__init__.py` is exempt from the unused-import scan because it imports names
 only to re-export them through `__all__`."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -379,3 +383,128 @@ def test_scan_finds_a_graph_slot_read():
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "graphs.py"], ids=lambda p: p.name)
 def test_graph_slots_stay_in_the_graph_core(path):
     assert graph_slot_reads(path.read_text()) == []
+
+
+# `raise InvariantError` sites that no fault outside their own function can
+# reach, each with the reason (`tests/test_selfchecks.py` gives the argument).
+UNREACHABLE_INVARIANTS = {
+    "anchor map hits a terminal more than twice":
+        "each terminal labels at most one vertex `<-` and one `->`, and anchors only vertices it labels",
+    "marked quadruple ordering violated at {}: {}":
+        "j1 <= j2 <= j <= j3 <= j4 follows from how the four indices are chosen, for any back-jump sets",
+}
+WORD = re.compile(r"[A-Za-z_]{2,}")
+
+
+def message_words(text):
+    """The words of a message or a `match=` pattern, with regex escapes dropped."""
+    return WORD.findall(re.sub(r"\\.", " ", text))
+
+
+def literal_text(node):
+    """A string literal's text, or an f-string's with `{}` for each value."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in node.values)
+    return None
+
+
+def invariant_sites(source):
+    """The message of each `raise InvariantError(...)` in `source`."""
+    return [
+        literal_text(node.exc.args[0])
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+        and getattr(node.exc.func, "id", None) == "InvariantError"
+    ]
+
+
+def bound_texts(func, name):
+    """Texts that a test function binds to `name`: its column of a
+    `parametrize` table, or the matching tuple member of an assignment."""
+    texts = []
+    for deco in func.decorator_list:
+        if isinstance(deco, ast.Call) and getattr(deco.func, "attr", None) == "parametrize":
+            names = [n.strip() for n in deco.args[0].value.split(",")]
+            if name in names:
+                i = names.index(name)
+                rows = deco.args[1].elts
+                texts += [literal_text(row.elts[i] if len(names) > 1 else row) for row in rows]
+    for node in ast.walk(func):
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Tuple):
+            names = [getattr(t, "id", None) for t in node.targets[0].elts]
+            if name in names:
+                i = names.index(name)
+                texts += [
+                    literal_text(t.elts[i]) for t in ast.walk(node.value)
+                    if isinstance(t, ast.Tuple) and len(t.elts) == len(names)
+                ]
+    return [t for t in texts if t is not None]
+
+
+def invariant_patterns(source):
+    """The `match=` text of each `pytest.raises(InvariantError, match=...)`
+    in a test function of `source`, read through a name if need be."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            if not (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "raises"
+                    and node.args and getattr(node.args[0], "id", None) == "InvariantError"):
+                continue
+            for k in node.keywords:
+                if k.arg == "match":
+                    text = literal_text(k.value)
+                    found += [text] if text is not None else bound_texts(func, getattr(k.value, "id", None))
+    return found
+
+
+def contiguous_run(short, long):
+    return len(short) >= 2 and any(long[i : i + len(short)] == short for i in range(len(long) - len(short) + 1))
+
+
+def unfired_invariants(sources, tests):
+    """Each site message in `sources` that no test pattern matches: neither
+    one's words (two or more) are a contiguous run of the other's.  A
+    pattern may quote part of a message, or a whole one with its values."""
+    patterns = [message_words(p) for source in tests for p in invariant_patterns(source)]
+
+    def fired(site):
+        words = message_words(site)
+        return any(contiguous_run(p, words) or contiguous_run(words, p) for p in patterns)
+
+    return sorted(site for source in sources for site in invariant_sites(source) if not fired(site))
+
+
+def test_scan_finds_an_unfired_invariant():
+    source = (
+        "def f(x):\n"
+        "    if x:\n"
+        "        raise InvariantError(f'solution cost {x} is below the threshold')\n"
+        "    raise InvariantError('embedding is not total')\n"
+        "def g(x):\n"
+        "    raise InvariantError(f'pattern edge {x} not realized')\n"
+        "    raise InvariantError(f'labelling condition violated: {x}')\n"
+    )
+    tests = [
+        "@pytest.mark.parametrize('case, message', [(1, r'edge \\(0, 1\\) not realized'), (2, 'not injective')])\n"
+        "def test_a(case, message):\n"
+        "    with pytest.raises(InvariantError, match=message):\n"
+        "        g(case)\n"
+        "def test_b():\n"
+        "    with pytest.raises(InvariantError, match='cost 26 is below'):\n"
+        "        f(26)\n"
+        "    with pytest.raises(InvariantError, match='labelling condition violated: a violation'):\n"
+        "        g('a violation')\n"
+        "    with pytest.raises(ValueError, match='embedding is not total'):\n"
+        "        f(0)\n"
+    ]
+    assert unfired_invariants([source], tests) == ["embedding is not total"]
+
+
+def test_every_invariant_check_fires_in_a_test():
+    """A self-check that no test trips could be wrong, or dead, unseen."""
+    found = unfired_invariants([p.read_text() for p in MODULES], [p.read_text() for p in TESTS])
+    assert found == sorted(UNREACHABLE_INVARIANTS)

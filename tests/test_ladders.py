@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from dsnkit.dsn import DsnInstance, SolutionSubgraph, is_inclusion_minimal, validate
 from dsnkit.errors import InputError
-from dsnkit.graphs import UndirectedGraph, WeightedDigraph, suppress_degree_two, treewidth_exact
+from dsnkit.graphs import UndirectedGraph, WeightedDigraph, suppress_degree_two, treewidth
 from dsnkit import ladders
 from dsnkit.ladders import (
     LadderSpec,
@@ -492,7 +492,7 @@ class TestUndirectedView:
         for n in (4, 8, 12):
             u = make_ladder(LadderSpec(n, frozenset())).sym()
             assert is_outerplanar(u)
-            assert treewidth_exact(u)[0] == 2
+            assert treewidth(u) == (2, True)
 
     def test_k4_not_outerplanar(self):
         u = UndirectedGraph(range(4), [(i, j) for i in range(4) for j in range(i + 1, 4)])

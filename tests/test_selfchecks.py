@@ -123,6 +123,12 @@ def test_build_labelling_rejects_a_colouring_over_its_bound(monkeypatch, call, s
         build_labelling(k4_psi(K4))
 
 
+def test_build_labelling_rejects_a_labelling_that_breaks_a_condition(monkeypatch):
+    monkeypatch.setattr(reduction, "check_labelling", lambda h, lab: "a violation")
+    with pytest.raises(InvariantError, match="labelling condition violated: a violation"):
+        build_labelling(k4_psi(K4))
+
+
 def test_build_labelling_rejects_more_alpha_labels_than_r_plus_4(monkeypatch):
     # With r = 1 each of K3,3's six vertices is a chunk of its own.
     monkeypatch.setattr(reduction, "ceil_sqrt", lambda k: 1)

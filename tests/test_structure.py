@@ -13,8 +13,8 @@ from dsnkit.dsn import (
     minimize_graph,
     normalize_requests_graph,
 )
-from dsnkit.errors import CapacityError, InconsistencyError, InputError, InvariantError, PreconditionError
-from dsnkit.graphs import DirectedPath, WeightedDigraph, component_avoiding, treewidth_exact, treewidth_upper_bound
+from dsnkit.errors import InconsistencyError, InputError, InvariantError, PreconditionError
+from dsnkit.graphs import DirectedPath, WeightedDigraph, component_avoiding, treewidth, treewidth_upper_bound
 from dsnkit import graphs, structure
 from dsnkit.ladders import LadderVerdict
 from dsnkit.generators import gen_random
@@ -37,7 +37,7 @@ from dsnkit.structure import (
 )
 
 from conftest import (
-    CUBE, K4, checked_analyses, digraphs, ladder_with_terminals, out_star, random_instances, reaches, without_vertices,
+    checked_analyses, digraphs, ladder_with_terminals, out_star, random_instances, reaches, without_vertices,
 )
 from test_golden_cli import LADDERS, OUT_STARS
 
@@ -641,24 +641,10 @@ class TestCertificate:
         blob = json.dumps(rep.certificate_json(0))
         assert json.loads(blob)["declared_genus"] == 0
 
-    def test_component_over_the_cap_falls_back_to_the_upper_bound(self, monkeypatch):
-        """The cube Q3 has no simplicial or degree-2 vertex, so its one
-        8-vertex component exceeds a cap of 4 before any search runs."""
-        assert treewidth_exact(CUBE)[0] == 3
-        monkeypatch.setattr(graphs, "TREEWIDTH_EXACT_CAP", 4)
-        monkeypatch.setattr(graphs, "_component_treewidth", lambda *args: pytest.fail("searched over the cap"))
-        with pytest.raises(CapacityError, match="irreducible component of 8 vertices"):
-            treewidth_exact(CUBE)
-        assert structure._tw_maybe_exact(CUBE) == (treewidth_upper_bound(CUBE), False)
-
     def test_upper_bound_widths_are_integers(self, monkeypatch):
         """With no exact width, both widths come from the upper bound: still
         integers, and the per-terminal width is a plain quotient."""
-        def over_cap(u):
-            raise CapacityError("over the cap")
-
-        monkeypatch.setattr(structure, "treewidth_at_most_two", lambda u: None)
-        monkeypatch.setattr(structure, "treewidth_exact", over_cap)
+        monkeypatch.setattr(structure, "treewidth", lambda u: (treewidth_upper_bound(u), False))
         inst = ladder_with_terminals(8)
         sol = SolutionSubgraph(inst.host, frozenset(inst.host.arcs()))
         _, rep = reduce_length_graph(sol.as_graph(), inst.requests)
@@ -669,23 +655,29 @@ class TestCertificate:
     def test_ladder_widths_skip_the_exact_search(self, monkeypatch):
         """A ladder and its reduction have treewidth 2, which the degree-2
         elimination certifies on its own."""
-        monkeypatch.setattr(structure, "treewidth_exact", lambda u: pytest.fail("ran the exact search"))
+        monkeypatch.setattr(graphs, "_component_treewidth", lambda *args: pytest.fail("ran the exact search"))
         inst = ladder_with_terminals(12)
         sol = SolutionSubgraph(inst.host, frozenset(inst.host.arcs()))
         _, rep = reduce_length_graph(sol.as_graph(), inst.requests)
         assert (rep.tw_before, rep.tw_before_exact) == (2, True)
         assert (rep.tw_after, rep.tw_after_exact) == (2, True)
 
-    def test_width_above_two_comes_from_the_exact_search(self, monkeypatch):
+    def test_widths_come_from_treewidth_on_both_graphs(self, monkeypatch):
+        """The solution's and the reduced graph's widths are `treewidth`'s
+        answers on their symmetric closures, in that order."""
         calls = []
 
-        def exact(u):
+        def recorded(u):
             calls.append(u)
-            return treewidth_exact(u)
+            return treewidth(u)
 
-        monkeypatch.setattr(structure, "treewidth_exact", exact)
-        assert structure._tw_maybe_exact(K4) == (3, True)
-        assert calls == [K4]
+        monkeypatch.setattr(structure, "treewidth", recorded)
+        inst = ladder_with_terminals(12)
+        sol = SolutionSubgraph(inst.host, frozenset(inst.host.arcs()))
+        reduced, rep = reduce_length_graph(sol.as_graph(), inst.requests)
+        assert calls == [sol.as_graph().sym(), reduced.sym()]
+        assert (rep.tw_before, rep.tw_before_exact) == treewidth(calls[0])
+        assert (rep.tw_after, rep.tw_after_exact) == treewidth(calls[1])
 
 
 class TestAvoidingPath:
