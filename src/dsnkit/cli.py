@@ -107,7 +107,8 @@ def _indented_json(obj, newline: str = "\n") -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        # A pair of ints, such as a solve result's arc, is written in one step.
+        # A pair of ints, such as a solve result's arc, is written in one step;
+        # recursing costs analyze-ladder 2.1-3.6% and solve-bnb 1.1-1.4% (tests/ab.py).
         items = [
             enc(v) if (enc := _scalar_encoder(type(v)))
             else f"[{inner}  {v[0]},{inner}  {v[1]}{inner}]"
@@ -342,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _parse_direct(defaults, options, tokens) -> Optional[argparse.Namespace]:
     """argparse's namespace for `tokens` if each is an option string of
     `options`, the value after a value option (no leading "-", one of its
-    choices if it has them) or the one file; None for any other `tokens`."""
+    choices if it has them) or the one file; None for any other `tokens`.
+    Argparse alone costs solve-bnb and reduce-decide 12-13% (`tests/ab.py`)."""
     ns, it = dict(defaults, file=None), iter(tokens)
     for tok in it:
         action = options.get(tok)

@@ -121,7 +121,7 @@ class WeightedDigraph:
         """({arc: weight * scale}, scale), the stored form; shared, read-only."""
         return self._scaled
 
-    # An accessor that reads an adjacency dict lets the lookup check the vertex.
+    # The adjacency-dict lookup checks the vertex; checking it first costs analyze-ladder 0.6-1.4% (tests/ab.py).
     def out_neighbors(self, v: int) -> Tuple[int, ...]:
         try:
             return self._out[v]
@@ -165,7 +165,8 @@ class WeightedDigraph:
 
     def induced(self, vertices: Iterable[int]) -> "WeightedDigraph":
         """Subgraph induced by `vertices`; kept per vertex set, so asking
-        again for the same set returns the same graph."""
+        again for the same set returns the same graph; building it again
+        costs analyze-ladder 3.3-4.2% (`tests/ab.py`)."""
         vs = frozenset(vertices)
         key = ("induced", vs)
         found = self._facts.get(key)
@@ -185,16 +186,8 @@ class WeightedDigraph:
         return WeightedDigraph(self._vertices, {(v, u): w for (u, v), w in self._arcs.items()}, self._scaled[1])
 
     def sym(self) -> "UndirectedGraph":
-        """Underlying undirected graph; weights are discarded.  It is filled
-        straight from this graph's sorted vertices, arc keys and sorted
-        neighbour tuples, which `__init__` already checked, so nothing is
-        validated or sorted again but the union of a vertex's in- and
-        out-neighbours when it has both."""
-        out, inn = self._out, self._in
-        adj = {v: tuple(sorted({*out[v], *inn[v]})) if out[v] and inn[v] else out[v] or inn[v] for v in self._vertices}
-        und = UndirectedGraph.__new__(UndirectedGraph)
-        und._fill(self._vertices, self._vset, frozenset((u, v) if u < v else (v, u) for u, v in self._arcs), adj)
-        return und
+        """Underlying undirected graph; weights are discarded."""
+        return UndirectedGraph(self._vertices, {(u, v) if u < v else (v, u) for u, v in self._arcs})
 
     def __eq__(self, other) -> bool:
         return (
@@ -301,12 +294,8 @@ class UndirectedGraph:
             norm.add((u, v) if u < v else (v, u))
             adj[u].add(v)
             adj[v].add(u)
-        self._fill(tuple(vs), vset, frozenset(norm), {v: tuple(sorted(ns)) for v, ns in adj.items()})
-
-    def _fill(self, vertices: Tuple[int, ...], vset: FrozenSet[int], edges: FrozenSet[Arc], adj: Dict[int, Tuple[int, ...]]):
-        """Set the fields from checked values: sorted vertices, each edge as
-        (smaller, larger) and each vertex's sorted neighbours, in vertex order."""
-        self._vertices, self._vset, self._edges, self._adj = vertices, vset, edges, adj
+        self._vertices, self._vset, self._edges = tuple(vs), vset, frozenset(norm)
+        self._adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
 
     @property
     def vertices(self) -> Tuple[int, ...]:
@@ -472,7 +461,8 @@ def component_avoiding(g: WeightedDigraph, v: int, boundary: Iterable[int]) -> F
     """The vertex set of v's connected component in the underlying
     undirected graph of g minus `boundary`; v must be outside `boundary`.
     Every component found is kept on g per boundary, so a later vertex of
-    one, with the same boundary, walks nothing."""
+    one, with the same boundary, walks nothing; walking every time costs
+    analyze-ladder 0.8-1.1% (`tests/ab.py`)."""
     stop = frozenset(boundary)
     comps = g._facts.setdefault(("components", stop), {})
     if v in comps:
@@ -559,7 +549,8 @@ def suppress_degree_two(graph: WeightedDigraph, terminals: Iterable[int]) -> Wei
     of the replaced arcs, added as integers over `graph`'s scale.  The
     non-terminals' neighbor sets are built first; with no candidate among
     them, `graph` itself is returned, and no terminal's set is built and
-    nothing is copied.
+    nothing is copied; building every set first costs analyze-ladder 1.4-2.1%
+    (`tests/ab.py`).
 
     The victim is always the smallest-id non-terminal with one or two
     neighbors, and one neighbor is an error.  Removing a vertex changes the

@@ -7,7 +7,10 @@ imports are relative, so the rename is free).  The items come from the
 benchmark's own builders (`perfbench/workloads.py`), as in
 `tests/workload_identity.py`.  Each item runs through each side's
 `cli.main(argv)` K times; which side goes first alternates per item and
-per repeat, and each side keeps its best time per item.
+per repeat, and each side keeps its best time per item.  `--swap` places
+the trees the other way round (this checkout as `dsnkit_a`, imported and
+warmed first); B is still this checkout, so a battery that alternates it
+over its runs separates a tree's effect from its place.
 
 Per workload it prints the total ratio (B's summed best times over A's),
 the median per-item ratio, the number of items B ran faster with the
@@ -21,7 +24,7 @@ Run from the repository root (an A/A run passes `--base HEAD` on a clean
 tree):
 
     python3 tests/ab.py --base HEAD~1
-    python3 tests/ab.py --base HEAD --workload analyze-ladder --seed 4242 --repeats 5
+    python3 tests/ab.py --base HEAD --workload analyze-ladder --seed 4242 --swap
 
 It uses the standard library only, and pytest does not collect it.  The
 item files go to a temporary directory; nothing under `perfbench/` is
@@ -47,15 +50,15 @@ from workload_identity import ROOT, WALL_TIME
 PACKAGES = ("dsnkit_a", "dsnkit_b")
 
 
-def unpack(base: str, directory: Path) -> None:
-    """`base`'s src/dsnkit as directory/dsnkit_a, this checkout's as dsnkit_b."""
+def unpack(base: str, directory: Path, names: tuple) -> None:
+    """`base`'s src/dsnkit as directory/names[0], this checkout's as names[1]."""
     archive = subprocess.run(
         ["git", "-C", str(ROOT), "archive", base, "src/dsnkit"], capture_output=True, check=True
     ).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(directory / "rev", filter="data")
-    shutil.move(directory / "rev" / "src" / "dsnkit", directory / PACKAGES[0])
-    shutil.copytree(ROOT / "src" / "dsnkit", directory / PACKAGES[1], ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.move(directory / "rev" / "src" / "dsnkit", directory / names[0])
+    shutil.copytree(ROOT / "src" / "dsnkit", directory / names[1], ignore=shutil.ignore_patterns("__pycache__"))
 
 
 def sign_test(wins: int, losses: int) -> float:
@@ -109,17 +112,21 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--items", type=int, help="items per workload (default: a 25 s benchmark run's count)")
     parser.add_argument("--repeats", type=int, default=5, help="runs per item and side; the best counts")
+    parser.add_argument("--swap", action="store_true",
+                        help="place this checkout first (as dsnkit_a) and the base second; B is still this checkout")
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)
-        unpack(args.base, directory)
+        names = PACKAGES[::-1] if args.swap else PACKAGES
+        unpack(args.base, directory, names)
         sys.path.insert(0, tmp)
-        clis = [importlib.import_module(f"{name}.cli") for name in PACKAGES]
+        placed = {name: importlib.import_module(f"{name}.cli") for name in PACKAGES}
+        clis = [placed[name] for name in names]
         ok = True
         for name in args.workload or sorted(WORKLOADS):
             workload = WORKLOADS[name]
-            for side in clis:  # warm both sides before timing
+            for side in placed.values():  # warm both sides, in import order, before timing
                 warm = workload.warmup()
                 warm.path = str(directory / f"warmup{warm.suffix}")
                 Path(warm.path).write_text(warm.text)

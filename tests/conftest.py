@@ -1,15 +1,16 @@
-"""Shared test corpora and references: seeded random instances, a
-Hypothesis strategy for small digraphs, reachability with forbidden
-internal vertices, the cheapest path by exact rational costs, every simple
-path between two vertices, a digraph minus a vertex set, the six-family ladder generator, ladder hosts with terminals
-attached, the undirected ladder and outerplanarity checks (by networkx,
+"""Shared test corpora and references: seeded random instances, a Hypothesis
+strategy for small digraphs, reachability with forbidden internal vertices,
+the cheapest path by exact rational costs, every simple path between two
+vertices, a digraph minus a vertex set, the six-family ladder generator,
+ladder hosts with terminals attached and ladders in series between
+terminals, the undirected ladder and outerplanarity checks (by networkx,
 which only the tests use), the exact-treewidth subset dynamic program, the
 path-union search with its shared-arc bound built up front, the small
 3-regular pattern corpus, the important and marked vertices with every
-search run, the per-path analysis checked against them, and the
-small-scope enumeration of every instance up to a small size, of every
-ladder up to a small length and of every PSI instance of a pattern on a
-small host, with the checks run on each."""
+search run, the per-path analysis checked against them, and the small-scope
+enumeration of every instance up to a small size, of every ladder up to a
+small length and of every PSI instance of a pattern on a small host, with
+the checks run on each."""
 
 import heapq
 import itertools
@@ -30,7 +31,7 @@ from dsnkit.dsn import DsnInstance, reverse_instance
 from dsnkit.formats import emit_dsn, emit_psi
 from dsnkit.generators import gen_grid
 from dsnkit.graphs import DirectedPath, UndirectedGraph, WeightedDigraph, avoiding_path, search
-from dsnkit.ladders import LadderSpec, ladder_rungs, make_ladder
+from dsnkit.ladders import LadderSpec, ladder_arcs, ladder_rungs
 from dsnkit.reduction import (
     PsiInstance,
     decide_psi_via_dsn,
@@ -322,18 +323,30 @@ def out_star(seed, kind, leaves):
 
 
 def ladder_with_terminals(n, identified=()):
-    """A ladder plus two fresh terminals wired so that the two request paths
-    traverse the two rails; requests make the whole graph one minimal
+    """A ladder plus two fresh terminals 1000 and 1001 wired so that the two
+    request paths traverse the two rails; requests make the whole graph one
+    minimal solution."""
+    return ladder_chain([LadderSpec(n, identified)], [(0, 1), (1, 0)])
+
+
+def ladder_chain(specs, requests):
+    """Ladders in series: the ladder of specs[i] (a `LadderSpec`) joins the
+    fresh terminals 1000 + i and 1001 + i as `ladder_with_terminals` joins
+    its two, with its vertex ids shifted past those of specs[:i].  Each
+    request (i, j) asks for terminal 1000 + i to reach 1000 + j.  With every
+    (i, i + 1) and (i + 1, i) requested, the whole graph is one minimal
     solution."""
-    spec = LadderSpec(n, frozenset(identified))
-    g = make_ladder(spec)
-    rungs = ladder_rungs(spec)
-    (tail_1, head_1), (tail_n, head_n) = rungs[0], rungs[-1]
-    s, t = 1000, 1001
-    arcs = dict(g.arcs())
-    arcs.update({(s, tail_1): 1, (head_n, t): 1, (t, tail_n): 1, (head_1, s): 1})
-    host = WeightedDigraph(set(g.vertices) | {s, t}, arcs)
-    return DsnInstance(host, {(s, t), (t, s)})
+    arcs = {}
+    offset = 0
+    for i, spec in enumerate(specs):
+        rungs = [(u + offset, v + offset) for u, v in ladder_rungs(spec)]
+        arcs.update(dict.fromkeys(ladder_arcs(rungs), 1))
+        (tail_1, head_1), (tail_n, head_n) = rungs[0], rungs[-1]
+        s, t = 1000 + i, 1001 + i
+        arcs.update({(s, tail_1): 1, (head_n, t): 1, (t, tail_n): 1, (head_1, s): 1})
+        offset += 2 * spec.n
+    host = WeightedDigraph({v for arc in arcs for v in arc}, arcs)
+    return DsnInstance(host, {(1000 + i, 1000 + j) for i, j in requests})
 
 
 K4 = UndirectedGraph(range(4), [(i, j) for i in range(4) for j in range(i + 1, 4)])

@@ -12,11 +12,9 @@ and reads no `__debug__`, so every runtime self-check also runs under
 stays in the graph core: outside `graphs.py`, only `SolutionSubgraph.cost`
 and `_IntHost.__init__` call `scaled_weights()`, and no call of
 `WeightedDigraph` passes a `scale`.  No module but `graphs.py` reads a
-graph's private slots, which is what lets `WeightedDigraph.sym()` fill its
-undirected graph without checking it again.  Every `raise InvariantError`
-in the package has a `pytest.raises(InvariantError, match=...)` in the
-tests that matches its message, but for the sites listed as unreachable,
-each with its reason.
+graph's private slots.  Every `raise InvariantError` in the package has a
+`pytest.raises(InvariantError, match=...)` in the tests that matches its
+message, but for the sites listed as unreachable, each with its reason.
 
 `__init__.py` is exempt from the unused-import scan because it imports names
 only to re-export them through `__all__`."""

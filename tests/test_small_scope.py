@@ -1,6 +1,7 @@
 """Small-scope exhaustive check: every 3-vertex instance, not a sample,
 a fixed seeded slice of the two 4-vertex spaces, every ladder of up to
-8 rungs with its reversal, and pattern K4 on every host of 4 or 5 vertices.
+8 rungs with its reversal, a seeded slice of ladder chains, and pattern K4
+on every host of 4 or 5 vertices.
 
 All 64 unit-weight digraphs on 3 vertices, each with every non-empty
 request set: 4,032 instances.  `tests/small_scope.py` runs the same checks
@@ -9,9 +10,15 @@ PSI check over two spaces of 6-vertex hosts."""
 
 import random
 
+from dsnkit.dsn import reverse_instance
+from dsnkit.formats import emit_dsn
+from dsnkit.ladders import LadderSpec
 from dsnkit.solvers import solve_bnb
+from dsnkit.structure import reduce_length_graph
 
-from conftest import K4, ladder_space, psi_space, psi_space_failure, small_scope_failure, small_scope_instances
+from conftest import (
+    K4, ladder_chain, ladder_space, psi_space, psi_space_failure, small_scope_failure, small_scope_instances,
+)
 from small_scope import spaces
 
 # 64 of the 4,096 arc masks of a 4-vertex host, drawn once from seed 0.
@@ -50,6 +57,32 @@ def test_every_ladder_up_to_eight_rungs_and_its_reversal():
         assert failure is None, failure
         count += 1
     assert count == 1020
+
+
+def test_seeded_ladder_chains_and_their_reversals():
+    """16 chains of 2 or 3 ladders of 6 to 14 rungs (`conftest.ladder_chain`),
+    each interior rung identified with probability 0.15 and every pair of
+    neighbouring terminals requested both ways, drawn from seed 7, and the
+    reversal of each: the small-scope checks hold, the reduced optimum
+    reduces no further, and some chain takes two or more replacements, so
+    the length-reduction loop runs past its first replacement."""
+    rng = random.Random(7)
+    replacements = []
+    for _ in range(16):
+        specs = []
+        for _ in range(rng.choice((2, 3))):
+            n = rng.randint(6, 14)
+            specs.append(LadderSpec(n, {i for i in range(2, n) if rng.random() < 0.15}))
+        k = len(specs)
+        chain = ladder_chain(specs, [(i, i + 1) for i in range(k)] + [(i + 1, i) for i in range(k)])
+        for inst in (chain, reverse_instance(chain)):
+            failure = small_scope_failure(inst, solve_bnb)
+            assert failure is None, failure
+            reduced, rep = reduce_length_graph(solve_bnb(inst).optimum.as_graph(), inst.requests)
+            again = reduce_length_graph(reduced, inst.requests)[1].replacements
+            assert again == 0, f"the reduced graph takes {again} more replacements\ninstance:\n{emit_dsn(inst)}"
+            replacements.append(rep.replacements)
+    assert max(replacements) >= 2
 
 
 def test_pattern_k4_on_every_host_of_four_or_five_vertices():
