@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import List, NamedTuple, Optional, Set, Tuple
 
-from .errors import InputError, InvariantError
-from .graphs import Arc, DirectedPath, WeightedDigraph, _Record, necessary_arcs, search, suppress_degree_two
+from .errors import InconsistencyError, InputError
+from .graphs import Arc, DirectedPath, WeightedDigraph, _Record, suppress_degree_two
 
 
 class LadderSpec(_Record):
@@ -121,73 +121,58 @@ def _corner_failure(K: WeightedDigraph, x: int, y: int, names: str) -> Optional[
 
 
 def _hypotheses_failure(K: WeightedDigraph, a: int, b: int, c: int, d: int) -> Optional[str]:
-    """Check the four hypothesis bullets; returns the failing one or None."""
+    """The boundary vertices exist and the corner bullets hold; returns the
+    failing bullet or None."""
     for v in (a, b, c, d):
         if not K.has_vertex(v):
             return f"boundary vertex {v} missing"
-    fail = _corner_failure(K, a, b, "ab") or _corner_failure(K, c, d, "cd")
-    if fail:
-        return fail
-    need = necessary_arcs(K, [(a, d), (c, b)])
-    if need is None:
-        return "no directed path from " + ("a to d" if d not in search(K, a, target=d) else "c to b")
-    removable = K.arc_set() - need - {(a, b), (c, d)}
-    if removable:
-        return f"not inclusion-minimal: arc {min(removable)} is removable"
-    iso = [v for v in K.vertices if K.total_degree(v) == 0 and v not in {a, b, c, d}]
-    if iso:
-        return f"isolated vertex {iso[0]}"
-    return None
+    return _corner_failure(K, a, b, "ab") or _corner_failure(K, c, d, "cd")
 
 
 def is_ladder_subdivision(K: WeightedDigraph, a: int, b: int, c: int, d: int) -> LadderVerdict:
-    """Decide whether K with boundary roles (a, b, c, d) is a subdivision of
-    a ladder, by the suppress-and-peel procedure.
+    """Decide whether K with boundary roles (a, b, c, d) subdivides a ladder
+    G_{n,I} whose first rung runs a -> b and whose last runs c -> d.
 
-    K is checked against the hypotheses and suppressed once, by the graph
-    core's `suppress_degree_two` outside the roles and the vertices whose
-    total degree is not 2.  Minimality makes every other vertex a
-    pass-through u -> v -> w with no arc uw, and merging one changes no
-    other vertex's total degree, so each suppressed vertex removes exactly
-    one arc; that count is checked.  The hypotheses join the (a, b) column
-    to the rest only by the rails abar -> a and b -> bbar, so peeling it
-    leaves roles (bbar, abar, c, d): every a->d path becomes a bbar->d path
-    and every c->b path a c->abar path, both avoiding the column.  So
-    reachability, inclusion-minimality and "no isolated vertex" carry over,
-    the (c, d) bullets are untouched while the pairs do not overlap, and
-    degrees change only at the new corner, so nothing needs suppressing
-    again.  Only the last peeled column touches the new corner, by rails
-    that neither enter abar nor leave bbar.  So each level walks the
-    suppressed graph in place: it finds the rails in neighbour sets minus
-    the column just peeled and checks only the new (a, b) pair.  A
-    rejection at peel level k carries k "peel: " prefixes; the length is
-    that of the suppressed core ladder."""
-    peeled = 0
+    After the corner bullets, K is suppressed once (`suppress_degree_two`,
+    keeping the roles and every vertex whose total degree is not 2), which
+    must merge each suppressed vertex into one arc.  The walk then follows
+    the rails from rung (a, b): the next rung's tail is the head's
+    out-neighbour and its head the tail's in-neighbour, outside this rung
+    and the one before, until it reaches (c, d).  It gives n and I (its
+    rungs of one vertex), and K is accepted, at length n, exactly when
+    mapping `ladder_rungs(LadderSpec(n, I))` onto the walk is a bijection
+    onto the suppressed graph's vertices that carries `ladder_arcs` onto its
+    arcs.  The ladder's shape is stated only by those two functions.
 
-    def reject(reason: str) -> LadderVerdict:
-        return LadderVerdict(False, 0, "peel: " * peeled + reason)
-
+    So no minimality walk runs: an accepted K is inclusion-minimal for
+    (a, d) and (c, b).  Every arc out of rung i of G_{n,I} ends in rung
+    i - 1 or i + 1, so the rungs in order are the only simple a -> d path
+    and the rungs in reverse the only c -> b path; together they use every
+    arc, and subdividing keeps both unique."""
     fail = _hypotheses_failure(K, a, b, c, d)
     if fail is not None:
-        return reject(fail)
-    g = suppress_degree_two(K, {a, b, c, d} | {v for v in K.vertices if K.total_degree(v) != 2})
+        return LadderVerdict(False, 0, fail)
+    try:
+        g = suppress_degree_two(K, {a, b, c, d} | {v for v in K.vertices if K.total_degree(v) != 2})
+    except InconsistencyError:
+        return LadderVerdict(False, 0, "a degree-2 vertex is not a pass-through")
     if K.m - g.m != K.n - g.n:
-        raise InvariantError("a suppressed vertex of a minimal graph is not a pass-through")
-    n, column = g.n, set()
-    while n > 4:
-        if {a, b} & {c, d}:
-            return reject("boundary pairs overlap in a large graph")
-        a_in = set(g.in_neighbors(a)) - column - {b}
-        b_out = set(g.out_neighbors(b)) - column - {a}
-        if len(a_in) != 1 or len(b_out) != 1:
-            return reject(("identified corner" if a == b else "corner column") + " is not attached by two rails")
-        (abar,), (bbar,) = a_in, b_out
-        if a == b and abar == bbar:
-            return reject("identified corner attached to a single vertex")
-        column, a, b = {a, b}, bbar, abar
-        n -= len(column)
-        peeled += 1
-        fail = _corner_failure(g, a, b, "ab")
-        if fail is not None:
-            return reject(fail)
-    return LadderVerdict(True, (1 if n == 1 else 2) + peeled)
+        return LadderVerdict(False, 0, "two pass-through paths merge into one arc")
+    walk, before = [(a, b)], set()
+    while walk[-1] != (c, d) and len(walk) < g.n:
+        t, h = walk[-1]
+        tails = set(g.out_neighbors(h)) - before - {t, h}
+        heads = set(g.in_neighbors(t)) - before - {t, h}
+        if len(tails) != 1 or len(heads) != 1:
+            return LadderVerdict(False, 0, f"rung {len(walk)} is not joined to a next rung by two rails")
+        walk.append((*tails, *heads))
+        before = {t, h}
+    rungs = ladder_rungs(LadderSpec(len(walk), [i for i, (t, h) in enumerate(walk, 1) if t == h]))
+    image = dict(zip((v for rung in rungs for v in rung), (v for rung in walk for v in rung)))
+    if (
+        walk[-1] != (c, d)
+        or not len(set(image.values())) == len(image) == g.n
+        or {(image[u], image[v]) for u, v in ladder_arcs(rungs)} != g.arc_set()
+    ):
+        return LadderVerdict(False, 0, "the rails from ab to cd do not span a ladder")
+    return LadderVerdict(True, len(walk))

@@ -9,8 +9,8 @@ path-union search with its shared-arc bound built up front, the small
 3-regular pattern corpus, the important and marked vertices with every
 search run, the per-path analysis checked against them, and the small-scope
 enumeration of every instance up to a small size, of every ladder up to a
-small length and of every PSI instance of a pattern on a small host, with
-the checks run on each."""
+small length, of every chain of two such ladders and of every PSI instance
+of a pattern on a small host, with the checks run on each."""
 
 import heapq
 import itertools
@@ -349,6 +349,41 @@ def ladder_chain(specs, requests):
     return DsnInstance(host, {(1000 + i, 1000 + j) for i, j in requests})
 
 
+def chain_request_sets(k):
+    """The two request sets of a chain of k ladders: every t_{i-1} <-> t_i,
+    and t_0 <-> t_k alone, which makes each joining terminal read as an
+    identified rung."""
+    return [
+        [(i, i + 1) for i in range(k)] + [(i + 1, i) for i in range(k)],
+        [(0, k), (k, 0)],
+    ]
+
+
+def ladder_chain_space(max_n):
+    """Every ordered pair of ladders G_{n,I} with n <= max_n and at most one
+    identified rung, joined by `ladder_chain` under each of
+    `chain_request_sets(2)`, each followed by its `reverse_instance`:
+    4 * (max_n * (max_n + 3) / 2) ** 2 instances."""
+    specs = [LadderSpec(n, ident) for n in range(1, max_n + 1) for ident in [(), *((i,) for i in range(1, n + 1))]]
+    for pair in itertools.product(specs, repeat=2):
+        for requests in chain_request_sets(2):
+            inst = ladder_chain(pair, requests)
+            yield inst
+            yield reverse_instance(inst)
+
+
+def chain_failure(inst):
+    """`small_scope_failure(inst, solve_bnb)`, or else the reduced optimum
+    taking more replacements, with the instance as `.dsn` text; None if
+    neither."""
+    failure = small_scope_failure(inst, solvers.solve_bnb)
+    if failure is not None:
+        return failure
+    reduced, _ = structure.reduce_length_graph(solvers.solve_bnb(inst).optimum.as_graph(), inst.requests)
+    again = structure.reduce_length_graph(reduced, inst.requests)[1].replacements
+    return f"the reduced graph takes {again} more replacements\ninstance:\n{emit_dsn(inst)}" if again else None
+
+
 K4 = UndirectedGraph(range(4), [(i, j) for i in range(4) for j in range(i + 1, 4)])
 K33 = UndirectedGraph(range(6), [(i, j + 3) for i in range(3) for j in range(3)])
 CUBE = UndirectedGraph(
@@ -568,8 +603,9 @@ def small_scope_failure(inst, engine=solvers.solve_exhaustive):
     `solve_with_certificate` with neither verdict set, the important and
     marked bounds holding and the diameter bound not False, an exact
     solution treewidth equal to the reference's on the optimum (rescanning
-    safe reductions, then the subset DP), and each path it analyzes must
-    get the important and marked sets of the references.
+    safe reductions, then the subset DP) and no segment between markers
+    rejected, and each path it analyzes must get the important and marked
+    sets of the references.
     An exception from any of them is a failure too, reported with its
     traceback."""
     try:
@@ -587,6 +623,7 @@ def small_scope_failure(inst, engine=solvers.solve_exhaustive):
                 "exact solution treewidth differs from the subset-DP reference": rep.tw_before_exact
                 and rep.tw_before != treewidth_by_rescans(res.optimum.as_graph().sym()),
                 "important or marked set differs from the reference": not all(same for _, same in analyses),
+                "segment between markers rejected": any(not s.verdict.ok for p in rep.paths for s in p.segments),
             }
             why = ", ".join(name for name, bad in verdicts.items() if bad) or None
         else:

@@ -1,7 +1,8 @@
 """Small-scope exhaustive checks over every 4-vertex instance, every
-ladder of up to 12 rungs and two spaces of PSI instances on 6-vertex hosts.
+ladder of up to 12 rungs, every chain of two ladders of up to 8 rungs and
+two spaces of PSI instances on 6-vertex hosts.
 
-Five spaces, each checked in full:
+Six spaces, each checked in full:
 
 - every unit-weight digraph on 4 vertices with every set of 1 or 2
   requests (319,488 instances): `solve_bnb` and `solve_exhaustive` agree on
@@ -15,7 +16,13 @@ Five spaces, each checked in full:
   with `solve_bnb`, and the certificates are checked the same way;
 - every ladder G_{n,I} with n <= 12 and every identified set I, wired by
   `conftest.ladder_with_terminals`, and the reversal of each (16,380
-  instances): the certificates are checked the same way;
+  instances): the certificates are checked the same way, and no segment
+  between markers is rejected;
+- every ordered pair of ladders with n <= 8 and at most one identified
+  rung, joined by `conftest.ladder_chain` under both request sets (every
+  t_{i-1} <-> t_i, and t_0 <-> t_k alone), and the reversal of each (7,744
+  instances): the certificates are checked the same way, and the reduced
+  optimum reduces no further;
 - pattern K4 on every 6-vertex host, with the classes as contiguous blocks
   of every size vector and every edge set between classes (65,536
   instances), and pattern K3,3 on every 6-vertex host with singleton
@@ -37,7 +44,10 @@ from functools import partial
 
 from dsnkit.solvers import solve_bnb, solve_dst, solve_exhaustive
 
-from conftest import K4, K33, ladder_space, psi_space, psi_space_failure, small_scope_failure, small_scope_instances
+from conftest import (
+    K4, K33, chain_failure, ladder_chain_space, ladder_space, psi_space, psi_space_failure, small_scope_failure,
+    small_scope_instances,
+)
 
 def spaces(masks=None):
     """(name, instances, the engine checked against solve_bnb) per space;
@@ -60,6 +70,7 @@ def main() -> int:
         ]
     ]
     checks += [
+        ("chains of two ladders of 1-8 rungs and their reversals", ladder_chain_space(8), chain_failure),
         ("pattern K4 on 6-vertex hosts", psi_space(K4, 6), psi_space_failure),
         ("pattern K3,3 on 6-vertex hosts, singleton classes", psi_space(K33, 6), psi_space_failure),
     ]

@@ -1,14 +1,18 @@
 import collections
+import functools
 import itertools
 import random
+import re
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from networkx import DiGraph
+from networkx.algorithms.isomorphism import DiGraphMatcher
 
 from dsnkit.dsn import DsnInstance, SolutionSubgraph, is_inclusion_minimal, validate
 from dsnkit.errors import InputError
-from dsnkit.graphs import UndirectedGraph, WeightedDigraph, suppress_degree_two, treewidth
+from dsnkit.graphs import UndirectedGraph, WeightedDigraph, necessary_arcs, suppress_degree_two, treewidth
 from dsnkit import ladders
 from dsnkit.ladders import (
     LadderSpec,
@@ -105,7 +109,9 @@ def seeded_subdivision(g, rng):
 
 def reference_hypotheses_failure(K, a, b, c, d):
     """Reference: the hypothesis bullets, with one pair of reachability
-    checks per arc, on a copy without that arc, for minimality."""
+    checks per arc, on a copy without that arc, for minimality.  The
+    recognizer checks the first two bullets only (`BULLET`); an accepted K
+    meets all of them."""
     for v in (a, b, c, d):
         if not K.has_vertex(v):
             return f"boundary vertex {v} missing"
@@ -128,9 +134,16 @@ def reference_hypotheses_failure(K, a, b, c, d):
     return None
 
 
+# The reasons of the hypothesis bullets that the recognizer still checks.
+BULLET = re.compile(
+    r"boundary vertex \d+ missing|arc (ab|cd) missing|[a-d] is not the only (in|out)-neighbor of [a-d]"
+)
+
+
 def reference_is_ladder_subdivision(K, a, b, c, d):
-    """Reference recognizer: checks the hypotheses before and after
-    suppressing at every peel level, and tests every corner arc."""
+    """Reference recognizer by suppress and peel: checks the hypotheses
+    before and after suppressing at every peel level, and tests every
+    corner arc.  It misreads some ladders (`kept_reference_verdict`)."""
     peeled = 0
 
     def reject(reason):
@@ -172,10 +185,114 @@ def reference_is_ladder_subdivision(K, a, b, c, d):
         peeled += 1
 
 
+def _role_digraph(vertices, arcs, roles):
+    """A networkx digraph whose vertices carry the indices of the roles they play."""
+    h = DiGraph()
+    h.add_nodes_from((v, {"roles": {i for i, r in enumerate(roles) if r == v}}) for v in vertices)
+    h.add_edges_from(arcs)
+    return h
+
+
+def _degrees(h):
+    """The sorted (in-degree, out-degree, roles) triples of h's vertices."""
+    return sorted((h.in_degree(v), h.out_degree(v), sorted(h.nodes[v]["roles"])) for v in h)
+
+
+@functools.lru_cache(maxsize=None)
+def _corner_ladder(n, ident):
+    """G_{n,I} with its corners (t_1, h_1, t_n, h_n) as roles, and its `_degrees`."""
+    rungs = ladder_rungs(LadderSpec(n, ident))
+    h = _role_digraph({v for r in rungs for v in r}, ladder_arcs(rungs), (*rungs[0], *rungs[-1]))
+    return h, _degrees(h)
+
+
+def ladder_by_isomorphism(K, roles):
+    """(spec, map) for the ladder G_{n,I} whose corners (t_1, h_1, t_n, h_n)
+    go to `roles` under an isomorphism `map` onto K's reference suppression,
+    found by networkx; None when there is none or K lacks a corner arc
+    ab or cd.  G_{n,I} has 2n - |I| vertices and 3n - |I| - 2 arcs, which
+    fixes n and |I|."""
+    a, b, c, d = roles
+    g = reference_suppress_outside(K, set(roles))
+    if g is None or any(x != y and not K.has_arc(x, y) for x, y in ((a, b), (c, d))):
+        return None
+    n = g.m - g.n + 2
+    if not 0 <= 2 * n - g.n <= n:
+        return None
+    target = _role_digraph(g.vertices, g.arc_set(), roles)
+    degrees = _degrees(target)
+    for ident in itertools.combinations(range(1, n + 1), 2 * n - g.n):
+        ladder, ladder_degrees = _corner_ladder(n, ident)
+        if ladder_degrees != degrees:
+            continue
+        matcher = DiGraphMatcher(ladder, target, node_match=lambda x, y: x["roles"] == y["roles"])
+        if matcher.is_isomorphic():
+            return LadderSpec(n, ident), matcher.mapping
+    return None
+
+
+def oracle_verdict(K, roles):
+    """(ok, length) by definition, from `ladder_by_isomorphism`."""
+    found = ladder_by_isomorphism(K, roles)
+    return (True, found[0].n) if found else (False, 0)
+
+
+def kept_reference_verdict(K, roles, truth):
+    """The reference recognizer's verdict where the recognizer keeps it, else
+    None: an acceptance at the oracle's length, or a rejection by a bullet
+    both check first; `truth` is `oracle_verdict(K, roles)`.  Elsewhere the
+    peel misread a ladder or rejected for a reason the recognizer no longer
+    gives."""
+    want = reference_is_ladder_subdivision(K, *roles)
+    if want[:2] == truth and (want.ok or BULLET.fullmatch(want.reason)):
+        return want
+    return None
+
+
+def ladder_with(spec, added=(), removed=(), vertices=()):
+    """G_{n,I} with unit arcs `added`, without the arcs `removed`, and with
+    the extra `vertices`."""
+    g = make_ladder(spec)
+    arcs = {**g.arcs(), **dict.fromkeys(added, 1)}
+    for arc in removed:
+        del arcs[arc]
+    return WeightedDigraph({*g.vertices, *vertices, *(v for arc in added for v in arc)}, arcs)
+
+
+# (K, roles, reason) per rejection past the bullets.  On G_4 the rungs are
+# 0 -> 1, 3 -> 2, 4 -> 5 and 7 -> 6, and the corner roles (0, 1, 7, 6); 8
+# and 9 are fresh.
+G4_ROLES = (0, 1, 7, 6)
+NOT_A_PASS_THROUGH = "a degree-2 vertex is not a pass-through"
+NO_SPAN = "the rails from ab to cd do not span a ladder"
+REJECTIONS = {
+    "degree-2-source": (ladder_with(LadderSpec(4), [(8, 0), (8, 7)]), G4_ROLES, NOT_A_PASS_THROUGH),
+    "degree-2-sink": (ladder_with(LadderSpec(4), [(1, 8), (6, 8)]), G4_ROLES, NOT_A_PASS_THROUGH),
+    "two-cycle": (ladder_with(LadderSpec(4), [(2, 8), (8, 2)]), G4_ROLES, NOT_A_PASS_THROUGH),
+    "parallel-paths": (
+        ladder_with(LadderSpec(4), [(5, 8), (8, 7), (5, 9), (9, 7)], removed=[(5, 7)]),
+        G4_ROLES,
+        "two pass-through paths merge into one arc",
+    ),
+    "shortcut": (ladder_with(LadderSpec(4), [(3, 4)]), G4_ROLES, NO_SPAN),
+    "isolated-vertex": (ladder_with(LadderSpec(4), vertices=[8]), G4_ROLES, NO_SPAN),
+    "one-way-path": (
+        WeightedDigraph(range(4), {(0, 1): 1, (1, 2): 1, (2, 3): 1}),
+        (0, 1, 2, 3),
+        "rung 1 is not joined to a next rung by two rails",
+    ),
+    # On G_6 rung 3 is 4 -> 5 and rung 5 is 8 -> 9: a second rail out of h_3.
+    "two-next-tails": (
+        ladder_with(LadderSpec(6), [(5, 8)]), (0, 1, 11, 10), "rung 3 is not joined to a next rung by two rails",
+    ),
+}
+
+
 @st.composite
 def random_roles(draw):
-    """(K, roles): a small random digraph with roles drawn from its vertices."""
-    K = draw(digraphs(density=0.5))
+    """(K, roles): a random digraph on 2 to 8 vertices with roles drawn from
+    its vertices."""
+    K = draw(digraphs(max_n=8, density=0.5))
     return K, tuple(draw(st.sampled_from(K.vertices)) for _ in range(4))
 
 
@@ -294,12 +411,18 @@ class TestTwoPathDecomposition:
 
 
 class TestRecognizer:
-    @pytest.mark.parametrize("n", range(2, 13))
+    @pytest.mark.parametrize("n", range(1, 13))
     def test_accepts_generated_with_exact_length(self, n):
-        spec = LadderSpec(n, frozenset())
-        g = make_ladder(spec)
-        verdict = is_ladder_subdivision(g, *corner_roles(spec))
-        assert verdict.ok and verdict.length == n
+        """Every G_{n,I} with n <= 12 under `corner_roles`, and its reversal
+        (every arc reversed, roles (d, c, b, a))."""
+        for size in range(n + 1):
+            for ident in itertools.combinations(range(1, n + 1), size):
+                spec = LadderSpec(n, ident)
+                g = make_ladder(spec)
+                a, b, c, d = corner_roles(spec)
+                reversal = WeightedDigraph(g.vertices, {(v, u): w for (u, v), w in g.arcs().items()})
+                assert is_ladder_subdivision(g, a, b, c, d) == LadderVerdict(True, n), spec
+                assert is_ladder_subdivision(reversal, d, c, b, a) == LadderVerdict(True, n), spec
 
     def test_accepts_subdivided(self):
         # suppressible pass-through vertices must not change the verdict
@@ -346,8 +469,10 @@ class TestRecognizer:
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
-    def test_names_first_removable_arc(self, data):
-        """[DERIVED: copy-per-arc search for the first removable arc]"""
+    def test_rejects_a_ladder_with_removable_arcs(self, data):
+        """[DERIVED: copy-per-arc search for the first removable arc]  An
+        accepted graph is minimal, so extra arcs that keep the corner
+        bullets get a rejection past them."""
         spec = LadderSpec(data.draw(st.integers(3, 9)))
         g = make_ladder(spec)
         a, b, c, d = corner_roles(spec)
@@ -367,23 +492,27 @@ class TestRecognizer:
             and reaches(K.without_arc(*arc), a, d)
             and reaches(K.without_arc(*arc), c, b)
         )
-        assert _hypotheses_failure(K, a, b, c, d) == f"not inclusion-minimal: arc {first} is removable"
+        assert reference_hypotheses_failure(K, a, b, c, d) == f"not inclusion-minimal: arc {first} is removable"
+        assert _hypotheses_failure(K, a, b, c, d) is None
+        assert not is_ladder_subdivision(K, a, b, c, d).ok
 
-    @pytest.mark.parametrize("level", [0, 1, 5, 17])
-    def test_rejection_at_peel_level_k_has_k_prefixes(self, level, monkeypatch):
-        # Peel level k checks the corner of column k + 1.
+    @pytest.mark.parametrize("pair", ["ab", "cd"])
+    def test_a_corner_failure_is_the_reason(self, pair, monkeypatch):
+        # The bullets run on the two corner pairs only, and a failing one
+        # is the verdict's reason as it stands.
         spec = LadderSpec(20, frozenset())
-        column = {spec.a(level + 1), spec.b(level + 1)}
+        a, b, c, d = corner_roles(spec)
+        checked = []
         original = ladders._corner_failure
 
-        def fail_at_column(K, x, y, names):
-            if {x, y} == column:
-                return "stop"
-            return original(K, x, y, names)
+        def fail_on_pair(K, x, y, names):
+            checked.append((x, y, names))
+            return "stop" if names == pair else original(K, x, y, names)
 
-        monkeypatch.setattr(ladders, "_corner_failure", fail_at_column)
-        verdict = is_ladder_subdivision(make_ladder(spec), *corner_roles(spec))
-        assert verdict == LadderVerdict(False, 0, "peel: " * level + "stop")
+        monkeypatch.setattr(ladders, "_corner_failure", fail_on_pair)
+        verdict = is_ladder_subdivision(make_ladder(spec), a, b, c, d)
+        assert verdict == LadderVerdict(False, 0, "stop")
+        assert checked == [(a, b, "ab"), (c, d, "cd")][: 1 if pair == "ab" else 2]
 
     def test_checks_hypotheses_once_and_rebuilds_no_graph(self, monkeypatch):
         calls = collections.Counter()
@@ -404,47 +533,106 @@ class TestRecognizer:
 
     def test_matches_reference_on_every_small_ladder(self):
         """[DERIVED: reference recognizer on every ladder with n <= 8, under
-        every order of its four corners]"""
-        cases = 0
+        every order of its four corners, where it reads the ladder right;
+        the isomorphism oracle everywhere]  The reference misreads 787 of
+        the 6,865: 568 ladders rejected at consecutive identified rungs,
+        209 read at a wrong length, and a 2-cycle with overlapping roles
+        accepted twice; 8 rejections give a reason the recognizer no longer
+        gives."""
+        cases = changed = 0
         for n in range(1, 9):
             for size in range(n + 1):
                 for ident in itertools.combinations(range(1, n + 1), size):
                     spec = LadderSpec(n, ident)
                     g = make_ladder(spec)
                     for roles in sorted(set(itertools.permutations(ladder_corners(spec)))):
-                        got = is_ladder_subdivision(g, *roles)
-                        assert got == reference_is_ladder_subdivision(g, *roles), (spec, roles)
+                        got, truth = is_ladder_subdivision(g, *roles), oracle_verdict(g, roles)
+                        assert got[:2] == truth, (spec, roles)
+                        kept = kept_reference_verdict(g, roles, truth)
+                        assert kept is None or got == kept, (spec, roles)
                         cases += 1
-        assert cases == 6865
+                        changed += kept is None
+        assert (cases, changed) == (6865, 787)
 
     @settings(max_examples=400, deadline=None)
     @given(perturbed_ladders())
     def test_matches_reference_recognizer(self, case):
-        """[DERIVED: reference recognizer that checks twice per peel level]"""
+        """[DERIVED: reference recognizer that checks twice per peel level,
+        where it reads the input right; the isomorphism oracle everywhere]"""
         K, roles = case
-        assert is_ladder_subdivision(K, *roles) == reference_is_ladder_subdivision(K, *roles)
+        got, truth = is_ladder_subdivision(K, *roles), oracle_verdict(K, roles)
+        assert got[:2] == truth
+        kept = kept_reference_verdict(K, roles, truth)
+        assert kept is None or got == kept
+
+    @pytest.mark.parametrize("name", sorted(REJECTIONS))
+    def test_rejection_reasons(self, name):
+        """[DERIVED: networkx isomorphism onto G_{n,I}; the reference's
+        per-arc minimality check] each reason past the bullets, on a graph
+        that is no ladder and, but for an isolated vertex or a missing
+        path, not minimal."""
+        K, roles, reason = REJECTIONS[name]
+        assert is_ladder_subdivision(K, *roles) == LadderVerdict(False, 0, reason)
+        assert _hypotheses_failure(K, *roles) is None and ladder_by_isomorphism(K, roles) is None
+        want = reference_hypotheses_failure(K, *roles)
+        assert want.startswith("not inclusion-minimal") or name in {"isolated-vertex", "one-way-path"}
+
+    def test_rejects_a_suppression_that_drops_an_arc(self, monkeypatch):
+        # A faulty suppression that deletes one arc and merges nothing.
+        spec = LadderSpec(4, frozenset())
+        K = make_ladder(spec)
+        assert is_ladder_subdivision(K, *corner_roles(spec)).ok
+        monkeypatch.setattr(ladders, "suppress_degree_two", lambda g, keep: g.without_arc(*min(g.arc_set())))
+        verdict = is_ladder_subdivision(K, *corner_roles(spec))
+        assert verdict == LadderVerdict(False, 0, "two pass-through paths merge into one arc")
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(random_roles(), perturbed_ladders()))
+    def test_every_input_ends_in_a_verdict(self, case):
+        """[DERIVED: networkx isomorphism onto G_{n,I}; the necessary-arc walk]
+        No input raises.  An accepted K suppresses, under the role map, to
+        `make_ladder(LadderSpec(length, I))` and is inclusion-minimal for
+        (a, d) and (c, b); a rejected K has no such ladder."""
+        K, roles = case
+        verdict = is_ladder_subdivision(K, *roles)
+        found = ladder_by_isomorphism(K, roles)
+        assert verdict.ok == (found is not None)
+        if verdict.ok:
+            (spec, onto), (a, b, c, d) = found, roles
+            back = {v: u for u, v in onto.items()}
+            g = reference_suppress_outside(K, set(roles))
+            assert spec.n == verdict.length
+            relabelled = WeightedDigraph(back.values(), {(back[u], back[v]): 1 for u, v in g.arc_set()})
+            assert relabelled == make_ladder(spec)
+            need = necessary_arcs(K, [(a, d), (c, b)])
+            assert need is not None and K.arc_set() - need <= {(a, b), (c, d)}
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(perturbed_ladders(), random_roles()))
     def test_hypotheses_match_per_arc_reference(self, case):
-        """[DERIVED: reachability pair per arc on a copy without it]"""
+        """[DERIVED: reachability pair per arc on a copy without it]  The
+        bullets the recognizer checks fail as the reference's do, and an
+        accepted K meets every hypothesis, minimality included."""
         K, roles = case
-        assert _hypotheses_failure(K, *roles) == reference_hypotheses_failure(K, *roles)
+        want = reference_hypotheses_failure(K, *roles)
+        assert _hypotheses_failure(K, *roles) == (want if want is None or BULLET.fullmatch(want) else None)
+        if is_ladder_subdivision(K, *roles).ok:
+            assert want is None
 
     @settings(max_examples=300, deadline=None)
     @given(perturbed_ladders())
     def test_suppression_keeps_hypotheses(self, case):
         K, roles = case
-        if _hypotheses_failure(K, *roles) is None:
+        if reference_hypotheses_failure(K, *roles) is None:
             g = recognizer_suppression(K, roles)
             assert g == reference_suppress_outside(K, set(roles))
-            assert _hypotheses_failure(g, *roles) is None
+            assert reference_hypotheses_failure(g, *roles) is None
 
     def test_suppression_matches_reference_on_every_small_ladder(self):
         """[DERIVED: rescanning suppression that rejects any degree-2 vertex
         that is not a pass-through] on every ladder with n <= 8, plain and
         with two seeded subdivisions, under every order of its four corners
-        that passes the hypotheses."""
+        that meets the hypotheses."""
         rng = random.Random(8)
         cases = suppressed = 0
         for n in range(1, 9):
@@ -454,7 +642,7 @@ class TestRecognizer:
                     g = make_ladder(spec)
                     for K in (g, seeded_subdivision(g, rng), seeded_subdivision(g, rng)):
                         for roles in sorted(set(itertools.permutations(ladder_corners(spec)))):
-                            if _hypotheses_failure(K, *roles) is None:
+                            if reference_hypotheses_failure(K, *roles) is None:
                                 got = recognizer_suppression(K, roles)
                                 assert got == reference_suppress_outside(K, set(roles)), (spec, roles)
                                 cases += 1

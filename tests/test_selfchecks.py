@@ -1,6 +1,6 @@
-"""The runtime self-checks of the hardness reduction, the per-path
-analysis and the ladder recognizer: each one fires, with its own message,
-on a doctored argument or behind a faulty routine upstream.
+"""The runtime self-checks of the hardness reduction and the per-path
+analysis: each one fires, with its own message, on a doctored argument or
+behind a faulty routine upstream.
 
 Two checks restate the lines above them, so no fault outside their own
 function can trip them:
@@ -18,11 +18,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from dsnkit import ladders, reduction, structure
+from dsnkit import reduction, structure
 from dsnkit.dsn import DsnInstance, SolutionSubgraph
 from dsnkit.errors import InvariantError
 from dsnkit.graphs import DirectedPath, UndirectedGraph, WeightedDigraph
-from dsnkit.ladders import LadderSpec, is_ladder_subdivision, make_ladder
 from dsnkit.reduction import (
     PsiInstance,
     _audit_strata,
@@ -35,7 +34,6 @@ from dsnkit.reduction import (
 )
 
 from conftest import K4, K33
-from test_ladders import corner_roles
 
 IDENTITY = {i: i for i in K4.vertices}
 K4_MINUS_01 = UndirectedGraph(K4.vertices, [e for e in K4.edges if e != (0, 1)])
@@ -220,13 +218,3 @@ def test_analyze_path_rejects_a_request_without_a_path(monkeypatch):
     monkeypatch.setattr(structure, "realize_request_path", lambda graph, T, s, t: None)
     with pytest.raises(InvariantError, match="normalized request 0->3 has no T-avoiding path"):
         structure._analyze_path(JUMP_GRAPH, JUMP_TERMINALS, 0, 3)
-
-
-def test_recognizer_rejects_a_suppression_that_drops_an_arc(monkeypatch):
-    # A faulty suppression that deletes one arc and merges nothing.
-    spec = LadderSpec(4, frozenset())
-    K = make_ladder(spec)
-    assert is_ladder_subdivision(K, *corner_roles(spec)).ok
-    monkeypatch.setattr(ladders, "suppress_degree_two", lambda g, keep: g.without_arc(*min(g.arc_set())))
-    with pytest.raises(InvariantError, match="a suppressed vertex of a minimal graph is not a pass-through"):
-        is_ladder_subdivision(K, *corner_roles(spec))

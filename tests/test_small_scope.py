@@ -5,19 +5,19 @@ on every host of 4 or 5 vertices.
 
 All 64 unit-weight digraphs on 3 vertices, each with every non-empty
 request set: 4,032 instances.  `tests/small_scope.py` runs the same checks
-over the 4-vertex spaces and the ladders of up to 12 rungs in full, and the
-PSI check over two spaces of 6-vertex hosts."""
+over the 4-vertex spaces, the ladders of up to 12 rungs and the chains of
+two ladders of up to 8 rungs in full, and the PSI check over two spaces of
+6-vertex hosts."""
 
 import random
 
 from dsnkit.dsn import reverse_instance
-from dsnkit.formats import emit_dsn
 from dsnkit.ladders import LadderSpec
-from dsnkit.solvers import solve_bnb
-from dsnkit.structure import reduce_length_graph
+from dsnkit.solvers import solve_bnb, solve_with_certificate
 
 from conftest import (
-    K4, ladder_chain, ladder_space, psi_space, psi_space_failure, small_scope_failure, small_scope_instances,
+    K4, chain_failure, chain_request_sets, ladder_chain, ladder_space, psi_space, psi_space_failure,
+    small_scope_failure, small_scope_instances,
 )
 from small_scope import spaces
 
@@ -50,7 +50,8 @@ def test_seeded_slice_of_the_four_vertex_spaces():
 
 def test_every_ladder_up_to_eight_rungs_and_its_reversal():
     """Every G_{n,I} with n <= 8 (510 specs), where protrusion replacement
-    acts, and the reversal of each."""
+    acts, and the reversal of each; `small_scope_failure` also finds no
+    segment between markers rejected."""
     count = 0
     for inst in ladder_space(8):
         failure = small_scope_failure(inst, solve_bnb)
@@ -61,11 +62,12 @@ def test_every_ladder_up_to_eight_rungs_and_its_reversal():
 
 def test_seeded_ladder_chains_and_their_reversals():
     """16 chains of 2 or 3 ladders of 6 to 14 rungs (`conftest.ladder_chain`),
-    each interior rung identified with probability 0.15 and every pair of
-    neighbouring terminals requested both ways, drawn from seed 7, and the
-    reversal of each: the small-scope checks hold, the reduced optimum
-    reduces no further, and some chain takes two or more replacements, so
-    the length-reduction loop runs past its first replacement."""
+    each interior rung identified with probability 0.15, drawn from seed 7,
+    under both request sets (every t_{i-1} <-> t_i, and t_0 <-> t_k alone),
+    and the reversal of each: the small-scope checks hold, no segment
+    between markers is rejected, the reduced optimum reduces no further,
+    and some chain takes two or more replacements, so the length-reduction
+    loop runs past its first replacement."""
     rng = random.Random(7)
     replacements = []
     for _ in range(16):
@@ -73,16 +75,13 @@ def test_seeded_ladder_chains_and_their_reversals():
         for _ in range(rng.choice((2, 3))):
             n = rng.randint(6, 14)
             specs.append(LadderSpec(n, {i for i in range(2, n) if rng.random() < 0.15}))
-        k = len(specs)
-        chain = ladder_chain(specs, [(i, i + 1) for i in range(k)] + [(i + 1, i) for i in range(k)])
-        for inst in (chain, reverse_instance(chain)):
-            failure = small_scope_failure(inst, solve_bnb)
-            assert failure is None, failure
-            reduced, rep = reduce_length_graph(solve_bnb(inst).optimum.as_graph(), inst.requests)
-            again = reduce_length_graph(reduced, inst.requests)[1].replacements
-            assert again == 0, f"the reduced graph takes {again} more replacements\ninstance:\n{emit_dsn(inst)}"
-            replacements.append(rep.replacements)
-    assert max(replacements) >= 2
+        for requests in chain_request_sets(len(specs)):
+            chain = ladder_chain(specs, requests)
+            for inst in (chain, reverse_instance(chain)):
+                failure = chain_failure(inst)
+                assert failure is None, failure
+                replacements.append(solve_with_certificate(inst)[1].replacements)
+    assert len(replacements) == 64 and max(replacements) >= 2
 
 
 def test_pattern_k4_on_every_host_of_four_or_five_vertices():

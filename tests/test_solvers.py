@@ -822,18 +822,18 @@ class TestCertificateWrapper:
         assert not [g for g in built if g == inst.host]
         assert rep.replacements >= 1
 
-    def test_reverse_request_path_reuses_the_segment_walk(self, monkeypatch):
-        """In the second round both request paths find the one ladder segment,
-        with roles (a, b, c, d) and (c, d, a, b): one segment graph and one
-        request set, so one walk.  The walks are the host's (bnb's, which the
-        pipeline's minimality check reads), round 1's segment, the
-        replacement's check and round 2's segment."""
+    def test_ladder_recognition_walks_no_segment(self, monkeypatch):
+        """An accepted segment is inclusion-minimal by construction, so no
+        segment graph is walked in either round.  The walks are the host's
+        (bnb's, which the pipeline's minimality check reads) and the
+        replacement's check."""
         walked = []
         walk = graphs._necessary_arcs
         monkeypatch.setattr(graphs, "_necessary_arcs", lambda g, requests: walked.append(g) or walk(g, requests))
-        _, rep = solve_with_certificate(ladder_with_terminals(10))
+        inst = ladder_with_terminals(10)
+        _, rep = solve_with_certificate(inst)
         assert rep.rounds == 2 and rep.replacements == 1
-        assert len(walked) == 4
+        assert len(walked) == 2 and walked[0] == inst.host
 
     def test_infeasible_has_no_certificate(self):
         g = WeightedDigraph(range(3), {(0, 1): 1})
