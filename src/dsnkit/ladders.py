@@ -138,17 +138,23 @@ def is_ladder_subdivision(K: WeightedDigraph, a: int, b: int, c: int, d: int) ->
     must merge each suppressed vertex into one arc.  The walk then follows
     the rails from rung (a, b): the next rung's tail is the head's
     out-neighbour and its head the tail's in-neighbour, outside this rung
-    and the one before, until it reaches (c, d).  It gives n and I (its
-    rungs of one vertex), and K is accepted, at length n, exactly when
-    mapping `ladder_rungs(LadderSpec(n, I))` onto the walk is a bijection
-    onto the suppressed graph's vertices that carries `ladder_arcs` onto its
-    arcs.  The ladder's shape is stated only by those two functions.
+    and the one before, until it reaches (c, d).  With n rungs, |I| of them
+    of one vertex, K is accepted, at length n, exactly when the rungs cover
+    the suppressed graph once each (2n - |I| distinct vertices) and
+    `ladder_arcs` of the walk is its arc set: the positional form of
+    mapping `ladder_rungs(LadderSpec(n, I))` onto the walk, so the ladder's
+    shape is stated only by those two functions.
 
     So no minimality walk runs: an accepted K is inclusion-minimal for
     (a, d) and (c, b).  Every arc out of rung i of G_{n,I} ends in rung
     i - 1 or i + 1, so the rungs in order are the only simple a -> d path
     and the rungs in reverse the only c -> b path; together they use every
-    arc, and subdividing keeps both unique."""
+    arc, and subdividing keeps both unique.
+
+    Mirror lemma: an accepted (a, b, c, d) gives (c, d, a, b) the same
+    verdict, as the walk from (c, d) takes the same rungs in reverse, whose
+    `ladder_arcs` are the same set.  A rejection's reason depends on the
+    walk's direction."""
     fail = _hypotheses_failure(K, a, b, c, d)
     if fail is not None:
         return LadderVerdict(False, 0, fail)
@@ -158,21 +164,20 @@ def is_ladder_subdivision(K: WeightedDigraph, a: int, b: int, c: int, d: int) ->
         return LadderVerdict(False, 0, "a degree-2 vertex is not a pass-through")
     if K.m - g.m != K.n - g.n:
         return LadderVerdict(False, 0, "two pass-through paths merge into one arc")
-    walk, before = [(a, b)], set()
+    walk, before = [(a, b)], ()
     while walk[-1] != (c, d) and len(walk) < g.n:
         t, h = walk[-1]
-        tails = set(g.out_neighbors(h)) - before - {t, h}
-        heads = set(g.in_neighbors(t)) - before - {t, h}
+        near = (t, h, *before)
+        tails = [v for v in g.out_neighbors(h) if v not in near]
+        heads = [v for v in g.in_neighbors(t) if v not in near]
         if len(tails) != 1 or len(heads) != 1:
             return LadderVerdict(False, 0, f"rung {len(walk)} is not joined to a next rung by two rails")
         walk.append((*tails, *heads))
-        before = {t, h}
-    rungs = ladder_rungs(LadderSpec(len(walk), [i for i, (t, h) in enumerate(walk, 1) if t == h]))
-    image = dict(zip((v for rung in rungs for v in rung), (v for rung in walk for v in rung)))
+        before = (t, h)
     if (
         walk[-1] != (c, d)
-        or not len(set(image.values())) == len(image) == g.n
-        or {(image[u], image[v]) for u, v in ladder_arcs(rungs)} != g.arc_set()
+        or not len({v for rung in walk for v in rung}) == g.n == sum(2 - (t == h) for t, h in walk)
+        or set(ladder_arcs(walk)) != g.arc_set()
     ):
         return LadderVerdict(False, 0, "the rails from ab to cd do not span a ladder")
     return LadderVerdict(True, len(walk))

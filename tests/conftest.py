@@ -7,7 +7,8 @@ terminals, the undirected ladder and outerplanarity checks (by networkx,
 which only the tests use), the exact-treewidth subset dynamic program, the
 path-union search with its shared-arc bound built up front, the small
 3-regular pattern corpus, the important and marked vertices with every
-search run, the per-path analysis checked against them, and the small-scope
+search run, the per-path analysis checked against them (its segments
+against a detection that reuses no ladder verdict), and the small-scope
 enumeration of every instance up to a small size, of every ladder up to a
 small length, of every chain of two such ladders and of every PSI instance
 of a pattern on a small host, with the checks run on each."""
@@ -504,16 +505,20 @@ def marked_vertices_reference(graph, P, imp):
 
 def checked_analyses(run, *args):
     """`run(*args)`, with each per-path analysis of the structural pipeline
-    checked against the two references.  Returns the result and, per
-    analyzed path, its marked set and whether both sets equal the
-    references', every field and witness included."""
+    checked against the two references and its segments against a
+    detection that reuses no verdict.  Returns the result and, per analyzed
+    path, its marked set, whether both sets equal the references', every
+    field and witness included, and whether the segments equal
+    `detect_ladder_segments` run on the same graph and path without the
+    pipeline's accepted verdicts."""
     analyses = []
     analyze = structure._analyze_path
 
-    def checked(graph, T, s, t):
-        P, imp, mk, segs = analyze(graph, T, s, t)
+    def checked(graph, T, s, t, *rest):
+        P, imp, mk, segs = analyze(graph, T, s, t, *rest)
         same = (imp, mk) == (important_vertices_reference(graph, T, P), marked_vertices_reference(graph, P, imp))
-        analyses.append((mk, same))
+        fresh = structure.detect_ladder_segments(graph, T, P, structure.segment_markers(P, imp, mk))
+        analyses.append((mk, same, segs == fresh))
         return P, imp, mk, segs
 
     with mock.patch.object(structure, "_analyze_path", checked):
@@ -622,7 +627,10 @@ def small_scope_failure(inst, engine=solvers.solve_exhaustive):
                 "diameter bound failed": rep.diameter_bound_ok is False,
                 "exact solution treewidth differs from the subset-DP reference": rep.tw_before_exact
                 and rep.tw_before != treewidth_by_rescans(res.optimum.as_graph().sym()),
-                "important or marked set differs from the reference": not all(same for _, same in analyses),
+                "important or marked set differs from the reference": not all(same for _, same, _ in analyses),
+                "segments differ from a detection without reused verdicts": not all(
+                    segs_same for _, _, segs_same in analyses
+                ),
                 "segment between markers rejected": any(not s.verdict.ok for p in rep.paths for s in p.segments),
             }
             why = ", ".join(name for name, bad in verdicts.items() if bad) or None

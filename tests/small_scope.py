@@ -9,8 +9,9 @@ Six spaces, each checked in full:
   feasibility and cost, and each feasible instance gets a certificate with
   no verdict set and its bounds holding, an exact solution treewidth that
   equals the subset-DP reference (run after rescanning safe reductions),
-  and the important and marked sets of the references on each path it
-  analyzes;
+  and, on each path it analyzes, the important and marked sets of the
+  references and the segments of a detection that reuses no accepted
+  ladder verdict;
 - every digraph on 4 vertices with weights 1 to 3 and every out-star
   request set of 1 to 3 leaves (114,688 instances): `solve_dst` agrees
   with `solve_bnb`, and the certificates are checked the same way;

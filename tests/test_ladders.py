@@ -414,7 +414,8 @@ class TestRecognizer:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_accepts_generated_with_exact_length(self, n):
         """Every G_{n,I} with n <= 12 under `corner_roles`, and its reversal
-        (every arc reversed, roles (d, c, b, a))."""
+        (every arc reversed, roles (d, c, b, a)); each also under the
+        mirrored roles (the mirror lemma)."""
         for size in range(n + 1):
             for ident in itertools.combinations(range(1, n + 1), size):
                 spec = LadderSpec(n, ident)
@@ -423,6 +424,35 @@ class TestRecognizer:
                 reversal = WeightedDigraph(g.vertices, {(v, u): w for (u, v), w in g.arcs().items()})
                 assert is_ladder_subdivision(g, a, b, c, d) == LadderVerdict(True, n), spec
                 assert is_ladder_subdivision(reversal, d, c, b, a) == LadderVerdict(True, n), spec
+                assert is_ladder_subdivision(g, c, d, a, b) == LadderVerdict(True, n), spec
+                assert is_ladder_subdivision(reversal, b, a, d, c) == LadderVerdict(True, n), spec
+
+    def test_an_accepted_verdict_mirrors(self):
+        """[DERIVED: the mirror lemma] On 10,000 seeded random digraphs of 2
+        to 8 vertices with random roles, every (a, b, c, d) accepted gives
+        the identical verdict for (c, d, a, b)."""
+        rng = random.Random(49)
+        accepted = 0
+        for _ in range(10_000):
+            n, density = rng.randint(2, 8), rng.random()
+            arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < density]
+            K = WeightedDigraph(range(n), dict.fromkeys(arcs, 1))
+            a, b, c, d = (rng.randrange(n) for _ in range(4))
+            verdict = is_ladder_subdivision(K, a, b, c, d)
+            if verdict.ok:
+                accepted += 1
+                assert is_ladder_subdivision(K, c, d, a, b) == verdict, (K.arcs(), (a, b, c, d))
+        assert accepted >= 50
+
+    def test_a_rejection_does_not_mirror(self):
+        """The walk from (c, d) meets the extra rail h_3 -> t_5 of G_6 at
+        its own rung 2, so a rejection's reason is not the mirrored roles'
+        and is never reused for them."""
+        K, roles, reason = REJECTIONS["two-next-tails"]
+        a, b, c, d = roles
+        assert is_ladder_subdivision(K, a, b, c, d) == LadderVerdict(False, 0, reason)
+        mirrored = is_ladder_subdivision(K, c, d, a, b)
+        assert mirrored == LadderVerdict(False, 0, "rung 2 is not joined to a next rung by two rails")
 
     def test_accepts_subdivided(self):
         # suppressible pass-through vertices must not change the verdict

@@ -254,16 +254,17 @@ class TestMarkedVertices:
     def test_sets_match_the_references_on_the_analyze_corpora(self):
         """Every path analyzed for the golden analyze corpus (ladders, random
         instances, out-stars) and for 300 seeded random instances (251 of
-        them feasible) gets the references' important and marked sets."""
+        them feasible) gets the references' important and marked sets, and
+        the segments that a detection reusing no verdict finds."""
         corpus = [ladder_with_terminals(n, ident) for n, ident in LADDERS]
         corpus += [out_star(seed, kind, leaves) for kind, leaves, seed in OUT_STARS]
         corpus += [gen_random(8, 20, 4, 3, seed)[0] for seed in range(300)]
         feasible = nondegenerate = 0
         for inst in corpus:
             (_, rep), found = checked_analyses(solve_with_certificate, inst)
-            assert all(same for _, same in found)
+            assert all(same and segs_same for _, same, segs_same in found)
             feasible += rep is not None
-            nondegenerate += sum(not q.degenerate for mk, _ in found for q in mk.quadruples)
+            nondegenerate += sum(not q.degenerate for mk, _, _ in found for q in mk.quadruples)
         assert feasible == len(LADDERS) + len(OUT_STARS) + 251 and nondegenerate > 0
 
     @pytest.mark.parametrize("n", [8, 13])
@@ -574,9 +575,18 @@ class TestReduceLength:
                 rec.request, P.vertices, P.length, len(imp.important), len(mk.marked), ratio, segs
             )
 
-    @pytest.mark.parametrize("n,identified", [(10, ()), (13, (1,)), (9, (9,)), (12, (1, 12))])
+    # (n, I) -> recognizer calls for its one replacement.
+    RECOGNIZER_CALLS = {(10, ()): 2, (13, (1,)): 7, (9, (9,)): 6, (12, (1, 12)): 11, (12, (3, 4)): 2}
+
+    @pytest.mark.parametrize("n,identified", list(RECOGNIZER_CALLS))
     def test_each_ladder_is_recognized_once(self, n, identified, monkeypatch):
-        """Replacement uses the segment's verdict; only detection recognizes."""
+        """Replacement uses the segment's verdict; only detection recognizes.
+        Round 1 recognizes the ladder for the forward request and replaces
+        it; round 2 recognizes the replacement for the forward request, and
+        the reverse request reads that accepted verdict under its mirrored
+        roles: 2 calls without identified end rungs (3 without the reuse),
+        more with them, where collapsed roles are tried after rejections.
+        The reverse request's verdict is the recognizer's."""
         callers = []
         recognize = structure.is_ladder_subdivision
 
@@ -586,9 +596,15 @@ class TestReduceLength:
 
         monkeypatch.setattr(structure, "is_ladder_subdivision", traced)
         inst = ladder_with_terminals(n, identified)
-        _, report = reduce_length_graph(inst.host, inst.requests)
-        assert report.replacements >= 1
-        assert set(callers) == {"detect_ladder_segments"}
+        reduced, report = reduce_length_graph(inst.host, inst.requests)
+        assert (report.rounds, report.replacements) == (2, 1)
+        assert callers == ["detect_ladder_segments"] * self.RECOGNIZER_CALLS[n, identified]
+        forward, reverse = report.paths
+        assert forward.request[::-1] == reverse.request
+        for seg in forward.segments + reverse.segments:
+            assert seg.verdict.ok
+            K = reduced.induced(seg.component | set(seg.boundary))
+            assert seg.verdict == recognize(K, *seg.roles)
 
     def test_rejects_non_minimal_input(self):
         g = WeightedDigraph(range(3), {(0, 1): 1, (0, 2): 1, (2, 1): 1})
