@@ -3,9 +3,10 @@
 All graph values are immutable after construction and every operation is a
 pure function, so shared instances are safe to use concurrently.  The one
 slot filled later, a digraph's derived facts (its `necessary_arcs` answers
-per request set, its `induced` graphs per vertex set and its
-`component_avoiding` components per boundary), holds functions of its fixed
-arcs, so two threads racing to fill it store equal values.  Vertex ids are
+per request set, its `induced` graphs per vertex set, its
+`component_avoiding` components per boundary and what other modules keep
+on it with `kept`), holds functions of its fixed arcs, so two threads
+racing to fill it store equal values.  Vertex ids are
 integers and every deterministic tie-break is by ascending id.
 """
 
@@ -80,8 +81,8 @@ class WeightedDigraph:
         self._scaled = (ints, scale)
         self._out = {v: tuple(ns) for v, ns in out.items()}
         self._in = {v: tuple(ns) for v, ns in inn.items()}
-        # ("necessary", requests), ("induced", vertices) or ("components", boundary) -> fact
-        self._facts: Dict[Tuple[str, FrozenSet], object] = {}
+        # ("necessary", requests), ("induced", vertices), ("components", boundary) or ("kept", kind) -> fact
+        self._facts: Dict[Tuple[str, object], object] = {}
 
     # -- basic accessors -------------------------------------------------
 
@@ -143,6 +144,12 @@ class WeightedDigraph:
             return len(self._in[v]) + len(self._out[v])
         except KeyError:
             raise _unknown_vertex(v) from None
+
+    def kept(self, kind: str) -> dict:
+        """A dict kept on this graph for facts of `kind` that another module
+        derives from it.  Graphs are immutable, so such a fact lasts exactly
+        as long as the graph, and a new graph starts with none."""
+        return self._facts.setdefault(("kept", kind), {})
 
     def _check_vertex(self, v: int) -> None:
         if v not in self._vset:

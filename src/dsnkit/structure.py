@@ -230,7 +230,6 @@ def detect_ladder_segments(
     terminals: Iterable[int],
     P: DirectedPath,
     markers: Sequence[int],
-    accepted: Optional[dict] = None,
 ) -> List[LadderSegment]:
     """Between consecutive markers at distance >= 6, extract the component
     hanging between the four boundary vertices and test it for ladderness.
@@ -238,13 +237,12 @@ def detect_ladder_segments(
     vertex p_{j-2}; from distance 6 on it is none of the four, because path
     vertices are distinct.
 
-    `accepted` maps (segment vertex set, roles) to a verdict accepted on
-    this graph; each accepted here is added under the mirrored roles
-    (c, d, a, b), which by `is_ladder_subdivision`'s mirror lemma get the
-    same verdict, so the reverse request through that ladder reads it.
-    A rejection is not kept."""
+    The segment graph K, one object per vertex set of `graph`, keeps each
+    verdict accepted on it under the mirrored roles (c, d, a, b), which by
+    `is_ladder_subdivision`'s mirror lemma get the same verdict: so the
+    reverse request through that ladder, on the same graph, does not
+    recognize it again.  A rejection is not kept."""
     T = set(terminals)
-    accepted = {} if accepted is None else accepted
     out: List[LadderSegment] = []
     for i, j in zip(markers, markers[1:]):
         if j - i < 6:
@@ -260,12 +258,12 @@ def detect_ladder_segments(
                 )
             )
             continue
-        segment = component | set(boundary)
-        K = graph.induced(segment)
+        K = graph.induced(component | set(boundary))
+        accepted = K.kept("accepted ladder roles")
         a, d = pv[i + 1], pv[j - 1]
         tried = []
         for roles in ((a, b, c, d) for b in (pv[i + 2], a) for c in (pv[j - 2], d)):
-            tried.append((roles, accepted.get((segment, roles)) or is_ladder_subdivision(K, *roles)))
+            tried.append((roles, accepted.get(roles) or is_ladder_subdivision(K, *roles)))
             if tried[-1][1].ok:
                 break
         roles, verdict = tried[-1]
@@ -273,7 +271,7 @@ def detect_ladder_segments(
             # Reported: the verdict for the uncollapsed roles (p_{i+2}, p_{j-2}).
             out.append(LadderSegment(i, j, boundary, component, tried[0][1], None))
             continue
-        accepted[segment, (*roles[2:], *roles[:2])] = verdict
+        accepted[(*roles[2:], *roles[:2])] = verdict
         if roles[1] == a or roles[2] == d:
             # Collapsed roles leave a boundary vertex inside the ladder,
             # so it belongs to the component that gets replaced.
@@ -499,17 +497,16 @@ class StructureReport(NamedTuple):
 
 
 def _analyze_path(
-    graph: WeightedDigraph, T: Sequence[int], s: int, t: int, accepted: Optional[dict] = None
+    graph: WeightedDigraph, T: Sequence[int], s: int, t: int
 ) -> Tuple[DirectedPath, ImportantSet, MarkedSet, List[LadderSegment]]:
     """Realize the s-t request path and run the per-path analysis on it:
-    important and marked vertices, then ladder segments between markers
-    (`accepted` as in `detect_ladder_segments`)."""
+    important and marked vertices, then ladder segments between markers."""
     P = realize_request_path(graph, T, s, t)
     if P is None:
         raise InvariantError(f"normalized request {s}->{t} has no T-avoiding path")
     imp = important_vertices(graph, T, P)
     mk = marked_vertices(graph, P, imp)
-    segs = detect_ladder_segments(graph, T, P, segment_markers(P, imp, mk), accepted)
+    segs = detect_ladder_segments(graph, T, P, segment_markers(P, imp, mk))
     return P, imp, mk, segs
 
 
@@ -536,9 +533,8 @@ def reduce_length_graph(
     while True:
         rounds += 1
         records: List[PathRecord] = []
-        accepted: dict = {}  # ladder verdicts accepted on `current`
         for s, t in sorted(norm):
-            P, imp, mk, segs = _analyze_path(current, T, s, t, accepted)
+            P, imp, mk, segs = _analyze_path(current, T, s, t)
             num_important = len(imp.important)
             records.append(PathRecord(
                 (s, t), P.vertices, P.length, num_important, len(mk.marked),

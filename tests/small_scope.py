@@ -32,6 +32,11 @@ Six spaces, each checked in full:
   without the threshold stop is never below the threshold and, when it
   meets it, carries a class-respecting embedding.
 
+No segment between markers is rejected in these spaces, so the segment
+comparison checks the reuse of accepted ladder verdicts only; that a
+rejection is not reused is pinned by `tests/test_structure.py`'s
+`test_the_reverse_path_reads_only_an_accepted_verdict`.
+
 pytest does not collect this file; run it with
 
     PYTHONPATH=src python tests/small_scope.py

@@ -16,7 +16,7 @@ from dsnkit.dsn import (
 from dsnkit.errors import InconsistencyError, InputError, InvariantError, PreconditionError
 from dsnkit.graphs import DirectedPath, WeightedDigraph, component_avoiding, treewidth, treewidth_upper_bound
 from dsnkit import graphs, structure
-from dsnkit.ladders import LadderVerdict
+from dsnkit.ladders import LadderSpec, LadderVerdict, make_ladder
 from dsnkit.generators import gen_random
 from dsnkit.solvers import solve_exhaustive, solve_with_certificate
 from dsnkit.structure import (
@@ -364,6 +364,27 @@ class TestSegmentsAndReplacement:
         P = realize_request_path(inst.host, T, *sorted(inst.requests)[0])
         segs = detect_ladder_segments(inst.host, T, P, [0, distance])
         assert [(seg.start_index, seg.end_index) for seg in segs] == [(0, distance)] * segments
+
+    @pytest.mark.parametrize("added, reverse_calls", [((), 0), (((5, 8),), 4)])
+    def test_the_reverse_path_reads_only_an_accepted_verdict(self, added, reverse_calls, monkeypatch):
+        """G_6 between terminals 12 and 13, crossed from rung (0, 1) to rung
+        (11, 10) by one path and back by another on the same graph.  The
+        reverse path reads the accepted verdict and recognizes nothing.  With
+        the extra rail 5 -> 8, each direction is rejected for its own reason,
+        so the reverse path runs the recognizer again."""
+        ends = [(12, 0), (1, 12), (10, 13), (13, 11), *added]
+        host = WeightedDigraph(range(14), {**make_ladder(LadderSpec(6)).arcs(), **dict.fromkeys(ends, 1)})
+        calls = []
+        recognize = structure.is_ladder_subdivision
+        monkeypatch.setattr(structure, "is_ladder_subdivision", lambda K, *r: calls.append(r) or recognize(K, *r))
+        (forward,) = detect_ladder_segments(host, {12, 13}, DirectedPath((12, 0, 1, 2, 11, 10, 13)), [0, 6])
+        before = len(calls)
+        (reverse,) = detect_ladder_segments(host, {12, 13}, DirectedPath((13, 11, 10, 9, 0, 1, 12)), [0, 6])
+        assert (reverse.boundary, reverse.component) == ((11, 10, 0, 1), forward.component)
+        assert len(calls) - before == reverse_calls
+        K = host.induced(forward.component | set(forward.boundary))
+        assert (forward.verdict, reverse.verdict) == (recognize(K, 0, 1, 11, 10), recognize(K, 11, 10, 0, 1))
+        assert forward.verdict.ok == reverse.verdict.ok == (forward.verdict == reverse.verdict) == (not added)
 
     def test_replace_shrinks_and_preserves_outside(self):
         inst = ladder_with_terminals(10)
