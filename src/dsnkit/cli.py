@@ -282,8 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
         "structural analysis, hardness-instance generation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # The name -> subparser map that `main` parses a known command with.
-    parser.commands = sub.choices
 
     p = sub.add_parser("solve", help="solve a DSN instance file")
     p.add_argument("file")
@@ -364,18 +362,13 @@ def _parse_direct(defaults, options, tokens) -> Optional[argparse.Namespace]:
 def main(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
-    # solve, analyze and reduce parse a plain argv without argparse.  Any
-    # other argv of a known command is parsed by its own subparser, as the
-    # full parser would hand it the rest of argv; the full parse runs only
-    # to print argparse's own help and error text for anything else.
+    # solve, analyze and reduce parse a plain argv without argparse;
+    # argparse parses every other argv and writes all help and usage text.
     table = parser.direct.get(argv[0]) if argv else None
     args = _parse_direct(*table, argv[1:]) if table else None
     try:
         if args is None:
-            command = parser.commands.get(argv[0]) if argv else None
-            args, rest = command.parse_known_args(argv[1:]) if command else (None, True)
-            if rest:
-                args = parser.parse_args(argv)
+            args = parser.parse_args(argv)
     except SystemExit:
         # argparse's help and usage exits; the parser drops a text it cannot write.
         _report(0)

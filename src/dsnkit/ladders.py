@@ -71,14 +71,6 @@ def ladder_corner_requests(spec: LadderSpec) -> Set[Tuple[int, int]]:
     return {(u, v) for u, v in zip(corners, corners[1:] + corners[:1]) if u != v}
 
 
-def _walk_to_path(vertex_seq: List[int]) -> DirectedPath:
-    dedup: List[int] = []
-    for v in vertex_seq:
-        if not dedup or dedup[-1] != v:
-            dedup.append(v)
-    return DirectedPath(tuple(dedup))
-
-
 def ladder_two_path_decomposition(g: WeightedDigraph, spec: LadderSpec) -> Tuple[DirectedPath, DirectedPath]:
     """The two explicit rail-to-rail paths whose arc union is all of G_{n,I}.
 
@@ -87,10 +79,10 @@ def ladder_two_path_decomposition(g: WeightedDigraph, spec: LadderSpec) -> Tuple
     if g != make_ladder(spec):
         raise InputError("graph does not match the ladder spec")
     # P1 takes the rungs in order and P2 in reverse, each rung in its own
-    # direction; consecutive rungs are joined by rail arcs.
+    # direction (an identified rung's one vertex once); rail arcs join them.
     rungs = ladder_rungs(spec)
-    p1 = _walk_to_path([v for rung in rungs for v in rung])
-    p2 = _walk_to_path([v for rung in reversed(rungs) for v in rung])
+    p1 = DirectedPath(tuple(dict.fromkeys(v for rung in rungs for v in rung)))
+    p2 = DirectedPath(tuple(dict.fromkeys(v for rung in reversed(rungs) for v in rung)))
     p1.check_in(g)
     p2.check_in(g)
     return p1, p2

@@ -67,7 +67,11 @@ def important_vertices(
     """Vertices of P with a P-avoiding connection to a terminal off P, with
     the closest-to-endpoint labelling and the anchor map g_P.  Per terminal
     x, one search runs from x onto P and one from P into x, except the two
-    that cannot move a label: from P's start and into P's end."""
+    that cannot move a label: from P's start and into P's end.
+
+    `graph` must be an inclusion-minimal solution: on any other graph an
+    important vertex can miss a label or an anchor witness, which raises
+    `PreconditionError`."""
     T = set(terminals)
     P.check_in(graph)
     if P.start not in T or P.end not in T:
@@ -103,7 +107,7 @@ def important_vertices(
     frozen = {v: frozenset(ls) for v, ls in labels.items()}
     for v in important:
         if v not in frozen:
-            raise InvariantError(f"important vertex {v} received no label")
+            raise PreconditionError(f"graph is not inclusion-minimal: important vertex {v} received no label")
 
     anchor: Dict[int, int] = {}
     witness: Dict[int, DirectedPath] = {}
@@ -119,13 +123,7 @@ def important_vertices(
                 witness[v] = w
                 break
         else:
-            raise InvariantError(f"no (V(P) u T)-avoiding anchor witness for {v}")
-
-    counts: Dict[int, int] = {}
-    for x in anchor.values():
-        counts[x] = counts.get(x, 0) + 1
-    if any(cnt > 2 for cnt in counts.values()):
-        raise InvariantError("anchor map hits a terminal more than twice")
+            raise PreconditionError(f"graph is not inclusion-minimal: no (V(P) u T)-avoiding anchor witness for {v}")
 
     return ImportantSet(P, important, frozen, anchor, witness)
 
@@ -187,10 +185,6 @@ def marked_vertices(graph: WeightedDigraph, P: DirectedPath, imp: ImportantSet) 
         j4 = max(x for x in range(j, r) if back[x] and min(back[x]) <= j)
         j3 = min(x for x in range(j, r) if j1 in back[x])
         j2 = max(w for w in back[j4] if w <= j)
-        if not (j1 <= j2 <= j <= j3 <= j4):
-            raise InvariantError(
-                f"marked quadruple ordering violated at {pj}: {(j1, j2, j, j3, j4)}"
-            )
         q31 = _parent_path(parents[j3], pv[j1])
         q42 = _parent_path(parents[j4], pv[j2])
         if q31 is None or q42 is None:

@@ -507,12 +507,12 @@ def checked_analyses(run, *args):
     """`run(*args)`, with each per-path analysis of the structural pipeline
     checked against the two references and its segments against a
     detection that reuses no verdict.  Returns the result and, per analyzed
-    path, its marked set, whether both sets equal the references', every
-    field and witness included, and whether the segments equal
-    `detect_ladder_segments` run on the same path in a copy of the graph,
-    which keeps none of the pipeline's accepted verdicts.  On an input with
-    no segment between markers rejected, as on every input that
-    `small_scope_failure` passes, this checks the reuse of accepted
+    path, its important and marked sets, whether both equal the
+    references', every field and witness included, and whether the
+    segments equal `detect_ladder_segments` run on the same path in a copy
+    of the graph, which keeps none of the pipeline's accepted verdicts.  On
+    an input with no segment between markers rejected, as on every input
+    that `small_scope_failure` passes, this checks the reuse of accepted
     verdicts only; `test_the_reverse_path_reads_only_an_accepted_verdict`
     pins that a rejection is not reused."""
     analyses = []
@@ -523,7 +523,7 @@ def checked_analyses(run, *args):
         same = (imp, mk) == (important_vertices_reference(graph, T, P), marked_vertices_reference(graph, P, imp))
         copy = WeightedDigraph(graph.vertices, graph.arcs())
         fresh = structure.detect_ladder_segments(copy, T, P, structure.segment_markers(P, imp, mk))
-        analyses.append((mk, same, segs == fresh))
+        analyses.append((imp, mk, same, segs == fresh))
         return P, imp, mk, segs
 
     with mock.patch.object(structure, "_analyze_path", checked):
@@ -632,9 +632,9 @@ def small_scope_failure(inst, engine=solvers.solve_exhaustive):
                 "diameter bound failed": rep.diameter_bound_ok is False,
                 "exact solution treewidth differs from the subset-DP reference": rep.tw_before_exact
                 and rep.tw_before != treewidth_by_rescans(res.optimum.as_graph().sym()),
-                "important or marked set differs from the reference": not all(same for _, same, _ in analyses),
+                "important or marked set differs from the reference": not all(same for _, _, same, _ in analyses),
                 "segments differ from a detection without reused verdicts": not all(
-                    segs_same for _, _, segs_same in analyses
+                    segs_same for _, _, _, segs_same in analyses
                 ),
                 "segment between markers rejected": any(not s.verdict.ok for p in rep.paths for s in p.segments),
             }

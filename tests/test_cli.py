@@ -142,8 +142,8 @@ class TestDirectParse:
     @pytest.mark.parametrize("name", ["solve", "analyze", "reduce"])
     def test_direct_parse_equals_argparse(self, name):
         parser = cli.build_parser()
-        command, table = parser.commands[name], parser.direct[name]
-        actions = command._option_string_actions
+        table = parser.direct[name]
+        actions = table[1]
         value_options = [(s, a) for s, a in actions.items() if s.startswith("--") and a.nargs is None]
         alphabet = list(dict.fromkeys([
             *actions, *(c for a in actions.values() for c in a.choices or ()), "nope", "a.dsn", "b.psi",
@@ -158,9 +158,10 @@ class TestDirectParse:
                     continue
                 accepted += 1
                 try:
-                    args, rest = command.parse_known_args(list(argv))
+                    args, rest = parser.parse_known_args([name, *argv])
                 except SystemExit:
                     pytest.fail(f"argparse refuses {argv}")
+                del args.command
                 assert (args, rest) == (direct, []), argv
         assert accepted > 0
 

@@ -1,18 +1,6 @@
 """The runtime self-checks of the hardness reduction and the per-path
 analysis: each one fires, with its own message, on a doctored argument or
-behind a faulty routine upstream.
-
-Two checks restate the lines above them, so no fault outside their own
-function can trip them:
-- `important_vertices`' "anchor map hits a terminal more than twice": each
-  terminal labels at most one vertex "<-" (the first it reaches on P) and
-  one "->" (the last that reaches it), and a vertex's anchor is a terminal
-  of its own labels, so each terminal anchors at most two vertices;
-- `marked_vertices`' "marked quadruple ordering violated": j1 is the least
-  back-jump endpoint from j on, and at most j; j3 is the first index from j
-  on that jumps to j1, so j <= j3 <= j4, the last index from j on that jumps
-  to j or before; j2 is the largest endpoint of j4's jumps up to j, so
-  j1 <= j2 <= j.  This holds for any back-jump sets."""
+behind a faulty routine upstream."""
 
 from types import SimpleNamespace
 
@@ -176,21 +164,6 @@ def test_extract_embedding_rejects_a_solution_without_an_embedding(monkeypatch, 
 JUMP_GRAPH = WeightedDigraph(range(6), dict.fromkeys([(0, 1), (1, 2), (2, 3), (4, 1), (2, 5), (5, 1)], 1))
 JUMP_TERMINALS = (0, 3, 4)
 JUMP_PATH = DirectedPath((0, 1, 2, 3))
-
-
-def test_important_vertices_rejects_an_important_vertex_without_a_label(monkeypatch):
-    # A faulty search onto P reaches every other path vertex, so all of P is
-    # important, but each terminal labels only its first and last vertex.
-    monkeypatch.setattr(structure, "_onto_path_reach", lambda graph, src, pset, reverse=False: pset - {src})
-    with pytest.raises(InvariantError, match="important vertex 1 received no label"):
-        structure.important_vertices(JUMP_GRAPH, JUMP_TERMINALS, JUMP_PATH)
-
-
-def test_important_vertices_rejects_a_label_without_an_anchor_witness(monkeypatch):
-    assert structure.important_vertices(JUMP_GRAPH, JUMP_TERMINALS, JUMP_PATH).anchor == {1: 4}
-    monkeypatch.setattr(structure, "avoiding_path", lambda *args: None)
-    with pytest.raises(InvariantError, match=r"no \(V\(P\) u T\)-avoiding anchor witness for 1"):
-        structure.important_vertices(JUMP_GRAPH, JUMP_TERMINALS, JUMP_PATH)
 
 
 def test_marked_vertices_rejects_a_back_jump_without_a_witness(monkeypatch):

@@ -211,11 +211,38 @@ class TestImportantVertices:
         imp = important_vertices(g, {0, 4, 5}, P)
         assert len(imp.important) <= 2 * 3 - 2
 
+    @pytest.mark.parametrize(
+        "arcs, message",
+        [
+            ([(4, 1), (4, 2)], "important vertex 2 received no label"),
+            ([(0, 4), (1, 4)], r"no \(V\(P\) u T\)-avoiding anchor witness for 0"),
+        ],
+        ids=["no-label", "no-anchor-witness"],
+    )
+    def test_rejects_a_graph_that_is_not_inclusion_minimal(self, arcs, message):
+        # P = 0 -> 1 -> 2 -> 3; terminal 4's second arc is redundant.
+        g = WeightedDigraph(range(5), dict.fromkeys([(0, 1), (1, 2), (2, 3), *arcs], 1))
+        with pytest.raises(PreconditionError, match=f"graph is not inclusion-minimal: {message}"):
+            important_vertices(g, {0, 3, 4}, DirectedPath((0, 1, 2, 3)))
+
+
+def anchors_at_most_twice(imp):
+    """Each terminal anchors at most two important vertices: it labels at
+    most one vertex "<-" (the first it reaches on P) and one "->" (the last
+    that reaches it), and a vertex's anchor is a terminal of its own labels."""
+    return max(Counter(imp.anchor.values()).values(), default=0) <= 2
+
 
 def assert_quadruples_ordered(P, mk):
     """Every quadruple satisfies p1 <= p2 <= center <= p3 <= p4 in path
     order, and a non-degenerate one's witnesses run p3 -> p1 and p4 -> p2
-    with no internal vertex on P.  Returns the non-degenerate count."""
+    with no internal vertex on P.  Returns the non-degenerate count.
+
+    The order holds for any back-jump sets: j1 is the least back-jump
+    endpoint from j on, and at most j; j3 is the first index from j on that
+    jumps to j1, so j <= j3 <= j4, the last index from j on that jumps to j
+    or before; j2 is the largest endpoint of j4's jumps up to j, so
+    j1 <= j2 <= j."""
     idx = {v: i for i, v in enumerate(P.vertices)}
     found = 0
     for quad in mk.quadruples:
@@ -254,17 +281,18 @@ class TestMarkedVertices:
     def test_sets_match_the_references_on_the_analyze_corpora(self):
         """Every path analyzed for the golden analyze corpus (ladders, random
         instances, out-stars) and for 300 seeded random instances (251 of
-        them feasible) gets the references' important and marked sets, and
-        the segments that a detection reusing no verdict finds."""
+        them feasible) gets the references' important and marked sets, with
+        no terminal anchoring more than two important vertices, and the
+        segments that a detection reusing no verdict finds."""
         corpus = [ladder_with_terminals(n, ident) for n, ident in LADDERS]
         corpus += [out_star(seed, kind, leaves) for kind, leaves, seed in OUT_STARS]
         corpus += [gen_random(8, 20, 4, 3, seed)[0] for seed in range(300)]
         feasible = nondegenerate = 0
         for inst in corpus:
             (_, rep), found = checked_analyses(solve_with_certificate, inst)
-            assert all(same and segs_same for _, same, segs_same in found)
+            assert all(same and segs_same and anchors_at_most_twice(imp) for imp, _, same, segs_same in found)
             feasible += rep is not None
-            nondegenerate += sum(not q.degenerate for mk, _, _ in found for q in mk.quadruples)
+            nondegenerate += sum(not q.degenerate for _, mk, _, _ in found for q in mk.quadruples)
         assert feasible == len(LADDERS) + len(OUT_STARS) + 251 and nondegenerate > 0
 
     @pytest.mark.parametrize("n", [8, 13])
@@ -291,7 +319,8 @@ class TestMarkedVertices:
 
     def test_ordering_invariant_on_solver_optima(self):
         """The ladder path has no important vertex; optima of small random
-        instances have non-degenerate quadruples (21 on these 60)."""
+        instances have non-degenerate quadruples (21 on these 60), and no
+        terminal anchors more than two important vertices."""
         found = 0
         for inst in random_instances(60, max_requests=6):
             result = solve_exhaustive(inst)
@@ -301,7 +330,9 @@ class TestMarkedVertices:
             for s, t in sorted(inst.requests):
                 P = realize_request_path(g, T, s, t)
                 if P is not None:
-                    found += assert_quadruples_ordered(P, marked_vertices(g, P, important_vertices(g, T, P)))
+                    imp = important_vertices(g, T, P)
+                    assert anchors_at_most_twice(imp)
+                    found += assert_quadruples_ordered(P, marked_vertices(g, P, imp))
         assert found > 0
 
     def test_backjump_gives_nondegenerate_quadruple(self):
